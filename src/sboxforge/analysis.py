@@ -31,10 +31,6 @@ class BooleanFunctionTable:
         if any(v not in (0, 1) for v in self.values):
             raise ValueError("truth table entries must be bits")
 
-    @property
-    def n(self) -> int:
-        return len(self.values).bit_length() - 1
-
     def weight(self) -> int:
         return sum(self.values)
 
@@ -54,10 +50,6 @@ class DependenceMatrix:
     """entries[i][j] = probability that flipping input bit i flips output bit j."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(v for row in self.entries for v in row)
@@ -94,6 +86,7 @@ class ReportComparison:
 
 
 _TOLERANCE = 1e-9
+CRITERIA = ("nl", "sac", "bic_nl", "bic_sac")
 
 
 def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
@@ -105,20 +98,6 @@ def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
     if not 0 <= mask < 1 << s.n:
         raise ValueError(f"mask {mask} out of range for width {s.n}")
     return BooleanFunctionTable(tuple((v & mask).bit_count() & 1 for v in s.table))
-
-
-def is_bijective_strict(s: SBox) -> bool:
-    """Bijectivity via the component-weight characterisation.
-
-    True iff every nonzero linear combination of output bits has Hamming
-    weight 2**(n-1). Agrees with the all-entries-distinct check; this form
-    exists as an independent route for cross-validation.
-    """
-    half = 1 << (s.n - 1)
-    for mask in range(1, 1 << s.n):
-        if sum((v & mask).bit_count() & 1 for v in s.table) != half:
-            return False
-    return True
 
 
 def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
@@ -142,12 +121,10 @@ def nonlinearity(f: BooleanFunctionTable) -> int:
 
 
 def max_balanced_nonlinearity(n: int) -> int:
-    """Highest nonlinearity a balanced n-input Boolean function can reach."""
+    """Reference bound 2**(n-1) - 2**(n//2) of the s-box literature; not a ceiling for even n >= 6."""
     if n < 3:
         raise ValueError(f"bound is defined for n >= 3, got {n}")
-    if n % 2:
-        return sum(1 << (i + 1) for i in range((n - 3) // 2, n - 2))
-    return sum(1 << (i + 2) for i in range((n - 4) // 2, n - 3))
+    return (1 << (n - 1)) - (1 << (n // 2))
 
 
 def _population_stats(values, sd_divisor: int = 1) -> PropertyStats:
@@ -163,15 +140,21 @@ def sbox_nonlinearity_stats(s: SBox) -> PropertyStats:
     return _population_stats(values)
 
 
+def _output_differences(s: SBox):
+    """Yield, one input bit i at a time, the list of s[x] ^ s[x ^ 2**i] over all x."""
+    table = s.table
+    for i in range(s.n):
+        mask = 1 << i
+        yield [table[x] ^ table[x ^ mask] for x in range(len(table))]
+
+
 def sac_dependence_matrix(s: SBox) -> DependenceMatrix:
     """Flip probabilities for every (input bit, output bit) pair."""
     size = len(s)
-    rows = []
-    for i in range(s.n):
-        mask = 1 << i
-        diff = [s.table[x] ^ s.table[x ^ mask] for x in range(size)]
-        rows.append(tuple(Fraction(sum(d >> j & 1 for d in diff), size) for j in range(s.n)))
-    return DependenceMatrix(tuple(rows))
+    return DependenceMatrix(tuple(
+        tuple(Fraction(sum(d >> j & 1 for d in diff), size) for j in range(s.n))
+        for diff in _output_differences(s)
+    ))
 
 
 def sac_stats(s: SBox) -> PropertyStats:
@@ -185,13 +168,9 @@ def sac_stats(s: SBox) -> PropertyStats:
     return _population_stats(sac_dependence_matrix(s).flat(), sd_divisor=2)
 
 
-def _pair_function(s: SBox, j: int, k: int) -> list[int]:
-    return [(v >> j ^ v >> k) & 1 for v in s.table]
-
-
 def bic_nonlinearity_stats(s: SBox) -> PropertyStats:
     """Stats over the nonlinearity of f_j xor f_k for all pairs j < k."""
-    values = [nonlinearity(BooleanFunctionTable(tuple(_pair_function(s, j, k))))
+    values = [nonlinearity(component_function(s, 1 << j | 1 << k))
               for j in range(s.n) for k in range(j + 1, s.n)]
     return _population_stats(values)
 
@@ -203,14 +182,12 @@ def bic_sac_stats(s: SBox) -> PropertyStats:
     n single-bit input flips, of the probability that f_j xor f_k flips.
     Stats run over those n*(n-1)/2 pair values.
     """
-    size = len(s)
-    values = []
-    for j in range(s.n):
-        for k in range(j + 1, s.n):
-            g = _pair_function(s, j, k)
-            flips = sum(g[x] ^ g[x ^ (1 << i)] for i in range(s.n) for x in range(size))
-            values.append(Fraction(flips, s.n * size))
-    return _population_stats(values)
+    pairs = [(j, k) for j in range(s.n) for k in range(j + 1, s.n)]
+    flips = [0] * len(pairs)
+    for diff in _output_differences(s):
+        for p, (j, k) in enumerate(pairs):
+            flips[p] += sum((d >> j ^ d >> k) & 1 for d in diff)
+    return _population_stats([Fraction(f, s.n * len(s)) for f in flips])
 
 
 def analyze(s: SBox) -> AnalysisReport:
@@ -239,7 +216,7 @@ def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
         diffs.append("n")
     if a.bijective != b.bijective:
         diffs.append("bijective")
-    for name in ("nl", "sac", "bic_nl", "bic_sac"):
+    for name in CRITERIA:
         stats_a, stats_b = getattr(a, name), getattr(b, name)
         for field in ("min", "max", "avg", "sd"):
             va, vb = getattr(stats_a, field), getattr(stats_b, field)

@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
-from .analysis import analyze, compare_reports
+from .analysis import CRITERIA, analyze, compare_reports
 from .core import (
     BitPermutation,
     CloneOptions,
@@ -124,8 +124,8 @@ def cmd_clone(args) -> int:
         sigma1 = _parse_permutation(args.sigma1, seed.n)
         sigma2 = _parse_permutation(args.sigma2, seed.n)
 
-    if args.remove_fixed_points:
-        opts = CloneOptions(remove_fixed_points=True, max_attempts=args.max_attempts)
+    if args.avoid_fixed_points:
+        opts = CloneOptions(max_attempts=args.max_attempts)
         result, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts)
     else:
         result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
@@ -194,10 +194,10 @@ def cmd_enumerate(args) -> int:
 
     seed_report = analyze(seed) if args.check_invariance else None
     tasks = [(n, seed.table, k1, k2, seed_report) for k1, k2 in pairs]
-    threads = _thread_cap()
-    if threads > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (threads * 4))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(_thread_cap(), os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_enumerate_row, tasks, chunksize=chunk))
     else:
         rows = [_enumerate_row(task) for task in tasks]
@@ -226,7 +226,7 @@ def cmd_verify(args) -> int:
         print(f"width mismatch: {seed.n} vs {clone.n}", file=sys.stderr)
         return EXIT_WIDTH
     comparison = compare_reports(analyze(seed), analyze(clone))
-    for name in ("bijective", "nl", "sac", "bic_nl", "bic_sac"):
+    for name in ("bijective",) + CRITERIA:
         hit = any(d == name or d.startswith(name + ".") for d in comparison.differences)
         print(f"{name}: {'differs' if hit else 'equal'}")
     if comparison.equal:
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     clone.add_argument("--key", help="hex key; permutations derived from it")
     clone.add_argument("--sigma1", help="input-bit permutation, comma-separated images")
     clone.add_argument("--sigma2", help="output-bit permutation, comma-separated images")
-    clone.add_argument("--remove-fixed-points", action="store_true",
+    clone.add_argument("--remove-fixed-points", action="store_true", dest="avoid_fixed_points",
                        help="retry until the clone has no fixed or reverse fixed points")
     clone.add_argument("--max-attempts", type=int, default=None,
                        help="cap on removal retries (default n!*n!)")

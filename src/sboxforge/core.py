@@ -20,7 +20,7 @@ class NonBijectiveError(ValueError):
 
 
 class RemovalExhausted(RuntimeError):
-    """No fixed-point-free clone was found within the attempt budget."""
+    """No fixed-point-free clone was found within the attempt budget, or none exists."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ class SBox:
     def __len__(self) -> int:
         return len(self.table)
 
-    def __getitem__(self, index: int) -> int:
-        return self.table[index]
-
-    def __iter__(self):
-        return iter(self.table)
-
 
 @dataclass(frozen=True)
 class BitPermutation:
@@ -111,29 +105,6 @@ class BitPermutation:
 
 
 @dataclass(frozen=True)
-class BooleanMatrix:
-    """2**n x n bit matrix; bits[i][j] is the coefficient of 2**j in row i."""
-
-    cols: int
-    bits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(tuple(row) for row in self.bits))
-        for row in self.bits:
-            if len(row) != self.cols:
-                raise ValueError(f"row width {len(row)} != {self.cols}")
-            if any(b not in (0, 1) for b in row):
-                raise ValueError("matrix entries must be bits")
-
-    @property
-    def rows(self) -> int:
-        return len(self.bits)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.bits)
-
-
-@dataclass(frozen=True)
 class FixedPointReport:
     """Indices i with table[i] = i (fixed) or table[i] = 2**n - 1 - i (reverse)."""
 
@@ -153,7 +124,6 @@ class CloneOptions:
     full schedule of n! * n! permutation pairs.
     """
 
-    remove_fixed_points: bool = False
     max_attempts: int | None = None
 
     def __post_init__(self):
@@ -164,32 +134,6 @@ class CloneOptions:
         if self.max_attempts is None:
             return factorial(n) ** 2
         return self.max_attempts
-
-
-def to_boolean_matrix(s: SBox) -> BooleanMatrix:
-    """Row i of the result is the LSB-first binary expansion of s.table[i]."""
-    return BooleanMatrix(s.n, tuple(tuple(v >> j & 1 for j in range(s.n)) for v in s.table))
-
-
-def from_boolean_matrix(m: BooleanMatrix) -> SBox:
-    """Read each row back as an integer (column j weighted by 2**j)."""
-    if m.rows != 1 << m.cols:
-        raise ValueError(f"{m.rows} rows do not match 2**{m.cols}")
-    table = tuple(sum(bit << j for j, bit in enumerate(row)) for row in m.bits)
-    return SBox(m.cols, table)
-
-
-def apply_column_permutation(m: BooleanMatrix, sigma: BitPermutation) -> BooleanMatrix:
-    """Rearrange columns so that input column j appears at column sigma(j)."""
-    if sigma.size != m.cols:
-        raise ValueError(f"permutation size {sigma.size} != {m.cols} columns")
-    out = []
-    for row in m.bits:
-        new = [0] * m.cols
-        for j, bit in enumerate(row):
-            new[sigma.images[j]] = bit
-        out.append(tuple(new))
-    return BooleanMatrix(m.cols, tuple(out))
 
 
 def bit_permute_value(value: int, sigma: BitPermutation, n: int) -> int:
@@ -256,11 +200,22 @@ def clone_sbox_avoiding_fixed_points(
     reachable permutation pair exactly once. Returns the first clean clone
     together with the effective permutations; raises RemovalExhausted when
     the budget runs out.
+
+    A seed that maps index 0 or 2**n - 1 to 0 or 2**n - 1 has no clean clone:
+    the lifted row permutation fixes both indices and sigma2 fixes both
+    values. Such a seed raises RemovalExhausted before any attempt.
     """
     from .keys import lehmer_decode
 
     if opts is None:
         opts = CloneOptions()
+    if not seed.is_bijective():
+        raise NonBijectiveError("seed s-box has duplicate entries")
+    top = len(seed) - 1
+    for i, v in ((0, seed.table[0]), (top, seed.table[top])):
+        if v in (0, top):
+            kind = "fixed" if v == i else "reverse fixed"
+            raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
     n = seed.n
     fact = factorial(n)
     budget = opts.attempt_budget(n)

@@ -52,13 +52,9 @@ def load_sbox(path: str) -> SBox:
     return parse_sbox_text(text)
 
 
-def serialize_sbox(s: SBox, hex_output: bool = False) -> str:
-    """Render 16 entries per line; round-trips through parse_sbox_text."""
-    if hex_output:
-        width = (s.n + 3) // 4
-        cells = [f"0x{v:0{width}x}" for v in s.table]
-    else:
-        cells = [str(v) for v in s.table]
+def serialize_sbox(s: SBox) -> str:
+    """Render 16 decimal entries per line; round-trips through parse_sbox_text."""
+    cells = [str(v) for v in s.table]
     lines = [" ".join(cells[i:i + 16]) for i in range(0, len(cells), 16)]
     return "\n".join(lines) + "\n"
 

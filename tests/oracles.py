@@ -36,6 +36,21 @@ def dense_clone(table, sigma1, sigma2):
     return decimal_rows(w2)
 
 
+def is_bijective_strict(table):
+    """Bijectivity via the component-weight characterisation.
+
+    True iff every nonzero linear combination of output bits has Hamming
+    weight 2**(n-1). Agrees with the all-entries-distinct check; this form
+    exists as an independent route for cross-validation.
+    """
+    n = len(table).bit_length() - 1
+    half = 1 << (n - 1)
+    for mask in range(1, 1 << n):
+        if sum((v & mask).bit_count() & 1 for v in table) != half:
+            return False
+    return True
+
+
 def sign_matrix(n):
     """H[a, x] = (-1)**parity(a & x); one row per linear mask."""
     ax = np.arange(1 << n)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sboxforge import SBox
+from sboxforge import SBox, cli
 from sboxforge.cli import main
 from sboxforge.formats import serialize_sbox
 
@@ -105,6 +105,7 @@ def test_clone_non_bijective_seed(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("0 0 1 2\n")
     assert main(["clone", str(path), "--key", "17"]) == 2
+    assert main(["clone", str(path), "--key", "17", "--remove-fixed-points"]) == 2
 
 
 def test_clone_remove_fixed_points(seed4_file, capsys):
@@ -121,6 +122,15 @@ def test_clone_removal_exhausted(seed4_file):
     code = main(["clone", seed4_file, "--sigma1", "1,2,0,3", "--sigma2", "3,2,0,1",
                  "--remove-fixed-points", "--max-attempts", "1"])
     assert code == 3
+
+
+def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
+    # The identity maps 0 to 0, which every clone keeps; without the
+    # up-front check this would walk all (8!)**2 attempts.
+    assert main(["clone", identity8_file, "--key", "17", "--remove-fixed-points"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed[0] = 0: every clone has a fixed point at 0\n"
 
 
 # ---------------------------------------------------------------------
@@ -253,6 +263,31 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
           "--check-invariance"])
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch):
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    started = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "64")
+    for cpus, expected in ((8, 3), (2, 2), (None, None)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        started.clear()
+        assert main(["enumerate", seed4_file, "--sample", "3"]) == 0
+        assert started == ([expected] if expected else [])
+    assert capsys.readouterr().out.count("\n") == 3 * 4
 
 
 def test_enumerate_invalid_threads(seed4_file, monkeypatch):

@@ -1,24 +1,23 @@
 import random
+import time
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sboxforge import (
     BitPermutation,
-    BooleanMatrix,
     CloneOptions,
     NonBijectiveError,
     RemovalExhausted,
     SBox,
-    apply_column_permutation,
     bit_permute_value,
     clone_sbox,
     clone_sbox_avoiding_fixed_points,
     derive_row_permutation,
     find_fixed_points,
-    from_boolean_matrix,
-    to_boolean_matrix,
 )
 
 from oracles import bits_matrix, dense_clone, perm_matrix, random_bijective, random_perm
@@ -89,63 +88,14 @@ def test_bit_permutation_group_laws():
 
 
 # ---------------------------------------------------------------------
-# bit-matrix conversions
-
-
-def test_to_boolean_matrix_rows():
-    m = to_boolean_matrix(SBox.from_table(SEED4))
-    assert m.bits[0] == (1, 0, 0, 1)
-    identity = to_boolean_matrix(SBox.identity(4))
-    assert identity.bits[1] == (1, 0, 0, 0)
-
-
-def test_from_boolean_matrix_values():
-    assert from_boolean_matrix(BooleanMatrix(2, ((0, 0),) * 4)).table == (0, 0, 0, 0)
-    row = BooleanMatrix(4, ((0, 1, 0, 1),) + ((0, 0, 0, 0),) * 15)
-    assert from_boolean_matrix(row).table[0] == 10
-
-
-def test_from_boolean_matrix_dimension_mismatch():
-    with pytest.raises(ValueError):
-        from_boolean_matrix(BooleanMatrix(3, ((0, 0, 0),) * 4))
-
-
-def test_matrix_round_trip():
-    # exhaustive over every candidate table at n=2, randomized for 3..12
-    import itertools
-
-    for table in itertools.product(range(4), repeat=4):
-        s = SBox(2, table)
-        assert from_boolean_matrix(to_boolean_matrix(s)) == s
-    rng = random.Random(11)
-    for n in range(3, 13):
-        s = SBox(n, tuple(random_bijective(rng, n)))
-        assert from_boolean_matrix(to_boolean_matrix(s)) == s
-
-
-# ---------------------------------------------------------------------
 # column permutation and the induced row permutation
 
 
 def test_apply_column_permutation_reference():
-    x = to_boolean_matrix(SBox.identity(4))
-    w1 = apply_column_permutation(x, BitPermutation(SIGMA1_4))
+    rows = derive_row_permutation(BitPermutation(SIGMA1_4), 4)
+    w1 = bits_matrix(rows.images, 4)
     for j, expected in enumerate(COLPERM_RESULT_4):
-        assert w1.column(j) == expected
-
-
-def test_apply_column_permutation_identity_and_inverse():
-    rng = random.Random(3)
-    for n in (3, 4, 6):
-        m = to_boolean_matrix(SBox(n, tuple(random_bijective(rng, n))))
-        assert apply_column_permutation(m, BitPermutation.identity(n)) == m
-        sigma = BitPermutation(random_perm(rng, n))
-        assert apply_column_permutation(apply_column_permutation(m, sigma), sigma.inverse()) == m
-
-
-def test_apply_column_permutation_size_mismatch():
-    with pytest.raises(ValueError):
-        apply_column_permutation(to_boolean_matrix(SBox.identity(4)), BitPermutation.identity(3))
+        assert tuple(w1[:, j]) == expected
 
 
 def test_derive_row_permutation_reference():
@@ -160,16 +110,6 @@ def test_derive_row_permutation_identity_and_endpoints():
             rows = derive_row_permutation(BitPermutation(random_perm(rng, n)), n)
             assert rows.images[0] == 0
             assert rows.images[-1] == (1 << n) - 1
-
-
-def test_derive_row_permutation_matches_column_permutation_readback():
-    # The index map must equal the decimal reading of the identity matrix
-    # after its columns are rearranged.
-    rng = random.Random(13)
-    for n in (3, 4, 6):
-        sigma = BitPermutation(random_perm(rng, n))
-        w1 = apply_column_permutation(to_boolean_matrix(SBox.identity(n)), sigma)
-        assert from_boolean_matrix(w1).table == derive_row_permutation(sigma, n).images
 
 
 def test_row_and_column_permutations_commute_on_identity_matrix():
@@ -227,6 +167,10 @@ def test_clone_identity_is_noop():
 def test_clone_rejects_non_bijective_seed():
     with pytest.raises(NonBijectiveError):
         clone_sbox(SBox(2, (0, 0, 1, 2)), BitPermutation.identity(2), BitPermutation.identity(2))
+    # Removal reports the duplicates before the pinned fixed point at 0.
+    with pytest.raises(NonBijectiveError):
+        clone_sbox_avoiding_fixed_points(
+            SBox(2, (0, 0, 1, 2)), BitPermutation.identity(2), BitPermutation.identity(2))
 
 
 def test_clone_bijective_for_every_pair_n4():
@@ -255,6 +199,15 @@ def test_clone_matches_dense_pipeline():
             s1, s2 = random_perm(rng, n), random_perm(rng, n)
             fast = clone_sbox(SBox(n, tuple(table)), BitPermutation(s1), BitPermutation(s2))
             assert list(fast.table) == dense_clone(table, s1, s2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(1 << n)), st.permutations(range(n)), st.permutations(range(n)))))
+def test_clone_equals_dense_pipeline_property(case):
+    table, s1, s2 = case
+    fast = clone_sbox(SBox.from_table(table), BitPermutation(s1), BitPermutation(s2))
+    assert list(fast.table) == dense_clone(table, s1, s2)
 
 
 def test_clone_composition():
@@ -337,6 +290,22 @@ def test_avoidance_returns_clean_first_attempt_unchanged():
     result, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, identity, identity)
     assert result == seed
     assert eff1 == identity and eff2 == identity
+
+
+@pytest.mark.parametrize("index,value", [(0, 0), (0, 255), (255, 255), (255, 0)])
+def test_avoidance_fails_fast_on_pinned_end_points(index, value):
+    # Both end indices and both end values stay put under every clone, so
+    # these seeds keep a fixed or reverse fixed point whatever the pair. The
+    # full n=8 schedule would take weeks; exhaustion must be reported at once.
+    table = list(AES_SBOX)
+    other = table.index(value)
+    table[index], table[other] = table[other], table[index]
+    seed = SBox(8, tuple(table))
+    identity = BitPermutation.identity(8)
+    start = time.perf_counter()
+    with pytest.raises(RemovalExhausted, match=f"seed\\[{index}\\] = {value}"):
+        clone_sbox_avoiding_fixed_points(seed, identity, identity)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_clone_options_validation():

@@ -3,6 +3,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sboxforge import BitPermutation, key_to_permutations, lehmer_decode, lehmer_encode
 
@@ -28,6 +30,14 @@ def test_decode_encode_inverse():
     for n in range(2, 7):
         for rank in range(factorial(n)):
             assert lehmer_encode(lehmer_decode(rank, n)) == rank
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, factorial(n) - 1))))
+def test_decode_encode_inverse_property(case):
+    n, rank = case
+    assert lehmer_encode(lehmer_decode(rank, n)) == rank
 
 
 def test_decode_range_errors():

@@ -144,19 +144,29 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
+    if not 2 <= args.n <= 16:
+        raise UsageError("--n must be in [2, 16]")
     sigma1, sigma2 = key_to_permutations(_parse_key(args.key), args.n)
     print(f"sigma1={_sigma_text(sigma1)}")
     print(f"sigma2={_sigma_text(sigma2)}")
     return EXIT_OK
 
 
-def _enumerate_row(task):
-    n, table, k1, k2, seed_report = task
-    sigma1 = lehmer_decode(k1, n)
-    sigma2 = lehmer_decode(k2, n)
-    result = clone_sbox(SBox(n, table), sigma1, sigma2)
+_sweep_seed = None  # (seed, seed report or None) of the running sweep
+
+
+def _init_sweep(table, seed_report) -> None:
+    """Hold the sweep's seed and its report (or None) for _enumerate_row, once per process."""
+    global _sweep_seed
+    _sweep_seed = (SBox.from_table(table), seed_report)
+
+
+def _enumerate_row(pair):
+    k1, k2 = pair
+    seed, seed_report = _sweep_seed
+    sigma1 = lehmer_decode(k1, seed.n)
+    sigma2 = lehmer_decode(k2, seed.n)
+    result = clone_sbox(seed, sigma1, sigma2)
     points = find_fixed_points(result)
     prefix, digest = fingerprint(result)
     fields = [
@@ -192,15 +202,16 @@ def cmd_enumerate(args) -> int:
         rng = random.Random(args.rng_seed)
         pairs = [(rng.randrange(fact), rng.randrange(fact)) for _ in range(args.sample)]
 
-    seed_report = analyze(seed) if args.check_invariance else None
-    tasks = [(n, seed.table, k1, k2, seed_report) for k1, k2 in pairs]
-    workers = min(_thread_cap(), os.cpu_count() or 1, len(tasks))
+    sweep = (seed.table, analyze(seed) if args.check_invariance else None)
+    workers = min(_thread_cap(), os.cpu_count() or 1, len(pairs))
     if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_enumerate_row, tasks, chunksize=chunk))
+        chunk = max(1, len(pairs) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep,
+                                 initargs=sweep) as pool:
+            rows = list(pool.map(_enumerate_row, pairs, chunksize=chunk))
     else:
-        rows = [_enumerate_row(task) for task in tasks]
+        _init_sweep(*sweep)
+        rows = [_enumerate_row(pair) for pair in pairs]
 
     header = "sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
     if args.check_invariance:

@@ -1,8 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sboxforge import (
     BitPermutation,
@@ -137,6 +140,32 @@ def test_walsh_fast_equals_direct_sampled_n4():
         spectrum = walsh_spectrum(BooleanFunctionTable(values))
         assert list(spectrum.coefficients) == direct_walsh(values, h)
         assert sum(c * c for c in spectrum.coefficients) == 4 ** 4
+
+
+_cached_sign_matrix = functools.cache(sign_matrix)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+def test_walsh_equals_direct_property(values):
+    n = len(values).bit_length() - 1
+    spectrum = walsh_spectrum(BooleanFunctionTable(values))
+    assert list(spectrum.coefficients) == direct_walsh(values, _cached_sign_matrix(n))
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_walsh_at_lane_width_boundary(n):
+    # Every coordinate of the identity is linear: its one nonzero Walsh
+    # coefficient is +2**n, and -2**n for the complement. From n = 15 that
+    # magnitude no longer fits a 16-bit lane beside the lane's bias.
+    top, mask = (1 << n) - 1, 1 << (n - 1)
+    for s, peak in ((SBox.identity(n), 1 << n),
+                    (SBox(n, tuple(v ^ top for v in range(1 << n))), -(1 << n))):
+        stats = sbox_nonlinearity_stats(s)
+        assert stats.min == stats.max == 0
+        spectrum = walsh_spectrum(component_function(s, mask)).coefficients
+        assert spectrum == tuple(peak if a == mask else 0 for a in range(1 << n))
 
 
 def test_walsh_balance_coefficient():

@@ -183,10 +183,13 @@ def test_derive_examples(capsys):
     assert capsys.readouterr().out == "sigma1=0,1,2,3\nsigma2=0,1,3,2\n"
 
 
-def test_derive_invalid_inputs():
+def test_derive_invalid_inputs(capsys):
     assert main(["derive", "--key", "xy", "--n", "4"]) == 1
     assert main(["derive", "--key", "1", "--n", "4"]) == 1
     assert main(["derive", "--key", "00", "--n", "1"]) == 64
+    assert main(["derive", "--key", "00", "--n", "17"]) == 64
+    assert main(["derive", "--key", "00", "--n", "8000"]) == 64
+    assert capsys.readouterr().err.endswith("error: --n must be in [2, 16]\n")
 
 
 # ---------------------------------------------------------------------
@@ -267,8 +270,9 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
 
 def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch):
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sboxforge import core
 from sboxforge import (
     BitPermutation,
     CloneOptions,
@@ -306,6 +307,26 @@ def test_avoidance_fails_fast_on_pinned_end_points(index, value):
     with pytest.raises(RemovalExhausted, match=f"seed\\[{index}\\] = {value}"):
         clone_sbox_avoiding_fixed_points(seed, identity, identity)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_removal_schedule_covers_every_pair(n, monkeypatch):
+    # Every clone the schedule asks for is full of fixed points, so the full
+    # default budget runs out; along the way it must try each of the
+    # (n!)**2 permutation pairs exactly once.
+    tried = []
+
+    def fixed_point_clone(seed, sigma1, sigma2):
+        tried.append((sigma1.images, sigma2.images))
+        return SBox.identity(seed.n)
+
+    monkeypatch.setattr(core, "clone_sbox", fixed_point_clone)
+    seed = SBox(n, tuple(x ^ 1 for x in range(1 << n)))
+    rng = random.Random(n)
+    sigma1, sigma2 = BitPermutation(random_perm(rng, n)), BitPermutation(random_perm(rng, n))
+    with pytest.raises(RemovalExhausted, match=f"within {factorial(n) ** 2} attempts"):
+        clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2)
+    assert len(tried) == len(set(tried)) == factorial(n) ** 2
 
 
 def test_clone_options_validation():

@@ -46,9 +46,6 @@ class WalshSpectrum:
 
     coefficients: tuple[int, ...]
 
-    def max_abs(self) -> int:
-        return max(abs(c) for c in self.coefficients)
-
 
 @dataclass(frozen=True)
 class DependenceMatrix:
@@ -174,11 +171,16 @@ def _nonlinearities(functions, n: int) -> list[int]:
     return out
 
 
+def _bitset(f: BooleanFunctionTable) -> int:
+    """The truth table as one int: bit x is f(x)."""
+    return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
+
+
 def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
     """Correlation with every linear mask, via the packed-lane butterfly."""
     n = len(f.values).bit_length() - 1
     lane = _lane_width(n)
-    packed = next(_packed_walsh([int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)], n))
+    packed = next(_packed_walsh([_bitset(f)], n))
     lanes = array("H" if lane == 16 else "I", packed.to_bytes(lane << n >> 3, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
@@ -187,7 +189,7 @@ def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
 
 def nonlinearity(f: BooleanFunctionTable) -> int:
     """Minimum Hamming distance to the affine functions (constants included)."""
-    return (len(f.values) - walsh_spectrum(f).max_abs()) >> 1
+    return _nonlinearities([_bitset(f)], len(f.values).bit_length() - 1)[0]
 
 
 def max_balanced_nonlinearity(n: int) -> int:

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from math import factorial
 
 from .analysis import CRITERIA, analyze, compare_reports
@@ -82,8 +83,8 @@ def _parse_permutation(text: str, n: int) -> BitPermutation:
         raise InputError(str(exc)) from exc
 
 
-def _sigma_text(sigma: BitPermutation) -> str:
-    return ",".join(str(v) for v in sigma.images)
+def _sigma_text(sigma: BitPermutation, sep: str) -> str:
+    return sep.join(str(v) for v in sigma.images)
 
 
 def _thread_cap() -> int:
@@ -99,12 +100,24 @@ def _thread_cap() -> int:
     return value
 
 
-def _write_output(text: str, path: str | None) -> None:
+@contextmanager
+def _output(path: str | None):
+    """Stdout, or `path` opened before any work; a failed command removes a file it created."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        yield sys.stdout
+        return
+    created = not os.path.exists(path)
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
 
 
 def cmd_clone(args) -> int:
@@ -124,15 +137,15 @@ def cmd_clone(args) -> int:
         sigma1 = _parse_permutation(args.sigma1, seed.n)
         sigma2 = _parse_permutation(args.sigma2, seed.n)
 
-    if args.avoid_fixed_points:
-        opts = CloneOptions(max_attempts=args.max_attempts)
-        result, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts)
-    else:
-        result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
-
-    _write_output(serialize_sbox(result), args.output)
-    print(f"sigma1={_sigma_text(eff1)}", file=sys.stderr)
-    print(f"sigma2={_sigma_text(eff2)}", file=sys.stderr)
+    with _output(args.output) as out:
+        if args.avoid_fixed_points:
+            opts = CloneOptions(max_attempts=args.max_attempts)
+            result, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts)
+        else:
+            result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
+        out.write(serialize_sbox(result))
+    print(f"sigma1={_sigma_text(eff1, ',')}", file=sys.stderr)
+    print(f"sigma2={_sigma_text(eff2, ',')}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -147,8 +160,8 @@ def cmd_derive(args) -> int:
     if not 2 <= args.n <= 16:
         raise UsageError("--n must be in [2, 16]")
     sigma1, sigma2 = key_to_permutations(_parse_key(args.key), args.n)
-    print(f"sigma1={_sigma_text(sigma1)}")
-    print(f"sigma2={_sigma_text(sigma2)}")
+    print(f"sigma1={_sigma_text(sigma1, ',')}")
+    print(f"sigma2={_sigma_text(sigma2, ',')}")
     return EXIT_OK
 
 
@@ -169,16 +182,8 @@ def _enumerate_row(pair):
     result = clone_sbox(seed, sigma1, sigma2)
     points = find_fixed_points(result)
     prefix, digest = fingerprint(result)
-    fields = [
-        str(k1),
-        str(k2),
-        " ".join(str(v) for v in sigma1.images),
-        " ".join(str(v) for v in sigma2.images),
-        prefix,
-        digest,
-        str(len(points.fixed)),
-        str(len(points.reverse_fixed)),
-    ]
+    fields = [str(k1), str(k2), _sigma_text(sigma1, " "), _sigma_text(sigma2, " "), prefix, digest,
+              str(len(points.fixed)), str(len(points.reverse_fixed))]
     passed = None
     if seed_report is not None:
         passed = compare_reports(seed_report, analyze(result)).equal
@@ -195,37 +200,40 @@ def cmd_enumerate(args) -> int:
     if args.all:
         if n > 4:
             raise UsageError(f"--all is limited to n <= 4 (seed has n = {n}); use --sample")
-        pairs = [(k1, k2) for k1 in range(fact) for k2 in range(fact)]
+        count = fact * fact
+        pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
         if args.sample < 0:
             raise UsageError("--sample must be >= 0")
         rng = random.Random(args.rng_seed)
-        pairs = [(rng.randrange(fact), rng.randrange(fact)) for _ in range(args.sample)]
-
-    sweep = (seed.table, analyze(seed) if args.check_invariance else None)
-    workers = min(_thread_cap(), os.cpu_count() or 1, len(pairs))
-    if workers > 1:
-        chunk = max(1, len(pairs) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep,
-                                 initargs=sweep) as pool:
-            rows = list(pool.map(_enumerate_row, pairs, chunksize=chunk))
-    else:
-        _init_sweep(*sweep)
-        rows = [_enumerate_row(pair) for pair in pairs]
+        count = args.sample
+        pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
+    workers = min(_thread_cap(), os.cpu_count() or 1, count)
 
     header = "sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
     if args.check_invariance:
         header += ",invariance"
-    text = "\n".join([header] + [line for line, _, _ in rows]) + "\n"
-    _write_output(text, args.out)
+    digests, passes = set(), 0
+    with _output(args.out) as out, ExitStack() as stack:
+        sweep = (seed.table, analyze(seed) if args.check_invariance else None)
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_sweep, initargs=sweep))
+            rows = pool.map(_enumerate_row, pairs, chunksize=max(1, count // (workers * 4)))
+        else:
+            _init_sweep(*sweep)
+            rows = map(_enumerate_row, pairs)
+        out.write(header + "\n")
+        for line, digest, passed in rows:
+            out.write(line + "\n")
+            digests.add(digest)
+            passes += bool(passed)
 
-    distinct = len({digest for _, digest, _ in rows})
-    summary = f"rows={len(rows)} distinct={distinct}"
+    summary = f"rows={count} distinct={len(digests)}"
     if args.check_invariance:
-        passes = sum(1 for _, _, passed in rows if passed)
         summary += f" invariance_pass={passes}"
     print(summary, file=sys.stderr)
-    if args.check_invariance and any(not passed for _, _, passed in rows):
+    if args.check_invariance and passes < count:
         return EXIT_INVARIANCE
     return EXIT_OK
 

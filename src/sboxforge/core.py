@@ -88,9 +88,6 @@ class BitPermutation:
     def size(self) -> int:
         return len(self.images)
 
-    def __call__(self, position: int) -> int:
-        return self.images[position]
-
     def inverse(self) -> "BitPermutation":
         inv = [0] * self.size
         for j, image in enumerate(self.images):
@@ -136,28 +133,24 @@ class CloneOptions:
         return self.max_attempts
 
 
-def bit_permute_value(value: int, sigma: BitPermutation, n: int) -> int:
-    """Scatter the bits of value: bit j moves to position sigma(j)."""
-    if sigma.size != n:
-        raise ValueError(f"permutation size {sigma.size} != {n}")
-    if not 0 <= value < 1 << n:
-        raise ValueError(f"value {value} out of range for width {n}")
-    out = 0
-    for j in range(n):
-        if value >> j & 1:
-            out |= 1 << sigma.images[j]
-    return out
+def _lift(sigma: BitPermutation) -> list[int]:
+    """Entry v is v with bit j moved to bit sigma.images[j], built by doubling."""
+    table = [0]
+    for image in sigma.images:
+        table += [v | 1 << image for v in table]
+    return table
 
 
 def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
     """Lift a permutation of n bit positions to the 2**n table indices.
 
-    The lifted map sends index i to bit_permute_value(i, sigma1, n), which
-    is also the decimal reading of the identity table's bit matrix after
-    its columns are rearranged by sigma1. Indices 0 and 2**n - 1 are
-    always fixed.
+    Index i goes to i with bit j moved to bit sigma1.images[j]: the decimal
+    reading of the identity table's bit matrix after sigma1 rearranges its
+    columns. Indices 0 and 2**n - 1 are always fixed.
     """
-    return BitPermutation(tuple(bit_permute_value(i, sigma1, n) for i in range(1 << n)))
+    if sigma1.size != n:
+        raise ValueError(f"permutation size {sigma1.size} != {n}")
+    return BitPermutation(_lift(sigma1))
 
 
 def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SBox:
@@ -172,10 +165,8 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
         raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
-    rows = derive_row_permutation(sigma1, seed.n)
-    table = tuple(bit_permute_value(seed.table[rows.images[i]], sigma2, seed.n)
-                  for i in range(len(seed)))
-    return SBox(seed.n, table)
+    out, table = _lift(sigma2), seed.table
+    return SBox(seed.n, tuple([out[table[r]] for r in _lift(sigma1)]))
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:

@@ -150,8 +150,10 @@ _cached_sign_matrix = functools.cache(sign_matrix)
     lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)))
 def test_walsh_equals_direct_property(values):
     n = len(values).bit_length() - 1
-    spectrum = walsh_spectrum(BooleanFunctionTable(values))
-    assert list(spectrum.coefficients) == direct_walsh(values, _cached_sign_matrix(n))
+    f = BooleanFunctionTable(values)
+    direct = direct_walsh(values, _cached_sign_matrix(n))
+    assert list(walsh_spectrum(f).coefficients) == direct
+    assert nonlinearity(f) == ((1 << n) - max(map(abs, direct))) >> 1
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
@@ -403,7 +405,7 @@ def test_dependence_matrix_multiset_clone_invariant():
             inv2 = s2.inverse()
             for i in range(n):
                 for j in range(n):
-                    assert dep_clone.entries[i][j] == dep_seed.entries[s1(i)][inv2(j)]
+                    assert dep_clone.entries[i][j] == dep_seed.entries[s1.images[i]][inv2.images[j]]
 
 
 def test_clone_reports_equal_seed_reports():

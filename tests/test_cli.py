@@ -1,14 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from sboxforge import SBox, cli
+from sboxforge import ReportComparison, SBox, clone_sbox, cli, lehmer_decode
 from sboxforge.cli import main
-from sboxforge.formats import serialize_sbox
+from sboxforge.formats import fingerprint, serialize_sbox
 
-from vectors import AES_SBOX, CLONE4, SEED4
+from oracles import bits_matrix, decimal_rows, dense_clone, perm_matrix, random_bijective
+from vectors import AES_SBOX, CLONE4, SEED4, SIGMA1_4, SIGMA2_4
 
 
 @pytest.fixture
@@ -118,10 +120,15 @@ def test_clone_remove_fixed_points(seed4_file, capsys):
     assert "sigma2=3,2,0,1" in captured.err
 
 
-def test_clone_removal_exhausted(seed4_file):
-    code = main(["clone", seed4_file, "--sigma1", "1,2,0,3", "--sigma2", "3,2,0,1",
-                 "--remove-fixed-points", "--max-attempts", "1"])
-    assert code == 3
+def test_clone_removal_exhausted(seed4_file, tmp_path):
+    out = tmp_path / "clone.txt"
+    argv = ["clone", seed4_file, "--sigma1", "1,2,0,3", "--sigma2", "3,2,0,1",
+            "--remove-fixed-points", "--max-attempts", "1", "-o", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()  # opened before the search, removed when it fails
+    out.write_text("")
+    assert main(argv) == 3
+    assert out.exists()  # a file that was there before is not removed
 
 
 def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
@@ -131,6 +138,20 @@ def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed[0] = 0: every clone has a fixed point at 0\n"
+
+
+def _must_not_run(*args):
+    raise AssertionError("work started before the output file was opened")
+
+
+def test_clone_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "clone_sbox_avoiding_fixed_points", _must_not_run)
+    path = str(tmp_path / "missing" / "clone.txt")
+    assert main(["clone", seed4_file, "--key", "17", "--remove-fixed-points", "-o", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {path}: [Errno 2] No such file or "
+                            f"directory: {path!r}\n")
 
 
 # ---------------------------------------------------------------------
@@ -208,6 +229,16 @@ def test_enumerate_sample_with_invariance(seed4_file, capsys):
     assert all(line.endswith(",pass") for line in lines[1:])
     assert "rows=5" in captured.err
     assert "invariance_pass=5" in captured.err
+
+
+def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
+    verdicts = iter([True, False, True])
+    monkeypatch.setattr(cli, "compare_reports",
+                        lambda a, b: ReportComparison(next(verdicts), ()))
+    assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 4
+    captured = capsys.readouterr()
+    assert [line.rsplit(",", 1)[1] for line in captured.out.splitlines()[1:]] == ["pass", "fail", "pass"]
+    assert captured.err.endswith(" invariance_pass=2\n")
 
 
 def test_enumerate_sample_zero_is_header_only(seed4_file, capsys):
@@ -294,6 +325,16 @@ def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypa
     assert capsys.readouterr().out.count("\n") == 3 * 4
 
 
+def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze", _must_not_run)
+    monkeypatch.setattr(cli, "clone_sbox", _must_not_run)
+    path = str(tmp_path / "missing" / "sweep.csv")
+    assert main(["enumerate", seed4_file, "--all", "--check-invariance", "--out", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+
+
 def test_enumerate_invalid_threads(seed4_file, monkeypatch):
     monkeypatch.setenv("SBOXFORGE_THREADS", "zero")
     assert main(["enumerate", seed4_file, "--sample", "1"]) == 64
@@ -329,6 +370,62 @@ def test_verify_parse_error(seed4_file, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not numbers")
     assert main(["verify", seed4_file, str(bad)]) == 1
+
+
+# ---------------------------------------------------------------------
+# n = 16, the widest s-box the types accept
+
+
+@pytest.fixture(scope="module")
+def seed16(tmp_path_factory):
+    table = random_bijective(random.Random(16), 16)
+    path = tmp_path_factory.mktemp("n16") / "seed16.txt"
+    path.write_text(serialize_sbox(SBox(16, tuple(table))))
+    return str(path), table
+
+
+def _indexed_dense_clone(table, sigma1, sigma2):
+    """oracles.dense_clone with the row permutation matrix applied as an index;
+    at n = 16 that matrix alone would take 32 GiB."""
+    n = len(table).bit_length() - 1
+    rows = decimal_rows(bits_matrix(range(1 << n), n) @ perm_matrix(sigma1))
+    return decimal_rows(bits_matrix(table, n)[rows] @ perm_matrix(sigma2))
+
+
+def test_n16_clone_key(seed16, capsys):
+    assert _indexed_dense_clone(SEED4, SIGMA1_4, SIGMA2_4) == dense_clone(SEED4, SIGMA1_4, SIGMA2_4)
+    path, table = seed16
+    assert main(["clone", path, "--key", "5eed16"]) == 0
+    captured = capsys.readouterr()
+    sigma1, sigma2 = ([int(v) for v in line.split("=")[1].split(",")]
+                      for line in captured.err.splitlines())
+    expected = _indexed_dense_clone(table, sigma1, sigma2)
+    assert captured.out == serialize_sbox(SBox(16, tuple(expected)))
+
+
+def test_n16_analyze_json(seed16, capsys):
+    assert main(["analyze", seed16[0], "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["n"] == 16 and document["bijective"] is True
+    assert 0 < document["nl"]["min"] <= document["nl"]["max"] <= document["nl_bound"]
+
+
+def test_n16_verify_clone(seed16, tmp_path, capsys):
+    out = str(tmp_path / "clone16.txt")
+    assert main(["clone", seed16[0], "--key", "5eed16", "-o", out]) == 0
+    assert main(["verify", seed16[0], out]) == 0
+    assert capsys.readouterr().out.endswith("result: match\n")
+
+
+def test_n16_enumerate_sample(seed16, capsys):
+    path, table = seed16
+    assert main(["enumerate", path, "--sample", "1", "--rng-seed", "16"]) == 0
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    k1, k2, _, _, prefix, digest = row.split(",")[:6]
+    clone = clone_sbox(SBox(16, tuple(table)), lehmer_decode(int(k1), 16), lehmer_decode(int(k2), 16))
+    assert (prefix, digest) == fingerprint(clone)
+    assert captured.err == "rows=1 distinct=1\n"
 
 
 # ---------------------------------------------------------------------

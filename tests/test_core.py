@@ -14,7 +14,6 @@ from sboxforge import (
     NonBijectiveError,
     RemovalExhausted,
     SBox,
-    bit_permute_value,
     clone_sbox,
     clone_sbox_avoiding_fixed_points,
     derive_row_permutation,
@@ -81,11 +80,9 @@ def test_bit_permutation_group_laws():
             assert a.compose(a.inverse()) == identity
             assert a.inverse().compose(a) == identity
             assert a.compose(identity) == a
-            # compose(a, b) applies b first, then a
-            for v in range(1 << n):
-                left = bit_permute_value(v, a.compose(b), n)
-                right = bit_permute_value(bit_permute_value(v, b, n), a, n)
-                assert left == right
+            # compose(a, b) applies b first, then a; so do their lifts.
+            ab, la, lb = (derive_row_permutation(p, n).images for p in (a.compose(b), a, b))
+            assert ab == tuple(la[v] for v in lb)
 
 
 # ---------------------------------------------------------------------
@@ -125,24 +122,17 @@ def test_row_and_column_permutations_commute_on_identity_matrix():
             assert np.array_equal(q1 @ x, x @ perm_matrix(sigma))
 
 
-# ---------------------------------------------------------------------
-# bit_permute_value
+def test_lifted_images_examples():
+    assert derive_row_permutation(BitPermutation(SIGMA2_4), 4).images[9] == 10
+    assert derive_row_permutation(BitPermutation(SIGMA2_8), 8).images[99] == 165
+    assert derive_row_permutation(BitPermutation.identity(4), 4).images == tuple(range(16))
 
 
-def test_bit_permute_value_examples():
-    assert bit_permute_value(9, BitPermutation(SIGMA2_4), 4) == 10
-    assert bit_permute_value(99, BitPermutation(SIGMA2_8), 8) == 165
-    for v in range(16):
-        assert bit_permute_value(v, BitPermutation.identity(4), 4) == v
-
-
-def test_bit_permute_value_errors():
-    with pytest.raises(ValueError):
-        bit_permute_value(16, BitPermutation.identity(4), 4)
-    with pytest.raises(ValueError):
-        bit_permute_value(-1, BitPermutation.identity(4), 4)
-    with pytest.raises(ValueError):
-        bit_permute_value(3, BitPermutation.identity(3), 4)
+def test_derive_row_permutation_size_mismatch():
+    with pytest.raises(ValueError, match="permutation size 3 != 4"):
+        derive_row_permutation(BitPermutation.identity(3), 4)
+    with pytest.raises(ValueError, match="permutation size 5 != 4"):
+        derive_row_permutation(BitPermutation.identity(5), 4)
 
 
 # ---------------------------------------------------------------------
@@ -163,6 +153,14 @@ def test_clone_identity_is_noop():
     seed = SBox.from_table(AES_SBOX)
     identity = BitPermutation.identity(8)
     assert clone_sbox(seed, identity, identity) == seed
+
+
+def test_clone_sbox_size_mismatch():
+    seed, four = SBox.from_table(SEED4), BitPermutation(SIGMA1_4)
+    with pytest.raises(ValueError, match="sizes 3/4 != width 4"):
+        clone_sbox(seed, BitPermutation.identity(3), four)
+    with pytest.raises(ValueError, match="sizes 4/5 != width 4"):
+        clone_sbox(seed, four, BitPermutation.identity(5))
 
 
 def test_clone_rejects_non_bijective_seed():

@@ -18,6 +18,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .core import FixedPointReport, SBox, find_fixed_points
 
@@ -106,13 +108,6 @@ _DIGITS = [bytes.maketrans(bytes(range(256)), bytes(48 | v >> j & 1 for v in ran
            for j in range(8)]  # byte -> b"0"/b"1" by its bit j
 
 
-def _coordinates(s: SBox) -> list[int]:
-    """The n coordinate functions as bitsets: bit x of entry j is bit j of s[x]."""
-    table = s.table[::-1]
-    planes = (bytes([v & 0xFF for v in table]), bytes([v >> 8 for v in table]))
-    return [int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n)]
-
-
 def _repeat(pattern: int, period: int, total: int) -> int:
     """Tile `pattern`, one period wide, across `total` bits."""
     while period < total:
@@ -121,32 +116,55 @@ def _repeat(pattern: int, period: int, total: int) -> int:
     return pattern
 
 
-def _lane_width(n: int) -> int:
-    """Bits per Walsh lane: |W| reaches 2**n and must stay below half the lane."""
-    return 16 if n <= 14 else 32
+class _Plan(NamedTuple):
+    """What depends on the width n alone, built once per width by _plan."""
+
+    lane: int            # bits per Walsh lane
+    step: int            # bytes per Walsh lane
+    start: int           # biased lanes of w = 1, plus twice the ASCII digit offset
+    stages: tuple        # (shift, low lanes, rebias) per butterfly stage
+    ones: int            # bit 0 of every lane
+    below: int           # the bits under every lane's top bit
+    rounds: tuple        # (width, top bits of the low lanes, low lanes) per tournament round
+    flips: tuple         # (2**i, low halves) per input bit i
+    pairs: tuple         # every (j, k) with j < k < n
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int) -> _Plan:
+    lane = 16 if n <= 14 else 32  # |W| reaches 2**n and must stay below half a lane
+    top, total = lane - 1, lane << n
+    ones = _repeat(1, lane, total)
+    stages = []
+    for shift in (lane << i for i in range(n)):
+        low = _repeat((1 << shift) - 1, shift << 1, total)
+        stages.append((shift, low, (ones & ~low) - (ones & low) << top))
+    rounds, width = [], total
+    while width > lane:
+        width >>= 1
+        rounds.append((width, ones >> total - width << top, (1 << width) - 1))
+    flips = tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n)))
+    pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
+    return _Plan(lane, lane >> 3, ((1 << top) + 97) * ones, tuple(stages), ones,
+                 ones * ((1 << top) - 1), tuple(rounds), flips, pairs)
 
 
 def _packed_walsh(functions, n: int):
     """Yield, per bitset, its Walsh spectrum W packed in one int.
 
-    Lane a (L = _lane_width(n) bits) holds 2**(L-1) + W(a); one butterfly
+    Lane a (L = _plan(n).lane bits) holds 2**(L-1) + W(a); one butterfly
     stage adds and subtracts all lane pairs at once. No lane borrows or
     carries, since every intermediate |W| is below 2**(L-1).
     """
-    lane = _lane_width(n)
-    total, step = lane << n, lane >> 3
-    ones, stages = _repeat(1, lane, total), []
-    for shift in (lane << i for i in range(n)):
-        low = _repeat((1 << shift) - 1, shift << 1, total)
-        stages.append((shift, low, (ones & ~low) - (ones & low) << lane - 1))
-    # Each lane of buf below gets the ASCII digit 48 + f(x), so start minus
-    # twice buf leaves 2**(L-1) + 1 - 2f(x), the biased lane of w = (-1)**f.
-    start = ((1 << lane - 1) + 97) * ones
+    plan = _plan(n)
+    size, fmt = plan.step << n, f"0{1 << n}b"
     for f in functions:
-        buf = bytearray(step << n)
-        buf[::step] = format(f, f"0{1 << n}b").encode()[::-1]
-        w = start - (int.from_bytes(buf, "little") << 1)
-        for shift, low, rebias in stages:
+        # Lane x of buf holds the ASCII digit 48 + f(x), so start minus twice
+        # buf leaves 2**(L-1) + 1 - 2f(x), the biased lane of w = (-1)**f.
+        buf = bytearray(size)
+        buf[::plan.step] = format(f, fmt).encode()[::-1]
+        w = plan.start - (int.from_bytes(buf, "little") << 1)
+        for shift, low, rebias in plan.stages:
             a, b = w & low, w >> shift & low
             w = a + b + (a - b << shift) + rebias
         yield w
@@ -154,19 +172,18 @@ def _packed_walsh(functions, n: int):
 
 def _nonlinearities(functions, n: int) -> list[int]:
     """(2**n - max|W|) / 2 of each bitset, the max taken by a lane-parallel tournament."""
-    lane = _lane_width(n)
-    top, total, out = lane - 1, lane << n, []
-    ones, fill = _repeat(1, lane, total), (1 << top) - 1
-    below = ones * fill  # the bits under each lane's top bit
+    plan = _plan(n)
+    top, ones, below, out = plan.lane - 1, plan.ones, plan.below, []
+    fill = (1 << top) - 1
     for w in _packed_walsh(functions, n):
         # Lane a: |W(a)| if W(a) >= 0, else |W(a)| - 1, which gives the same
-        # (2**n - max) >> 1 as W is even. Each round keeps the larger lane.
-        x, width = (w ^ below ^ (w >> top & ones) * fill) & below, total
-        while width > lane:
-            width >>= 1
-            guard = ones >> total - width
-            a, b = x & (1 << width) - 1, x >> width
-            x = b ^ (a ^ b) & (((a | guard << top) - b) >> top & guard) * fill
+        # (2**n - max) >> 1 as W is even. Each round keeps the larger lane:
+        # a lane's top bit survives (a | high) - b where a >= b.
+        x = (w ^ below ^ (w >> top & ones) * fill) & below
+        for width, high, low in plan.rounds:
+            a, b = x & low, x >> width
+            wins = (a | high) - b & high
+            x = b ^ (a ^ b) & wins - (wins >> top)
         out.append((1 << n) - x >> 1)
     return out
 
@@ -176,10 +193,40 @@ def _bitset(f: BooleanFunctionTable) -> int:
     return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
 
 
+# The last s-box asked about, its coordinates and its derivatives (or None).
+# Holding the s-box keeps its id from being reused, so `is` is a safe key;
+# the tuple is replaced whole, never changed, so threads never see it torn.
+_memo = (None, (), None)
+
+
+def _bitsets(s: SBox, derivatives: bool = False) -> tuple:
+    """The n coordinate bitsets of `s` (bit x of entry j is bit j of s[x]).
+
+    With `derivatives`, the n x n derivative bitsets instead: entry [i][j]
+    has bit x = f_j(x) ^ f_j(x ^ 2**i). Both are kept for the last s-box
+    asked about, so the four criteria of one report build them once.
+    """
+    global _memo
+    memo = _memo
+    if memo[0] is not s:
+        lanes = array("H", s.table[::-1])
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        raw = lanes.tobytes()
+        planes = (raw[::2], raw[1::2])
+        coordinates = (int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
+        memo = (s, tuple(coordinates), None)
+    if derivatives and memo[2] is None:
+        memo = (s, memo[1], tuple(tuple(((g >> h & low) | (g & low) << h) ^ g for g in memo[1])
+                                  for h, low in _plan(s.n).flips))
+    _memo = memo
+    return memo[2] if derivatives else memo[1]
+
+
 def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
     """Correlation with every linear mask, via the packed-lane butterfly."""
     n = len(f.values).bit_length() - 1
-    lane = _lane_width(n)
+    lane = _plan(n).lane
     packed = next(_packed_walsh([_bitset(f)], n))
     lanes = array("H" if lane == 16 else "I", packed.to_bytes(lane << n >> 3, "little"))
     if sys.byteorder == "big":
@@ -202,7 +249,8 @@ def max_balanced_nonlinearity(n: int) -> int:
 def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> PropertyStats:
     """Stats of the values c / d; min and max stay ints when d == 1."""
     count, total = len(counts), sum(counts)
-    variance = Fraction(count * sum(c * c for c in counts) - total * total, (count * d) ** 2)
+    # Int true division rounds correctly, so this is the float of the exact variance.
+    variance = (count * sum(c * c for c in counts) - total * total) / (count * d) ** 2
     low, high = min(counts), max(counts)
     if d != 1:
         low, high = Fraction(low, d), Fraction(high, d)
@@ -211,21 +259,13 @@ def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> Pro
 
 def sbox_nonlinearity_stats(s: SBox) -> PropertyStats:
     """Stats over the nonlinearity of the n coordinate functions."""
-    return _population_stats(_nonlinearities(_coordinates(s), s.n))
-
-
-def _derivatives(s: SBox):
-    """Yield, one input bit i at a time, the n bitsets of f_j(x) ^ f_j(x ^ 2**i)."""
-    f = _coordinates(s)
-    for h in (1 << i for i in range(s.n)):
-        low = _repeat((1 << h) - 1, h << 1, len(s))
-        yield [((g >> h & low) | (g & low) << h) ^ g for g in f]
+    return _population_stats(_nonlinearities(_bitsets(s), s.n))
 
 
 def sac_dependence_matrix(s: SBox) -> DependenceMatrix:
     """Flip probabilities for every (input bit, output bit) pair."""
     return DependenceMatrix(tuple(tuple(Fraction(d.bit_count(), len(s)) for d in diff)
-                                  for diff in _derivatives(s)))
+                                  for diff in _bitsets(s, True)))
 
 
 def sac_stats(s: SBox) -> PropertyStats:
@@ -236,15 +276,14 @@ def sac_stats(s: SBox) -> PropertyStats:
     against 2**(n+1) rather than 2**n samples, so sd is half the
     population standard deviation of the entries.
     """
-    counts = [d.bit_count() for diff in _derivatives(s) for d in diff]
+    counts = [d.bit_count() for diff in _bitsets(s, True) for d in diff]
     return _population_stats(counts, len(s), sd_divisor=2)
 
 
 def bic_nonlinearity_stats(s: SBox) -> PropertyStats:
     """Stats over the nonlinearity of f_j xor f_k for all pairs j < k."""
-    f = _coordinates(s)
-    pairs = (f[j] ^ f[k] for j in range(s.n) for k in range(j + 1, s.n))
-    return _population_stats(_nonlinearities(pairs, s.n))
+    f = _bitsets(s)
+    return _population_stats(_nonlinearities([f[j] ^ f[k] for j, k in _plan(s.n).pairs], s.n))
 
 
 def bic_sac_stats(s: SBox) -> PropertyStats:
@@ -254,11 +293,8 @@ def bic_sac_stats(s: SBox) -> PropertyStats:
     n single-bit input flips, of the probability that f_j xor f_k flips.
     Stats run over those n*(n-1)/2 pair values.
     """
-    pairs = [(j, k) for j in range(s.n) for k in range(j + 1, s.n)]
-    flips = [0] * len(pairs)
-    for d in _derivatives(s):
-        for p, (j, k) in enumerate(pairs):
-            flips[p] += (d[j] ^ d[k]).bit_count()
+    derivatives = _bitsets(s, True)
+    flips = [sum((d[j] ^ d[k]).bit_count() for d in derivatives) for j, k in _plan(s.n).pairs]
     return _population_stats(flips, s.n * len(s))
 
 
@@ -292,10 +328,8 @@ def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
         stats_a, stats_b = getattr(a, name), getattr(b, name)
         for field in ("min", "max", "avg", "sd"):
             va, vb = getattr(stats_a, field), getattr(stats_b, field)
-            if isinstance(va, int) and isinstance(vb, int):
-                same = va == vb
-            else:
-                same = abs(float(va) - float(vb)) <= _TOLERANCE
-            if not same:
+            both_ints = isinstance(va, int) and isinstance(vb, int)
+            # Equal values skip the float path; `not <=` keeps a NaN unequal to all.
+            if va != vb and (both_ints or not abs(float(va) - float(vb)) <= _TOLERANCE):
                 diffs.append(f"{name}.{field}")
     return ReportComparison(not diffs, tuple(diffs))

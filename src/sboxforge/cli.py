@@ -14,9 +14,12 @@ import os
 import random
 import re
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
+from itertools import islice
 from math import factorial
+from time import perf_counter
 
 from .analysis import CRITERIA, analyze, compare_reports
 from .core import (
@@ -47,6 +50,15 @@ EXIT_INVARIANCE = 4
 EXIT_MISMATCH = 5
 EXIT_WIDTH = 6
 EXIT_USAGE = 64
+
+# Seconds a worker costs a sweep: a process pool takes 10-13 ms to start, run
+# 8 trivial tasks and shut down (2 cores, Python 3.11), and its workers warm
+# up on their first rows. A sweep gets one worker per POOL_START of estimated
+# row time, so a sweep too short to repay its workers runs serially.
+POOL_START = 0.020
+# Rows per pool task, at most. With two tasks in flight per worker, this
+# bounds the rows the parent holds while it writes them out in order.
+_CHUNK_ROWS = 256
 
 _HEX_KEY = re.compile(r"(?:[0-9a-fA-F]{2})+")
 
@@ -191,6 +203,21 @@ def _enumerate_row(pair):
     return ",".join(fields), digest, passed
 
 
+def _enumerate_chunk(pairs):
+    return [_enumerate_row(pair) for pair in pairs]
+
+
+def _pooled_rows(pool, pairs, chunk: int, depth: int):
+    """Rows of `pairs` in order, `chunk` pairs a task, at most `depth` tasks in flight."""
+    pending = deque()
+    for batch in iter(lambda: list(islice(pairs, chunk)), []):
+        pending.append(pool.submit(_enumerate_chunk, batch))
+        if len(pending) == depth:
+            yield from pending.popleft().result()
+    for future in pending:
+        yield from future.result()
+
+
 def cmd_enumerate(args) -> int:
     seed = load_sbox(args.seed)
     if not seed.is_bijective():
@@ -198,8 +225,8 @@ def cmd_enumerate(args) -> int:
     n = seed.n
     fact = factorial(n)
     if args.all:
-        if n > 4:
-            raise UsageError(f"--all is limited to n <= 4 (seed has n = {n}); use --sample")
+        if n > 5:
+            raise UsageError(f"--all is limited to n <= 5 (seed has n = {n}); use --sample")
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
@@ -208,18 +235,23 @@ def cmd_enumerate(args) -> int:
         rng = random.Random(args.rng_seed)
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
-    workers = min(_thread_cap(), os.cpu_count() or 1, count)
+    cap = min(_thread_cap(), os.cpu_count() or 1, count)
 
     header = "sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
     if args.check_invariance:
         header += ",invariance"
     digests, passes = set(), 0
     with _output(args.out) as out, ExitStack() as stack:
+        # The seed's report and one clone of it, timed, estimate a row's cost.
+        began = perf_counter()
         sweep = (seed.table, analyze(seed) if args.check_invariance else None)
+        clone_sbox(seed, BitPermutation.identity(n), BitPermutation.identity(n))
+        workers = min(cap, int(count * (perf_counter() - began) / POOL_START))
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_sweep, initargs=sweep))
-            rows = pool.map(_enumerate_row, pairs, chunksize=max(1, count // (workers * 4)))
+            chunk = max(1, min(_CHUNK_ROWS, count // (workers * 4)))
+            rows = _pooled_rows(pool, pairs, chunk, 2 * workers)
         else:
             _init_sweep(*sweep)
             rows = map(_enumerate_row, pairs)
@@ -285,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     enumerate_cmd = commands.add_parser("enumerate", help="sweep permutation pairs, emit CSV")
     enumerate_cmd.add_argument("seed", help="seed s-box file")
     mode = enumerate_cmd.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--all", action="store_true", help="every pair (n <= 4 only)")
+    mode.add_argument("--all", action="store_true", help="every pair (n <= 5 only)")
     mode.add_argument("--sample", type=int, help="number of random pairs")
     enumerate_cmd.add_argument("--rng-seed", type=int, default=0, help="sampling seed")
     enumerate_cmd.add_argument("--check-invariance", action="store_true",

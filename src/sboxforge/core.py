@@ -170,10 +170,13 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:
-    top = len(s) - 1
-    fixed = frozenset(i for i, v in enumerate(s.table) if v == i)
-    reverse = frozenset(i for i, v in enumerate(s.table) if v == top - i)
-    return FixedPointReport(fixed, reverse)
+    top, fixed, reverse = len(s) - 1, [], []
+    for i, v in enumerate(s.table):
+        if v == i:
+            fixed.append(i)
+        elif v == top - i:  # never both: top is odd, so i != top - i
+            reverse.append(i)
+    return FixedPointReport(frozenset(fixed), frozenset(reverse))
 
 
 def clone_sbox_avoiding_fixed_points(

@@ -1,5 +1,9 @@
+import dataclasses
 import functools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from sboxforge import (
     BitPermutation,
     BooleanFunctionTable,
+    ReportComparison,
     SBox,
     analyze,
     bic_nonlinearity_stats,
@@ -436,6 +441,26 @@ def test_analyze_bundles_everything():
     assert report.nl.max <= report.nl_bound
 
 
+def _fresh_report(table) -> str:
+    """repr of the table's report, computed in a new interpreter with nothing cached."""
+    code = ("import json, sys; from sboxforge import SBox, analyze; "
+            "print(repr(analyze(SBox.from_table(json.load(sys.stdin)))))")
+    result = subprocess.run([sys.executable, "-c", code], input=json.dumps(table),
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
+def test_reports_do_not_leak_between_sboxes():
+    # A (n = 4), B (n = 8), A again, then C (n = 15, past the switch to
+    # 32-bit Walsh lanes): neither the per-width constants nor the bitsets
+    # kept for the last s-box may carry into another s-box's report.
+    rng = random.Random(83)
+    a, b, c = (SBox.from_table(random_bijective(rng, n)) for n in (4, 8, 15))
+    fresh = {s.n: _fresh_report(list(s.table)) for s in (a, b, c)}
+    for s in (a, b, a, c):
+        assert repr(analyze(s)) == fresh[s.n]
+
+
 def test_analyze_accepts_candidates():
     report = analyze(SBox(2, (0, 0, 3, 3)))
     assert not report.bijective
@@ -449,6 +474,16 @@ def test_compare_reports_detects_differences():
     assert not comparison.equal
     top_level = {d.split(".")[0] for d in comparison.differences}
     assert {"nl", "sac"} <= top_level
+
+
+def test_compare_reports_tolerance():
+    report = analyze(SBox.from_table(AES_SBOX))
+    for sd, equal in ((report.sac.sd + 1e-12, True), (report.sac.sd + 1e-6, False)):
+        other = dataclasses.replace(report, sac=dataclasses.replace(report.sac, sd=sd))
+        expected = ReportComparison(equal, () if equal else ("sac.sd",))
+        assert compare_reports(report, other) == expected
+    nl = dataclasses.replace(report.nl, min=report.nl.min + 1)
+    assert compare_reports(report, dataclasses.replace(report, nl=nl)).differences == ("nl.min",)
 
 
 def test_compare_reports_equal_for_published_pairs():

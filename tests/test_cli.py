@@ -278,8 +278,26 @@ def test_enumerate_sampled_aes_invariance(aes_file, capsys):
     assert "invariance_pass=100" in captured.err
 
 
-def test_enumerate_all_guard(aes_file):
+def test_enumerate_all_guard(aes_file, tmp_path, capsys):
     assert main(["enumerate", aes_file, "--all"]) == 64
+    capsys.readouterr()
+    seed6 = tmp_path / "seed6.txt"
+    seed6.write_text(serialize_sbox(SBox.identity(6)))
+    assert main(["enumerate", str(seed6), "--all"]) == 64
+    error = "error: --all is limited to n <= 5 (seed has n = 6); use --sample\n"
+    assert capsys.readouterr().err == error
+
+
+def test_enumerate_all_n5_covers_every_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    seed5 = tmp_path / "seed5.txt"
+    seed5.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(5), 5))))
+    monkeypatch.setattr(cli, "_enumerate_row", lambda pair: (f"{pair[0]},{pair[1]}", pair, None))
+    assert main(["enumerate", str(seed5), "--all"]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert rows == [f"{k1},{k2}" for k1 in range(120) for k2 in range(120)]
+    assert captured.err == "rows=14400 distinct=14400\n"
 
 
 def test_enumerate_requires_mode(seed4_file):
@@ -299,30 +317,75 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
     assert serial == parallel
 
 
-def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch):
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: runs each task when its result is read."""
 
-        def __enter__(self):
-            return self
+    started = []  # max_workers of every pool built
+    in_flight = []  # tasks submitted and not yet read, after each submit
 
-        def __exit__(self, *exc):
-            return False
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        self.pending = 0
+        initializer(*initargs)
 
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
+    def __enter__(self):
+        return self
 
-    started = []
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        pool = self
+        pool.pending += 1
+        pool.in_flight.append(pool.pending)
+
+        class Deferred:
+            def result(self):
+                pool.pending -= 1
+                return fn(*args)
+        return Deferred()
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    SerialPool.started, SerialPool.in_flight = [], []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch, serial_pool):
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)  # the row-time estimate never binds
     monkeypatch.setenv("SBOXFORGE_THREADS", "64")
     for cpus, expected in ((8, 3), (2, 2), (None, None)):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        started.clear()
+        serial_pool.started.clear()
         assert main(["enumerate", seed4_file, "--sample", "3"]) == 0
-        assert started == ([expected] if expected else [])
+        assert serial_pool.started == ([expected] if expected else [])
     assert capsys.readouterr().out.count("\n") == 3 * 4
+
+
+def test_enumerate_short_sweep_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
+    monkeypatch.setenv("SBOXFORGE_THREADS", "64")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 0
+    assert serial_pool.started == []
+    assert "rows=3 distinct=3 invariance_pass=3" in capsys.readouterr().err
+
+
+def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, serial_pool):
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    argv = ["enumerate", seed4_file, "--sample", "600", "--rng-seed", "5"]
+    assert main(argv) == 0
+    serial = capsys.readouterr()
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert main(argv) == 0
+    assert capsys.readouterr() == serial
+    # 600 rows in tasks of 600 // (2 * 4) = 75: eight tasks, at most four in flight.
+    assert serial_pool.started == [2]
+    assert len(serial_pool.in_flight) == 8
+    assert max(serial_pool.in_flight) == 4
 
 
 def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):

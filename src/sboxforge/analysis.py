@@ -328,8 +328,10 @@ def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
         stats_a, stats_b = getattr(a, name), getattr(b, name)
         for field in ("min", "max", "avg", "sd"):
             va, vb = getattr(stats_a, field), getattr(stats_b, field)
-            both_ints = isinstance(va, int) and isinstance(vb, int)
-            # Equal values skip the float path; `not <=` keeps a NaN unequal to all.
-            if va != vb and (both_ints or not abs(float(va) - float(vb)) <= _TOLERANCE):
+            if isinstance(va, int) and isinstance(vb, int):
+                same = va == vb
+            else:
+                same = abs(float(va) - float(vb)) <= _TOLERANCE
+            if not same:
                 diffs.append(f"{name}.{field}")
     return ReportComparison(not diffs, tuple(diffs))

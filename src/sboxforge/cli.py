@@ -245,8 +245,10 @@ def cmd_enumerate(args) -> int:
         # The seed's report and one clone of it, timed, estimate a row's cost.
         began = perf_counter()
         sweep = (seed.table, analyze(seed) if args.check_invariance else None)
-        clone_sbox(seed, BitPermutation.identity(n), BitPermutation.identity(n))
-        workers = min(cap, int(count * (perf_counter() - began) / POOL_START))
+        workers = cap
+        if cap > 1:
+            clone_sbox(seed, BitPermutation.identity(n), BitPermutation.identity(n))
+            workers = min(cap, int(count * (perf_counter() - began) / POOL_START))
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_sweep, initargs=sweep))

@@ -310,10 +310,20 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
     main(["enumerate", seed4_file, "--sample", "8", "--rng-seed", "11",
           "--check-invariance"])
     serial = capsys.readouterr().out
+    # A real two-worker pool, however short the sweep.
+    started, real_pool = [], cli.ProcessPoolExecutor
+
+    def spy_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spy_pool)
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     main(["enumerate", seed4_file, "--sample", "8", "--rng-seed", "11",
           "--check-invariance"])
     parallel = capsys.readouterr().out
+    assert started == [2]
     assert serial == parallel
 
 

@@ -3,20 +3,14 @@
 from .analysis import (
     AnalysisReport,
     BooleanFunctionTable,
-    DependenceMatrix,
     PropertyStats,
     ReportComparison,
     WalshSpectrum,
     analyze,
-    bic_nonlinearity_stats,
-    bic_sac_stats,
     compare_reports,
     component_function,
     max_balanced_nonlinearity,
     nonlinearity,
-    sac_dependence_matrix,
-    sac_stats,
-    sbox_nonlinearity_stats,
     walsh_spectrum,
 )
 from .core import (
@@ -31,7 +25,7 @@ from .core import (
     derive_row_permutation,
     find_fixed_points,
 )
-from .keys import key_to_permutations, lehmer_decode, lehmer_encode
+from .keys import key_to_permutations, lehmer_decode
 
 __version__ = "0.1.0"
 
@@ -40,7 +34,6 @@ __all__ = [
     "BitPermutation",
     "BooleanFunctionTable",
     "CloneOptions",
-    "DependenceMatrix",
     "FixedPointReport",
     "NonBijectiveError",
     "PropertyStats",
@@ -49,8 +42,6 @@ __all__ = [
     "SBox",
     "WalshSpectrum",
     "analyze",
-    "bic_nonlinearity_stats",
-    "bic_sac_stats",
     "clone_sbox",
     "clone_sbox_avoiding_fixed_points",
     "compare_reports",
@@ -59,11 +50,7 @@ __all__ = [
     "find_fixed_points",
     "key_to_permutations",
     "lehmer_decode",
-    "lehmer_encode",
     "max_balanced_nonlinearity",
     "nonlinearity",
-    "sac_dependence_matrix",
-    "sac_stats",
-    "sbox_nonlinearity_stats",
     "walsh_spectrum",
 ]

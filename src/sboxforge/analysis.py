@@ -38,25 +38,12 @@ class BooleanFunctionTable:
         if any(v not in (0, 1) for v in self.values):
             raise ValueError("truth table entries must be bits")
 
-    def weight(self) -> int:
-        return sum(self.values)
-
 
 @dataclass(frozen=True)
 class WalshSpectrum:
     """Signed correlations with every linear mask, indexed by mask."""
 
     coefficients: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DependenceMatrix:
-    """entries[i][j] = probability that flipping input bit i flips output bit j."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def flat(self) -> tuple[Fraction, ...]:
-        return tuple(v for row in self.entries for v in row)
 
 
 @dataclass(frozen=True)
@@ -193,34 +180,20 @@ def _bitset(f: BooleanFunctionTable) -> int:
     return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
 
 
-# The last s-box asked about, its coordinates and its derivatives (or None).
-# Holding the s-box keeps its id from being reused, so `is` is a safe key;
-# the tuple is replaced whole, never changed, so threads never see it torn.
-_memo = (None, (), None)
+def _coordinates(s: SBox) -> tuple[int, ...]:
+    """The n coordinate bitsets of `s`: bit x of entry j is bit j of s[x]."""
+    lanes = array("H", s.table[::-1])
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    raw = lanes.tobytes()
+    planes = (raw[::2], raw[1::2])
+    return tuple(int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
 
 
-def _bitsets(s: SBox, derivatives: bool = False) -> tuple:
-    """The n coordinate bitsets of `s` (bit x of entry j is bit j of s[x]).
-
-    With `derivatives`, the n x n derivative bitsets instead: entry [i][j]
-    has bit x = f_j(x) ^ f_j(x ^ 2**i). Both are kept for the last s-box
-    asked about, so the four criteria of one report build them once.
-    """
-    global _memo
-    memo = _memo
-    if memo[0] is not s:
-        lanes = array("H", s.table[::-1])
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        raw = lanes.tobytes()
-        planes = (raw[::2], raw[1::2])
-        coordinates = (int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
-        memo = (s, tuple(coordinates), None)
-    if derivatives and memo[2] is None:
-        memo = (s, memo[1], tuple(tuple(((g >> h & low) | (g & low) << h) ^ g for g in memo[1])
-                                  for h, low in _plan(s.n).flips))
-    _memo = memo
-    return memo[2] if derivatives else memo[1]
+def _derivatives(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n derivative bitsets: entry [i][j] has bit x = f_j(x) ^ f_j(x ^ 2**i)."""
+    return tuple(tuple(((g >> h & low) | (g & low) << h) ^ g for g in coordinates)
+                 for h, low in _plan(n).flips)
 
 
 def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
@@ -257,58 +230,59 @@ def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> Pro
     return PropertyStats(low, high, Fraction(total, count * d), math.sqrt(variance) / sd_divisor)
 
 
-def sbox_nonlinearity_stats(s: SBox) -> PropertyStats:
+def sbox_nonlinearity_stats(coordinates: tuple[int, ...], n: int) -> PropertyStats:
     """Stats over the nonlinearity of the n coordinate functions."""
-    return _population_stats(_nonlinearities(_bitsets(s), s.n))
+    return _population_stats(_nonlinearities(coordinates, n))
 
 
-def sac_dependence_matrix(s: SBox) -> DependenceMatrix:
-    """Flip probabilities for every (input bit, output bit) pair."""
-    return DependenceMatrix(tuple(tuple(Fraction(d.bit_count(), len(s)) for d in diff)
-                                  for diff in _bitsets(s, True)))
-
-
-def sac_stats(s: SBox) -> PropertyStats:
+def sac_stats(derivatives: tuple[tuple[int, ...], ...], n: int) -> PropertyStats:
     """Avalanche statistics over all n*n dependence-matrix entries.
 
-    min/max/avg summarise the flip probabilities directly. The customary
+    Entry (i, j), the probability that flipping input bit i flips output
+    bit j, is the popcount of derivative bitset [i][j] over 2**n.
+    min/max/avg summarise those probabilities directly. The customary
     spread convention for s-box comparison tables measures flip counts
     against 2**(n+1) rather than 2**n samples, so sd is half the
     population standard deviation of the entries.
     """
-    counts = [d.bit_count() for diff in _bitsets(s, True) for d in diff]
-    return _population_stats(counts, len(s), sd_divisor=2)
+    counts = [d.bit_count() for diff in derivatives for d in diff]
+    return _population_stats(counts, 1 << n, sd_divisor=2)
 
 
-def bic_nonlinearity_stats(s: SBox) -> PropertyStats:
+def bic_nonlinearity_stats(coordinates: tuple[int, ...], n: int) -> PropertyStats:
     """Stats over the nonlinearity of f_j xor f_k for all pairs j < k."""
-    f = _bitsets(s)
-    return _population_stats(_nonlinearities([f[j] ^ f[k] for j, k in _plan(s.n).pairs], s.n))
+    f = coordinates
+    return _population_stats(_nonlinearities([f[j] ^ f[k] for j, k in _plan(n).pairs], n))
 
 
-def bic_sac_stats(s: SBox) -> PropertyStats:
+def bic_sac_stats(derivatives: tuple[tuple[int, ...], ...], n: int) -> PropertyStats:
     """Avalanche statistics of the pairwise output-bit sums.
 
     Every unordered pair (j, k) contributes one value: the mean, over the
     n single-bit input flips, of the probability that f_j xor f_k flips.
     Stats run over those n*(n-1)/2 pair values.
     """
-    derivatives = _bitsets(s, True)
-    flips = [sum((d[j] ^ d[k]).bit_count() for d in derivatives) for j, k in _plan(s.n).pairs]
-    return _population_stats(flips, s.n * len(s))
+    flips = [sum((d[j] ^ d[k]).bit_count() for d in derivatives) for j, k in _plan(n).pairs]
+    return _population_stats(flips, n << n)
 
 
 def analyze(s: SBox) -> AnalysisReport:
-    """Bundle all four criteria plus fixed-point detection into one report."""
+    """Bundle all four criteria plus fixed-point detection into one report.
+
+    The coordinate and derivative bitsets are built once here and shared
+    by the four criteria.
+    """
+    n, coordinates = s.n, _coordinates(s)
+    derivatives = _derivatives(coordinates, n)
     return AnalysisReport(
-        n=s.n,
+        n=n,
         bijective=s.is_bijective(),
         fixed_points=find_fixed_points(s),
-        nl=sbox_nonlinearity_stats(s),
-        nl_bound=max_balanced_nonlinearity(s.n) if s.n >= 3 else 0,
-        sac=sac_stats(s),
-        bic_nl=bic_nonlinearity_stats(s),
-        bic_sac=bic_sac_stats(s),
+        nl=sbox_nonlinearity_stats(coordinates, n),
+        nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
+        sac=sac_stats(derivatives, n),
+        bic_nl=bic_nonlinearity_stats(coordinates, n),
+        bic_sac=bic_sac_stats(derivatives, n),
     )
 
 

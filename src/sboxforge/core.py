@@ -88,12 +88,6 @@ class BitPermutation:
     def size(self) -> int:
         return len(self.images)
 
-    def inverse(self) -> "BitPermutation":
-        inv = [0] * self.size
-        for j, image in enumerate(self.images):
-            inv[image] = j
-        return BitPermutation(tuple(inv))
-
     def compose(self, other: "BitPermutation") -> "BitPermutation":
         """Permutation equal to applying `other` first, then `self`."""
         if self.size != other.size:

@@ -28,17 +28,6 @@ def lehmer_decode(index: int, n: int) -> BitPermutation:
     return BitPermutation(tuple(images))
 
 
-def lehmer_encode(p: BitPermutation) -> int:
-    """Lexicographic rank of a permutation; exact inverse of lehmer_decode."""
-    remaining = sorted(p.images)
-    rank = 0
-    for position, image in enumerate(p.images):
-        digit = remaining.index(image)
-        rank += digit * factorial(p.size - 1 - position)
-        remaining.pop(digit)
-    return rank
-
-
 def key_to_permutations(key: bytes, n: int) -> tuple[BitPermutation, BitPermutation]:
     """Split key material into the (input, output) bit permutation pair."""
     if len(key) == 0:

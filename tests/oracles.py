@@ -5,6 +5,9 @@ matrices, O(4**n) correlation sums) so the fast library paths are checked
 against code that shares none of their shortcuts.
 """
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 
 
@@ -79,3 +82,35 @@ def random_perm(rng, n):
     images = list(range(n))
     rng.shuffle(images)
     return tuple(images)
+
+
+def inverse(images):
+    """Images of the inverse permutation: it sends images[j] back to j."""
+    inv = [0] * len(images)
+    for j, image in enumerate(images):
+        inv[image] = j
+    return tuple(inv)
+
+
+def lehmer_rank(images):
+    """Lexicographic rank among all permutations of the same size.
+
+    Position p contributes (n - 1 - p)! for every later entry smaller than
+    images[p]: that many permutations share the prefix and come first.
+    """
+    n = len(images)
+    return sum(sum(later < image for later in images[p + 1:]) * factorial(n - 1 - p)
+               for p, image in enumerate(images))
+
+
+def dependence_matrix(table, width=None):
+    """Row i, column j: the share of x with bit j of S(x) != bit j of S(x ^ 2**i).
+
+    `width` is the number of output bits, n by default; i runs over the n
+    input bits. Entries are Fractions over 2**n.
+    """
+    size = len(table)
+    n = size.bit_length() - 1
+    return [[Fraction(sum((table[x] ^ table[x ^ 1 << i]) >> j & 1 for x in range(size)), size)
+             for j in range(n if width is None else width)]
+            for i in range(n)]

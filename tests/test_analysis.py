@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -17,20 +18,23 @@ from sboxforge import (
     ReportComparison,
     SBox,
     analyze,
-    bic_nonlinearity_stats,
-    bic_sac_stats,
     clone_sbox,
     compare_reports,
     component_function,
     max_balanced_nonlinearity,
     nonlinearity,
-    sac_dependence_matrix,
-    sac_stats,
-    sbox_nonlinearity_stats,
     walsh_spectrum,
 )
 
-from oracles import direct_walsh, is_bijective_strict, random_bijective, random_perm, sign_matrix
+from oracles import (
+    dependence_matrix,
+    direct_walsh,
+    inverse,
+    is_bijective_strict,
+    random_bijective,
+    random_perm,
+    sign_matrix,
+)
 from vectors import (
     AES_CLONE8,
     AES_SBOX,
@@ -85,7 +89,7 @@ def test_component_weight_half_for_bijective():
     for n in (3, 4, 5):
         s = SBox(n, tuple(random_bijective(rng, n)))
         for mask in range(1, 1 << n):
-            assert component_function(s, mask).weight() == 1 << (n - 1)
+            assert sum(component_function(s, mask).values) == 1 << (n - 1)
 
 
 def test_is_bijective_strict_examples():
@@ -169,8 +173,7 @@ def test_walsh_at_lane_width_boundary(n):
     top, mask = (1 << n) - 1, 1 << (n - 1)
     for s, peak in ((SBox.identity(n), 1 << n),
                     (SBox(n, tuple(v ^ top for v in range(1 << n))), -(1 << n))):
-        stats = sbox_nonlinearity_stats(s)
-        assert stats.min == stats.max == 0
+        assert all(nonlinearity(component_function(s, 1 << j)) == 0 for j in range(n))
         spectrum = walsh_spectrum(component_function(s, mask)).coefficients
         assert spectrum == tuple(peak if a == mask else 0 for a in range(1 << n))
 
@@ -181,7 +184,7 @@ def test_walsh_balance_coefficient():
         for _ in range(30):
             values = tuple(rng.randrange(2) for _ in range(1 << n))
             f = BooleanFunctionTable(values)
-            assert walsh_spectrum(f).coefficients[0] == (1 << n) - 2 * f.weight()
+            assert walsh_spectrum(f).coefficients[0] == (1 << n) - 2 * sum(f.values)
 
 
 def test_nonlinearity_of_affine_is_zero():
@@ -235,7 +238,7 @@ def test_balanced_nonlinearity_can_exceed_reference_bound():
     # 6-input function (f(x) is bit x of the constant) has NL 26 > 24.
     values = tuple(0x83A95E072C99DCAB >> x & 1 for x in range(64))
     f = BooleanFunctionTable(values)
-    assert f.weight() == 32
+    assert sum(f.values) == 32
     assert (64 - max(abs(c) for c in direct_walsh(values))) // 2 == 26
     assert nonlinearity(f) == 26 > max_balanced_nonlinearity(6)
 
@@ -244,40 +247,72 @@ def test_balanced_nonlinearity_can_exceed_reference_bound():
 # dependence matrix and SAC stats
 
 
+def _flat(matrix):
+    return [v for row in matrix for v in row]
+
+
 def test_dependence_matrix_identity():
-    matrix = sac_dependence_matrix(SBox.identity(4))
+    matrix = dependence_matrix(SBox.identity(4).table)
     for i in range(4):
         for j in range(4):
-            assert matrix.entries[i][j] == (1 if i == j else 0)
+            assert matrix[i][j] == (1 if i == j else 0)
 
 
 def test_dependence_matrix_seed4_extremes():
-    flat = sac_dependence_matrix(SBox.from_table(SEED4)).flat()
+    flat = _flat(dependence_matrix(SEED4))
     assert min(flat) == 0
     assert max(flat) == 1
     assert sum(flat, Fraction(0)) / len(flat) == Fraction(1, 2)
 
 
 def test_dependence_matrix_aes_extremes():
-    flat = sac_dependence_matrix(SBox.from_table(AES_SBOX)).flat()
+    flat = _flat(dependence_matrix(AES_SBOX))
     assert min(flat) == Fraction(29, 64)
     assert max(flat) == Fraction(9, 16)
 
 
+def _exact_stats(values, sd_divisor=1):
+    """min, max, avg and sd of Fractions; the variance stays exact up to the root."""
+    avg = sum(values, Fraction(0)) / len(values)
+    variance = sum((v - avg) ** 2 for v in values) / len(values)
+    return min(values), max(values), avg, math.sqrt(variance) / sd_divisor
+
+
+def test_sac_and_bic_sac_match_dependence_matrix_definition():
+    rng = random.Random(97)
+    for n in range(2, 9):
+        size = 1 << n
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        for i in range(4):
+            table = random_bijective(rng, n) if i % 2 else [rng.randrange(size) for _ in range(size)]
+            report = analyze(SBox(n, tuple(table)))
+            sac = _exact_stats(_flat(dependence_matrix(table)), sd_divisor=2)
+            # Bit p of pair_table[x] is f_j(x) xor f_k(x) for the p-th pair (j, k);
+            # a pair's BIC-SAC value is its column's mean over the n input flips.
+            pair_table = [sum(((v >> j ^ v >> k) & 1) << p for p, (j, k) in enumerate(pairs))
+                          for v in table]
+            columns = zip(*dependence_matrix(pair_table, len(pairs)))
+            bic_sac = _exact_stats([sum(column) / n for column in columns])
+            for stats, (low, high, avg, sd) in ((report.sac, sac), (report.bic_sac, bic_sac)):
+                assert all(type(v) is Fraction for v in (stats.min, stats.max, stats.avg))
+                assert (stats.min, stats.max, stats.avg) == (low, high, avg)
+                assert stats.sd == pytest.approx(sd, abs=1e-12)
+
+
 def test_sac_stats_reference_values():
-    aes = sac_stats(SBox.from_table(AES_SBOX))
+    aes = analyze(SBox.from_table(AES_SBOX)).sac
     assert float(aes.min) == pytest.approx(0.453125, abs=APPROX)
     assert float(aes.max) == pytest.approx(0.5625, abs=APPROX)
     assert float(aes.avg) == pytest.approx(0.504883, abs=APPROX)
     assert aes.sd == pytest.approx(0.015678, abs=APPROX)
 
-    seed = sac_stats(SBox.from_table(SEED4))
+    seed = analyze(SBox.from_table(SEED4)).sac
     assert float(seed.min) == 0
     assert float(seed.max) == 1
     assert float(seed.avg) == pytest.approx(0.5, abs=APPROX)
     assert seed.sd == pytest.approx(0.132583, abs=APPROX)
 
-    identity = sac_stats(SBox.identity(4))
+    identity = analyze(SBox.identity(4)).sac
     assert float(identity.min) == 0
     assert float(identity.max) == 1
     assert float(identity.avg) == pytest.approx(0.25, abs=APPROX)
@@ -288,44 +323,44 @@ def test_sac_stats_reference_values():
 
 
 def test_bic_nl_reference_values():
-    aes = bic_nonlinearity_stats(SBox.from_table(AES_SBOX))
+    aes = analyze(SBox.from_table(AES_SBOX)).bic_nl
     assert (aes.min, aes.max) == (112, 112)
     assert float(aes.avg) == 112
     assert aes.sd == 0
 
-    seed = bic_nonlinearity_stats(SBox.from_table(SEED4))
+    seed = analyze(SBox.from_table(SEED4)).bic_nl
     assert (seed.min, seed.max) == (4, 4)
     assert float(seed.avg) == 4
     assert seed.sd == 0
 
-    clone = bic_nonlinearity_stats(SBox.from_table(AES_CLONE8))
+    clone = analyze(SBox.from_table(AES_CLONE8)).bic_nl
     assert (clone.min, clone.max, clone.avg, clone.sd) == (aes.min, aes.max, aes.avg, aes.sd)
 
 
 def test_bic_sac_reference_values():
-    aes = bic_sac_stats(SBox.from_table(AES_SBOX))
+    aes = analyze(SBox.from_table(AES_SBOX)).bic_sac
     assert float(aes.min) == pytest.approx(0.480469, abs=APPROX)
     assert float(aes.max) == pytest.approx(0.525391, abs=APPROX)
     assert float(aes.avg) == pytest.approx(0.504604, abs=APPROX)
     assert aes.sd == pytest.approx(0.011271, abs=APPROX)
 
-    seed = bic_sac_stats(SBox.from_table(SEED4))
+    seed = analyze(SBox.from_table(SEED4)).bic_sac
     assert float(seed.min) == pytest.approx(0.4375, abs=APPROX)
     assert float(seed.max) == pytest.approx(0.75, abs=APPROX)
     assert float(seed.avg) == pytest.approx(0.552083, abs=APPROX)
     assert seed.sd == pytest.approx(0.104686, abs=APPROX)
 
-    clone = bic_sac_stats(SBox.from_table(CLONE4))
+    clone = analyze(SBox.from_table(CLONE4)).bic_sac
     assert (clone.min, clone.max, clone.avg, clone.sd) == (seed.min, seed.max, seed.avg, seed.sd)
 
 
 def test_nl_stats_reference_values():
-    aes = sbox_nonlinearity_stats(SBox.from_table(AES_SBOX))
+    aes = analyze(SBox.from_table(AES_SBOX)).nl
     assert (aes.min, aes.max) == (112, 112)
     assert float(aes.avg) == 112
 
-    seed = sbox_nonlinearity_stats(SBox.from_table(SEED4))
-    clone = sbox_nonlinearity_stats(SBox.from_table(CLONE4))
+    seed = analyze(SBox.from_table(SEED4)).nl
+    clone = analyze(SBox.from_table(CLONE4)).nl
     assert (seed.min, seed.max, seed.avg) == (4, 4, Fraction(4))
     assert (clone.min, clone.max, clone.avg) == (seed.min, seed.max, seed.avg)
 
@@ -387,13 +422,13 @@ def test_nonsingular_input_transform_preserves_nonlinearity():
 
 def test_all_half_dependence_matrix_preserved_by_clones():
     seed = SBox.from_table(ALL_HALF_SAC_3)
-    assert all(v == Fraction(1, 2) for v in sac_dependence_matrix(seed).flat())
+    assert all(v == Fraction(1, 2) for v in _flat(dependence_matrix(seed.table)))
     rng = random.Random(79)
     for _ in range(20):
         s1 = BitPermutation(random_perm(rng, 3))
         s2 = BitPermutation(random_perm(rng, 3))
         clone = clone_sbox(seed, s1, s2)
-        assert all(v == Fraction(1, 2) for v in sac_dependence_matrix(clone).flat())
+        assert all(v == Fraction(1, 2) for v in _flat(dependence_matrix(clone.table)))
 
 
 def test_dependence_matrix_multiset_clone_invariant():
@@ -403,14 +438,14 @@ def test_dependence_matrix_multiset_clone_invariant():
             seed = SBox(n, tuple(random_bijective(rng, n)))
             s1 = BitPermutation(random_perm(rng, n))
             s2 = BitPermutation(random_perm(rng, n))
-            dep_seed = sac_dependence_matrix(seed)
-            dep_clone = sac_dependence_matrix(clone_sbox(seed, s1, s2))
-            assert sorted(dep_clone.flat()) == sorted(dep_seed.flat())
+            dep_seed = dependence_matrix(seed.table)
+            dep_clone = dependence_matrix(clone_sbox(seed, s1, s2).table)
+            assert sorted(_flat(dep_clone)) == sorted(_flat(dep_seed))
             # entry (i, j) of the clone is entry (s1(i), s2^-1(j)) of the seed
-            inv2 = s2.inverse()
+            inv2 = inverse(s2.images)
             for i in range(n):
                 for j in range(n):
-                    assert dep_clone.entries[i][j] == dep_seed.entries[s1.images[i]][inv2.images[j]]
+                    assert dep_clone[i][j] == dep_seed[s1.images[i]][inv2[j]]
 
 
 def test_clone_reports_equal_seed_reports():
@@ -441,22 +476,22 @@ def test_analyze_bundles_everything():
     assert report.nl.max <= report.nl_bound
 
 
-def _fresh_report(table) -> str:
+def _fresh_report(table, env) -> str:
     """repr of the table's report, computed in a new interpreter with nothing cached."""
     code = ("import json, sys; from sboxforge import SBox, analyze; "
             "print(repr(analyze(SBox.from_table(json.load(sys.stdin)))))")
     result = subprocess.run([sys.executable, "-c", code], input=json.dumps(table),
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True, check=True, env=env)
     return result.stdout.strip()
 
 
-def test_reports_do_not_leak_between_sboxes():
+def test_reports_do_not_leak_between_sboxes(child_env):
     # A (n = 4), B (n = 8), A again, then C (n = 15, past the switch to
-    # 32-bit Walsh lanes): neither the per-width constants nor the bitsets
-    # kept for the last s-box may carry into another s-box's report.
+    # 32-bit Walsh lanes): the per-width plans kept between calls must not
+    # carry anything from one s-box into another s-box's report.
     rng = random.Random(83)
     a, b, c = (SBox.from_table(random_bijective(rng, n)) for n in (4, 8, 15))
-    fresh = {s.n: _fresh_report(list(s.table)) for s in (a, b, c)}
+    fresh = {s.n: _fresh_report(list(s.table), child_env) for s in (a, b, c)}
     for s in (a, b, a, c):
         assert repr(analyze(s)) == fresh[s.n]
 

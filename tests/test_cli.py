@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sboxforge import ReportComparison, SBox, clone_sbox, cli, lehmer_decode
+from sboxforge import ReportComparison, SBox, analysis, cli, clone_sbox, find_fixed_points, lehmer_decode
 from sboxforge.cli import main
 from sboxforge.formats import fingerprint, serialize_sbox
 
@@ -239,6 +239,22 @@ def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert [line.rsplit(",", 1)[1] for line in captured.out.splitlines()[1:]] == ["pass", "fail", "pass"]
     assert captured.err.endswith(" invariance_pass=2\n")
+
+
+def test_enumerate_invariance_scans_fixed_points_once_per_row(seed4_file, capsys, monkeypatch):
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    scanned = []
+
+    def counting(s):
+        scanned.append(s)
+        return find_fixed_points(s)
+
+    monkeypatch.setattr(cli, "find_fixed_points", counting)
+    monkeypatch.setattr(analysis, "find_fixed_points", counting)
+    assert main(["enumerate", seed4_file, "--sample", "10", "--check-invariance"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11
+    # One scan for the seed's own report, then one per row.
+    assert len(scanned) == 1 + 10
 
 
 def test_enumerate_sample_zero_is_header_only(seed4_file, capsys):
@@ -505,10 +521,10 @@ def test_n16_enumerate_sample(seed16, capsys):
 # module entry point
 
 
-def test_python_dash_m_entry(seed4_file):
+def test_python_dash_m_entry(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "sboxforge", "derive", "--key", "00", "--n", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert result.returncode == 0
     assert result.stdout == "sigma1=0,1,2,3\nsigma2=0,1,2,3\n"

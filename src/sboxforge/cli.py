@@ -140,6 +140,8 @@ def cmd_clone(args) -> int:
         raise UsageError("exactly one of --key or --sigma1/--sigma2 is required")
     if sigma_mode and (args.sigma1 is None or args.sigma2 is None):
         raise UsageError("--sigma1 and --sigma2 must be given together")
+    if args.max_attempts is not None and not args.avoid_fixed_points:
+        raise UsageError("--max-attempts needs --remove-fixed-points")
     if args.max_attempts is not None and args.max_attempts < 1:
         raise UsageError("--max-attempts must be >= 1")
 
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     clone.add_argument("--remove-fixed-points", action="store_true", dest="avoid_fixed_points",
                        help="retry until the clone has no fixed or reverse fixed points")
     clone.add_argument("--max-attempts", type=int, default=None,
-                       help="cap on removal retries (default n!*n!)")
+                       help="cap on removal attempts (default n!, which tries every class)")
     clone.add_argument("-o", "--output", help="write the clone here instead of stdout")
     clone.set_defaults(func=cmd_clone)
 

@@ -12,6 +12,7 @@ bit-independence statistics while relocating its fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 
 
@@ -20,7 +21,7 @@ class NonBijectiveError(ValueError):
 
 
 class RemovalExhausted(RuntimeError):
-    """No fixed-point-free clone was found within the attempt budget, or none exists."""
+    """No fixed-point-free clone was found within max_attempts, or none exists."""
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ class FixedPointReport:
 class CloneOptions:
     """Knobs for clone generation.
 
-    max_attempts caps the fixed-point removal retry loop; None means the
-    full schedule of n! * n! permutation pairs.
+    max_attempts caps the fixed-point removal walk; None, or any cap of n!
+    or more, walks all n! input permutations, which tries every class.
     """
 
     max_attempts: int | None = None
@@ -120,11 +121,6 @@ class CloneOptions:
     def __post_init__(self):
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-    def attempt_budget(self, n: int) -> int:
-        if self.max_attempts is None:
-            return factorial(n) ** 2
-        return self.max_attempts
 
 
 def _lift(sigma: BitPermutation) -> list[int]:
@@ -181,22 +177,22 @@ def clone_sbox_avoiding_fixed_points(
 ) -> tuple[SBox, BitPermutation, BitPermutation]:
     """Clone repeatedly until the result has no fixed or reverse fixed points.
 
-    Attempt k perturbs the requested permutations by composing a scheduled
-    pair on top: lehmer_decode(k mod n!) onto sigma1 and
-    lehmer_decode((k div n!) mod n!) onto sigma2. Attempt 0 is the
-    unperturbed pair, and the full budget of n! * n! attempts tries every
-    reachable permutation pair exactly once. Returns the first clean clone
-    together with the effective permutations; raises RemovalExhausted when
-    the budget runs out.
+    Attempt k composes the k-th permutation of range(n), in the
+    lexicographic order of itertools.permutations and lehmer_decode, onto
+    sigma1 and keeps sigma2; attempt 0 is the requested pair. Returns the
+    first clean clone with its effective permutations, or raises
+    RemovalExhausted once max_attempts or all n! attempts have failed.
+
+    Lifting is a homomorphism from S_n that commutes with complement, so with
+    tau = (sigma1 sigma2)^-1 the clone has a fixed point at L_sigma1^-1(j)
+    exactly when seed[j] = L_tau(j), and a reverse one when seed[j] = ~L_tau(j).
+    Fixed points depend on tau alone, and the walk reaches every tau.
 
     A seed that maps index 0 or 2**n - 1 to 0 or 2**n - 1 has no clean clone:
     the lifted row permutation fixes both indices and sigma2 fixes both
     values. Such a seed raises RemovalExhausted before any attempt.
     """
-    from .keys import lehmer_decode
-
-    if opts is None:
-        opts = CloneOptions()
+    opts = opts or CloneOptions()
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
     top = len(seed) - 1
@@ -204,13 +200,13 @@ def clone_sbox_avoiding_fixed_points(
         if v in (0, top):
             kind = "fixed" if v == i else "reverse fixed"
             raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
-    n = seed.n
-    fact = factorial(n)
-    budget = opts.attempt_budget(n)
-    for attempt in range(budget):
-        eff1 = lehmer_decode(attempt % fact, n).compose(sigma1)
-        eff2 = lehmer_decode(attempt // fact % fact, n).compose(sigma2)
-        candidate = clone_sbox(seed, eff1, eff2)
+    fact = factorial(seed.n)
+    budget = min(fact, opts.max_attempts or fact)
+    for _, images in zip(range(budget), permutations(range(seed.n))):
+        eff1 = BitPermutation(images).compose(sigma1)
+        candidate = clone_sbox(seed, eff1, sigma2)
         if find_fixed_points(candidate).empty:
-            return candidate, eff1, eff2
+            return candidate, eff1, sigma2
+    if budget == fact:
+        raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
     raise RemovalExhausted(f"no clean clone within {budget} attempts")

@@ -6,6 +6,7 @@ against code that shares none of their shortcuts.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -37,6 +38,62 @@ def dense_clone(table, sigma1, sigma2):
     q1 = perm_matrix(decimal_rows(w1))
     w2 = q1 @ bits_matrix(table, n) @ perm_matrix(sigma2)
     return decimal_rows(w2)
+
+
+def compose(outer, inner):
+    """Images of applying `inner` first, then `outer`."""
+    return tuple(outer[image] for image in inner)
+
+
+def has_fixed_point(table):
+    """True when some entry equals its index or the index's complement."""
+    top = len(table) - 1
+    return any(v == i or v == top - i for i, v in enumerate(table))
+
+
+def first_clean_pair(table, sigma1, sigma2):
+    """First clean clone of the (n!)**2 removal schedule, or None if none is clean.
+
+    Attempt k of the schedule composes the (k mod n!)-th permutation in
+    lexicographic order onto sigma1 and the (k div n!)-th onto sigma2, so
+    the whole schedule tries every permutation pair once. Returns the dense
+    clone of the first attempt free of fixed and reverse fixed points, with
+    its effective (sigma1, sigma2).
+    """
+    perms = list(permutations(range(len(sigma1))))
+    for p2 in perms:
+        for p1 in perms:
+            eff1, eff2 = compose(p1, sigma1), compose(p2, sigma2)
+            clone = dense_clone(table, eff1, eff2)
+            if not has_fixed_point(clone):
+                return clone, eff1, eff2
+    return None
+
+
+def permute_bits(value, images):
+    """value with bit j moved to bit images[j]."""
+    return sum((value >> j & 1) << image for j, image in enumerate(images))
+
+
+def stabilizer_size(table):
+    """Number of pairs (a, b) of bit permutations with L_a o S o L_b = S.
+
+    L lifts a bit permutation to the 2**n values. Two pairs give the same
+    clone exactly when they differ by such a pair, so S has
+    (n!)**2 / stabilizer_size(S) distinct clones. For each a the equation
+    fixes L_b = S^-1 o L_a^-1 o S; count the a for which that map is a lift.
+    """
+    n = len(table).bit_length() - 1
+    inv = inverse(table)
+    count = 0
+    for a_inverse in permutations(range(n)):
+        images = [inv[permute_bits(table[1 << j], a_inverse)] for j in range(n)]
+        if sorted(images) != [1 << j for j in range(n)]:
+            continue
+        b = tuple(image.bit_length() - 1 for image in images)
+        count += all(inv[permute_bits(v, a_inverse)] == permute_bits(x, b)
+                     for x, v in enumerate(table))
+    return count
 
 
 def is_bijective_strict(table):

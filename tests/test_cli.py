@@ -2,14 +2,25 @@ import json
 import random
 import subprocess
 import sys
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from sboxforge import ReportComparison, SBox, analysis, cli, clone_sbox, find_fixed_points, lehmer_decode
+from sboxforge import core
 from sboxforge.cli import main
 from sboxforge.formats import fingerprint, serialize_sbox
 
-from oracles import bits_matrix, decimal_rows, dense_clone, perm_matrix, random_bijective
+from oracles import (
+    bits_matrix,
+    decimal_rows,
+    dense_clone,
+    first_clean_pair,
+    perm_matrix,
+    random_bijective,
+    stabilizer_size,
+)
 from vectors import AES_SBOX, CLONE4, SEED4, SIGMA1_4, SIGMA2_4
 
 
@@ -133,11 +144,50 @@ def test_clone_removal_exhausted(seed4_file, tmp_path):
 
 def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
     # The identity maps 0 to 0, which every clone keeps; without the
-    # up-front check this would walk all (8!)**2 attempts.
+    # up-front check this would walk all 8! input permutations.
     assert main(["clone", identity8_file, "--key", "17", "--remove-fixed-points"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed[0] = 0: every clone has a fixed point at 0\n"
+
+
+def test_clone_walk_exhausts_after_every_input_permutation(tmp_path, capsys, monkeypatch):
+    # This seed passes the end-point check yet has no clean clone; the walk
+    # proves it after the 8! input permutations, not (8!)**2 pairs.
+    table = list(range(256))
+    for a, b in ((0, 125), (34, 172), (107, 255), (115, 149)):
+        table[a], table[b] = table[b], table[a]
+    seed = tmp_path / "near_identity8.txt"
+    seed.write_text(serialize_sbox(SBox(8, tuple(table))))
+    calls, real_clone = [], core.clone_sbox
+
+    def counting_clone(*args):
+        calls.append(1)
+        return real_clone(*args)
+
+    monkeypatch.setattr(core, "clone_sbox", counting_clone)
+    out = tmp_path / "clone.txt"
+    assert main(["clone", str(seed), "--key", "00", "--remove-fixed-points", "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no clone is free of fixed points: all 40320 input permutations tried\n"
+    assert not out.exists()
+    assert len(calls) == factorial(8)
+
+
+def test_clone_max_attempts_edges(seed4_file, tmp_path, capsys):
+    assert main(["clone", seed4_file, "--key", "17", "--max-attempts", "5"]) == 64
+    assert capsys.readouterr().err == "error: --max-attempts needs --remove-fixed-points\n"
+    # Unremovable, though its end points pass the up-front check.
+    table = [5, 7, 4, 3, 1, 6, 0, 2]
+    assert first_clean_pair(table, (0, 1, 2), (0, 1, 2)) is None
+    seed = tmp_path / "seed3.txt"
+    seed.write_text(serialize_sbox(SBox(3, tuple(table))))
+    assert main(["clone", str(seed), "--key", "00", "--remove-fixed-points",
+                 "--max-attempts", str(10 ** 29)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no clone is free of fixed points: all 6 input permutations tried\n"
 
 
 def _must_not_run(*args):
@@ -283,6 +333,20 @@ def test_enumerate_all_writes_csv(seed4_file, tmp_path, capsys):
     assert len(lines) == 1 + 24 * 24
     assert lines[1].startswith("0,0,0 1 2 3,0 1 2 3,")
     assert "rows=576" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table,distinct", [(list(range(16)), 24), (SEED4, 576)],
+                         ids=["identity4", "seed4"])
+def test_enumerate_all_counts_distinct_clones(table, distinct, tmp_path, capsys):
+    # A key selects one of (n!)**2 pairs; pairs that differ by the seed's
+    # stabilizer give the same clone, so the identity has only n! clones.
+    path = tmp_path / "seed.txt"
+    path.write_text(serialize_sbox(SBox.from_table(table)))
+    assert main(["enumerate", str(path), "--all"]) == 0
+    assert capsys.readouterr().err == f"rows=576 distinct={distinct}\n"
+    perms = list(permutations(range(4)))
+    assert len({tuple(dense_clone(table, s1, s2)) for s1 in perms for s2 in perms}) == distinct
+    assert 576 // stabilizer_size(table) == distinct
 
 
 def test_enumerate_sampled_aes_invariance(aes_file, capsys):

@@ -20,7 +20,16 @@ from sboxforge import (
     find_fixed_points,
 )
 
-from oracles import bits_matrix, dense_clone, inverse, perm_matrix, random_bijective, random_perm
+from oracles import (
+    bits_matrix,
+    dense_clone,
+    first_clean_pair,
+    inverse,
+    perm_matrix,
+    random_bijective,
+    random_perm,
+    stabilizer_size,
+)
 from vectors import (
     AES_CLONE8,
     AES_SBOX,
@@ -223,6 +232,19 @@ def test_clone_composition():
             assert nested == flat
 
 
+def test_distinct_clones_are_pairs_over_stabilizer():
+    # Pairs that differ by a stabilizer element give the same clone, so a
+    # seed has (n!)**2 / |Stab| distinct clones: all of them for the paper's
+    # seed and AES, n! for the identity.
+    assert stabilizer_size(AES_SBOX) == stabilizer_size(SEED4) == 1
+    assert stabilizer_size(list(range(16))) == factorial(4)
+    perms = _all_perms(3)
+    rng = random.Random(37)
+    for table in [list(range(8))] + [random_bijective(rng, 3) for _ in range(20)]:
+        clones = {tuple(dense_clone(table, s1, s2)) for s1 in perms for s2 in perms}
+        assert len(clones) * stabilizer_size(table) == factorial(3) ** 2
+
+
 # ---------------------------------------------------------------------
 # fixed points
 
@@ -296,7 +318,7 @@ def test_avoidance_returns_clean_first_attempt_unchanged():
 def test_avoidance_fails_fast_on_pinned_end_points(index, value):
     # Both end indices and both end values stay put under every clone, so
     # these seeds keep a fixed or reverse fixed point whatever the pair. The
-    # full n=8 schedule would take weeks; exhaustion must be reported at once.
+    # n=8 walk would clone 8! times first; exhaustion must be reported at once.
     table = list(AES_SBOX)
     other = table.index(value)
     table[index], table[other] = table[other], table[index]
@@ -309,27 +331,65 @@ def test_avoidance_fails_fast_on_pinned_end_points(index, value):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_removal_schedule_covers_every_pair(n, monkeypatch):
-    # Every clone the schedule asks for is full of fixed points, so the full
-    # default budget runs out; along the way it must try each of the
-    # (n!)**2 permutation pairs exactly once.
+def test_removal_walk_covers_every_input_permutation(n, monkeypatch):
+    # Every clone the walk asks for is full of fixed points, so the default
+    # budget runs out; along the way it must try each of the n! input
+    # permutations exactly once and always keep the caller's sigma2.
     tried = []
 
     def fixed_point_clone(seed, sigma1, sigma2):
-        tried.append((sigma1.images, sigma2.images))
+        tried.append((sigma1.images, sigma2))
         return SBox.identity(seed.n)
 
     monkeypatch.setattr(core, "clone_sbox", fixed_point_clone)
     seed = SBox(n, tuple(x ^ 1 for x in range(1 << n)))
     rng = random.Random(n)
     sigma1, sigma2 = BitPermutation(random_perm(rng, n)), BitPermutation(random_perm(rng, n))
-    with pytest.raises(RemovalExhausted, match=f"within {factorial(n) ** 2} attempts"):
+    message = f"^no clone is free of fixed points: all {factorial(n)} input permutations tried$"
+    with pytest.raises(RemovalExhausted, match=message):
         clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2)
-    assert len(tried) == len(set(tried)) == factorial(n) ** 2
+    assert len(tried) == len({s1 for s1, _ in tried}) == factorial(n)
+    assert all(s2 == sigma2 for _, s2 in tried)
+
+
+def test_removal_caps_below_and_beyond_the_walk(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "clone_sbox", lambda *args: calls.append(1) or SBox.identity(3))
+    seed, identity = SBox(3, tuple(x ^ 1 for x in range(8))), BitPermutation.identity(3)
+    for cap, count, message in ((5, 5, "^no clean clone within 5 attempts$"),
+                                (6, 6, "all 6 input permutations tried$"),
+                                (10 ** 30, 6, "all 6 input permutations tried$")):
+        calls.clear()
+        with pytest.raises(RemovalExhausted, match=message):
+            clone_sbox_avoiding_fixed_points(seed, identity, identity, CloneOptions(cap))
+        assert len(calls) == count
+
+
+def test_removal_walk_matches_full_schedule_oracle():
+    # The oracle replays all (n!)**2 pairs of the two-sided schedule with
+    # dense clones. The walk must return its first clean pair, and give up
+    # exactly when no pair of the whole schedule is clean.
+    rng = random.Random(0)
+    outcomes = set()
+    for n, count in ((3, 600), (4, 40)):
+        for _ in range(count):
+            table = random_bijective(rng, n)
+            s1, s2 = random_perm(rng, n), random_perm(rng, n)
+            expected = first_clean_pair(table, s1, s2)
+            try:
+                clone, eff1, eff2 = clone_sbox_avoiding_fixed_points(
+                    SBox(n, tuple(table)), BitPermutation(s1), BitPermutation(s2))
+            except RemovalExhausted as exc:
+                assert expected is None
+                pinned = {table[0], table[-1]} & {0, len(table) - 1}
+                outcomes.add("pinned" if pinned else "walked")
+                assert str(exc).startswith("seed[") == bool(pinned)
+                continue
+            assert (list(clone.table), eff1.images, eff2.images) == expected
+            outcomes.add("clean")
+    assert outcomes == {"clean", "pinned", "walked"}
 
 
 def test_clone_options_validation():
     with pytest.raises(ValueError):
         CloneOptions(max_attempts=0)
-    assert CloneOptions().attempt_budget(4) == factorial(4) ** 2
-    assert CloneOptions(max_attempts=5).attempt_budget(4) == 5

@@ -106,7 +106,7 @@ def _thread_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError(f"SBOXFORGE_THREADS must be an integer >= 1, got {raw!r}")
+        value = 0
     if value < 1:
         raise UsageError(f"SBOXFORGE_THREADS must be an integer >= 1, got {raw!r}")
     return value

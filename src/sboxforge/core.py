@@ -89,12 +89,6 @@ class BitPermutation:
     def size(self) -> int:
         return len(self.images)
 
-    def compose(self, other: "BitPermutation") -> "BitPermutation":
-        """Permutation equal to applying `other` first, then `self`."""
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return BitPermutation(tuple(self.images[other.images[j]] for j in range(self.size)))
-
 
 @dataclass(frozen=True)
 class FixedPointReport:
@@ -123,10 +117,10 @@ class CloneOptions:
             raise ValueError("max_attempts must be >= 1")
 
 
-def _lift(sigma: BitPermutation) -> list[int]:
-    """Entry v is v with bit j moved to bit sigma.images[j], built by doubling."""
+def _lift(images) -> list[int]:
+    """Entry v is v with bit j moved to bit images[j], built by doubling."""
     table = [0]
-    for image in sigma.images:
+    for image in images:
         table += [v | 1 << image for v in table]
     return table
 
@@ -140,7 +134,7 @@ def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
     """
     if sigma1.size != n:
         raise ValueError(f"permutation size {sigma1.size} != {n}")
-    return BitPermutation(_lift(sigma1))
+    return BitPermutation(_lift(sigma1.images))
 
 
 def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SBox:
@@ -155,8 +149,8 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
         raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
-    out, table = _lift(sigma2), seed.table
-    return SBox(seed.n, tuple([out[table[r]] for r in _lift(sigma1)]))
+    out, table = _lift(sigma2.images), seed.table
+    return SBox(seed.n, tuple([out[table[r]] for r in _lift(sigma1.images)]))
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:
@@ -175,18 +169,20 @@ def clone_sbox_avoiding_fixed_points(
     sigma2: BitPermutation,
     opts: CloneOptions | None = None,
 ) -> tuple[SBox, BitPermutation, BitPermutation]:
-    """Clone repeatedly until the result has no fixed or reverse fixed points.
+    """Walk S_n for the first clone with no fixed or reverse fixed points.
 
-    Attempt k composes the k-th permutation of range(n), in the
+    Attempt k composes the k-th permutation pi of range(n), in the
     lexicographic order of itertools.permutations and lehmer_decode, onto
     sigma1 and keeps sigma2; attempt 0 is the requested pair. Returns the
     first clean clone with its effective permutations, or raises
     RemovalExhausted once max_attempts or all n! attempts have failed.
 
-    Lifting is a homomorphism from S_n that commutes with complement, so with
-    tau = (sigma1 sigma2)^-1 the clone has a fixed point at L_sigma1^-1(j)
-    exactly when seed[j] = L_tau(j), and a reverse one when seed[j] = ~L_tau(j).
-    Fixed points depend on tau alone, and the walk reaches every tau.
+    Lifting is a homomorphism from S_n that commutes with complement, so the
+    clone of (pi sigma1, sigma2) is conjugate by L_(pi sigma1) to
+    x -> L_pi(base[x]), base = L_sigma1 L_sigma2 seed: both have as many fixed
+    and reverse fixed points, and these depend on the composite pi sigma1 sigma2
+    alone. Each attempt lifts pi and scans base up to its first hit; only the
+    clean clone that is returned gets built. The walk reaches every composite.
 
     A seed that maps index 0 or 2**n - 1 to 0 or 2**n - 1 has no clean clone:
     the lifted row permutation fixes both indices and sigma2 fixes both
@@ -200,13 +196,17 @@ def clone_sbox_avoiding_fixed_points(
         if v in (0, top):
             kind = "fixed" if v == i else "reverse fixed"
             raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
+    if sigma1.size != seed.n or sigma2.size != seed.n:
+        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     fact = factorial(seed.n)
     budget = min(fact, opts.max_attempts or fact)
-    for _, images in zip(range(budget), permutations(range(seed.n))):
-        eff1 = BitPermutation(images).compose(sigma1)
-        candidate = clone_sbox(seed, eff1, sigma2)
-        if find_fixed_points(candidate).empty:
-            return candidate, eff1, sigma2
+    lift1, lift2 = _lift(sigma1.images), _lift(sigma2.images)
+    base = [lift1[lift2[v]] for v in seed.table]
+    for _, pi in zip(range(budget), permutations(range(seed.n))):
+        lifted = _lift(pi)
+        if all(lifted[b] ^ x not in (0, top) for x, b in enumerate(base)):
+            eff1 = BitPermutation(tuple([pi[j] for j in sigma1.images]))
+            return clone_sbox(seed, eff1, sigma2), eff1, sigma2
     if budget == fact:
         raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
     raise RemovalExhausted(f"no clean clone within {budget} attempts")

@@ -1,8 +1,10 @@
+import itertools
 import os
 
 import pytest
 
 import sboxforge
+from sboxforge import core
 
 
 @pytest.fixture
@@ -11,3 +13,17 @@ def child_env():
     root = os.path.dirname(os.path.dirname(sboxforge.__file__))
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (root, inherited)))}
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """Input permutations the removal walk draws from core.permutations, one per attempt."""
+    tried = []
+
+    def recording(*args):
+        for images in itertools.permutations(*args):
+            tried.append(images)
+            yield images
+
+    monkeypatch.setattr(core, "permutations", recording)
+    return tried

@@ -8,7 +8,6 @@ from math import factorial
 import pytest
 
 from sboxforge import ReportComparison, SBox, analysis, cli, clone_sbox, find_fixed_points, lehmer_decode
-from sboxforge import core
 from sboxforge.cli import main
 from sboxforge.formats import fingerprint, serialize_sbox
 
@@ -151,7 +150,7 @@ def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
     assert captured.err == "error: seed[0] = 0: every clone has a fixed point at 0\n"
 
 
-def test_clone_walk_exhausts_after_every_input_permutation(tmp_path, capsys, monkeypatch):
+def test_clone_walk_exhausts_after_every_input_permutation(tmp_path, capsys, attempts):
     # This seed passes the end-point check yet has no clean clone; the walk
     # proves it after the 8! input permutations, not (8!)**2 pairs.
     table = list(range(256))
@@ -159,20 +158,13 @@ def test_clone_walk_exhausts_after_every_input_permutation(tmp_path, capsys, mon
         table[a], table[b] = table[b], table[a]
     seed = tmp_path / "near_identity8.txt"
     seed.write_text(serialize_sbox(SBox(8, tuple(table))))
-    calls, real_clone = [], core.clone_sbox
-
-    def counting_clone(*args):
-        calls.append(1)
-        return real_clone(*args)
-
-    monkeypatch.setattr(core, "clone_sbox", counting_clone)
     out = tmp_path / "clone.txt"
     assert main(["clone", str(seed), "--key", "00", "--remove-fixed-points", "-o", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no clone is free of fixed points: all 40320 input permutations tried\n"
     assert not out.exists()
-    assert len(calls) == factorial(8)
+    assert len(attempts) == len(set(attempts)) == factorial(8)
 
 
 def test_clone_max_attempts_edges(seed4_file, tmp_path, capsys):
@@ -488,11 +480,13 @@ def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, mo
     assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
-def test_enumerate_invalid_threads(seed4_file, monkeypatch):
-    monkeypatch.setenv("SBOXFORGE_THREADS", "zero")
-    assert main(["enumerate", seed4_file, "--sample", "1"]) == 64
-    monkeypatch.setenv("SBOXFORGE_THREADS", "0")
-    assert main(["enumerate", seed4_file, "--sample", "1"]) == 64
+def test_enumerate_invalid_threads(seed4_file, capsys, monkeypatch):
+    for raw in ("zero", "0"):
+        monkeypatch.setenv("SBOXFORGE_THREADS", raw)
+        assert main(["enumerate", seed4_file, "--sample", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: SBOXFORGE_THREADS must be an integer >= 1, got {raw!r}\n"
 
 
 # ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import itertools
 import random
 import time
 from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sboxforge import core
@@ -22,8 +23,10 @@ from sboxforge import (
 
 from oracles import (
     bits_matrix,
+    compose,
     dense_clone,
     first_clean_pair,
+    has_fixed_point,
     inverse,
     perm_matrix,
     random_bijective,
@@ -80,18 +83,18 @@ def test_bit_permutation_validation():
 
 
 def test_bit_permutation_group_laws():
+    # Fixed-point removal rests on lifting being a homomorphism.
     rng = random.Random(7)
     for n in (2, 3, 5, 8):
-        identity = BitPermutation.identity(n)
+        identity = tuple(range(n))
         for _ in range(20):
-            a = BitPermutation(random_perm(rng, n))
-            b = BitPermutation(random_perm(rng, n))
-            a_inverse = BitPermutation(inverse(a.images))
-            assert a.compose(a_inverse) == identity
-            assert a_inverse.compose(a) == identity
-            assert a.compose(identity) == a
+            a, b = random_perm(rng, n), random_perm(rng, n)
+            a_inverse = inverse(a)
+            assert compose(a, a_inverse) == compose(a_inverse, a) == identity
+            assert compose(a, identity) == a
             # compose(a, b) applies b first, then a; so do their lifts.
-            ab, la, lb = (derive_row_permutation(p, n).images for p in (a.compose(b), a, b))
+            ab, la, lb = (derive_row_permutation(BitPermutation(p), n).images
+                          for p in (compose(a, b), a, b))
             assert ab == tuple(la[v] for v in lb)
 
 
@@ -171,6 +174,11 @@ def test_clone_sbox_size_mismatch():
         clone_sbox(seed, BitPermutation.identity(3), four)
     with pytest.raises(ValueError, match="sizes 4/5 != width 4"):
         clone_sbox(seed, four, BitPermutation.identity(5))
+    # Removal rejects them too, though it builds no clone until it has a clean one.
+    for sigma1, sigma2, sizes in ((BitPermutation.identity(3), four, "3/4"),
+                                  (four, BitPermutation.identity(5), "4/5")):
+        with pytest.raises(ValueError, match=f"sizes {sizes} != width 4"):
+            clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2)
 
 
 def test_clone_rejects_non_bijective_seed():
@@ -195,8 +203,6 @@ def test_clone_bijective_for_every_pair_n4():
 
 
 def _all_perms(n):
-    import itertools
-
     return list(itertools.permutations(range(n)))
 
 
@@ -228,7 +234,8 @@ def test_clone_composition():
             seed = SBox(n, tuple(random_bijective(rng, n)))
             s1, s2, t1, t2 = (BitPermutation(random_perm(rng, n)) for _ in range(4))
             nested = clone_sbox(clone_sbox(seed, s1, s2), t1, t2)
-            flat = clone_sbox(seed, s1.compose(t1), t2.compose(s2))
+            flat = clone_sbox(seed, BitPermutation(compose(s1.images, t1.images)),
+                              BitPermutation(compose(t2.images, s2.images)))
             assert nested == flat
 
 
@@ -276,13 +283,17 @@ def test_fixed_and_reverse_sets_disjoint():
 # fixed-point removal loop
 
 
-def test_avoidance_schedule_reference():
+def test_avoidance_schedule_reference(monkeypatch):
     # Attempt 0 reproduces CLONE4 (reverse fixed point at 4); the schedule
-    # first succeeds at attempt 6, perturbing only the input permutation.
+    # first succeeds at attempt 6, perturbing only the input permutation,
+    # and builds only the clone it returns.
     seed = SBox.from_table(SEED4)
+    calls = []
+    monkeypatch.setattr(core, "clone_sbox", lambda *args: calls.append(args) or clone_sbox(*args))
     result, eff1, eff2 = clone_sbox_avoiding_fixed_points(
         seed, BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4)
     )
+    assert calls == [(seed, eff1, eff2)]
     assert find_fixed_points(result).empty
     assert eff1.images == (0, 2, 1, 3)
     assert eff2.images == SIGMA2_4
@@ -330,39 +341,70 @@ def test_avoidance_fails_fast_on_pinned_end_points(index, value):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_removal_walk_covers_every_input_permutation(n, monkeypatch):
-    # Every clone the walk asks for is full of fixed points, so the default
-    # budget runs out; along the way it must try each of the n! input
-    # permutations exactly once and always keep the caller's sigma2.
-    tried = []
+# Identity s-boxes with these entries swapped pass the end-point check yet
+# have no clean clone. No n = 2 seed is like that: each of the four that
+# pass has a clean clone.
+UNREMOVABLE_SWAPS = {
+    3: ((0, 3), (1, 2), (4, 7)),
+    4: ((0, 9), (10, 15)),
+    5: ((0, 12), (2, 23), (4, 15), (11, 21), (22, 31)),
+}
 
-    def fixed_point_clone(seed, sigma1, sigma2):
-        tried.append((sigma1.images, sigma2))
-        return SBox.identity(seed.n)
 
-    monkeypatch.setattr(core, "clone_sbox", fixed_point_clone)
-    seed = SBox(n, tuple(x ^ 1 for x in range(1 << n)))
+def _unremovable(n):
+    table = list(range(1 << n))
+    for a, b in UNREMOVABLE_SWAPS[n]:
+        table[a], table[b] = table[b], table[a]
+    # The clones (p, identity) reach every composite, so every class.
+    identity = tuple(range(n))
+    assert all(has_fixed_point(dense_clone(table, p, identity)) for p in itertools.permutations(identity))
+    return SBox(n, tuple(table))
+
+
+def _must_not_clone(*args):
+    raise AssertionError("an exhausted walk builds no clone")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_removal_walk_covers_every_input_permutation(n, attempts, monkeypatch):
+    # The default budget runs out on a seed with no clean clone; along the
+    # way the walk tries each of the n! input permutations exactly once,
+    # and builds no clone.
+    monkeypatch.setattr(core, "clone_sbox", _must_not_clone)
     rng = random.Random(n)
     sigma1, sigma2 = BitPermutation(random_perm(rng, n)), BitPermutation(random_perm(rng, n))
     message = f"^no clone is free of fixed points: all {factorial(n)} input permutations tried$"
     with pytest.raises(RemovalExhausted, match=message):
-        clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2)
-    assert len(tried) == len({s1 for s1, _ in tried}) == factorial(n)
-    assert all(s2 == sigma2 for _, s2 in tried)
+        clone_sbox_avoiding_fixed_points(_unremovable(n), sigma1, sigma2)
+    assert len(attempts) == len(set(attempts)) == factorial(n)
 
 
-def test_removal_caps_below_and_beyond_the_walk(monkeypatch):
-    calls = []
-    monkeypatch.setattr(core, "clone_sbox", lambda *args: calls.append(1) or SBox.identity(3))
-    seed, identity = SBox(3, tuple(x ^ 1 for x in range(8))), BitPermutation.identity(3)
+def test_removal_caps_below_and_beyond_the_walk(attempts):
+    seed, identity = _unremovable(3), BitPermutation.identity(3)
     for cap, count, message in ((5, 5, "^no clean clone within 5 attempts$"),
                                 (6, 6, "all 6 input permutations tried$"),
                                 (10 ** 30, 6, "all 6 input permutations tried$")):
-        calls.clear()
+        attempts.clear()
         with pytest.raises(RemovalExhausted, match=message):
             clone_sbox_avoiding_fixed_points(seed, identity, identity, CloneOptions(cap))
-        assert len(calls) == count
+        assert len(attempts) == len(set(attempts)) == count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(1 << n)), st.permutations(range(n)), st.permutations(range(n)))))
+def test_first_attempt_is_decided_by_the_composite(case):
+    # Attempt 0 decides the requested pair from the lifted composite alone;
+    # it must agree with building that clone and looking for fixed points.
+    table, s1, s2 = case
+    assume({table[0], table[-1]}.isdisjoint({0, len(table) - 1}))
+    seed, sigma1, sigma2 = SBox.from_table(table), BitPermutation(s1), BitPermutation(s2)
+    clone, opts = clone_sbox(seed, sigma1, sigma2), CloneOptions(max_attempts=1)
+    if find_fixed_points(clone).empty:
+        assert clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts) == (clone, sigma1, sigma2)
+    else:
+        with pytest.raises(RemovalExhausted, match="^no clean clone within 1 attempts$"):
+            clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts)
 
 
 def test_removal_walk_matches_full_schedule_oracle():

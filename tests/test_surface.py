@@ -1,3 +1,6 @@
+import os
+import re
+
 import sboxforge
 
 # The package exports what the CLI, the README quick start and the
@@ -34,3 +37,11 @@ def test_public_surface_is_pinned():
     assert len(sboxforge.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert getattr(sboxforge, name) is not None
+
+
+def test_readme_quick_start_runs_as_written():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as handle:
+        section = handle.read().split("\n## Library quick start\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```\n", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -9,7 +9,6 @@ to stderr. SBOXFORGE_THREADS (integer >= 1) caps worker parallelism.
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import re
@@ -20,6 +19,7 @@ from contextlib import ExitStack, contextmanager
 from itertools import islice
 from math import factorial
 from time import perf_counter
+from types import SimpleNamespace
 
 from .analysis import CRITERIA, analyze, compare_reports
 from .core import (
@@ -69,11 +69,6 @@ class UsageError(Exception):
 
 class InputError(ValueError):
     """Malformed user-supplied value (key or permutation list)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _parse_key(text: str) -> bytes:
@@ -228,6 +223,8 @@ def cmd_enumerate(args) -> int:
     n = seed.n
     fact = factorial(n)
     if args.all:
+        if args.rng_seed is not None:
+            raise UsageError("--rng-seed needs --sample")
         if n > 5:
             raise UsageError(f"--all is limited to n <= 5 (seed has n = {n}); use --sample")
         count = fact * fact
@@ -235,7 +232,7 @@ def cmd_enumerate(args) -> int:
     else:
         if args.sample < 0:
             raise UsageError("--sample must be >= 0")
-        rng = random.Random(args.rng_seed)
+        rng = random.Random(0 if args.rng_seed is None else args.rng_seed)
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
     cap = min(_thread_cap(), os.cpu_count() or 1, count)
@@ -293,54 +290,247 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sboxforge", description="Clone s-box generation and analysis")
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+class Option:
+    """One option of a command, as `parse_args` reads it and the help lists it.
 
-    clone = commands.add_parser("clone", help="generate a clone s-box from a seed")
-    clone.add_argument("seed", help="seed s-box file")
-    clone.add_argument("--key", help="hex key; permutations derived from it")
-    clone.add_argument("--sigma1", help="input-bit permutation, comma-separated images")
-    clone.add_argument("--sigma2", help="output-bit permutation, comma-separated images")
-    clone.add_argument("--remove-fixed-points", action="store_true", dest="avoid_fixed_points",
-                       help="retry until the clone has no fixed or reverse fixed points")
-    clone.add_argument("--max-attempts", type=int, default=None,
-                       help="cap on removal attempts (default n!, which tries every class)")
-    clone.add_argument("-o", "--output", help="write the clone here instead of stdout")
-    clone.set_defaults(func=cmd_clone)
+    `kind` is int, str, a tuple of choices, or bool for a flag, which
+    defaults to False. Exactly one of a command's `one_of` options must be
+    given.
+    """
 
-    analyze_cmd = commands.add_parser("analyze", help="report the four algebraic criteria")
-    analyze_cmd.add_argument("sbox", help="s-box file")
-    analyze_cmd.add_argument("--format", choices=("text", "json"), default="text")
-    analyze_cmd.set_defaults(func=cmd_analyze)
+    __slots__ = ("flags", "dest", "kind", "help", "default", "required", "one_of")
 
-    derive = commands.add_parser("derive", help="show the permutations a key produces")
-    derive.add_argument("--key", required=True, help="hex key")
-    derive.add_argument("--n", type=int, required=True, help="bit width")
-    derive.set_defaults(func=cmd_derive)
+    def __init__(self, flags, dest, kind, help, default=None, required=False, one_of=False):
+        self.flags, self.dest, self.kind, self.help = flags, dest, kind, help
+        self.default, self.required, self.one_of = default, required, one_of
 
-    enumerate_cmd = commands.add_parser("enumerate", help="sweep permutation pairs, emit CSV")
-    enumerate_cmd.add_argument("seed", help="seed s-box file")
-    mode = enumerate_cmd.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--all", action="store_true", help="every pair (n <= 5 only)")
-    mode.add_argument("--sample", type=int, help="number of random pairs")
-    enumerate_cmd.add_argument("--rng-seed", type=int, default=0, help="sampling seed")
-    enumerate_cmd.add_argument("--check-invariance", action="store_true",
-                               help="compare every clone's report against the seed's")
-    enumerate_cmd.add_argument("--out", help="write CSV here instead of stdout")
-    enumerate_cmd.set_defaults(func=cmd_enumerate)
 
-    verify = commands.add_parser("verify", help="compare two s-boxes' criteria")
-    verify.add_argument("seed", help="first s-box file")
-    verify.add_argument("clone", help="second s-box file")
-    verify.set_defaults(func=cmd_verify)
-    return parser
+HELP = Option(("-h", "--help"), None, bool, "show this help message and exit")
+
+# Per command: its help, its positionals as (dest, help), all required, and
+# its options. `sboxforge NAME` runs cmd_NAME, looked up when parsing, so a
+# wrapper bound to that name is the one called.
+COMMANDS = {
+    "clone": ("generate a clone s-box from a seed", (("seed", "seed s-box file"),), (
+        Option(("--key",), "key", str, "hex key; permutations derived from it"),
+        Option(("--sigma1",), "sigma1", str, "input-bit permutation, comma-separated images"),
+        Option(("--sigma2",), "sigma2", str, "output-bit permutation, comma-separated images"),
+        Option(("--remove-fixed-points",), "avoid_fixed_points", bool,
+               "retry until the clone has no fixed or reverse fixed points"),
+        Option(("--max-attempts",), "max_attempts", int,
+               "cap on removal attempts (default n!, which tries every class)"),
+        Option(("-o", "--output"), "output", str, "write the clone here instead of stdout"),
+    )),
+    "analyze": ("report the four algebraic criteria", (("sbox", "s-box file"),), (
+        Option(("--format",), "format", ("text", "json"), "report format (default text)", "text"),
+    )),
+    "derive": ("show the permutations a key produces", (), (
+        Option(("--key",), "key", str, "hex key", required=True),
+        Option(("--n",), "n", int, "bit width", required=True),
+    )),
+    "enumerate": ("sweep permutation pairs, emit CSV", (("seed", "seed s-box file"),), (
+        Option(("--all",), "all", bool, "every pair (n <= 5 only)", one_of=True),
+        Option(("--sample",), "sample", int, "number of random pairs", one_of=True),
+        Option(("--rng-seed",), "rng_seed", int, "sampling seed (default 0; needs --sample)"),
+        Option(("--check-invariance",), "check_invariance", bool,
+               "compare every clone's report against the seed's"),
+        Option(("--out",), "out", str, "write CSV here instead of stdout"),
+    )),
+    "verify": ("compare two s-boxes' criteria",
+               (("seed", "first s-box file"), ("clone", "second s-box file")), ()),
+}
+
+# Parsing follows argparse's rules for this table, so every argv reads and
+# fails as it did under argparse: unique prefixes of long options,
+# "--opt=value" and "-oVALUE", negative numbers as values, "--" ending the
+# options, the last of a repeated option winning, and argparse's messages.
+
+
+class _HelpRequested(Exception):
+    """-h/--help was taken; `args[0]` is the command, or None for the top level."""
+
+
+def _name(option: Option) -> str:
+    return "/".join(option.flags)
+
+
+def _fail(option: Option, message: str) -> UsageError:
+    return UsageError(f"argument {_name(option)}: {message}")
+
+
+def _negative_number(arg: str) -> bool:
+    """argparse's "-5" / "-.5" / "-1.5" test (a final newline allowed), read as a value."""
+    whole, dot, fraction = (arg[1:-1] if arg.endswith("\n") else arg[1:]).partition(".")
+    return bool(whole.isdecimal() or dot and not whole) and (not dot or fraction.isdecimal())
+
+
+def _lookup(options: dict, arg: str):
+    """(option or None, flag, explicit value or None) if `arg` reads as an option, else None."""
+    if not arg or arg[0] != "-":
+        return None
+    if arg in options:
+        return options[arg], arg, None
+    if len(arg) == 1:
+        return None
+    if "=" in arg:
+        flag, explicit = arg.split("=", 1)
+        if flag in options:
+            return options[flag], flag, explicit
+    if arg[1] == "-":
+        prefix, eq, explicit = arg.partition("=")
+        hits = [(options[f], f, explicit if eq else None) for f in options if f.startswith(prefix)]
+    else:  # -oVALUE; single-dash flags are one letter
+        hits = [(options[arg[:2]], arg[:2], arg[2:])] if arg[:2] in options else []
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {arg} could match {', '.join(f for _, f, _ in hits)}")
+    if hits:
+        return hits[0]
+    return None if _negative_number(arg) or " " in arg else (None, arg, None)
+
+
+def _classify(options: dict, argv: list):
+    """argparse's pattern of argv ("O" option, "A" value, "-" the first "--"), options by index."""
+    pattern, found = [], {}
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            pattern.append("-" + "A" * (len(argv) - i - 1))
+            break
+        found[i] = _lookup(options, arg)
+        pattern.append("A" if found[i] is None else "O")
+    return "".join(pattern), found
+
+
+def _expand(options: dict, hit, argv: list, pattern: str, i: int):
+    """The (option, strings) pairs the option at argv[i] stands for, and the index after them."""
+    option, flag, explicit = hit
+    pairs = []
+    while explicit is not None:
+        if option.kind is not bool:
+            return pairs + [(option, [explicit])], i + 1
+        # A single-dash flag runs on into the next one: -hX reads as -h -X.
+        if flag[1] == "-" or not explicit or "-" + explicit[0] not in options:
+            raise _fail(option, f"ignored explicit argument {explicit!r}")
+        pairs.append((option, []))
+        flag = "-" + explicit[0]
+        option, explicit = options[flag], explicit[1:] or None
+    if option.kind is bool:
+        return pairs + [(option, [])], i + 1
+    if pattern[i + 1:i + 2] != "A":
+        raise _fail(option, "expected one argument")
+    return pairs + [(option, [argv[i + 1]])], i + 2
+
+
+def _value(option: Option | None, strings: list):
+    """The value argparse makes of an option's (for None, a positional's) strings."""
+    if "--" in strings:
+        strings.remove("--")
+    if len(strings) != 1:
+        return []
+    text = strings[0]
+    if option is not None and option.kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _fail(option, f"invalid int value: {text!r}") from None
+    if option is not None and isinstance(option.kind, tuple) and text not in option.kind:
+        choices = ", ".join(map(repr, option.kind))
+        raise _fail(option, f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse_command(name: str, argv: list):
+    """Namespace entries and unrecognized strings of `sboxforge NAME argv...`."""
+    _, positionals, options = COMMANDS[name]
+    flags = {flag: option for option in (HELP,) + options for flag in option.flags}
+    pattern, found = _classify(flags, argv)
+    values = {"command": name, "func": globals()[f"cmd_{name}"]}
+    values.update((option.dest, False if option.kind is bool else option.default)
+                  for option in options)
+    waiting, extras, taken, chosen = list(positionals), [], set(), []
+    i = 0
+    while i < len(argv):
+        if pattern[i] != "O":
+            # The next positional takes one value, with the "--" next to it if there is
+            # one; values left over up to the next option are unrecognized.
+            j = i + (pattern[i] == "-")
+            if waiting and pattern[j:j + 1] == "A":
+                j += 1 + (pattern[j + 1:j + 2] == "-")
+                values[waiting.pop(0)[0]] = _value(None, argv[i:j])
+            else:
+                j = (pattern + "O").index("O", i)
+                extras += argv[i:j]
+            i = j
+        elif found[i][0] is None:
+            extras.append(argv[i])
+            i += 1
+        else:
+            pairs, i = _expand(flags, found[i], argv, pattern, i)
+            for option, strings in pairs:
+                if option is HELP:
+                    raise _HelpRequested(name)
+                value = _value(option, strings)
+                if option.one_of:
+                    clash = [other for other in chosen if other is not option]
+                    if clash:
+                        raise _fail(option, f"not allowed with argument {_name(clash[0])}")
+                    chosen.append(option)
+                taken.add(option)
+                values[option.dest] = True if option.kind is bool else value
+
+    missing = [dest for dest, _ in waiting]
+    missing += [_name(option) for option in options if option.required and option not in taken]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    group = [_name(option) for option in options if option.one_of]
+    if group and not chosen:
+        raise UsageError(f"one of the arguments {' '.join(group)} is required")
+    return values, extras
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    top = {"-h": HELP, "--help": HELP}
+    pattern, found = _classify(top, argv)
+    extras, i = [], 0
+    while pattern[i:i + 1] == "O":
+        if found[i][0] is not None:
+            _expand(top, found[i], argv, pattern, i)  # rejects -hX and --help=X
+            raise _HelpRequested(None)
+        extras.append(argv[i])
+        i += 1
+    if pattern[i:] in ("", "-"):
+        raise UsageError("the following arguments are required: command")
+    if argv[i] not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
+    values, more = _parse_command(argv[i], argv[i + 1:])
+    if extras + more:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras + more)}")
+    return SimpleNamespace(**values)
+
+
+def _show_help(args) -> int:
+    sys.stdout.write(args.help)
+    return EXIT_OK
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace `sboxforge argv...` runs: `func(namespace)` is its exit code.
+
+    Raises UsageError for an argv argparse would reject, with argparse's
+    message. -h/--help yields a namespace whose func prints the help.
+    """
+    try:
+        return _parse(list(argv))
+    except _HelpRequested as shown:
+        # Imported here: compiling the help renderer would slow every cold start.
+        from .usage import help_text
+
+        return SimpleNamespace(func=_show_help, help=help_text(shown.args[0]))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,6 +183,9 @@ def clone_sbox_avoiding_fixed_points(
     and reverse fixed points, and these depend on the composite pi sigma1 sigma2
     alone. Each attempt lifts pi and scans base up to its first hit; only the
     clean clone that is returned gets built. The walk reaches every composite.
+    L_pi(v) is L_(pi[:h]) of v's low h = n // 2 bits or'ed with L_(pi[h:]) of
+    its high bits, so an attempt lifts two tables of about 2**(n/2) entries
+    rather than one of 2**n, and base is split into those halves once.
 
     A seed that maps index 0 or 2**n - 1 to 0 or 2**n - 1 has no clean clone:
     the lifted row permutation fixes both indices and sigma2 fixes both
@@ -201,10 +204,12 @@ def clone_sbox_avoiding_fixed_points(
     fact = factorial(seed.n)
     budget = min(fact, opts.max_attempts or fact)
     lift1, lift2 = _lift(sigma1.images), _lift(sigma2.images)
-    base = [lift1[lift2[v]] for v in seed.table]
+    h = seed.n // 2
+    low = (1 << h) - 1
+    base = [(b & low, b >> h) for b in (lift1[lift2[v]] for v in seed.table)]
     for _, pi in zip(range(budget), permutations(range(seed.n))):
-        lifted = _lift(pi)
-        if all(lifted[b] ^ x not in (0, top) for x, b in enumerate(base)):
+        lo, hi = _lift(pi[:h]), _lift(pi[h:])
+        if all((lo[l] | hi[u]) ^ x not in (0, top) for x, (l, u) in enumerate(base)):
             eff1 = BitPermutation(tuple([pi[j] for j in sigma1.images]))
             return clone_sbox(seed, eff1, sigma2), eff1, sigma2
     if budget == fact:

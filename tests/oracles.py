@@ -5,6 +5,7 @@ matrices, O(4**n) correlation sums) so the fast library paths are checked
 against code that shares none of their shortcuts.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -171,3 +172,63 @@ def dependence_matrix(table, width=None):
     return [[Fraction(sum((table[x] ^ table[x ^ 1 << i]) >> j & 1 for x in range(size)), size)
              for j in range(n if width is None else width)]
             for i in range(n)]
+
+
+class ArgparseRejected(Exception):
+    """An argv the argparse reference parser rejects; the message is argparse's."""
+
+
+class _RejectingParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseRejected(message)
+
+
+def argparse_parser():
+    """The argparse parser the CLI used before its table-driven one: the reference it keeps to.
+
+    --rng-seed defaults to None rather than 0, as in the table, so that a
+    given seed can be told from the default.
+    """
+    from sboxforge import cli
+
+    parser = _RejectingParser(prog="sboxforge", description="Clone s-box generation and analysis")
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_RejectingParser)
+
+    clone = commands.add_parser("clone", help="generate a clone s-box from a seed")
+    clone.add_argument("seed", help="seed s-box file")
+    clone.add_argument("--key", help="hex key; permutations derived from it")
+    clone.add_argument("--sigma1", help="input-bit permutation, comma-separated images")
+    clone.add_argument("--sigma2", help="output-bit permutation, comma-separated images")
+    clone.add_argument("--remove-fixed-points", action="store_true", dest="avoid_fixed_points",
+                       help="retry until the clone has no fixed or reverse fixed points")
+    clone.add_argument("--max-attempts", type=int, default=None,
+                       help="cap on removal attempts (default n!, which tries every class)")
+    clone.add_argument("-o", "--output", help="write the clone here instead of stdout")
+    clone.set_defaults(func=cli.cmd_clone)
+
+    analyze_cmd = commands.add_parser("analyze", help="report the four algebraic criteria")
+    analyze_cmd.add_argument("sbox", help="s-box file")
+    analyze_cmd.add_argument("--format", choices=("text", "json"), default="text")
+    analyze_cmd.set_defaults(func=cli.cmd_analyze)
+
+    derive = commands.add_parser("derive", help="show the permutations a key produces")
+    derive.add_argument("--key", required=True, help="hex key")
+    derive.add_argument("--n", type=int, required=True, help="bit width")
+    derive.set_defaults(func=cli.cmd_derive)
+
+    enumerate_cmd = commands.add_parser("enumerate", help="sweep permutation pairs, emit CSV")
+    enumerate_cmd.add_argument("seed", help="seed s-box file")
+    mode = enumerate_cmd.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--all", action="store_true", help="every pair (n <= 5 only)")
+    mode.add_argument("--sample", type=int, help="number of random pairs")
+    enumerate_cmd.add_argument("--rng-seed", type=int, default=None, help="sampling seed")
+    enumerate_cmd.add_argument("--check-invariance", action="store_true",
+                               help="compare every clone's report against the seed's")
+    enumerate_cmd.add_argument("--out", help="write CSV here instead of stdout")
+    enumerate_cmd.set_defaults(func=cli.cmd_enumerate)
+
+    verify = commands.add_parser("verify", help="compare two s-boxes' criteria")
+    verify.add_argument("seed", help="first s-box file")
+    verify.add_argument("clone", help="second s-box file")
+    verify.set_defaults(func=cli.cmd_verify)
+    return parser

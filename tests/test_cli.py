@@ -372,6 +372,20 @@ def test_enumerate_all_n5_covers_every_pair(tmp_path, capsys, monkeypatch):
     assert captured.err == "rows=14400 distinct=14400\n"
 
 
+def test_enumerate_rng_seed_needs_sample(seed4_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for seed in ("3", "0"):
+        assert main(["enumerate", seed4_file, "--all", "--rng-seed", seed, "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --rng-seed needs --sample\n")
+        assert not out.exists()
+    # A given --rng-seed 0 is the default seed, not a missing one.
+    assert main(["enumerate", seed4_file, "--sample", "6", "--rng-seed", "0"]) == 0
+    given = capsys.readouterr()
+    assert main(["enumerate", seed4_file, "--sample", "6"]) == 0
+    assert capsys.readouterr() == given
+
+
 def test_enumerate_requires_mode(seed4_file):
     assert main(["enumerate", seed4_file]) == 64
     assert main(["enumerate", seed4_file, "--all", "--sample", "3"]) == 64
@@ -573,6 +587,39 @@ def test_n16_enumerate_sample(seed16, capsys):
     clone = clone_sbox(SBox(16, tuple(table)), lehmer_decode(int(k1), 16), lehmer_decode(int(k2), 16))
     assert (prefix, digest) == fingerprint(clone)
     assert captured.err == "rows=1 distinct=1\n"
+
+
+# ---------------------------------------------------------------------
+# help
+
+
+def help_lists(text, left, explanation):
+    """True when a help line starts with `left` and gives `explanation` there or on the next line."""
+    lines = text.splitlines() + [""]
+    return any(line.startswith("  " + left) and explanation in line + lines[i + 1]
+               for i, line in enumerate(lines))
+
+
+def test_top_level_help_lists_every_command(capsys):
+    assert main(["-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for name, (about, _, _) in cli.COMMANDS.items():
+        assert help_lists(captured.out, name, about)
+    assert help_lists(captured.out, "-h, --help", cli.HELP.help)
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_help_lists_every_argument(name, capsys):
+    assert main([name, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: sboxforge {name} [-h]")
+    _, positionals, options = cli.COMMANDS[name]
+    for dest, explanation in positionals:
+        assert help_lists(captured.out, dest, explanation)
+    for option in (cli.HELP,) + options:
+        assert help_lists(captured.out, option.flags[0], option.help)
 
 
 # ---------------------------------------------------------------------

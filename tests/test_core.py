@@ -141,6 +141,18 @@ def test_lifted_images_examples():
     assert derive_row_permutation(BitPermutation.identity(4), 4).images == tuple(range(16))
 
 
+def test_half_width_lifts_make_the_full_lift():
+    # The removal walk lifts pi[:h] and pi[h:] and ors their entries for the
+    # low h and high n - h bits of an index; that must be the full lift of pi.
+    rng = random.Random(29)
+    for n in range(2, 17):
+        h = n // 2
+        for _ in range(3):
+            pi = random_perm(rng, n)
+            lo, hi = core._lift(pi[:h]), core._lift(pi[h:])
+            assert [lo[v & (1 << h) - 1] | hi[v >> h] for v in range(1 << n)] == core._lift(pi)
+
+
 def test_derive_row_permutation_size_mismatch():
     with pytest.raises(ValueError, match="permutation size 3 != 4"):
         derive_row_permutation(BitPermutation.identity(3), 4)

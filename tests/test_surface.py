@@ -1,7 +1,11 @@
 import os
 import re
+import shlex
+import subprocess
+import sys
 
 import sboxforge
+from sboxforge import cli
 
 # The package exports what the CLI, the README quick start and the
 # acceptance suite use; growing this list is a deliberate API change.
@@ -39,9 +43,30 @@ def test_public_surface_is_pinned():
         assert getattr(sboxforge, name) is not None
 
 
-def test_readme_quick_start_runs_as_written():
+def readme_block(heading, language):
+    """The first fenced block under the README's `## heading`."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(path, encoding="utf-8") as handle:
-        section = handle.read().split("\n## Library quick start\n", 1)[1]
-    block = re.match(r"\s*```python\n(.*?)```\n", section, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+        section = handle.read().split(f"\n## {heading}\n", 1)[1]
+    return re.match(rf"\s*```{language}\n(.*?)```\n", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs_as_written():
+    exec(compile(readme_block("Library quick start", "python"), "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    lines = [line for line in readme_block("CLI", "sh").splitlines() if line.startswith("sboxforge ")]
+    assert len(lines) >= 5
+    for line in lines:
+        words = shlex.split(line)[1:]
+        args = cli.parse_args(words)
+        assert (args.command, args.func) == (words[0], getattr(cli, f"cmd_{words[0]}"))
+
+
+def test_cli_import_leaves_argparse_out(child_env):
+    # A cold CLI call should not pay for building argparse parsers or loading gettext.
+    probe = "import sys, sboxforge.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=child_env, check=True)
+    assert result.stdout == "[]\n"

@@ -104,7 +104,7 @@ def _repeat(pattern: int, period: int, total: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """What depends on the width n alone, built once per width by _plan."""
+    """What depends on the width n alone, built once per width by _plan, and its memo."""
 
     lane: int            # bits per Walsh lane
     step: int            # bytes per Walsh lane
@@ -115,6 +115,14 @@ class _Plan(NamedTuple):
     rounds: tuple        # (width, top bits of the low lanes, low lanes) per tournament round
     flips: tuple         # (2**i, low halves) per input bit i
     pairs: tuple         # every (j, k) with j < k < n
+    memo: dict           # nonlinearity by truth-table bitset, filled by _nonlinearities
+
+
+# The memo of one width is cleared before its keys would pass 2**24 bits.
+# A key counts as at least 2**10 bits, about the int and dict slot around
+# it, so a full memo takes 1-3.5 MB at any width (16 384 entries up to
+# n = 10) and holds the 15 120 distinct functions of an n = 6 sweep.
+_MEMO_BITS = 1 << 24
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +141,7 @@ def _plan(n: int) -> _Plan:
     flips = tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n)))
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     return _Plan(lane, lane >> 3, ((1 << top) + 97) * ones, tuple(stages), ones,
-                 ones * ((1 << top) - 1), tuple(rounds), flips, pairs)
+                 ones * ((1 << top) - 1), tuple(rounds), flips, pairs, {})
 
 
 def _packed_walsh(functions, n: int):
@@ -158,6 +166,28 @@ def _packed_walsh(functions, n: int):
 
 
 def _nonlinearities(functions, n: int) -> list[int]:
+    """(2**n - max|W|) / 2 of each bitset, looked up in the width's memo first.
+
+    Clones of one seed with the same sigma1 share their coordinate functions
+    and pair sums, only reordered, so a sweep meets each function many
+    times. The memo is keyed by the exact bitset, never by a class of
+    tables, so every clone's criteria still come from its own table.
+    Misses run the butterfly as one batch.
+    """
+    memo = _plan(n).memo
+    out = list(map(memo.get, functions))
+    if None in out:
+        misses = [f for f, v in zip(functions, out) if v is None]
+        measured = _measure(misses, n)
+        if len(memo) + len(misses) << max(n, 10) > _MEMO_BITS:
+            memo.clear()
+        memo.update(zip(misses, measured))
+        fresh = iter(measured)
+        out = [next(fresh) if v is None else v for v in out]
+    return out
+
+
+def _measure(functions, n: int) -> list[int]:
     """(2**n - max|W|) / 2 of each bitset, the max taken by a lane-parallel tournament."""
     plan = _plan(n)
     top, ones, below, out = plan.lane - 1, plan.ones, plan.below, []

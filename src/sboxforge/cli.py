@@ -16,6 +16,7 @@ import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
+from functools import lru_cache
 from itertools import islice
 from math import factorial
 from time import perf_counter
@@ -183,11 +184,18 @@ def _init_sweep(table, seed_report) -> None:
     _sweep_seed = (SBox.from_table(table), seed_report)
 
 
+# Room for all n! ranks of n <= 6 and one more: an --all sweep revisits one
+# sigma1 for n! rows while its sigma2 runs through every rank.
+@lru_cache(maxsize=1024)
+def _decode(index: int, n: int) -> BitPermutation:
+    return lehmer_decode(index, n)
+
+
 def _enumerate_row(pair):
     k1, k2 = pair
     seed, seed_report = _sweep_seed
-    sigma1 = lehmer_decode(k1, seed.n)
-    sigma2 = lehmer_decode(k2, seed.n)
+    sigma1 = _decode(k1, seed.n)
+    sigma2 = _decode(k2, seed.n)
     result = clone_sbox(seed, sigma1, sigma2)
     report = None if seed_report is None else analyze(result)
     points = find_fixed_points(result) if report is None else report.fixed_points
@@ -198,7 +206,7 @@ def _enumerate_row(pair):
     if report is not None:
         passed = compare_reports(seed_report, report).equal
         fields.append("pass" if passed else "fail")
-    return ",".join(fields), digest, passed
+    return ",".join(fields), int(digest, 16), passed
 
 
 def _enumerate_chunk(pairs):
@@ -225,8 +233,8 @@ def cmd_enumerate(args) -> int:
     if args.all:
         if args.rng_seed is not None:
             raise UsageError("--rng-seed needs --sample")
-        if n > 5:
-            raise UsageError(f"--all is limited to n <= 5 (seed has n = {n}); use --sample")
+        if n > 6:
+            raise UsageError(f"--all is limited to n <= 6 (seed has n = {n}); use --sample")
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
@@ -329,7 +337,7 @@ COMMANDS = {
         Option(("--n",), "n", int, "bit width", required=True),
     )),
     "enumerate": ("sweep permutation pairs, emit CSV", (("seed", "seed s-box file"),), (
-        Option(("--all",), "all", bool, "every pair (n <= 5 only)", one_of=True),
+        Option(("--all",), "all", bool, "every pair (n <= 6 only)", one_of=True),
         Option(("--sample",), "sample", int, "number of random pairs", one_of=True),
         Option(("--rng-seed",), "rng_seed", int, "sampling seed (default 0; needs --sample)"),
         Option(("--check-invariance",), "check_invariance", bool,

@@ -63,6 +63,14 @@ class SBox:
     def identity(cls, n: int) -> "SBox":
         return cls(n, tuple(range(1 << n)))
 
+    @classmethod
+    def _trusted(cls, n: int, table: tuple[int, ...]) -> "SBox":
+        """An SBox of a table that is valid by construction, built without the per-entry check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "table", table)
+        return s
+
     def is_bijective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
@@ -150,7 +158,7 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
     out, table = _lift(sigma2.images), seed.table
-    return SBox(seed.n, tuple([out[table[r]] for r in _lift(sigma1.images)]))
+    return SBox._trusted(seed.n, tuple([out[table[r]] for r in _lift(sigma1.images)]))
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:

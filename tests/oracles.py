@@ -219,7 +219,7 @@ def argparse_parser():
     enumerate_cmd = commands.add_parser("enumerate", help="sweep permutation pairs, emit CSV")
     enumerate_cmd.add_argument("seed", help="seed s-box file")
     mode = enumerate_cmd.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--all", action="store_true", help="every pair (n <= 5 only)")
+    mode.add_argument("--all", action="store_true", help="every pair (n <= 6 only)")
     mode.add_argument("--sample", type=int, help="number of random pairs")
     enumerate_cmd.add_argument("--rng-seed", type=int, default=None, help="sampling seed")
     enumerate_cmd.add_argument("--check-invariance", action="store_true",

@@ -17,10 +17,12 @@ from sboxforge import (
     BooleanFunctionTable,
     ReportComparison,
     SBox,
+    analysis,
     analyze,
     clone_sbox,
     compare_reports,
     component_function,
+    lehmer_decode,
     max_balanced_nonlinearity,
     nonlinearity,
     walsh_spectrum,
@@ -476,24 +478,61 @@ def test_analyze_bundles_everything():
     assert report.nl.max <= report.nl_bound
 
 
-def _fresh_report(table, env) -> str:
-    """repr of the table's report, computed in a new interpreter with nothing cached."""
-    code = ("import json, sys; from sboxforge import SBox, analyze; "
-            "print(repr(analyze(SBox.from_table(json.load(sys.stdin)))))")
-    result = subprocess.run([sys.executable, "-c", code], input=json.dumps(table),
+def _fresh_reports(tables, env) -> list[str]:
+    """repr of each table's report, computed in a new interpreter with nothing cached."""
+    code = ("import json, sys\n"
+            "from sboxforge import SBox, analysis\n"
+            "for table in json.load(sys.stdin):\n"
+            "    analysis._plan.cache_clear()\n"
+            "    print(repr(analysis.analyze(SBox.from_table(table))))\n")
+    result = subprocess.run([sys.executable, "-c", code], input=json.dumps(tables),
                             capture_output=True, text=True, check=True, env=env)
-    return result.stdout.strip()
+    return result.stdout.splitlines()
 
 
 def test_reports_do_not_leak_between_sboxes(child_env):
-    # A (n = 4), B (n = 8), A again, then C (n = 15, past the switch to
-    # 32-bit Walsh lanes): the per-width plans kept between calls must not
-    # carry anything from one s-box into another s-box's report.
+    # A (n = 4), B (n = 8), A again, C (n = 15, past the switch to 32-bit
+    # Walsh lanes), then clones of A and of D (n = 6) taken sigma1-major as
+    # enumerate --all takes them: neither the per-width plans nor the
+    # nonlinearity memo kept between calls may carry anything from one
+    # s-box into another s-box's report.
     rng = random.Random(83)
-    a, b, c = (SBox.from_table(random_bijective(rng, n)) for n in (4, 8, 15))
-    fresh = {s.n: _fresh_report(list(s.table), child_env) for s in (a, b, c)}
-    for s in (a, b, a, c):
-        assert repr(analyze(s)) == fresh[s.n]
+    a, b, c, d = (SBox.from_table(random_bijective(rng, n)) for n in (4, 8, 15, 6))
+    clones = [clone_sbox(seed, lehmer_decode(k1, seed.n), lehmer_decode(k2, seed.n))
+              for seed, ranks1, ranks2 in ((a, range(3), range(24)),
+                                           (d, (0, 1, 719), range(0, 720, 9)))
+              for k1 in ranks1 for k2 in ranks2]
+    sboxes = [a, b, a, c] + clones
+    fresh = _fresh_reports([list(s.table) for s in sboxes], child_env)
+    assert [repr(analyze(s)) for s in sboxes] == fresh
+
+
+def test_nonlinearity_memo_keys_by_width():
+    # Both s-boxes have only the coordinate bitset 0xFFFF: at n = 4 it is the
+    # constant 1, at n = 8 the indicator of a 4-dimensional subspace.
+    flat4 = SBox(4, (15,) * 16)
+    step8 = SBox(8, tuple(255 if x < 16 else 0 for x in range(256)))
+    for order in ((flat4, step8), (step8, flat4)):
+        analysis._plan.cache_clear()
+        for s in order:
+            nl = analyze(s).nl
+            assert (nl.min, nl.max) == ((0, 0) if s.n == 4 else (16, 16))
+
+
+def test_nonlinearity_memo_stays_within_its_bit_budget():
+    # 70 batches of 66 distinct n = 12 functions, the pair sums of 70 s-boxes:
+    # the memo is cleared before its keys pass the budget, and a batch
+    # answered from the memo matches the butterfly.
+    analysis._plan.cache_clear()
+    memo, rng, sizes = analysis._plan(12).memo, random.Random(12), []
+    for _ in range(70):
+        batch = [rng.getrandbits(1 << 12) for _ in range(66)]
+        measured = analysis._nonlinearities(batch, 12)
+        assert analysis._nonlinearities(batch, 12) == measured
+        sizes.append(len(memo))
+        assert 0 < len(memo) << 12 <= analysis._MEMO_BITS
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert measured == analysis._measure(batch, 12)
 
 
 def test_analyze_accepts_candidates():

@@ -2,7 +2,7 @@ import json
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import factorial
 
 import pytest
@@ -299,6 +299,25 @@ def test_enumerate_invariance_scans_fixed_points_once_per_row(seed4_file, capsys
     assert len(scanned) == 1 + 10
 
 
+def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    decoded = []
+
+    def counting(index, n):
+        decoded.append(index)
+        return lehmer_decode(index, n)
+
+    monkeypatch.setattr(cli, "lehmer_decode", counting)
+    cli._decode.cache_clear()
+    # --all and --sample share one per-process cache: each rank of S_4 is
+    # decoded once. It holds a sigma1 and every sigma2 up to n = 6.
+    assert main(["enumerate", seed4_file, "--all"]) == 0
+    assert main(["enumerate", seed4_file, "--sample", "50", "--check-invariance"]) == 0
+    assert sorted(decoded) == list(range(24))
+    assert cli._decode.cache_info().maxsize > factorial(6)
+    cli._decode.cache_clear()
+
+
 def test_enumerate_sample_zero_is_header_only(seed4_file, capsys):
     assert main(["enumerate", seed4_file, "--sample", "0"]) == 0
     captured = capsys.readouterr()
@@ -353,10 +372,10 @@ def test_enumerate_sampled_aes_invariance(aes_file, capsys):
 def test_enumerate_all_guard(aes_file, tmp_path, capsys):
     assert main(["enumerate", aes_file, "--all"]) == 64
     capsys.readouterr()
-    seed6 = tmp_path / "seed6.txt"
-    seed6.write_text(serialize_sbox(SBox.identity(6)))
-    assert main(["enumerate", str(seed6), "--all"]) == 64
-    error = "error: --all is limited to n <= 5 (seed has n = 6); use --sample\n"
+    seed7 = tmp_path / "seed7.txt"
+    seed7.write_text(serialize_sbox(SBox.identity(7)))
+    assert main(["enumerate", str(seed7), "--all"]) == 64
+    error = "error: --all is limited to n <= 6 (seed has n = 7); use --sample\n"
     assert capsys.readouterr().err == error
 
 
@@ -370,6 +389,20 @@ def test_enumerate_all_n5_covers_every_pair(tmp_path, capsys, monkeypatch):
     rows = captured.out.splitlines()[1:]
     assert rows == [f"{k1},{k2}" for k1 in range(120) for k2 in range(120)]
     assert captured.err == "rows=14400 distinct=14400\n"
+
+
+def test_enumerate_all_n6_covers_every_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    seed6 = tmp_path / "seed6.txt"
+    seed6.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(6), 6))))
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(cli, "_enumerate_row", lambda pair: (f"{pair[0]},{pair[1]}", pair[1], None))
+    assert main(["enumerate", str(seed6), "--all", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "rows=518400 distinct=720\n")
+    expected = (f"{k1},{k2}\n" for k1 in range(720) for k2 in range(720))
+    with open(out, encoding="utf-8") as rows:
+        assert next(rows).startswith("sigma1_index,")
+        assert all(row == want for row, want in zip_longest(rows, expected))
 
 
 def test_enumerate_rng_seed_needs_sample(seed4_file, tmp_path, capsys):

@@ -180,6 +180,27 @@ def test_clone_identity_is_noop():
     assert clone_sbox(seed, identity, identity) == seed
 
 
+def test_clone_is_built_unchecked_and_equals_a_checked_sbox(monkeypatch):
+    # A clone of a validated seed is valid by construction, so clone_sbox
+    # skips SBox's per-entry check; the public constructors keep it.
+    rng = random.Random(31)
+    cases = [(SBox.from_table(random_bijective(rng, n)), BitPermutation(random_perm(rng, n)),
+              BitPermutation(random_perm(rng, n))) for n in (2, 4, 8, 16)]
+    checks = []
+    monkeypatch.setattr(SBox, "__post_init__", lambda self: checks.append(self))
+    clones = [clone_sbox(*case) for case in cases]
+    monkeypatch.undo()
+    assert checks == []
+    for clone in clones:
+        checked = SBox(clone.n, clone.table)
+        assert clone == checked and repr(clone) == repr(checked) and hash(clone) == hash(checked)
+    for bad in ((0, 1, 2, 4), (0, 1, 2, -1), (0, 1, 2, 3.0), (0, 1, 2, "3")):
+        with pytest.raises(ValueError, match="out of range for width 2"):
+            SBox(2, bad)
+        with pytest.raises(ValueError, match="out of range for width 2"):
+            SBox.from_table(bad)
+
+
 def test_clone_sbox_size_mismatch():
     seed, four = SBox.from_table(SEED4), BitPermutation(SIGMA1_4)
     with pytest.raises(ValueError, match="sizes 3/4 != width 4"):

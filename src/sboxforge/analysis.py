@@ -19,6 +19,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, xor
 from typing import NamedTuple
 
 from .core import FixedPointReport, SBox, find_fixed_points
@@ -115,14 +116,20 @@ class _Plan(NamedTuple):
     rounds: tuple        # (width, top bits of the low lanes, low lanes) per tournament round
     flips: tuple         # (2**i, low halves) per input bit i
     pairs: tuple         # every (j, k) with j < k < n
-    memo: dict           # nonlinearity by truth-table bitset, filled by _nonlinearities
+    memo: dict           # profile by truth-table bitset, filled by _remember
 
 
-# The memo of one width is cleared before its keys would pass 2**24 bits.
-# A key counts as at least 2**10 bits, about the int and dict slot around
-# it, so a full memo takes 1-3.5 MB at any width (16 384 entries up to
-# n = 10) and holds the 15 120 distinct functions of an n = 6 sweep.
-_MEMO_BITS = 1 << 24
+# The memo of one width is cleared before its entries would pass 2**26 bits.
+# An entry counts as twice the 2**n bits of its key (at least 2**11, for the
+# int and dict slot around it) plus 2**8 bits for each of the n + 1 ints of
+# its profile and their tuples, more than it takes in memory at every width.
+# So a full memo stays under 8 MB, and holds the 15 120 distinct functions of
+# an n = 6 sweep (17 476 entries fit at n = 6).
+_MEMO_BITS = 1 << 26
+
+
+def _entry_bits(n: int) -> int:
+    return (2 << max(n, 10)) + (n + 1 << 8)
 
 
 @lru_cache(maxsize=None)
@@ -165,28 +172,6 @@ def _packed_walsh(functions, n: int):
         yield w
 
 
-def _nonlinearities(functions, n: int) -> list[int]:
-    """(2**n - max|W|) / 2 of each bitset, looked up in the width's memo first.
-
-    Clones of one seed with the same sigma1 share their coordinate functions
-    and pair sums, only reordered, so a sweep meets each function many
-    times. The memo is keyed by the exact bitset, never by a class of
-    tables, so every clone's criteria still come from its own table.
-    Misses run the butterfly as one batch.
-    """
-    memo = _plan(n).memo
-    out = list(map(memo.get, functions))
-    if None in out:
-        misses = [f for f, v in zip(functions, out) if v is None]
-        measured = _measure(misses, n)
-        if len(memo) + len(misses) << max(n, 10) > _MEMO_BITS:
-            memo.clear()
-        memo.update(zip(misses, measured))
-        fresh = iter(measured)
-        out = [next(fresh) if v is None else v for v in out]
-    return out
-
-
 def _measure(functions, n: int) -> list[int]:
     """(2**n - max|W|) / 2 of each bitset, the max taken by a lane-parallel tournament."""
     plan = _plan(n)
@@ -205,6 +190,60 @@ def _measure(functions, n: int) -> list[int]:
     return out
 
 
+# Profiles. Every criterion is a population of integer counts read off the
+# functions of an s-box: its n coordinate functions f_j, then the pair sums
+# f_j ^ f_k (j < k) in the order of _plan(n).pairs. The profile of a function
+# f is (NL(f), the n popcounts of D_i f), where D_i f(x) = f(x) ^ f(x ^ 2**i):
+# SAC entry (i, j) is the i-th popcount of f_j, and the BIC-SAC count of a
+# pair is the sum of its popcounts, since D_i (f_j ^ f_k) = D_i f_j ^ D_i f_k.
+#
+# Clones of one seed with the same sigma1 share their coordinate functions and
+# pair sums, only reordered, so a sweep meets each function many times. The
+# width's memo maps a function's exact bitset to its profile, never a class of
+# tables, so every clone's counts still come from its own table. A lookup
+# splits the profiles into a list of nonlinearities and one of popcount
+# tuples, None where the memo missed; the criteria fill in their own part,
+# and _remember stores the profiles of the misses.
+
+
+def _lookup(coordinates: tuple[int, ...], n: int) -> tuple[list[int], list, list]:
+    """The functions of an s-box with these coordinate bitsets, and their
+    nonlinearities and popcounts from the memo, None where it misses."""
+    f = coordinates
+    plan = _plan(n)
+    functions = [*f, *[f[j] ^ f[k] for j, k in plan.pairs]]
+    known = list(map(plan.memo.get, functions))
+    return functions, [p and p[0] for p in known], [p and p[1] for p in known]
+
+
+def _fill_nonlinearities(functions: list[int], nls: list, part: range, n: int) -> None:
+    """Measure the misses among nls[part] in one butterfly batch."""
+    missed = [i for i in part if nls[i] is None]
+    for i, nl in zip(missed, _measure([functions[i] for i in missed], n)):
+        nls[i] = nl
+
+
+def _fill_coordinate_counts(derivatives, counts: list, n: int) -> None:
+    """Fill in the missed popcounts of the n coordinate functions."""
+    counts[:n] = [c or tuple(map(int.bit_count, derivatives[j])) for j, c in enumerate(counts[:n])]
+
+
+def _fill_pair_counts(derivatives, counts: list, n: int) -> None:
+    """Fill in the missed popcounts of the pair sums; their derivatives are
+    the xors of their two coordinates' derivatives."""
+    counts[n:] = [c or tuple(map(int.bit_count, map(xor, derivatives[j], derivatives[k])))
+                  for c, (j, k) in zip(counts[n:], _plan(n).pairs)]
+
+
+def _remember(functions: list[int], nls: list, counts: list, n: int) -> None:
+    """Store the profiles the memo lacks, clearing it first if they would pass its budget."""
+    memo = _plan(n).memo
+    fresh = {f: (nl, c) for f, nl, c in zip(functions, nls, counts) if f not in memo}
+    if (len(memo) + len(fresh)) * _entry_bits(n) > _MEMO_BITS:
+        memo.clear()
+    memo.update(fresh)
+
+
 def _bitset(f: BooleanFunctionTable) -> int:
     """The truth table as one int: bit x is f(x)."""
     return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
@@ -220,10 +259,10 @@ def _coordinates(s: SBox) -> tuple[int, ...]:
     return tuple(int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
 
 
-def _derivatives(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """The n x n derivative bitsets: entry [i][j] has bit x = f_j(x) ^ f_j(x ^ 2**i)."""
-    return tuple(tuple(((g >> h & low) | (g & low) << h) ^ g for g in coordinates)
-                 for h, low in _plan(n).flips)
+def _derivatives(coordinates: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The n x n derivative bitsets: entry [j][i] has bit x = f_j(x) ^ f_j(x ^ 2**i)."""
+    flips = _plan(n).flips
+    return [tuple([((g >> h & low) | (g & low) << h) ^ g for h, low in flips]) for g in coordinates]
 
 
 def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
@@ -239,7 +278,7 @@ def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
 
 def nonlinearity(f: BooleanFunctionTable) -> int:
     """Minimum Hamming distance to the affine functions (constants included)."""
-    return _nonlinearities([_bitset(f)], len(f.values).bit_length() - 1)[0]
+    return _measure([_bitset(f)], len(f.values).bit_length() - 1)[0]
 
 
 def max_balanced_nonlinearity(n: int) -> int:
@@ -249,71 +288,100 @@ def max_balanced_nonlinearity(n: int) -> int:
     return (1 << (n - 1)) - (1 << (n // 2))
 
 
+def _moments(counts: list[int]) -> tuple[int, int, int, int]:
+    """(sum, sum of squares, min, max): with their number, all the stats of `counts` depend on."""
+    return sum(counts), sum(map(mul, counts, counts)), min(counts), max(counts)
+
+
 def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> PropertyStats:
     """Stats of the values c / d; min and max stay ints when d == 1."""
-    count, total = len(counts), sum(counts)
+    count, (total, squares, low, high) = len(counts), _moments(counts)
     # Int true division rounds correctly, so this is the float of the exact variance.
-    variance = (count * sum(c * c for c in counts) - total * total) / (count * d) ** 2
-    low, high = min(counts), max(counts)
+    variance = (count * squares - total * total) / (count * d) ** 2
     if d != 1:
         low, high = Fraction(low, d), Fraction(high, d)
     return PropertyStats(low, high, Fraction(total, count * d), math.sqrt(variance) / sd_divisor)
 
 
-def sbox_nonlinearity_stats(coordinates: tuple[int, ...], n: int) -> PropertyStats:
+def sbox_nonlinearity_stats(functions: list[int], nls: list, n: int) -> PropertyStats:
     """Stats over the nonlinearity of the n coordinate functions."""
-    return _population_stats(_nonlinearities(coordinates, n))
+    _fill_nonlinearities(functions, nls, range(n), n)
+    return _population_stats(nls[:n])
 
 
-def sac_stats(derivatives: tuple[tuple[int, ...], ...], n: int) -> PropertyStats:
+def sac_stats(derivatives, counts: list, n: int) -> PropertyStats:
     """Avalanche statistics over all n*n dependence-matrix entries.
 
     Entry (i, j), the probability that flipping input bit i flips output
-    bit j, is the popcount of derivative bitset [i][j] over 2**n.
+    bit j, is the popcount of derivative bitset [j][i] over 2**n.
     min/max/avg summarise those probabilities directly. The customary
     spread convention for s-box comparison tables measures flip counts
     against 2**(n+1) rather than 2**n samples, so sd is half the
     population standard deviation of the entries.
     """
-    counts = [d.bit_count() for diff in derivatives for d in diff]
-    return _population_stats(counts, 1 << n, sd_divisor=2)
+    _fill_coordinate_counts(derivatives, counts, n)
+    return _population_stats([c for p in counts[:n] for c in p], 1 << n, sd_divisor=2)
 
 
-def bic_nonlinearity_stats(coordinates: tuple[int, ...], n: int) -> PropertyStats:
+def bic_nonlinearity_stats(functions: list[int], nls: list, n: int) -> PropertyStats:
     """Stats over the nonlinearity of f_j xor f_k for all pairs j < k."""
-    f = coordinates
-    return _population_stats(_nonlinearities([f[j] ^ f[k] for j, k in _plan(n).pairs], n))
+    _fill_nonlinearities(functions, nls, range(n, len(nls)), n)
+    return _population_stats(nls[n:])
 
 
-def bic_sac_stats(derivatives: tuple[tuple[int, ...], ...], n: int) -> PropertyStats:
+def bic_sac_stats(derivatives, counts: list, n: int) -> PropertyStats:
     """Avalanche statistics of the pairwise output-bit sums.
 
     Every unordered pair (j, k) contributes one value: the mean, over the
     n single-bit input flips, of the probability that f_j xor f_k flips.
     Stats run over those n*(n-1)/2 pair values.
     """
-    flips = [sum((d[j] ^ d[k]).bit_count() for d in derivatives) for j, k in _plan(n).pairs]
-    return _population_stats(flips, n << n)
+    _fill_pair_counts(derivatives, counts, n)
+    return _population_stats(list(map(sum, counts[n:])), n << n)
 
 
 def analyze(s: SBox) -> AnalysisReport:
     """Bundle all four criteria plus fixed-point detection into one report.
 
-    The coordinate and derivative bitsets are built once here and shared
-    by the four criteria.
+    The coordinate bitsets, and the derivative bitsets when the memo lacks
+    a profile, are built once here and shared by the four criteria.
     """
     n, coordinates = s.n, _coordinates(s)
-    derivatives = _derivatives(coordinates, n)
-    return AnalysisReport(
+    functions, nls, counts = _lookup(coordinates, n)
+    derivatives = _derivatives(coordinates, n) if None in nls else ()
+    report = AnalysisReport(
         n=n,
         bijective=s.is_bijective(),
         fixed_points=find_fixed_points(s),
-        nl=sbox_nonlinearity_stats(coordinates, n),
+        nl=sbox_nonlinearity_stats(functions, nls, n),
         nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
-        sac=sac_stats(derivatives, n),
-        bic_nl=bic_nonlinearity_stats(coordinates, n),
-        bic_sac=bic_sac_stats(derivatives, n),
+        sac=sac_stats(derivatives, counts, n),
+        bic_nl=bic_nonlinearity_stats(functions, nls, n),
+        bic_sac=bic_sac_stats(derivatives, counts, n),
     )
+    _remember(functions, nls, counts, n)
+    return report
+
+
+def _invariants(s: SBox) -> tuple:
+    """Bijectivity, then (sum, sum of squares, min, max) of each criterion's counts.
+
+    Of two s-boxes of one width, equal invariants mean reports equal in
+    every field but the fixed points: each statistic is a function of these
+    integers and the width. A clone of the seed has the seed's invariants
+    exactly, since its counts are the seed's, reordered. So an invariance
+    sweep compares these, with no Fraction or float, instead of reports.
+    """
+    n, coordinates = s.n, _coordinates(s)
+    functions, nls, counts = _lookup(coordinates, n)
+    if None in nls:
+        derivatives = _derivatives(coordinates, n)
+        _fill_nonlinearities(functions, nls, range(len(nls)), n)
+        _fill_coordinate_counts(derivatives, counts, n)
+        _fill_pair_counts(derivatives, counts, n)
+        _remember(functions, nls, counts, n)
+    return (s.is_bijective(), _moments(nls[:n]), _moments([c for p in counts[:n] for c in p]),
+            _moments(nls[n:]), _moments(list(map(sum, counts[n:]))))
 
 
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:

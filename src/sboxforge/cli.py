@@ -14,21 +14,22 @@ import random
 import re
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import factorial
 from time import perf_counter
 from types import SimpleNamespace
 
-from .analysis import CRITERIA, analyze, compare_reports
+from .analysis import CRITERIA, _invariants, analyze, compare_reports
 from .core import (
     BitPermutation,
     CloneOptions,
     NonBijectiveError,
     RemovalExhausted,
     SBox,
+    _clone,
+    _lift,
     clone_sbox,
     clone_sbox_avoiding_fixed_points,
     find_fixed_points,
@@ -52,11 +53,12 @@ EXIT_MISMATCH = 5
 EXIT_WIDTH = 6
 EXIT_USAGE = 64
 
-# Seconds a worker costs a sweep: a process pool takes 10-13 ms to start, run
-# 8 trivial tasks and shut down (2 cores, Python 3.11), and its workers warm
-# up on their first rows. A sweep gets one worker per POOL_START of estimated
-# row time, so a sweep too short to repay its workers runs serially.
-POOL_START = 0.020
+# Seconds a worker costs a sweep: a 2-worker pool, with the import of its
+# module, made a 16-row n = 4 sweep about 50 ms slower, and a 3000-row one
+# neither faster nor slower (2 cores, Python 3.11). A sweep gets one worker
+# per POOL_START of estimated row time, so a sweep too short to repay its
+# workers runs serially.
+POOL_START = 0.060
 # Rows per pool task, at most. With two tasks in flight per worker, this
 # bounds the rows the parent holds while it writes them out in order.
 _CHUNK_ROWS = 256
@@ -92,7 +94,7 @@ def _parse_permutation(text: str, n: int) -> BitPermutation:
 
 
 def _sigma_text(sigma: BitPermutation, sep: str) -> str:
-    return sep.join(str(v) for v in sigma.images)
+    return sep.join(map(str, sigma.images))
 
 
 def _thread_cap() -> int:
@@ -175,13 +177,13 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-_sweep_seed = None  # (seed, seed report or None) of the running sweep
+_sweep_seed = None  # (seed, the seed's invariants or None) of the running sweep
 
 
-def _init_sweep(table, seed_report) -> None:
-    """Hold the sweep's seed and its report (or None) for _enumerate_row, once per process."""
+def _init_sweep(table, seed_invariants) -> None:
+    """Hold the sweep's seed and its invariants (or None) for _enumerate_row, once per process."""
     global _sweep_seed
-    _sweep_seed = (SBox.from_table(table), seed_report)
+    _sweep_seed = (SBox.from_table(table), seed_invariants)
 
 
 # Room for all n! ranks of n <= 6 and one more: an --all sweep revisits one
@@ -191,26 +193,44 @@ def _decode(index: int, n: int) -> BitPermutation:
     return lehmer_decode(index, n)
 
 
+# The last sigma1's lifted table: --all takes n! rows in a row with one sigma1.
+@lru_cache(maxsize=1)
+def _lifted(index: int, n: int) -> list[int]:
+    return _lift(_decode(index, n).images)
+
+
 def _enumerate_row(pair):
+    """A CSV row of the sweep, its clone's digest, and whether it passed (None unchecked).
+
+    The seed was checked bijective once before the sweep, so rows clone it
+    unchecked. A row passes when its clone's invariants equal the seed's.
+    """
     k1, k2 = pair
-    seed, seed_report = _sweep_seed
+    seed, seed_invariants = _sweep_seed
     sigma1 = _decode(k1, seed.n)
     sigma2 = _decode(k2, seed.n)
-    result = clone_sbox(seed, sigma1, sigma2)
-    report = None if seed_report is None else analyze(result)
-    points = find_fixed_points(result) if report is None else report.fixed_points
+    result = _clone(seed, _lifted(k1, seed.n), _lift(sigma2.images))
+    points = find_fixed_points(result)
     prefix, digest = fingerprint(result)
     fields = [str(k1), str(k2), _sigma_text(sigma1, " "), _sigma_text(sigma2, " "), prefix, digest,
               str(len(points.fixed)), str(len(points.reverse_fixed))]
     passed = None
-    if report is not None:
-        passed = compare_reports(seed_report, report).equal
+    if seed_invariants is not None:
+        passed = _invariants(result) == seed_invariants
         fields.append("pass" if passed else "fail")
     return ",".join(fields), int(digest, 16), passed
 
 
 def _enumerate_chunk(pairs):
     return [_enumerate_row(pair) for pair in pairs]
+
+
+def _process_pool(**kwargs):
+    """A ProcessPoolExecutor, imported here: loading it at import would cost
+    every CLI call about 20 ms, and only a sweep long enough to pool needs it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(**kwargs)
 
 
 def _pooled_rows(pool, pairs, chunk: int, depth: int):
@@ -222,6 +242,24 @@ def _pooled_rows(pool, pairs, chunk: int, depth: int):
             yield from pending.popleft().result()
     for future in pending:
         yield from future.result()
+
+
+def _timed_rows(pairs, count: int) -> tuple[list, float]:
+    """The first rows of a sweep of `count`, run here, and the least time one took.
+
+    The seed's invariants have built the width's plan and memo, and the
+    first row fills the caches, so later rows take what most rows take. Up
+    to four rows run; they stop once `count` rows at the least time would
+    not repay two workers, since more rows could only lower it.
+    """
+    rows, best = [], float("inf")
+    for pair in islice(pairs, 4):
+        began = perf_counter()
+        rows.append(_enumerate_row(pair))
+        best = min(best, perf_counter() - began)
+        if count * best < 2 * POOL_START:
+            break
+    return rows, best
 
 
 def cmd_enumerate(args) -> int:
@@ -250,23 +288,21 @@ def cmd_enumerate(args) -> int:
         header += ",invariance"
     digests, passes = set(), 0
     with _output(args.out) as out, ExitStack() as stack:
-        # The seed's report and one clone of it, timed, estimate a row's cost.
-        began = perf_counter()
-        sweep = (seed.table, analyze(seed) if args.check_invariance else None)
-        workers = cap
+        sweep = (seed.table, _invariants(seed) if args.check_invariance else None)
+        _init_sweep(*sweep)
+        timed, workers = [], 1
         if cap > 1:
-            clone_sbox(seed, BitPermutation.identity(n), BitPermutation.identity(n))
-            workers = min(cap, int(count * (perf_counter() - began) / POOL_START))
+            timed, seconds = _timed_rows(pairs, count)
+            workers = min(cap, count - len(timed), int(count * seconds / POOL_START))
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
+            pool = stack.enter_context(_process_pool(
                 max_workers=workers, initializer=_init_sweep, initargs=sweep))
             chunk = max(1, min(_CHUNK_ROWS, count // (workers * 4)))
             rows = _pooled_rows(pool, pairs, chunk, 2 * workers)
         else:
-            _init_sweep(*sweep)
             rows = map(_enumerate_row, pairs)
         out.write(header + "\n")
-        for line, digest, passed in rows:
+        for line, digest, passed in chain(timed, rows):
             out.write(line + "\n")
             digests.add(digest)
             passes += bool(passed)

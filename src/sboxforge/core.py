@@ -157,8 +157,13 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
         raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
-    out, table = _lift(sigma2.images), seed.table
-    return SBox._trusted(seed.n, tuple([out[table[r]] for r in _lift(sigma1.images)]))
+    return _clone(seed, _lift(sigma1.images), _lift(sigma2.images))
+
+
+def _clone(seed: SBox, rows: list[int], out: list[int]) -> SBox:
+    """clone_sbox by the lifts of sigma1 and sigma2, for a caller that has checked the seed and sizes."""
+    table = seed.table
+    return SBox._trusted(seed.n, tuple([out[table[r]] for r in rows]))
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:
@@ -219,7 +224,7 @@ def clone_sbox_avoiding_fixed_points(
         lo, hi = _lift(pi[:h]), _lift(pi[h:])
         if all((lo[l] | hi[u]) ^ x not in (0, top) for x, (l, u) in enumerate(base)):
             eff1 = BitPermutation(tuple([pi[j] for j in sigma1.images]))
-            return clone_sbox(seed, eff1, sigma2), eff1, sigma2
+            return _clone(seed, _lift(eff1.images), lift2), eff1, sigma2
     if budget == fact:
         raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
     raise RemovalExhausted(f"no clean clone within {budget} attempts")

@@ -24,12 +24,15 @@ class SBoxFileError(ValueError):
 
 
 def parse_sbox_text(text: str) -> SBox:
-    values = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        for token in _SPLIT.split(body):
-            if not token:
-                continue
+    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = _SPLIT.split(body)
+    # Separators run together, so only the first and last token can be empty.
+    tokens = tokens[not tokens[0]:len(tokens) - (not tokens[-1])]
+    try:
+        values = list(map(int, tokens))
+    except ValueError:  # hex entries, or a bad one to report
+        values = []
+        for token in tokens:
             try:
                 value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
             except ValueError as exc:
@@ -61,8 +64,8 @@ def serialize_sbox(s: SBox) -> str:
 
 def fingerprint(s: SBox) -> tuple[str, str]:
     """(first eight entries, 16-hex-digit table hash) for compact listings."""
-    prefix = " ".join(str(v) for v in s.table[:8])
-    digest = hashlib.sha256(" ".join(str(v) for v in s.table).encode()).hexdigest()[:16]
+    prefix = " ".join(map(str, s.table[:8]))
+    digest = hashlib.sha256(" ".join(map(str, s.table)).encode()).hexdigest()[:16]
     return prefix, digest
 
 

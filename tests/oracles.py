@@ -6,6 +6,7 @@ against code that shares none of their shortcuts.
 """
 
 import argparse
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -232,3 +233,31 @@ def argparse_parser():
     verify.add_argument("clone", help="second s-box file")
     verify.set_defaults(func=cli.cmd_verify)
     return parser
+
+
+_SPLIT = re.compile(r"[,\s]+")
+
+
+def parse_sbox_text_by_token(text):
+    """The s-box file parser as it was before it split the whole text at once:
+    the reference it keeps to, line by line and token by token."""
+    from sboxforge import SBox
+    from sboxforge.formats import SBoxFileError
+
+    values = []
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].strip()
+        for token in _SPLIT.split(body):
+            if not token:
+                continue
+            try:
+                value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
+            except ValueError as exc:
+                raise SBoxFileError(f"invalid entry {token!r}") from exc
+            values.append(value)
+    if not values:
+        raise SBoxFileError("no entries found")
+    try:
+        return SBox.from_table(values)
+    except ValueError as exc:
+        raise SBoxFileError(str(exc)) from exc

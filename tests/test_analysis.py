@@ -5,11 +5,12 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sboxforge import (
@@ -29,6 +30,7 @@ from sboxforge import (
 )
 
 from oracles import (
+    dense_clone,
     dependence_matrix,
     direct_walsh,
     inverse,
@@ -519,20 +521,78 @@ def test_nonlinearity_memo_keys_by_width():
             assert (nl.min, nl.max) == ((0, 0) if s.n == 4 else (16, 16))
 
 
-def test_nonlinearity_memo_stays_within_its_bit_budget():
-    # 70 batches of 66 distinct n = 12 functions, the pair sums of 70 s-boxes:
-    # the memo is cleared before its keys pass the budget, and a batch
-    # answered from the memo matches the butterfly.
+def test_nonlinearity_memo_stays_within_its_bit_budget(monkeypatch):
+    # The memo holds a profile per function. Its accounting counts more bits
+    # than an entry takes in memory at every width, and its budget holds the
+    # 15 120 distinct functions of an n = 6 sweep.
+    assert 15120 * analysis._entry_bits(6) <= analysis._MEMO_BITS
+    for n in (4, 6, 8, 10, 12, 16):
+        rng = random.Random(n)
+        keys = {rng.getrandbits(1 << n) | 1 << (1 << n) - 1 for _ in range(64)}
+        tracemalloc.start()
+        memo = {f: (rng.randrange(1 << n - 1), tuple(rng.randrange(1 << n) for _ in range(n)))
+                for f in keys}
+        used = tracemalloc.get_traced_memory()[0] + sum(map(sys.getsizeof, memo))
+        tracemalloc.stop()
+        assert used * 8 <= len(memo) * analysis._entry_bits(n)
+    # With room for 100 n = 8 entries, the memo is cleared before it passes
+    # its budget, and reports and invariants answered from it, in whole or in
+    # part, equal those computed with an empty memo.
+    monkeypatch.setattr(analysis, "_MEMO_BITS", 100 * analysis._entry_bits(8))
+    rng = random.Random(8)
+    seeds = [SBox.from_table(random_bijective(rng, 8)) for _ in range(3)]
+    sboxes = [clone_sbox(seed, lehmer_decode(k1, 8), lehmer_decode(k2, 8))
+              for seed in seeds for k1 in (0, 0, 1, 0, 7) for k2 in (0, 5, 9)]
+    expected = []
+    for s in sboxes:
+        analysis._plan.cache_clear()
+        expected.append((analyze(s), analysis._invariants(s)))
     analysis._plan.cache_clear()
-    memo, rng, sizes = analysis._plan(12).memo, random.Random(12), []
-    for _ in range(70):
-        batch = [rng.getrandbits(1 << 12) for _ in range(66)]
-        measured = analysis._nonlinearities(batch, 12)
-        assert analysis._nonlinearities(batch, 12) == measured
+    memo, sizes = analysis._plan(8).memo, []
+    for s, want in zip(sboxes, expected):
+        assert (analyze(s), analysis._invariants(s)) == want
         sizes.append(len(memo))
-        assert 0 < len(memo) << 12 <= analysis._MEMO_BITS
+        assert 0 < len(memo) * analysis._entry_bits(8) <= analysis._MEMO_BITS
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
-    assert measured == analysis._measure(batch, 12)
+    analysis._plan.cache_clear()
+
+
+def _without_fixed_points(report):
+    return dataclasses.replace(report, fixed_points=None)
+
+
+@st.composite
+def _table_pairs(draw):
+    """A table, bijective or not, and another of its width: a clone of it,
+    a clone with two entries swapped or one entry changed, or any table."""
+    n = draw(st.integers(2, 6))
+    size = 1 << n
+    entries = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    a = draw(st.one_of(st.permutations(range(size)), entries))
+    kind = draw(st.sampled_from(["clone", "swapped", "changed", "other"]))
+    if kind == "other":
+        return a, draw(entries)
+    b = dense_clone(a, draw(st.permutations(range(n))), draw(st.permutations(range(n))))
+    x, y = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    if kind == "swapped":
+        b[x], b[y] = b[y], b[x]
+    elif kind == "changed":
+        b[x] = y
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_pairs())
+@example(([0, 1, 2, 3], [0, 1, 1, 0]))  # equal counts; only bijectivity differs
+def test_invariants_decide_report_equality(tables):
+    # Equal invariants mean equal reports, fixed points aside; unequal ones
+    # mean reports that differ, by more than compare_reports' tolerance at
+    # these widths.
+    a, b = (SBox.from_table(t) for t in tables)
+    same = analysis._invariants(a) == analysis._invariants(b)
+    report_a, report_b = analyze(a), analyze(b)
+    assert (_without_fixed_points(report_a) == _without_fixed_points(report_b)) == same
+    assert compare_reports(report_a, report_b).equal == same
 
 
 def test_analyze_accepts_candidates():

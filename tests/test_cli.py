@@ -7,7 +7,9 @@ from math import factorial
 
 import pytest
 
-from sboxforge import ReportComparison, SBox, analysis, cli, clone_sbox, find_fixed_points, lehmer_decode
+from concurrent.futures import ProcessPoolExecutor
+
+from sboxforge import SBox, analysis, cli, clone_sbox, core, find_fixed_points, lehmer_decode
 from sboxforge.cli import main
 from sboxforge.formats import fingerprint, serialize_sbox
 
@@ -274,12 +276,21 @@ def test_enumerate_sample_with_invariance(seed4_file, capsys):
 
 
 def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
-    verdicts = iter([True, False, True])
-    monkeypatch.setattr(cli, "compare_reports",
-                        lambda a, b: ReportComparison(next(verdicts), ()))
+    # The second row's clone is a real table that is no clone of the seed:
+    # the identity, whose coordinate functions are linear (NL 0, not 4).
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    made = []
+
+    def second_is_wrong(seed, rows, out):
+        made.append(rows)
+        return SBox.identity(4) if len(made) == 2 else core._clone(seed, rows, out)
+
+    monkeypatch.setattr(cli, "_clone", second_is_wrong)
     assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 4
     captured = capsys.readouterr()
-    assert [line.rsplit(",", 1)[1] for line in captured.out.splitlines()[1:]] == ["pass", "fail", "pass"]
+    rows = captured.out.splitlines()[1:]
+    assert [line.rsplit(",", 1)[1] for line in rows] == ["pass", "fail", "pass"]
+    assert rows[1].split(",")[4] == "0 1 2 3 4 5 6 7"
     assert captured.err.endswith(" invariance_pass=2\n")
 
 
@@ -295,8 +306,8 @@ def test_enumerate_invariance_scans_fixed_points_once_per_row(seed4_file, capsys
     monkeypatch.setattr(analysis, "find_fixed_points", counting)
     assert main(["enumerate", seed4_file, "--sample", "10", "--check-invariance"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 11
-    # One scan for the seed's own report, then one per row.
-    assert len(scanned) == 1 + 10
+    # One scan per row; the seed's invariants need none.
+    assert len(scanned) == 10
 
 
 def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
@@ -430,12 +441,12 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
           "--check-invariance"])
     serial = capsys.readouterr().out
     # A real two-worker pool, however short the sweep.
-    started, real_pool = [], cli.ProcessPoolExecutor
+    started = []
 
     def spy_pool(max_workers, **kwargs):
         started.append(max_workers)
-        return real_pool(max_workers=max_workers, **kwargs)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spy_pool)
+        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(cli, "_process_pool", spy_pool)
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
@@ -447,7 +458,7 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: runs each task when its result is read."""
+    """Stands in for cli._process_pool: runs each task when its result is read."""
 
     started = []  # max_workers of every pool built
     in_flight = []  # tasks submitted and not yet read, after each submit
@@ -478,19 +489,20 @@ class SerialPool:
 @pytest.fixture
 def serial_pool(monkeypatch):
     SerialPool.started, SerialPool.in_flight = [], []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_process_pool", SerialPool)
     return SerialPool
 
 
 def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch, serial_pool):
     monkeypatch.setattr(cli, "POOL_START", 1e-12)  # the row-time estimate never binds
     monkeypatch.setenv("SBOXFORGE_THREADS", "64")
+    # Four of the seven rows are timed before the pool starts, leaving three.
     for cpus, expected in ((8, 3), (2, 2), (None, None)):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         serial_pool.started.clear()
-        assert main(["enumerate", seed4_file, "--sample", "3"]) == 0
+        assert main(["enumerate", seed4_file, "--sample", "7"]) == 0
         assert serial_pool.started == ([expected] if expected else [])
-    assert capsys.readouterr().out.count("\n") == 3 * 4
+    assert capsys.readouterr().out.count("\n") == 3 * 8
 
 
 def test_enumerate_short_sweep_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
@@ -517,9 +529,59 @@ def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, 
     assert max(serial_pool.in_flight) == 4
 
 
+def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch, serial_pool):
+    # After the seed's invariants have built the width's plan and memo, the
+    # sweep's first rows run here and are timed, up to four; a stubbed clock
+    # makes them take 4, 3, 5 and 4 s. A sweep of R rows gets
+    # R * (least time) / POOL_START workers, within the cap and the rows
+    # left, fewer than two meaning serial, and the timed rows stop once that
+    # is fewer than two. The output is the serial output.
+    events = []
+    row = cli._enumerate_row
+
+    def logged_row(pair):
+        events.append("row")
+        return row(pair)
+
+    def logged_clock():
+        events.append("clock")
+        return next(clock)
+
+    invariants = cli._invariants
+    monkeypatch.setattr(cli, "_invariants", lambda s: events.append("invariants") or invariants(s))
+    monkeypatch.setattr(cli, "_enumerate_row", logged_row)
+    monkeypatch.setattr(cli, "perf_counter", logged_clock)
+    monkeypatch.setattr(cli, "POOL_START", 6.0)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    timed = ["clock", "row", "invariants", "clock"]
+    for rows, workers, runs in ((2, None, 1), (3, None, 2), (5, None, 4), (6, 2, 4),
+                                (10, 5, 4), (100, 8, 4)):
+        argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
+        monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        monkeypatch.setenv("SBOXFORGE_THREADS", "8")
+        events.clear()
+        serial_pool.started.clear()
+        clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
+        assert main(argv) == 0
+        assert events[:1 + 4 * runs] == ["invariants"] + timed * runs
+        assert events[1 + 4 * runs:] == ["row", "invariants"] * (rows - runs)
+        assert serial_pool.started == ([workers] if workers else [])
+        assert capsys.readouterr() == serial
+    # Without --check-invariance rows build no invariants, and rows timed
+    # the same way still decide the pool.
+    events.clear()
+    serial_pool.started.clear()
+    clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
+    assert main(["enumerate", seed4_file, "--sample", "6"]) == 0
+    assert events == ["clock", "row", "clock"] * 4 + ["row"] * 2
+    assert serial_pool.started == [2]
+
+
 def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "analyze", _must_not_run)
-    monkeypatch.setattr(cli, "clone_sbox", _must_not_run)
+    monkeypatch.setattr(cli, "_invariants", _must_not_run)
+    monkeypatch.setattr(cli, "_clone", _must_not_run)
     path = str(tmp_path / "missing" / "sweep.csv")
     assert main(["enumerate", seed4_file, "--all", "--check-invariance", "--out", path]) == 1
     captured = capsys.readouterr()

@@ -319,14 +319,14 @@ def test_fixed_and_reverse_sets_disjoint():
 def test_avoidance_schedule_reference(monkeypatch):
     # Attempt 0 reproduces CLONE4 (reverse fixed point at 4); the schedule
     # first succeeds at attempt 6, perturbing only the input permutation,
-    # and builds only the clone it returns.
+    # and builds only the clone it returns, from the lifts of that pair.
     seed = SBox.from_table(SEED4)
-    calls = []
-    monkeypatch.setattr(core, "clone_sbox", lambda *args: calls.append(args) or clone_sbox(*args))
+    calls, clone = [], core._clone
+    monkeypatch.setattr(core, "_clone", lambda *args: calls.append(args) or clone(*args))
     result, eff1, eff2 = clone_sbox_avoiding_fixed_points(
         seed, BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4)
     )
-    assert calls == [(seed, eff1, eff2)]
+    assert calls == [(seed, list(derive_row_permutation(eff1, 4).images), core._lift(eff2.images))]
     assert find_fixed_points(result).empty
     assert eff1.images == (0, 2, 1, 3)
     assert eff2.images == SIGMA2_4
@@ -403,7 +403,7 @@ def test_removal_walk_covers_every_input_permutation(n, attempts, monkeypatch):
     # The default budget runs out on a seed with no clean clone; along the
     # way the walk tries each of the n! input permutations exactly once,
     # and builds no clone.
-    monkeypatch.setattr(core, "clone_sbox", _must_not_clone)
+    monkeypatch.setattr(core, "_clone", _must_not_clone)
     rng = random.Random(n)
     sigma1, sigma2 = BitPermutation(random_perm(rng, n)), BitPermutation(random_perm(rng, n))
     message = f"^no clone is free of fixed points: all {factorial(n)} input permutations tried$"

@@ -17,7 +17,7 @@ from sboxforge.formats import (
     serialize_sbox,
 )
 
-from oracles import random_bijective
+from oracles import parse_sbox_text_by_token, random_bijective
 from vectors import AES_SBOX, CLONE4, SEED4
 
 AES_REPORT_TEXT = (
@@ -58,6 +58,42 @@ def test_parse_errors():
         parse_sbox_text("0 1 2 4")  # out of range for n=2
     with pytest.raises(SBoxFileError):
         parse_sbox_text("0 1")  # below the minimum width
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except SBoxFileError as exc:
+        return str(exc)
+
+
+_SEPARATORS = st.sampled_from([" ", ",", ", ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", ",,",
+                               " , ", "\u2028", "\xa0", " # comment\n", "#,1 2\r", "\n#\n"])
+_BAD = st.sampled_from(["", "junk", "0x", "0xg", "1g", "-", "-0x1", "+3", "-2", "1_0", "٣",
+                        "1.0", "0b1", "0o7", "#", "0x_1"])
+
+
+@st.composite
+def _sbox_texts(draw):
+    """Tables of 2..16 entries written in decimal and hex, mixed and padded, with
+    every separator and comment form, sometimes with a bad token or a wrong count."""
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    if draw(st.booleans()):
+        values = values[:draw(st.integers(0, len(values)))]
+    tokens = [draw(st.sampled_from([str(v), f"0x{v:x}", f"0X{v:02X}", f"{v:03d}"])) for v in values]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_BAD))
+    parts = [draw(_SEPARATORS)]
+    for token in tokens:
+        parts += [token, draw(_SEPARATORS)]
+    return "".join(parts[draw(st.integers(0, 1)):])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sbox_texts())
+def test_parse_matches_the_token_by_token_parser(text):
+    assert _outcome(parse_sbox_text, text) == _outcome(parse_sbox_text_by_token, text)
 
 
 def test_serialize_round_trip_decimal_and_hex():

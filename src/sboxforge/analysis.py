@@ -6,9 +6,11 @@ single-bit input flips (dependence matrix), and the independence of
 output-bit pairs (nonlinearity and avalanche of f_j xor f_k). Each
 coordinate function f_j is one 2**n-bit int (bit x = f_j(x)): avalanche
 counts are popcounts of derivative bitsets, and nonlinearity runs one
-Walsh butterfly on packed lanes of a single int. All flip probabilities
-are carried as exact fractions with denominator 2**n; decimal rounding
-happens only at report serialisation.
+Walsh butterfly on packed lanes of n + 2 bits in a single int, its first
+three stages read per byte of the truth table from a 256-entry table built
+per width on first use. All flip probabilities are carried as exact
+fractions with denominator 2**n; decimal rounding happens only at report
+serialisation.
 """
 
 from __future__ import annotations
@@ -108,9 +110,8 @@ class _Plan(NamedTuple):
     """What depends on the width n alone, built once per width by _plan, and its memo."""
 
     lane: int            # bits per Walsh lane
-    step: int            # bytes per Walsh lane
-    start: int           # biased lanes of w = 1, plus twice the ASCII digit offset
-    stages: tuple        # (shift, low lanes, rebias) per butterfly stage
+    table: list          # byte -> its 8-point Walsh transform in packed lanes, as bytes
+    stages: tuple        # (shift, low lanes, rebias) per butterfly stage after the table's
     ones: int            # bit 0 of every lane
     below: int           # the bits under every lane's top bit
     rounds: tuple        # (width, top bits of the low lanes, low lanes) per tournament round
@@ -132,13 +133,28 @@ def _entry_bits(n: int) -> int:
     return (2 << max(n, 10)) + (n + 1 << 8)
 
 
+def _byte_table(n: int, lane: int) -> list[bytes]:
+    """Entry v: the packed, biased Walsh transform of the first min(8, 2**n)
+    bits of v, one lane each, built by doubling 1- to 2- to 4- to 8-point entries."""
+    bias, points, width, ones = 1 << lane - 1, min(8, 1 << n), 1, 1
+    table = [bias + 1, bias - 1]  # lane bias + (-1)**b for the bit b
+    while width < points:
+        half, rebias = lane * width, bias * ones
+        table = [lo + hi - rebias | lo - hi + rebias << half for hi in table for lo in table]
+        ones |= ones << half
+        width <<= 1
+    return [t.to_bytes(lane * points >> 3, "little") for t in table]
+
+
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
-    lane = 16 if n <= 14 else 32  # |W| reaches 2**n and must stay below half a lane
+    # |W| reaches 2**n and must stay below half a lane; at least 4 bits, so
+    # that the 2**n < 8 lanes of n < 3 still fill whole bytes.
+    lane = max(n + 2, 4)
     top, total = lane - 1, lane << n
     ones = _repeat(1, lane, total)
     stages = []
-    for shift in (lane << i for i in range(n)):
+    for shift in (lane << i for i in range(3, n)):  # stages 0..2 are in the byte table
         low = _repeat((1 << shift) - 1, shift << 1, total)
         stages.append((shift, low, (ones & ~low) - (ones & low) << top))
     rounds, width = [], total
@@ -147,25 +163,23 @@ def _plan(n: int) -> _Plan:
         rounds.append((width, ones >> total - width << top, (1 << width) - 1))
     flips = tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n)))
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
-    return _Plan(lane, lane >> 3, ((1 << top) + 97) * ones, tuple(stages), ones,
-                 ones * ((1 << top) - 1), tuple(rounds), flips, pairs, {})
+    return _Plan(lane, _byte_table(n, lane), tuple(stages), ones, ones * ((1 << top) - 1),
+                 tuple(rounds), flips, pairs, {})
 
 
 def _packed_walsh(functions, n: int):
     """Yield, per bitset, its Walsh spectrum W packed in one int.
 
-    Lane a (L = _plan(n).lane bits) holds 2**(L-1) + W(a); one butterfly
+    Lane a, L = _plan(n).lane = max(n + 2, 4) bits, holds 2**(L-1) + W(a).
+    Each byte of the bitset is replaced by its byte-table entry, eight lanes
+    with the first three stages done (all n stages if n < 3); each later
     stage adds and subtracts all lane pairs at once. No lane borrows or
-    carries, since every intermediate |W| is below 2**(L-1).
+    carries, since every intermediate |W| is at most 2**n, below 2**(L-1).
     """
     plan = _plan(n)
-    size, fmt = plan.step << n, f"0{1 << n}b"
+    entry, size = plan.table.__getitem__, max(1 << n >> 3, 1)
     for f in functions:
-        # Lane x of buf holds the ASCII digit 48 + f(x), so start minus twice
-        # buf leaves 2**(L-1) + 1 - 2f(x), the biased lane of w = (-1)**f.
-        buf = bytearray(size)
-        buf[::plan.step] = format(f, fmt).encode()[::-1]
-        w = plan.start - (int.from_bytes(buf, "little") << 1)
+        w = int.from_bytes(b"".join(map(entry, f.to_bytes(size, "little"))), "little")
         for shift, low, rebias in plan.stages:
             a, b = w & low, w >> shift & low
             w = a + b + (a - b << shift) + rebias
@@ -269,11 +283,9 @@ def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
     """Correlation with every linear mask, via the packed-lane butterfly."""
     n = len(f.values).bit_length() - 1
     lane = _plan(n).lane
-    packed = next(_packed_walsh([_bitset(f)], n))
-    lanes = array("H" if lane == 16 else "I", packed.to_bytes(lane << n >> 3, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return WalshSpectrum(tuple(v - (1 << lane - 1) for v in lanes))
+    bias, size = 1 << lane - 1, lane << n
+    digits = format(next(_packed_walsh([_bitset(f)], n)), f"0{size}b")  # lane 0 last
+    return WalshSpectrum(tuple(int(digits[i - lane:i], 2) - bias for i in range(size, 0, -lane)))
 
 
 def nonlinearity(f: BooleanFunctionTable) -> int:

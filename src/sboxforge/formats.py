@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .analysis import AnalysisReport, PropertyStats
 from .core import SBox
@@ -62,11 +63,17 @@ def serialize_sbox(s: SBox) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=None)
+def _decimals(n: int) -> list[str]:
+    """str(v) for every entry value v of width n, built on first use."""
+    return list(map(str, range(1 << n)))
+
+
 def fingerprint(s: SBox) -> tuple[str, str]:
     """(first eight entries, 16-hex-digit table hash) for compact listings."""
-    prefix = " ".join(map(str, s.table[:8]))
-    digest = hashlib.sha256(" ".join(map(str, s.table)).encode()).hexdigest()[:16]
-    return prefix, digest
+    cells = list(map(_decimals(s.n).__getitem__, s.table))
+    digest = hashlib.sha256(" ".join(cells).encode()).hexdigest()[:16]
+    return " ".join(cells[:8]), digest
 
 
 def format_decimal(value, places: int = 6) -> str:

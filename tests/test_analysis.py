@@ -169,17 +169,72 @@ def test_walsh_equals_direct_property(values):
     assert nonlinearity(f) == ((1 << n) - max(map(abs, direct))) >> 1
 
 
-@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def _coordinate(table, mask):
+    """component_function of a table of any width n >= 1 (an SBox needs n >= 2)."""
+    if len(table) > 2:
+        return component_function(SBox.from_table(table), mask)
+    return BooleanFunctionTable(tuple((v & mask).bit_count() & 1 for v in table))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
 def test_walsh_at_lane_width_boundary(n):
     # Every coordinate of the identity is linear: its one nonzero Walsh
-    # coefficient is +2**n, and -2**n for the complement. From n = 15 that
-    # magnitude no longer fits a 16-bit lane beside the lane's bias.
+    # coefficient is +2**n, and -2**n for the complement. That magnitude is
+    # the most a Walsh lane of n + 2 bits holds beside its bias, at every n.
     top, mask = (1 << n) - 1, 1 << (n - 1)
-    for s, peak in ((SBox.identity(n), 1 << n),
-                    (SBox(n, tuple(v ^ top for v in range(1 << n))), -(1 << n))):
-        assert all(nonlinearity(component_function(s, 1 << j)) == 0 for j in range(n))
-        spectrum = walsh_spectrum(component_function(s, mask)).coefficients
+    for table, peak in ((tuple(range(1 << n)), 1 << n),
+                        (tuple(v ^ top for v in range(1 << n)), -(1 << n))):
+        assert all(nonlinearity(_coordinate(table, 1 << j)) == 0 for j in range(n))
+        spectrum = walsh_spectrum(_coordinate(table, mask)).coefficients
         assert spectrum == tuple(peak if a == mask else 0 for a in range(1 << n))
+
+
+@st.composite
+def _measure_batches(draw):
+    """Batches of bitsets, each of one width n in 1..8: random functions,
+    constants, affine functions and their complements, mixed."""
+    batches = []
+    for n in draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)):
+        size, functions = 1 << n, []
+        for kind in draw(st.lists(st.sampled_from("rca"), min_size=1, max_size=6)):
+            if kind == "r":
+                f = draw(st.integers(0, (1 << size) - 1))
+            elif kind == "c":
+                f = 0
+            else:
+                mask = draw(st.integers(0, size - 1))
+                f = sum(((mask & x).bit_count() & 1) << x for x in range(size))
+            functions.append(f ^ (1 << size) - 1 if draw(st.booleans()) else f)
+        batches.append((n, functions))
+    return batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(_measure_batches())
+def test_batched_measure_equals_direct_nonlinearity(batches):
+    # Widths interleave, from no plan at all: no lane state may leak from one
+    # function of a batch into the next, nor from one width into another.
+    analysis._plan.cache_clear()
+    for n, functions in batches:
+        direct = [((1 << n) - max(map(abs, direct_walsh([f >> x & 1 for x in range(1 << n)],
+                                                         _cached_sign_matrix(n))))) >> 1
+                  for f in functions]
+        assert analysis._measure(functions, n) == direct
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_byte_table_entries_are_direct_walsh_transforms(n):
+    # Entry v holds, in lanes of the plan's width, bias + W of the first
+    # min(8, 2**n) bits of v: the butterfly's first three stages.
+    plan = analysis._plan(n)
+    points, lane = min(8, 1 << n), plan.lane
+    assert len(plan.table) == 1 << points
+    for v, entry in enumerate(plan.table):
+        assert len(entry) * 8 == lane * points
+        packed = int.from_bytes(entry, "little")
+        lanes = [(packed >> lane * a & (1 << lane) - 1) - (1 << lane - 1) for a in range(points)]
+        assert lanes == direct_walsh([v >> x & 1 for x in range(points)],
+                                     _cached_sign_matrix(points.bit_length() - 1))
 
 
 def test_walsh_balance_coefficient():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -163,3 +164,12 @@ def test_fingerprint_reference():
     assert prefix == "10 6 14 13 11 15 7 12"
     assert digest == "2ce84f70887f49b1"
     assert len(digest) == 16
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_fingerprint_hashes_the_decimal_table(n):
+    rng = random.Random(n)
+    for table in (random_bijective(rng, n), [rng.randrange(1 << n) for _ in range(1 << n)]):
+        prefix, digest = fingerprint(SBox(n, tuple(table)))
+        assert prefix == " ".join(map(str, table[:8]))
+        assert digest == hashlib.sha256(" ".join(map(str, table)).encode()).hexdigest()[:16]

@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .core import (
     BitPermutation,
-    CloneOptions,
     FixedPointReport,
     NonBijectiveError,
     RemovalExhausted,
@@ -33,7 +32,6 @@ __all__ = [
     "AnalysisReport",
     "BitPermutation",
     "BooleanFunctionTable",
-    "CloneOptions",
     "FixedPointReport",
     "NonBijectiveError",
     "PropertyStats",

@@ -24,7 +24,6 @@ from types import SimpleNamespace
 from .analysis import CRITERIA, _invariants, analyze, compare_reports
 from .core import (
     BitPermutation,
-    CloneOptions,
     NonBijectiveError,
     RemovalExhausted,
     SBox,
@@ -151,8 +150,8 @@ def cmd_clone(args) -> int:
 
     with _output(args.output) as out:
         if args.avoid_fixed_points:
-            opts = CloneOptions(max_attempts=args.max_attempts)
-            result, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts)
+            result, eff1, eff2 = clone_sbox_avoiding_fixed_points(
+                seed, sigma1, sigma2, max_attempts=args.max_attempts)
         else:
             result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
         out.write(serialize_sbox(result))
@@ -384,172 +383,100 @@ COMMANDS = {
                (("seed", "first s-box file"), ("clone", "second s-box file")), ()),
 }
 
-# Parsing follows argparse's rules for this table, so every argv reads and
-# fails as it did under argparse: unique prefixes of long options,
-# "--opt=value" and "-oVALUE", negative numbers as values, "--" ending the
-# options, the last of a repeated option winning, and argparse's messages.
+# Two readers share this table. _fast reads the plain argvs that callers
+# send: a command, then its positionals in order and its options, each at
+# most once, spelled exactly as "--opt value" or "--opt=value". It reads
+# them as argparse does, without loading argparse. Every other argv (an
+# abbreviation, "-oVALUE", "--", a repeat, a value or positional starting
+# with "-", -h, a usage error) goes to argparse itself, which keeps its
+# rules and messages.
 
 
 class _HelpRequested(Exception):
     """-h/--help was taken; `args[0]` is the command, or None for the top level."""
 
 
-def _name(option: Option) -> str:
-    return "/".join(option.flags)
-
-
-def _fail(option: Option, message: str) -> UsageError:
-    return UsageError(f"argument {_name(option)}: {message}")
-
-
-def _negative_number(arg: str) -> bool:
-    """argparse's "-5" / "-.5" / "-1.5" test (a final newline allowed), read as a value."""
-    whole, dot, fraction = (arg[1:-1] if arg.endswith("\n") else arg[1:]).partition(".")
-    return bool(whole.isdecimal() or dot and not whole) and (not dot or fraction.isdecimal())
-
-
-def _lookup(options: dict, arg: str):
-    """(option or None, flag, explicit value or None) if `arg` reads as an option, else None."""
-    if not arg or arg[0] != "-":
+def _fast(argv: list) -> SimpleNamespace | None:
+    """The namespace of a plain argv, or None where argparse might read `argv` otherwise."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if arg in options:
-        return options[arg], arg, None
-    if len(arg) == 1:
-        return None
-    if "=" in arg:
-        flag, explicit = arg.split("=", 1)
-        if flag in options:
-            return options[flag], flag, explicit
-    if arg[1] == "-":
-        prefix, eq, explicit = arg.partition("=")
-        hits = [(options[f], f, explicit if eq else None) for f in options if f.startswith(prefix)]
-    else:  # -oVALUE; single-dash flags are one letter
-        hits = [(options[arg[:2]], arg[:2], arg[2:])] if arg[:2] in options else []
-    if len(hits) > 1:
-        raise UsageError(f"ambiguous option: {arg} could match {', '.join(f for _, f, _ in hits)}")
-    if hits:
-        return hits[0]
-    return None if _negative_number(arg) or " " in arg else (None, arg, None)
-
-
-def _classify(options: dict, argv: list):
-    """argparse's pattern of argv ("O" option, "A" value, "-" the first "--"), options by index."""
-    pattern, found = [], {}
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            pattern.append("-" + "A" * (len(argv) - i - 1))
-            break
-        found[i] = _lookup(options, arg)
-        pattern.append("A" if found[i] is None else "O")
-    return "".join(pattern), found
-
-
-def _expand(options: dict, hit, argv: list, pattern: str, i: int):
-    """The (option, strings) pairs the option at argv[i] stands for, and the index after them."""
-    option, flag, explicit = hit
-    pairs = []
-    while explicit is not None:
-        if option.kind is not bool:
-            return pairs + [(option, [explicit])], i + 1
-        # A single-dash flag runs on into the next one: -hX reads as -h -X.
-        if flag[1] == "-" or not explicit or "-" + explicit[0] not in options:
-            raise _fail(option, f"ignored explicit argument {explicit!r}")
-        pairs.append((option, []))
-        flag = "-" + explicit[0]
-        option, explicit = options[flag], explicit[1:] or None
-    if option.kind is bool:
-        return pairs + [(option, [])], i + 1
-    if pattern[i + 1:i + 2] != "A":
-        raise _fail(option, "expected one argument")
-    return pairs + [(option, [argv[i + 1]])], i + 2
-
-
-def _value(option: Option | None, strings: list):
-    """The value argparse makes of an option's (for None, a positional's) strings."""
-    if "--" in strings:
-        strings.remove("--")
-    if len(strings) != 1:
-        return []
-    text = strings[0]
-    if option is not None and option.kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise _fail(option, f"invalid int value: {text!r}") from None
-    if option is not None and isinstance(option.kind, tuple) and text not in option.kind:
-        choices = ", ".join(map(repr, option.kind))
-        raise _fail(option, f"invalid choice: {text!r} (choose from {choices})")
-    return text
-
-
-def _parse_command(name: str, argv: list):
-    """Namespace entries and unrecognized strings of `sboxforge NAME argv...`."""
+    name = argv[0]
     _, positionals, options = COMMANDS[name]
-    flags = {flag: option for option in (HELP,) + options for flag in option.flags}
-    pattern, found = _classify(flags, argv)
+    flags = {flag: option for option in options for flag in option.flags}
+    given, words, rest = {}, [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            words.append(arg)
+            continue
+        flag, eq, text = arg.partition("=")
+        option = flags.get(flag)
+        if option is None or option in given or option.kind is bool and eq:
+            return None
+        if option.kind is bool:
+            given[option] = True
+            continue
+        text = text if eq else next(rest, "-")  # "-": a missing value, declined below
+        if text.startswith("-"):
+            return None
+        if option.kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                return None
+        elif isinstance(option.kind, tuple) and text not in option.kind:
+            return None
+        given[option] = text
+    if len(words) != len(positionals) or any(o.required and o not in given for o in options):
+        return None
+    if sum(o.one_of for o in given) != any(o.one_of for o in options):  # one of a group
+        return None
     values = {"command": name, "func": globals()[f"cmd_{name}"]}
-    values.update((option.dest, False if option.kind is bool else option.default)
-                  for option in options)
-    waiting, extras, taken, chosen = list(positionals), [], set(), []
-    i = 0
-    while i < len(argv):
-        if pattern[i] != "O":
-            # The next positional takes one value, with the "--" next to it if there is
-            # one; values left over up to the next option are unrecognized.
-            j = i + (pattern[i] == "-")
-            if waiting and pattern[j:j + 1] == "A":
-                j += 1 + (pattern[j + 1:j + 2] == "-")
-                values[waiting.pop(0)[0]] = _value(None, argv[i:j])
-            else:
-                j = (pattern + "O").index("O", i)
-                extras += argv[i:j]
-            i = j
-        elif found[i][0] is None:
-            extras.append(argv[i])
-            i += 1
-        else:
-            pairs, i = _expand(flags, found[i], argv, pattern, i)
-            for option, strings in pairs:
-                if option is HELP:
-                    raise _HelpRequested(name)
-                value = _value(option, strings)
-                if option.one_of:
-                    clash = [other for other in chosen if other is not option]
-                    if clash:
-                        raise _fail(option, f"not allowed with argument {_name(clash[0])}")
-                    chosen.append(option)
-                taken.add(option)
-                values[option.dest] = True if option.kind is bool else value
-
-    missing = [dest for dest, _ in waiting]
-    missing += [_name(option) for option in options if option.required and option not in taken]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    group = [_name(option) for option in options if option.one_of]
-    if group and not chosen:
-        raise UsageError(f"one of the arguments {' '.join(group)} is required")
-    return values, extras
-
-
-def _parse(argv: list) -> SimpleNamespace:
-    top = {"-h": HELP, "--help": HELP}
-    pattern, found = _classify(top, argv)
-    extras, i = [], 0
-    while pattern[i:i + 1] == "O":
-        if found[i][0] is not None:
-            _expand(top, found[i], argv, pattern, i)  # rejects -hX and --help=X
-            raise _HelpRequested(None)
-        extras.append(argv[i])
-        i += 1
-    if pattern[i:] in ("", "-"):
-        raise UsageError("the following arguments are required: command")
-    if argv[i] not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        raise UsageError(f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
-    values, more = _parse_command(argv[i], argv[i + 1:])
-    if extras + more:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras + more)}")
+    values.update(zip((dest for dest, _ in positionals), words))
+    values.update((o.dest, given.get(o, False if o.kind is bool else o.default)) for o in options)
     return SimpleNamespace(**values)
+
+
+def _argparse(argv: list) -> SimpleNamespace:
+    """The namespace argparse makes of `argv`, its parser built from COMMANDS.
+
+    Imported here: loading argparse costs a cold call about 8 ms, which
+    only argvs that _fast declines pay.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    class Help(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise _HelpRequested(self.const)
+
+    def add_help(parser, name):
+        # SUPPRESS keeps a "help" entry out of every namespace.
+        parser.add_argument(*HELP.flags, action=Help, nargs=0, const=name,
+                            default=argparse.SUPPRESS)
+
+    top = Parser(prog="sboxforge", add_help=False)
+    add_help(top, None)
+    commands = top.add_subparsers(dest="command", required=True)
+    for name, (_, positionals, options) in COMMANDS.items():
+        parser = commands.add_parser(name, add_help=False)
+        add_help(parser, name)
+        for dest, _ in positionals:
+            parser.add_argument(dest)
+        if any(o.one_of for o in options):
+            group = parser.add_mutually_exclusive_group(required=True)
+        for o in options:
+            into = group if o.one_of else parser
+            if o.kind is bool:
+                into.add_argument(*o.flags, dest=o.dest, action="store_true")
+            else:
+                into.add_argument(*o.flags, dest=o.dest, default=o.default, required=o.required,
+                                  type=int if o.kind is int else None,
+                                  choices=o.kind if isinstance(o.kind, tuple) else None)
+        parser.set_defaults(func=globals()[f"cmd_{name}"])
+    return SimpleNamespace(**vars(top.parse_args(argv)))
 
 
 def _show_help(args) -> int:
@@ -563,8 +490,9 @@ def parse_args(argv) -> SimpleNamespace:
     Raises UsageError for an argv argparse would reject, with argparse's
     message. -h/--help yields a namespace whose func prints the help.
     """
+    argv = list(argv)
     try:
-        return _parse(list(argv))
+        return _fast(argv) or _argparse(argv)
     except _HelpRequested as shown:
         # Imported here: compiling the help renderer would slow every cold start.
         from .usage import help_text

@@ -110,21 +110,6 @@ class FixedPointReport:
         return not self.fixed and not self.reverse_fixed
 
 
-@dataclass(frozen=True)
-class CloneOptions:
-    """Knobs for clone generation.
-
-    max_attempts caps the fixed-point removal walk; None, or any cap of n!
-    or more, walks all n! input permutations, which tries every class.
-    """
-
-    max_attempts: int | None = None
-
-    def __post_init__(self):
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-
 def _lift(images) -> list[int]:
     """Entry v is v with bit j moved to bit images[j], built by doubling."""
     table = [0]
@@ -180,7 +165,7 @@ def clone_sbox_avoiding_fixed_points(
     seed: SBox,
     sigma1: BitPermutation,
     sigma2: BitPermutation,
-    opts: CloneOptions | None = None,
+    max_attempts: int | None = None,
 ) -> tuple[SBox, BitPermutation, BitPermutation]:
     """Walk S_n for the first clone with no fixed or reverse fixed points.
 
@@ -189,6 +174,8 @@ def clone_sbox_avoiding_fixed_points(
     sigma1 and keeps sigma2; attempt 0 is the requested pair. Returns the
     first clean clone with its effective permutations, or raises
     RemovalExhausted once max_attempts or all n! attempts have failed.
+    max_attempts None, or any cap of n! or more, walks all n! input
+    permutations, which tries every class; a cap below 1 is a ValueError.
 
     Lifting is a homomorphism from S_n that commutes with complement, so the
     clone of (pi sigma1, sigma2) is conjugate by L_(pi sigma1) to
@@ -204,7 +191,8 @@ def clone_sbox_avoiding_fixed_points(
     the lifted row permutation fixes both indices and sigma2 fixes both
     values. Such a seed raises RemovalExhausted before any attempt.
     """
-    opts = opts or CloneOptions()
+    if max_attempts is not None and max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
     top = len(seed) - 1
@@ -215,7 +203,7 @@ def clone_sbox_avoiding_fixed_points(
     if sigma1.size != seed.n or sigma2.size != seed.n:
         raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     fact = factorial(seed.n)
-    budget = min(fact, opts.max_attempts or fact)
+    budget = min(fact, max_attempts or fact)
     lift1, lift2 = _lift(sigma1.images), _lift(sigma2.images)
     h = seed.n // 2
     low = (1 << h) - 1

@@ -17,7 +17,6 @@ import pytest
 from sboxforge import (
     BitPermutation,
     BooleanFunctionTable,
-    CloneOptions,
     RemovalExhausted,
     SBox,
     analyze,
@@ -232,8 +231,7 @@ def test_criterion_10_fixed_point_behaviour():
     seed = SBox.from_table(SEED4)
     with pytest.raises(RemovalExhausted):
         clone_sbox_avoiding_fixed_points(
-            seed, BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4),
-            CloneOptions(max_attempts=1))
+            seed, BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4), max_attempts=1)
 
     rng = random.Random(113)
     configs = [(seed, BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4))]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sboxforge import core
 from sboxforge import (
     BitPermutation,
-    CloneOptions,
     NonBijectiveError,
     RemovalExhausted,
     SBox,
@@ -339,10 +338,10 @@ def test_avoidance_budget_boundaries():
     seed = SBox.from_table(SEED4)
     s1, s2 = BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4)
     with pytest.raises(RemovalExhausted):
-        clone_sbox_avoiding_fixed_points(seed, s1, s2, CloneOptions(max_attempts=1))
+        clone_sbox_avoiding_fixed_points(seed, s1, s2, max_attempts=1)
     with pytest.raises(RemovalExhausted):
-        clone_sbox_avoiding_fixed_points(seed, s1, s2, CloneOptions(max_attempts=6))
-    result, _, _ = clone_sbox_avoiding_fixed_points(seed, s1, s2, CloneOptions(max_attempts=7))
+        clone_sbox_avoiding_fixed_points(seed, s1, s2, max_attempts=6)
+    result, _, _ = clone_sbox_avoiding_fixed_points(seed, s1, s2, max_attempts=7)
     assert find_fixed_points(result).empty
 
 
@@ -419,7 +418,7 @@ def test_removal_caps_below_and_beyond_the_walk(attempts):
                                 (10 ** 30, 6, "all 6 input permutations tried$")):
         attempts.clear()
         with pytest.raises(RemovalExhausted, match=message):
-            clone_sbox_avoiding_fixed_points(seed, identity, identity, CloneOptions(cap))
+            clone_sbox_avoiding_fixed_points(seed, identity, identity, cap)
         assert len(attempts) == len(set(attempts)) == count
 
 
@@ -432,12 +431,12 @@ def test_first_attempt_is_decided_by_the_composite(case):
     table, s1, s2 = case
     assume({table[0], table[-1]}.isdisjoint({0, len(table) - 1}))
     seed, sigma1, sigma2 = SBox.from_table(table), BitPermutation(s1), BitPermutation(s2)
-    clone, opts = clone_sbox(seed, sigma1, sigma2), CloneOptions(max_attempts=1)
+    clone = clone_sbox(seed, sigma1, sigma2)
     if find_fixed_points(clone).empty:
-        assert clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts) == (clone, sigma1, sigma2)
+        assert clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, 1) == (clone, sigma1, sigma2)
     else:
         with pytest.raises(RemovalExhausted, match="^no clean clone within 1 attempts$"):
-            clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, opts)
+            clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, 1)
 
 
 def test_removal_walk_matches_full_schedule_oracle():
@@ -465,6 +464,7 @@ def test_removal_walk_matches_full_schedule_oracle():
     assert outcomes == {"clean", "pinned", "walked"}
 
 
-def test_clone_options_validation():
-    with pytest.raises(ValueError):
-        CloneOptions(max_attempts=0)
+def test_removal_rejects_max_attempts_below_one():
+    seed, s1, s2 = SBox.from_table(SEED4), BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4)
+    with pytest.raises(ValueError, match="^max_attempts must be >= 1$"):
+        clone_sbox_avoiding_fixed_points(seed, s1, s2, max_attempts=0)

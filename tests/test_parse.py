@@ -1,7 +1,8 @@
-"""The table-driven command line against the argparse parser it replaced.
+"""The command line against the argparse parser it was first written as.
 
 `oracles.argparse_parser()` is that parser. Every argv must parse to the
-same values under both, or be rejected by both with the same message.
+same values under both, or be rejected by both with the same message,
+whether the CLI reads it directly or hands it to argparse.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from sboxforge.cli import main
 
 from oracles import ArgparseRejected, argparse_parser
 
-# The parser was written to the rules of argparse as Python 3.11 ships it,
+# cli._fast reads argvs by the rules of argparse as Python 3.11 ships it,
 # so that version is the reference.
 reference_version = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                        reason="the reference is Python 3.11's argparse")
@@ -122,6 +123,10 @@ def test_grammar_reaches_every_outcome(outcome):
     ["verify", "a", "b"],
     ["verify", "a", "--", "-b"],
     ["verify", "--", "-a", "-b"],
+    ["derive", "--key=--", "--n", "4"],
+    ["clone", "s", "--key=-x"],
+    ["clone", "s", "--output="],
+    ["clone", "s", "--key", "1", "--key", "2"],
 ])
 def test_accepted_forms_match_argparse(argv):
     outcome, values = by_table(argv)
@@ -159,6 +164,8 @@ CHOICES = "'clone', 'analyze', 'derive', 'enumerate', 'verify'"
     (["clone", "s", "--remove-fixed-points=yes"],
      "argument --remove-fixed-points: ignored explicit argument 'yes'"),
     (["clone", "s", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["analyze", "s", "--format="],
+     "argument --format: invalid choice: '' (choose from 'text', 'json')"),
 ])
 def test_rejections_exit_64_with_argparse_wording(argv, message, capsys):
     assert by_argparse(argv) == ("rejected", message)

@@ -13,7 +13,6 @@ PUBLIC = {
     "AnalysisReport",
     "BitPermutation",
     "BooleanFunctionTable",
-    "CloneOptions",
     "FixedPointReport",
     "NonBijectiveError",
     "PropertyStats",
@@ -64,9 +63,25 @@ def test_readme_cli_lines_parse():
         assert (args.command, args.func) == (words[0], getattr(cli, f"cmd_{words[0]}"))
 
 
+# One argv of each shape the benchmark's ops send.
+BENCH_ARGVS = [
+    ["clone", "s8.txt", "--key", "0123456789abcdef", "--remove-fixed-points",
+     "--max-attempts", "16", "-o", "c.txt"],
+    ["enumerate", "s4.txt", "--all", "--check-invariance", "--out", "e.csv"],
+    ["enumerate", "aes.txt", "--sample", "50", "--rng-seed", "1234", "--check-invariance",
+     "--out", "e.csv"],
+    ["analyze", "s10.txt", "--format", "json"],
+    ["verify", "a.txt", "b.txt"],
+]
+
+
 def test_cli_import_leaves_argparse_out(child_env):
-    # A cold CLI call should not pay for building argparse parsers or loading gettext.
-    probe = "import sys, sboxforge.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    # A cold CLI call should not pay for building argparse parsers or loading gettext,
+    # nor should parsing the README's command lines or the benchmark's.
+    argvs = [shlex.split(line)[1:] for line in readme_block("CLI", "sh").splitlines()
+             if line.startswith("sboxforge ")] + BENCH_ARGVS
+    probe = (f"import sys, sboxforge.cli; [sboxforge.cli.parse_args(a) for a in {argvs!r}]; "
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "[]\n"

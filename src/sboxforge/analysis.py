@@ -117,7 +117,7 @@ class _Plan(NamedTuple):
     rounds: tuple        # (width, top bits of the low lanes, low lanes) per tournament round
     flips: tuple         # (2**i, low halves) per input bit i
     pairs: tuple         # every (j, k) with j < k < n
-    memo: dict           # profile by truth-table bitset, filled by _remember
+    memo: dict           # profile by truth-table bitset, read and filled by _profiles
 
 
 # The memo of one width is cleared before its entries would pass 2**26 bits.
@@ -207,55 +207,36 @@ def _measure(functions, n: int) -> list[int]:
 # Profiles. Every criterion is a population of integer counts read off the
 # functions of an s-box: its n coordinate functions f_j, then the pair sums
 # f_j ^ f_k (j < k) in the order of _plan(n).pairs. The profile of a function
-# f is (NL(f), the n popcounts of D_i f), where D_i f(x) = f(x) ^ f(x ^ 2**i):
-# SAC entry (i, j) is the i-th popcount of f_j, and the BIC-SAC count of a
-# pair is the sum of its popcounts, since D_i (f_j ^ f_k) = D_i f_j ^ D_i f_k.
+# f is (NL(f), the n popcounts of D_i f), where D_i f(x) = f(x) ^ f(x ^ 2**i).
 #
 # Clones of one seed with the same sigma1 share their coordinate functions and
 # pair sums, only reordered, so a sweep meets each function many times. The
 # width's memo maps a function's exact bitset to its profile, never a class of
-# tables, so every clone's counts still come from its own table. A lookup
-# splits the profiles into a list of nonlinearities and one of popcount
-# tuples, None where the memo missed; the criteria fill in their own part,
-# and _remember stores the profiles of the misses.
+# tables, so every clone's counts still come from its own table. _profiles is
+# the one reader and writer of the memo: it measures only the functions the
+# memo lacks, in one batch, and stores their profiles.
 
 
-def _lookup(coordinates: tuple[int, ...], n: int) -> tuple[list[int], list, list]:
-    """The functions of an s-box with these coordinate bitsets, and their
-    nonlinearities and popcounts from the memo, None where it misses."""
-    f = coordinates
+def _profiles(s: SBox) -> list[tuple[int, tuple[int, ...]]]:
+    """The profile of each function of `s`: coordinates, then pair sums."""
+    n, f = s.n, _coordinates(s)
     plan = _plan(n)
+    memo = plan.memo
     functions = [*f, *[f[j] ^ f[k] for j, k in plan.pairs]]
-    known = list(map(plan.memo.get, functions))
-    return functions, [p and p[0] for p in known], [p and p[1] for p in known]
-
-
-def _fill_nonlinearities(functions: list[int], nls: list, part: range, n: int) -> None:
-    """Measure the misses among nls[part] in one butterfly batch."""
-    missed = [i for i in part if nls[i] is None]
+    profiles = list(map(memo.get, functions))
+    missed = [i for i, p in enumerate(profiles) if p is None]
+    if not missed:
+        return profiles
+    d = _derivatives(f, n)
     for i, nl in zip(missed, _measure([functions[i] for i in missed], n)):
-        nls[i] = nl
-
-
-def _fill_coordinate_counts(derivatives, counts: list, n: int) -> None:
-    """Fill in the missed popcounts of the n coordinate functions."""
-    counts[:n] = [c or tuple(map(int.bit_count, derivatives[j])) for j, c in enumerate(counts[:n])]
-
-
-def _fill_pair_counts(derivatives, counts: list, n: int) -> None:
-    """Fill in the missed popcounts of the pair sums; their derivatives are
-    the xors of their two coordinates' derivatives."""
-    counts[n:] = [c or tuple(map(int.bit_count, map(xor, derivatives[j], derivatives[k])))
-                  for c, (j, k) in zip(counts[n:], _plan(n).pairs)]
-
-
-def _remember(functions: list[int], nls: list, counts: list, n: int) -> None:
-    """Store the profiles the memo lacks, clearing it first if they would pass its budget."""
-    memo = _plan(n).memo
-    fresh = {f: (nl, c) for f, nl, c in zip(functions, nls, counts) if f not in memo}
+        # A pair sum's derivatives are the xors of its two coordinates' derivatives.
+        derivatives = d[i] if i < n else map(xor, *map(d.__getitem__, plan.pairs[i - n]))
+        profiles[i] = nl, tuple(map(int.bit_count, derivatives))
+    fresh = {functions[i]: profiles[i] for i in missed}
     if (len(memo) + len(fresh)) * _entry_bits(n) > _MEMO_BITS:
         memo.clear()
     memo.update(fresh)
+    return profiles
 
 
 def _bitset(f: BooleanFunctionTable) -> int:
@@ -315,64 +296,43 @@ def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> Pro
     return PropertyStats(low, high, Fraction(total, count * d), math.sqrt(variance) / sd_divisor)
 
 
-def sbox_nonlinearity_stats(functions: list[int], nls: list, n: int) -> PropertyStats:
-    """Stats over the nonlinearity of the n coordinate functions."""
-    _fill_nonlinearities(functions, nls, range(n), n)
-    return _population_stats(nls[:n])
+def _populations(s: SBox) -> tuple[list[int], ...]:
+    """The counts of the four criteria, in CRITERIA order.
 
-
-def sac_stats(derivatives, counts: list, n: int) -> PropertyStats:
-    """Avalanche statistics over all n*n dependence-matrix entries.
-
-    Entry (i, j), the probability that flipping input bit i flips output
-    bit j, is the popcount of derivative bitset [j][i] over 2**n.
-    min/max/avg summarise those probabilities directly. The customary
-    spread convention for s-box comparison tables measures flip counts
-    against 2**(n+1) rather than 2**n samples, so sd is half the
-    population standard deviation of the entries.
+    nl: the nonlinearity of each coordinate f_j. sac: the n*n flip counts,
+    entry (i, j) the popcount of D_i f_j, out of 2**n inputs. bic_nl: the
+    nonlinearity of each pair sum f_j ^ f_k, j < k. bic_sac: per pair, the
+    sum of its n flip counts, out of n * 2**n.
     """
-    _fill_coordinate_counts(derivatives, counts, n)
-    return _population_stats([c for p in counts[:n] for c in p], 1 << n, sd_divisor=2)
-
-
-def bic_nonlinearity_stats(functions: list[int], nls: list, n: int) -> PropertyStats:
-    """Stats over the nonlinearity of f_j xor f_k for all pairs j < k."""
-    _fill_nonlinearities(functions, nls, range(n, len(nls)), n)
-    return _population_stats(nls[n:])
-
-
-def bic_sac_stats(derivatives, counts: list, n: int) -> PropertyStats:
-    """Avalanche statistics of the pairwise output-bit sums.
-
-    Every unordered pair (j, k) contributes one value: the mean, over the
-    n single-bit input flips, of the probability that f_j xor f_k flips.
-    Stats run over those n*(n-1)/2 pair values.
-    """
-    _fill_pair_counts(derivatives, counts, n)
-    return _population_stats(list(map(sum, counts[n:])), n << n)
+    profiles = _profiles(s)
+    coordinates, pairs = profiles[:s.n], profiles[s.n:]
+    return ([nl for nl, _ in coordinates], [c for _, counts in coordinates for c in counts],
+            [nl for nl, _ in pairs], [sum(counts) for _, counts in pairs])
 
 
 def analyze(s: SBox) -> AnalysisReport:
     """Bundle all four criteria plus fixed-point detection into one report.
 
-    The coordinate bitsets, and the derivative bitsets when the memo lacks
-    a profile, are built once here and shared by the four criteria.
+    SAC entry (i, j), the probability that flipping input bit i flips
+    output bit j, is its count over 2**n. A BIC-SAC value, the mean over the
+    n single-bit input flips of the probability that f_j ^ f_k flips, is its
+    count over n * 2**n. The customary spread convention for s-box
+    comparison tables measures SAC flip counts against 2**(n+1) rather than
+    2**n samples, so sac.sd is half the population standard deviation of
+    the entries.
     """
-    n, coordinates = s.n, _coordinates(s)
-    functions, nls, counts = _lookup(coordinates, n)
-    derivatives = _derivatives(coordinates, n) if None in nls else ()
-    report = AnalysisReport(
+    n = s.n
+    nl, sac, bic_nl, bic_sac = _populations(s)
+    return AnalysisReport(
         n=n,
         bijective=s.is_bijective(),
         fixed_points=find_fixed_points(s),
-        nl=sbox_nonlinearity_stats(functions, nls, n),
+        nl=_population_stats(nl),
         nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
-        sac=sac_stats(derivatives, counts, n),
-        bic_nl=bic_nonlinearity_stats(functions, nls, n),
-        bic_sac=bic_sac_stats(derivatives, counts, n),
+        sac=_population_stats(sac, 1 << n, sd_divisor=2),
+        bic_nl=_population_stats(bic_nl),
+        bic_sac=_population_stats(bic_sac, n << n),
     )
-    _remember(functions, nls, counts, n)
-    return report
 
 
 def _invariants(s: SBox) -> tuple:
@@ -384,16 +344,7 @@ def _invariants(s: SBox) -> tuple:
     exactly, since its counts are the seed's, reordered. So an invariance
     sweep compares these, with no Fraction or float, instead of reports.
     """
-    n, coordinates = s.n, _coordinates(s)
-    functions, nls, counts = _lookup(coordinates, n)
-    if None in nls:
-        derivatives = _derivatives(coordinates, n)
-        _fill_nonlinearities(functions, nls, range(len(nls)), n)
-        _fill_coordinate_counts(derivatives, counts, n)
-        _fill_pair_counts(derivatives, counts, n)
-        _remember(functions, nls, counts, n)
-    return (s.is_bijective(), _moments(nls[:n]), _moments([c for p in counts[:n] for c in p]),
-            _moments(nls[n:]), _moments(list(map(sum, counts[n:]))))
+    return (s.is_bijective(), *map(_moments, _populations(s)))
 
 
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:

@@ -503,6 +503,10 @@ def parse_args(argv) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        # argparse strips "--" from an option's strings, so "--opt=--" gives it the value [].
+        for o in COMMANDS[args.command][2] if hasattr(args, "command") else ():
+            if isinstance(getattr(args, o.dest), list):
+                raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

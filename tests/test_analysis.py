@@ -550,16 +550,20 @@ def _fresh_reports(tables, env) -> list[str]:
 def test_reports_do_not_leak_between_sboxes(child_env):
     # A (n = 4), B (n = 8), A again, C (n = 15, past the switch to 32-bit
     # Walsh lanes), then clones of A and of D (n = 6) taken sigma1-major as
-    # enumerate --all takes them: neither the per-width plans nor the
-    # nonlinearity memo kept between calls may carry anything from one
-    # s-box into another s-box's report.
+    # enumerate --all takes them, then copies of A and D with output bit 1
+    # read from the reversed table, whose other coordinates and the pairs
+    # without bit 1 hit the memo while the rest miss: neither the per-width
+    # plans nor the nonlinearity memo kept between calls may carry anything
+    # from one s-box into another s-box's report.
     rng = random.Random(83)
     a, b, c, d = (SBox.from_table(random_bijective(rng, n)) for n in (4, 8, 15, 6))
     clones = [clone_sbox(seed, lehmer_decode(k1, seed.n), lehmer_decode(k2, seed.n))
               for seed, ranks1, ranks2 in ((a, range(3), range(24)),
                                            (d, (0, 1, 719), range(0, 720, 9)))
               for k1 in ranks1 for k2 in ranks2]
-    sboxes = [a, b, a, c] + clones
+    partial = [SBox.from_table([(v & ~2) | (t[~x] & 2) for x, v in enumerate(t)])
+               for t in (a.table, d.table)]
+    sboxes = [a, b, a, c] + clones + partial
     fresh = _fresh_reports([list(s.table) for s in sboxes], child_env)
     assert [repr(analyze(s)) for s in sboxes] == fresh
 

@@ -685,6 +685,28 @@ def test_n16_enumerate_sample(seed16, capsys):
 
 
 # ---------------------------------------------------------------------
+# usage errors
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["derive", "--key=--", "--n", "4"], "--key"),
+    (["derive", "--key", "00", "--n=--"], "--n"),
+    (["clone", "s", "--key", "00", "--remove-fixed-points", "--max-attempts=--"], "--max-attempts"),
+    (["enumerate", "s", "--sample=--"], "--sample"),
+    (["clone", "s", "--key", "17", "-o=--"], "-o/--output"),
+    (["analyze", "s", "--format=--"], "--format"),
+])
+def test_option_value_dashdash_exits_64(argv, flag, seed4_file, tmp_path, capsys, monkeypatch):
+    # argparse reads "--opt=--" as an option given no value.
+    monkeypatch.chdir(tmp_path)
+    assert main([seed4_file if arg == "s" else arg for arg in argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {flag}: expected one argument\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed4.txt"]
+
+
+# ---------------------------------------------------------------------
 # help
 
 

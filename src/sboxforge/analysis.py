@@ -16,15 +16,13 @@ serialisation.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul, xor
 from typing import NamedTuple
 
-from .core import FixedPointReport, SBox, find_fixed_points
+from .core import FixedPointReport, SBox, _DIGITS, _coordinates, _repeat, find_fixed_points
 
 
 @dataclass(frozen=True)
@@ -92,18 +90,6 @@ def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
     if not 0 <= mask < 1 << s.n:
         raise ValueError(f"mask {mask} out of range for width {s.n}")
     return BooleanFunctionTable(tuple((v & mask).bit_count() & 1 for v in s.table))
-
-
-_DIGITS = [bytes.maketrans(bytes(range(256)), bytes(48 | v >> j & 1 for v in range(256)))
-           for j in range(8)]  # byte -> b"0"/b"1" by its bit j
-
-
-def _repeat(pattern: int, period: int, total: int) -> int:
-    """Tile `pattern`, one period wide, across `total` bits."""
-    while period < total:
-        pattern |= pattern << period
-        period <<= 1
-    return pattern
 
 
 class _Plan(NamedTuple):
@@ -242,16 +228,6 @@ def _profiles(s: SBox) -> list[tuple[int, tuple[int, ...]]]:
 def _bitset(f: BooleanFunctionTable) -> int:
     """The truth table as one int: bit x is f(x)."""
     return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
-
-
-def _coordinates(s: SBox) -> tuple[int, ...]:
-    """The n coordinate bitsets of `s`: bit x of entry j is bit j of s[x]."""
-    lanes = array("H", s.table[::-1])
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    raw = lanes.tobytes()
-    planes = (raw[::2], raw[1::2])
-    return tuple(int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
 
 
 def _derivatives(coordinates: tuple[int, ...], n: int) -> list[tuple[int, ...]]:

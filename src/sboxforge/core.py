@@ -11,9 +11,13 @@ bit-independence statistics while relocating its fixed points.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 from math import factorial
+from operator import and_, xor
 
 
 class NonBijectiveError(ValueError):
@@ -151,6 +155,28 @@ def _clone(seed: SBox, rows: list[int], out: list[int]) -> SBox:
     return SBox._trusted(seed.n, tuple([out[table[r]] for r in rows]))
 
 
+_DIGITS = [bytes.maketrans(bytes(range(256)), bytes(48 | v >> j & 1 for v in range(256)))
+           for j in range(8)]  # byte -> b"0"/b"1" by its bit j
+
+
+def _repeat(pattern: int, period: int, total: int) -> int:
+    """Tile `pattern`, one period wide, across `total` bits."""
+    while period < total:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern
+
+
+def _coordinates(s: SBox) -> tuple[int, ...]:
+    """The n coordinate bitsets of `s`: bit x of entry j is bit j of s[x]."""
+    lanes = array("H", s.table[::-1])
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    raw = lanes.tobytes()
+    planes = (raw[::2], raw[1::2])
+    return tuple(int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
+
+
 def find_fixed_points(s: SBox) -> FixedPointReport:
     top, fixed, reverse = len(s) - 1, [], []
     for i, v in enumerate(s.table):
@@ -181,11 +207,17 @@ def clone_sbox_avoiding_fixed_points(
     clone of (pi sigma1, sigma2) is conjugate by L_(pi sigma1) to
     x -> L_pi(base[x]), base = L_sigma1 L_sigma2 seed: both have as many fixed
     and reverse fixed points, and these depend on the composite pi sigma1 sigma2
-    alone. Each attempt lifts pi and scans base up to its first hit; only the
-    clean clone that is returned gets built. The walk reaches every composite.
-    L_pi(v) is L_(pi[:h]) of v's low h = n // 2 bits or'ed with L_(pi[h:]) of
-    its high bits, so an attempt lifts two tables of about 2**(n/2) entries
-    rather than one of 2**n, and base is split into those halves once.
+    alone. The walk reaches every composite, and only the clean clone that is
+    returned gets built.
+
+    Each attempt is decided on bit-planes, 2**n-bit ints with one bit per
+    index x. Plane sigma1[sigma2[j]] of base is the seed's coordinate bitset
+    j, so the n base planes B_k cost no lift; identity plane I_k has bit x set
+    when bit k of x is. L_pi moves bit k to bit pi[k], so x is a fixed point
+    when B_k(x) = I_pi[k](x) for every k, and a reverse fixed point when they
+    differ for every k. So pi is clean when AND_k (~B_k ^ I_pi[k]) and
+    AND_k (B_k ^ I_pi[k]) are both zero, ~ taken within 2**n bits: 2n big-int
+    operations per attempt, with each ~B_k computed once per walk.
 
     A seed that maps index 0 or 2**n - 1 to 0 or 2**n - 1 has no clean clone:
     the lifted row permutation fixes both indices and sigma2 fixes both
@@ -202,17 +234,19 @@ def clone_sbox_avoiding_fixed_points(
             raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
     if sigma1.size != seed.n or sigma2.size != seed.n:
         raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
-    fact = factorial(seed.n)
+    n, size = seed.n, top + 1
+    fact = factorial(n)
     budget = min(fact, max_attempts or fact)
-    lift1, lift2 = _lift(sigma1.images), _lift(sigma2.images)
-    h = seed.n // 2
-    low = (1 << h) - 1
-    base = [(b & low, b >> h) for b in (lift1[lift2[v]] for v in seed.table)]
-    for _, pi in zip(range(budget), permutations(range(seed.n))):
-        lo, hi = _lift(pi[:h]), _lift(pi[h:])
-        if all((lo[l] | hi[u]) ^ x not in (0, top) for x, (l, u) in enumerate(base)):
+    planes, full = [0] * n, (1 << size) - 1
+    for j, f in enumerate(_coordinates(seed)):
+        planes[sigma1.images[sigma2.images[j]]] = f
+    flipped = [full ^ b for b in planes]
+    identity = [_repeat((1 << h) - 1 << h, h << 1, size) for h in (1 << k for k in range(n))]
+    for _, moved in zip(range(budget), permutations(identity)):  # moved[k] = I_pi[k]
+        if not reduce(and_, map(xor, flipped, moved)) and not reduce(and_, map(xor, planes, moved)):
+            pi = tuple(map(identity.index, moved))
             eff1 = BitPermutation(tuple([pi[j] for j in sigma1.images]))
-            return _clone(seed, _lift(eff1.images), lift2), eff1, sigma2
+            return _clone(seed, _lift(eff1.images), _lift(sigma2.images)), eff1, sigma2
     if budget == fact:
         raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
     raise RemovalExhausted(f"no clean clone within {budget} attempts")

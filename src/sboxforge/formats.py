@@ -10,35 +10,44 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .analysis import AnalysisReport, PropertyStats
 from .core import SBox
-
-_SPLIT = re.compile(r"[,\s]+")
 
 
 class SBoxFileError(ValueError):
     """Malformed s-box file contents."""
 
 
+def _entry(token: str) -> int:
+    try:
+        return int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
+    except ValueError as exc:
+        raise SBoxFileError(f"invalid entry {token!r}") from exc
+
+
+def _values(tokens: list[str]) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # hex entries, or a bad one to report
+        pass
+    # Tokens hold no space, so after a space in the text that joins them,
+    # each one that starts with 0x or 0X starts one " 0x" or " 0X".
+    joined = " " + " ".join(tokens)
+    if joined.count(" 0x") + joined.count(" 0X") == len(tokens):
+        try:
+            return list(map(int, tokens, repeat(16)))
+        except ValueError:
+            pass
+    return list(map(_entry, tokens))  # mixed entries, or a bad one to report
+
+
 def parse_sbox_text(text: str) -> SBox:
     body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = _SPLIT.split(body)
-    # Separators run together, so only the first and last token can be empty.
-    tokens = tokens[not tokens[0]:len(tokens) - (not tokens[-1])]
-    try:
-        values = list(map(int, tokens))
-    except ValueError:  # hex entries, or a bad one to report
-        values = []
-        for token in tokens:
-            try:
-                value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
-            except ValueError as exc:
-                raise SBoxFileError(f"invalid entry {token!r}") from exc
-            values.append(value)
+    values = _values(body.replace(",", " ").split())
     if not values:
         raise SBoxFileError("no entries found")
     try:

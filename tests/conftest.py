@@ -17,7 +17,7 @@ def child_env():
 
 @pytest.fixture
 def attempts(monkeypatch):
-    """Input permutations the removal walk draws from core.permutations, one per attempt."""
+    """What the removal walk draws from core.permutations: one item per attempt."""
     tried = []
 
     def recording(*args):

@@ -261,3 +261,38 @@ def parse_sbox_text_by_token(text):
         return SBox.from_table(values)
     except ValueError as exc:
         raise SBoxFileError(str(exc)) from exc
+
+
+def removal_walk_by_lift(seed, sigma1, sigma2, max_attempts=None):
+    """The fixed-point removal walk as it was before it decided attempts on
+    bit-planes: the reference it keeps to. Each attempt lifts pi as two
+    half-width tables and scans base = L_sigma1 L_sigma2 seed up to its first
+    hit. Same results, messages and checks as clone_sbox_avoiding_fixed_points."""
+    from sboxforge import BitPermutation, NonBijectiveError, RemovalExhausted, clone_sbox
+    from sboxforge.core import _lift
+
+    if max_attempts is not None and max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    if not seed.is_bijective():
+        raise NonBijectiveError("seed s-box has duplicate entries")
+    top = len(seed) - 1
+    for i, v in ((0, seed.table[0]), (top, seed.table[top])):
+        if v in (0, top):
+            kind = "fixed" if v == i else "reverse fixed"
+            raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
+    if sigma1.size != seed.n or sigma2.size != seed.n:
+        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
+    fact = factorial(seed.n)
+    budget = min(fact, max_attempts or fact)
+    lift1, lift2 = _lift(sigma1.images), _lift(sigma2.images)
+    h = seed.n // 2
+    low = (1 << h) - 1
+    base = [(b & low, b >> h) for b in (lift1[lift2[v]] for v in seed.table)]
+    for _, pi in zip(range(budget), permutations(range(seed.n))):
+        lo, hi = _lift(pi[:h]), _lift(pi[h:])
+        if all((lo[l] | hi[u]) ^ x not in (0, top) for x, (l, u) in enumerate(base)):
+            eff1 = BitPermutation(tuple([pi[j] for j in sigma1.images]))
+            return clone_sbox(seed, eff1, sigma2), eff1, sigma2
+    if budget == fact:
+        raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
+    raise RemovalExhausted(f"no clean clone within {budget} attempts")

@@ -30,6 +30,7 @@ from oracles import (
     perm_matrix,
     random_bijective,
     random_perm,
+    removal_walk_by_lift,
     stabilizer_size,
 )
 from vectors import (
@@ -140,16 +141,16 @@ def test_lifted_images_examples():
     assert derive_row_permutation(BitPermutation.identity(4), 4).images == tuple(range(16))
 
 
-def test_half_width_lifts_make_the_full_lift():
-    # The removal walk lifts pi[:h] and pi[h:] and ors their entries for the
-    # low h and high n - h bits of an index; that must be the full lift of pi.
+def test_base_planes_are_the_seeds_relabelled_coordinates():
+    # The removal walk reads plane sigma1[sigma2[j]] of base = L_sigma1 L_sigma2 seed
+    # off the seed's coordinate bitset j, lifting nothing; that must be base's own plane.
     rng = random.Random(29)
     for n in range(2, 17):
-        h = n // 2
-        for _ in range(3):
-            pi = random_perm(rng, n)
-            lo, hi = core._lift(pi[:h]), core._lift(pi[h:])
-            assert [lo[v & (1 << h) - 1] | hi[v >> h] for v in range(1 << n)] == core._lift(pi)
+        seed = SBox(n, tuple(random_bijective(rng, n)))
+        s1, s2 = random_perm(rng, n), random_perm(rng, n)
+        lift1, lift2 = core._lift(s1), core._lift(s2)
+        planes = core._coordinates(SBox(n, tuple(lift1[lift2[v]] for v in seed.table)))
+        assert [planes[s1[s2[j]]] for j in range(n)] == list(core._coordinates(seed))
 
 
 def test_derive_row_permutation_size_mismatch():
@@ -426,7 +427,7 @@ def test_removal_caps_below_and_beyond_the_walk(attempts):
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.permutations(range(1 << n)), st.permutations(range(n)), st.permutations(range(n)))))
 def test_first_attempt_is_decided_by_the_composite(case):
-    # Attempt 0 decides the requested pair from the lifted composite alone;
+    # Attempt 0 decides the requested pair on the seed's planes alone;
     # it must agree with building that clone and looking for fixed points.
     table, s1, s2 = case
     assume({table[0], table[-1]}.isdisjoint({0, len(table) - 1}))
@@ -462,6 +463,74 @@ def test_removal_walk_matches_full_schedule_oracle():
             assert (list(clone.table), eff1.images, eff2.images) == expected
             outcomes.add("clean")
     assert outcomes == {"clean", "pinned", "walked"}
+
+
+def _removal_outcome(walk, *args):
+    try:
+        clone, eff1, eff2 = walk(*args)
+    except RemovalExhausted as exc:
+        return str(exc)
+    return clone.table, eff1.images, eff2.images
+
+
+def _near_identity(rng, n, count):
+    """The identity with both end points swapped away, then `count` random swaps."""
+    size = 1 << n
+    table = list(range(size))
+    swaps = [(0, rng.randrange(1, size - 1)), (size - 1, rng.randrange(1, size - 1))]
+    swaps += [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
+    for a, b in swaps:
+        table[a], table[b] = table[b], table[a]
+    return table
+
+
+@st.composite
+def _removal_cases(draw):
+    """Random and near-identity seeds at n = 2..10 with random pairs and caps; the
+    whole walk (cap None) only up to n = 7, where the reference is quick."""
+    n = draw(st.integers(2, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        table = _near_identity(rng, n, draw(st.integers(0, 3)))
+    else:
+        table = random_bijective(rng, n)
+    caps = st.integers(1, 300)
+    cap = draw(st.one_of(st.none(), caps) if n <= 7 else caps)
+    return (SBox(n, tuple(table)), BitPermutation(random_perm(rng, n)),
+            BitPermutation(random_perm(rng, n)), cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_removal_cases())
+def test_removal_walk_matches_the_lift_and_scan_walk(case):
+    # Same clone and effective pair, or the same RemovalExhausted message.
+    assert (_removal_outcome(clone_sbox_avoiding_fixed_points, *case)
+            == _removal_outcome(removal_walk_by_lift, *case))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_removal_on_the_widest_planes(n):
+    # Planes of 2**12 and 2**16 bits. Random seeds find their first clean clone
+    # after some attempts; that clone, taken as a seed, is clean at attempt 0;
+    # a near-identity seed runs out of its capped walk. The reference agrees.
+    rng = random.Random(n)
+    identity = BitPermutation.identity(n)
+    cases = []
+    while len(cases) < 3:
+        table = random_bijective(rng, n)
+        if not {table[0], table[-1]} & {0, len(table) - 1}:
+            cases.append((SBox(n, tuple(table)), BitPermutation(random_perm(rng, n)),
+                          BitPermutation(random_perm(rng, n)), 10_000))
+    for seed, sigma1, sigma2, cap in cases:
+        clone, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2, cap)
+        assert eff1 != sigma1 and eff2 == sigma2
+        assert find_fixed_points(clone).empty and clone == clone_sbox(seed, eff1, eff2)
+        assert clone_sbox_avoiding_fixed_points(clone, identity, identity, 1) == (clone, identity, identity)
+    cases.append((SBox(n, tuple(_near_identity(rng, n, 2))), identity, identity, 200))
+    for case in cases:
+        assert (_removal_outcome(clone_sbox_avoiding_fixed_points, *case)
+                == _removal_outcome(removal_walk_by_lift, *case))
+    assert _removal_outcome(removal_walk_by_lift, *cases[-1]) == "no clean clone within 200 attempts"
 
 
 def test_removal_rejects_max_attempts_below_one():

@@ -69,22 +69,27 @@ def _outcome(parse, text):
 
 
 _SEPARATORS = st.sampled_from([" ", ",", ", ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", ",,",
-                               " , ", "\u2028", "\xa0", " # comment\n", "#,1 2\r", "\n#\n"])
+                               " , ", "\u2028", "\xa0", " # comment\n", "#,1 2\r", "\n#\n",
+                               "\x1c", "\x1f", "\x85", "\u3000"])
 _BAD = st.sampled_from(["", "junk", "0x", "0xg", "1g", "-", "-0x1", "+3", "-2", "1_0", "٣",
                         "1.0", "0b1", "0o7", "#", "0x_1"])
+_BAD_HEX = st.sampled_from(["0xg", "0x", "0x_1", "-0x1", "0X", "0Xg", "+0x1", "0x1.0"])
 
 
 @st.composite
 def _sbox_texts(draw):
     """Tables of 2..16 entries written in decimal and hex, mixed and padded, with
-    every separator and comment form, sometimes with a bad token or a wrong count."""
+    every separator and comment form, sometimes with a bad token or a wrong count.
+    Half are all hex, every entry 0x- or 0X-prefixed and any bad token hex-like."""
     n = draw(st.integers(1, 4))
     values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
     if draw(st.booleans()):
         values = values[:draw(st.integers(0, len(values)))]
-    tokens = [draw(st.sampled_from([str(v), f"0x{v:x}", f"0X{v:02X}", f"{v:03d}"])) for v in values]
+    all_hex = draw(st.booleans())
+    forms = ["0x{:x}", "0X{:02X}", "0x{:03x}"] if all_hex else ["{}", "0x{:x}", "0X{:02X}", "{:03d}"]
+    tokens = [draw(st.sampled_from(forms)).format(v) for v in values]
     for _ in range(draw(st.integers(0, 2))):
-        tokens.insert(draw(st.integers(0, len(tokens))), draw(_BAD))
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_BAD_HEX if all_hex else _BAD))
     parts = [draw(_SEPARATORS)]
     for token in tokens:
         parts += [token, draw(_SEPARATORS)]

@@ -95,3 +95,18 @@ def test_cli_import_builds_no_plan(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "0 0\n"
+
+
+def test_core_imports_without_analysis(child_env):
+    # analysis builds on core's coordinate bitsets, so core must not import analysis.
+    # The package's __init__ loads both; a bare package module stands in for it.
+    probe = ("import sys, types, importlib.util; "
+             "spec = importlib.util.find_spec('sboxforge'); "
+             "package = types.ModuleType('sboxforge'); "
+             "package.__path__ = list(spec.submodule_search_locations); "
+             "sys.modules['sboxforge'] = package; "
+             "import sboxforge.core; "
+             "print(sorted(m for m in sys.modules if m.startswith('sboxforge')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=child_env, check=True)
+    assert result.stdout == "['sboxforge', 'sboxforge.core']\n"

@@ -5,12 +5,14 @@ nonlinearity of the coordinate functions, the avalanche behaviour of
 single-bit input flips (dependence matrix), and the independence of
 output-bit pairs (nonlinearity and avalanche of f_j xor f_k). Each
 coordinate function f_j is one 2**n-bit int (bit x = f_j(x)): avalanche
-counts are popcounts of derivative bitsets, and nonlinearity runs one
-Walsh butterfly on packed lanes of n + 2 bits in a single int, its first
-three stages read per byte of the truth table from a 256-entry table built
-per width on first use. All flip probabilities are carried as exact
-fractions with denominator 2**n; decimal rounding happens only at report
-serialisation.
+counts are popcounts of derivative bitsets, and nonlinearity runs a Walsh
+butterfly on packed lanes of n + 2 bits, its first three stages read per
+byte of the truth table from a 256-entry table built per width on first
+use. The functions measured together are laid out block-major, one int per
+byte position holding that byte's lanes of every function, so each later
+stage is one addition or subtraction per int. All flip probabilities are
+carried as exact fractions with denominator 2**n; decimal rounding happens
+only at report serialisation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, xor
+from operator import add, mul, sub, xor
 from typing import NamedTuple
 
 from .core import FixedPointReport, SBox, _DIGITS, _coordinates, _repeat, find_fixed_points
@@ -77,7 +79,6 @@ class ReportComparison:
     differences: tuple[str, ...]
 
 
-_TOLERANCE = 1e-9
 CRITERIA = ("nl", "sac", "bic_nl", "bic_sac")
 
 
@@ -97,10 +98,11 @@ class _Plan(NamedTuple):
 
     lane: int            # bits per Walsh lane
     table: list          # byte -> its 8-point Walsh transform in packed lanes, as bytes
-    stages: tuple        # (shift, low lanes, rebias) per butterfly stage after the table's
-    ones: int            # bit 0 of every lane
-    below: int           # the bits under every lane's top bit
-    rounds: tuple        # (width, top bits of the low lanes, low lanes) per tournament round
+    most: int            # bitsets per batch, at most: the n(n+1)/2 functions of an s-box
+    ones: int            # bit 0 of every lane of a block-major int of `most` bitsets
+    below: int           # the bits under every such lane's top bit
+    high: int            # every such lane's top bit, 2**(L-1): the lane bias
+    rounds: tuple        # (width, low lanes, their top bits) per tournament round inside a block
     flips: tuple         # (2**i, low halves) per input bit i
     pairs: tuple         # every (j, k) with j < k < n
     memo: dict           # profile by truth-table bitset, read and filled by _profiles
@@ -113,6 +115,11 @@ class _Plan(NamedTuple):
 # So a full memo stays under 8 MB, and holds the 15 120 distinct functions of
 # an n = 6 sweep (17 476 entries fit at n = 6).
 _MEMO_BITS = 1 << 26
+
+# A batch's spectra take at most 2**24 bits (one bitset's, if more), so the
+# butterfly's ints stay within a few MB at every width. A batch holds at most
+# the n(n+1)/2 functions of one s-box, the most that the plan's masks cover.
+_BATCH_BITS = 1 << 24
 
 
 def _entry_bits(n: int) -> int:
@@ -136,57 +143,82 @@ def _byte_table(n: int, lane: int) -> list[bytes]:
 def _plan(n: int) -> _Plan:
     # |W| reaches 2**n and must stay below half a lane; at least 4 bits, so
     # that the 2**n < 8 lanes of n < 3 still fill whole bytes.
-    lane = max(n + 2, 4)
-    top, total = lane - 1, lane << n
+    lane, points = max(n + 2, 4), min(8, 1 << n)
+    top, most = lane - 1, n * (n + 1) >> 1
+    total = most * lane * points
     ones = _repeat(1, lane, total)
-    stages = []
-    for shift in (lane << i for i in range(3, n)):  # stages 0..2 are in the byte table
-        low = _repeat((1 << shift) - 1, shift << 1, total)
-        stages.append((shift, low, (ones & ~low) - (ones & low) << top))
-    rounds, width = [], total
+    rounds, width = [], lane * points
     while width > lane:
         width >>= 1
-        rounds.append((width, ones >> total - width << top, (1 << width) - 1))
+        low = _repeat((1 << width) - 1, width << 1, total)
+        rounds.append((width, low, (ones & low) << top))
     flips = tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n)))
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
-    return _Plan(lane, _byte_table(n, lane), tuple(stages), ones, ones * ((1 << top) - 1),
+    return _Plan(lane, _byte_table(n, lane), most, ones, ones * ((1 << top) - 1), ones << top,
                  tuple(rounds), flips, pairs, {})
 
 
-def _packed_walsh(functions, n: int):
-    """Yield, per bitset, its Walsh spectrum W packed in one int.
+def _butterfly(batch: list[int], n: int, bias: int) -> list[int]:
+    """The Walsh spectra of the batch, block-major: int g holds block g of
+    every bitset, masks 8g .. 8g + 7, each lane biased once.
 
-    Lane a, L = _plan(n).lane = max(n + 2, 4) bits, holds 2**(L-1) + W(a).
-    Each byte of the bitset is replaced by its byte-table entry, eight lanes
-    with the first three stages done (all n stages if n < 3); each later
-    stage adds and subtracts all lane pairs at once. No lane borrows or
-    carries, since every intermediate |W| is at most 2**n, below 2**(L-1).
+    Block g of a bitset is its byte g's byte-table entry: eight lanes (2**n
+    if n < 3) of L = _plan(n).lane bits with the first three stages done,
+    lane a holding 2**(L-1) + W(a). Int X_g joins the entries of byte g of
+    every bitset, and each later stage adds and subtracts whole ints,
+    X_g, X_(g+h) = X_g + X_(g+h), X_g - X_(g+h), with no mask or shift: a
+    packed int holds negative lanes exactly. `bias` is 2**(L-1) in each lane
+    of the batch; only X_0 keeps it, so the stages leave one in every lane.
     """
-    plan = _plan(n)
-    entry, size = plan.table.__getitem__, max(1 << n >> 3, 1)
-    for f in functions:
-        w = int.from_bytes(b"".join(map(entry, f.to_bytes(size, "little"))), "little")
-        for shift, low, rebias in plan.stages:
-            a, b = w & low, w >> shift & low
-            w = a + b + (a - b << shift) + rebias
-        yield w
+    count = max(1 << n >> 3, 1)
+    entry = _plan(n).table.__getitem__
+    raw = b"".join([f.to_bytes(count, "little") for f in batch])
+    ints = [int.from_bytes(b"".join(map(entry, raw[g::count])), "little") - (g and bias)
+            for g in range(count)]
+    half = count >> 1
+    for _ in range(n - 3):
+        # Ints 2i and 2i + 1 go to i and i + G/2, so the spectra end in mask
+        # order. Taking them from the end, a quarter (at least 16 ints) at a
+        # time, keeps one copy of the batch and a quarter alive.
+        new = [0] * count
+        for i in reversed(range(0, half, max(half >> 2, 16))):
+            lo, hi = ints[2 * i::2], ints[2 * i + 1::2]
+            new[i:i + len(lo)] = map(add, lo, hi)
+            new[half + i:half + i + len(lo)] = map(sub, lo, hi)
+            del ints[2 * i:]
+        ints = new
+    return ints
 
 
 def _measure(functions, n: int) -> list[int]:
-    """(2**n - max|W|) / 2 of each bitset, the max taken by a lane-parallel tournament."""
-    plan = _plan(n)
-    top, ones, below, out = plan.lane - 1, plan.ones, plan.below, []
-    fill = (1 << top) - 1
-    for w in _packed_walsh(functions, n):
+    """(2**n - max|W|) / 2 of each bitset, the max taken by lane-parallel tournaments."""
+    plan, out = _plan(n), []
+    top, ones, span = plan.lane - 1, plan.ones, plan.lane * min(8, 1 << n)
+    fill, step = (1 << top) - 1, min(max(_BATCH_BITS // (plan.lane << n), 1), plan.most)
+    for start in range(0, len(functions), step):
+        batch = functions[start:start + step]
+        keep = (1 << len(batch) * span) - 1
+        below, high = plan.below & keep, plan.high & keep
         # Lane a: |W(a)| if W(a) >= 0, else |W(a)| - 1, which gives the same
         # (2**n - max) >> 1 as W is even. Each round keeps the larger lane:
-        # a lane's top bit survives (a | high) - b where a >= b.
-        x = (w ^ below ^ (w >> top & ones) * fill) & below
-        for width, high, low in plan.rounds:
-            a, b = x & low, x >> width
+        # a lane's top bit survives (a | high) - b where a >= b. Ints are
+        # replaced in place, so no second copy of the batch is made.
+        ints = _butterfly(batch, n, high)
+        for g, w in enumerate(ints):
+            ints[g] = (w ^ below ^ (w >> top & ones) * fill) & below
+        while len(ints) > 1:
+            half = len(ints) >> 1
+            for g in range(half):
+                a, b = ints[g], ints[g + half]
+                wins = (a | high) - b & high
+                ints[g] = b ^ (a ^ b) & wins - (wins >> top)
+            del ints[half:]
+        x = ints[0]
+        for width, low, high in plan.rounds:
+            a, b = x & low, x >> width & low
             wins = (a | high) - b & high
             x = b ^ (a ^ b) & wins - (wins >> top)
-        out.append((1 << n) - x >> 1)
+        out += [(1 << n) - (x >> i & fill) >> 1 for i in range(0, len(batch) * span, span)]
     return out
 
 
@@ -237,12 +269,14 @@ def _derivatives(coordinates: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
 
 
 def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
-    """Correlation with every linear mask, via the packed-lane butterfly."""
+    """Correlation with every linear mask: lane a of block g of _butterfly's
+    spectrum of f alone holds mask 8g + a, less the lane's bias."""
     n = len(f.values).bit_length() - 1
-    lane = _plan(n).lane
-    bias, size = 1 << lane - 1, lane << n
-    digits = format(next(_packed_walsh([_bitset(f)], n)), f"0{size}b")  # lane 0 last
-    return WalshSpectrum(tuple(int(digits[i - lane:i], 2) - bias for i in range(size, 0, -lane)))
+    plan = _plan(n)
+    lane, span = plan.lane, plan.lane * min(8, 1 << n)
+    fill, bias = (1 << lane) - 1, 1 << lane - 1
+    ints = _butterfly([_bitset(f)], n, plan.high & (1 << span) - 1)
+    return WalshSpectrum(tuple([(x >> i & fill) - bias for x in ints for i in range(0, span, lane)]))
 
 
 def nonlinearity(f: BooleanFunctionTable) -> int:
@@ -326,7 +360,9 @@ def _invariants(s: SBox) -> tuple:
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
     """Field-by-field comparison of the four preserved criteria.
 
-    Integer statistics must match exactly, fractional ones within 1e-9.
+    Every field must match exactly. sd is the float of an exact rational
+    variance, so equal counts give identical floats, and at n <= 16 distinct
+    variances differ by far more than a float's rounding.
     Fixed-point sets are informational and deliberately excluded: cloning
     relocates fixed points rather than preserving them.
     """
@@ -338,11 +374,6 @@ def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
     for name in CRITERIA:
         stats_a, stats_b = getattr(a, name), getattr(b, name)
         for field in ("min", "max", "avg", "sd"):
-            va, vb = getattr(stats_a, field), getattr(stats_b, field)
-            if isinstance(va, int) and isinstance(vb, int):
-                same = va == vb
-            else:
-                same = abs(float(va) - float(vb)) <= _TOLERANCE
-            if not same:
+            if getattr(stats_a, field) != getattr(stats_b, field):
                 diffs.append(f"{name}.{field}")
     return ReportComparison(not diffs, tuple(diffs))

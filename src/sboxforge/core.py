@@ -164,7 +164,7 @@ def _repeat(pattern: int, period: int, total: int) -> int:
     while period < total:
         pattern |= pattern << period
         period <<= 1
-    return pattern
+    return pattern & (1 << total) - 1  # the doubling may pass `total`
 
 
 def _coordinates(s: SBox) -> tuple[int, ...]:
@@ -225,6 +225,8 @@ def clone_sbox_avoiding_fixed_points(
     """
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if sigma1.size != seed.n or sigma2.size != seed.n:
+        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
     top = len(seed) - 1
@@ -232,8 +234,6 @@ def clone_sbox_avoiding_fixed_points(
         if v in (0, top):
             kind = "fixed" if v == i else "reverse fixed"
             raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
-    if sigma1.size != seed.n or sigma2.size != seed.n:
-        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     n, size = seed.n, top + 1
     fact = factorial(n)
     budget = min(fact, max_attempts or fact)

@@ -131,6 +131,48 @@ def direct_walsh(values, h=None):
     return [int(v) for v in h @ (1 - 2 * f)]
 
 
+def _tile(pattern, period, total):
+    """`pattern`, one period wide, repeated across `total` bits."""
+    while period < total:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern
+
+
+def walsh_by_stages(f, n):
+    """The Walsh spectrum of the 2**n-bit int f as the library computed it
+    before its block-major butterfly: the reference it keeps to.
+
+    One int holds 2**n lanes of L = max(n + 2, 4) bits, lane a holding
+    2**(L-1) + W(a). A 256-entry table gives each byte of f its 8-point
+    transform, stages 0..2; each later stage adds and subtracts all lane
+    pairs at once through masks, and puts the bias back.
+    """
+    lane, points = max(n + 2, 4), min(8, 1 << n)
+    top, total, bias = lane - 1, lane << n, 1 << lane - 1
+    table, width, ones = [bias + 1, bias - 1], 1, 1
+    while width < points:
+        half, rebias = lane * width, bias * ones
+        table = [lo + hi - rebias | lo - hi + rebias << half for hi in table for lo in table]
+        ones |= ones << half
+        width <<= 1
+    entries = [t.to_bytes(lane * points >> 3, "little") for t in table]
+    ones = _tile(1, lane, total)
+    w = int.from_bytes(b"".join(entries[v] for v in f.to_bytes(max(1 << n >> 3, 1), "little")),
+                       "little")
+    for shift in (lane << i for i in range(3, n)):
+        low = _tile((1 << shift) - 1, shift << 1, total)
+        a, b = w & low, w >> shift & low
+        w = a + b + (a - b << shift) + ((ones & ~low) - (ones & low) << top)
+    digits = format(w, f"0{total}b")  # lane 0 last
+    return [int(digits[i - lane:i], 2) - bias for i in range(total, 0, -lane)]
+
+
+def measure_by_stages(functions, n):
+    """(2**n - max|W|) / 2 of each 2**n-bit int, from walsh_by_stages."""
+    return [((1 << n) - max(map(abs, walsh_by_stages(f, n)))) >> 1 for f in functions]
+
+
 def random_bijective(rng, n):
     table = list(range(1 << n))
     rng.shuffle(table)
@@ -273,6 +315,8 @@ def removal_walk_by_lift(seed, sigma1, sigma2, max_attempts=None):
 
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if sigma1.size != seed.n or sigma2.size != seed.n:
+        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
     top = len(seed) - 1
@@ -280,8 +324,6 @@ def removal_walk_by_lift(seed, sigma1, sigma2, max_attempts=None):
         if v in (0, top):
             kind = "fixed" if v == i else "reverse fixed"
             raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
-    if sigma1.size != seed.n or sigma2.size != seed.n:
-        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
     fact = factorial(seed.n)
     budget = min(fact, max_attempts or fact)
     lift1, lift2 = _lift(sigma1.images), _lift(sigma2.images)

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,9 +36,11 @@ from oracles import (
     direct_walsh,
     inverse,
     is_bijective_strict,
+    measure_by_stages,
     random_bijective,
     random_perm,
     sign_matrix,
+    walsh_by_stages,
 )
 from vectors import (
     AES_CLONE8,
@@ -189,23 +192,31 @@ def test_walsh_at_lane_width_boundary(n):
         assert spectrum == tuple(peak if a == mask else 0 for a in range(1 << n))
 
 
+def _affine(mask, n):
+    """The bitset of x -> parity(mask & x), doubled one input bit at a time."""
+    f = 0
+    for i in range(n):
+        f |= (f ^ ((1 << (1 << i)) - 1 if mask >> i & 1 else 0)) << (1 << i)
+    return f
+
+
 @st.composite
 def _measure_batches(draw):
-    """Batches of bitsets, each of one width n in 1..8: random functions,
-    constants, affine functions and their complements, mixed."""
+    """Calls of up to 20 bitsets, each call of one width n in 1..12: random
+    functions, constants, affine functions and their complements, mixed;
+    with room for 1 to 8 bitsets per batch."""
     batches = []
-    for n in draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)):
+    for n in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)):
         size, functions = 1 << n, []
-        for kind in draw(st.lists(st.sampled_from("rca"), min_size=1, max_size=6)):
+        for kind in draw(st.lists(st.sampled_from("rca"), min_size=1, max_size=20)):
             if kind == "r":
                 f = draw(st.integers(0, (1 << size) - 1))
             elif kind == "c":
                 f = 0
             else:
-                mask = draw(st.integers(0, size - 1))
-                f = sum(((mask & x).bit_count() & 1) << x for x in range(size))
+                f = _affine(draw(st.integers(0, size - 1)), n)
             functions.append(f ^ (1 << size) - 1 if draw(st.booleans()) else f)
-        batches.append((n, functions))
+        batches.append((n, functions, draw(st.integers(1, 8))))
     return batches
 
 
@@ -214,12 +225,68 @@ def _measure_batches(draw):
 def test_batched_measure_equals_direct_nonlinearity(batches):
     # Widths interleave, from no plan at all: no lane state may leak from one
     # function of a batch into the next, nor from one width into another.
+    # Calls cross batch boundaries. The per-function masked butterfly is the
+    # oracle, and direct sums to n = 8.
     analysis._plan.cache_clear()
-    for n, functions in batches:
-        direct = [((1 << n) - max(map(abs, direct_walsh([f >> x & 1 for x in range(1 << n)],
-                                                         _cached_sign_matrix(n))))) >> 1
-                  for f in functions]
-        assert analysis._measure(functions, n) == direct
+    for n, functions, per_batch in batches:
+        with patch.object(analysis, "_BATCH_BITS", per_batch * (max(n + 2, 4) << n)):
+            measured = analysis._measure(functions, n)
+        assert measured == measure_by_stages(functions, n)
+        if n <= 8:
+            assert measured == [((1 << n) - max(map(abs, direct_walsh(
+                [f >> x & 1 for x in range(1 << n)], _cached_sign_matrix(n))))) >> 1
+                for f in functions]
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_measure_equals_stage_oracle_at_the_widest_widths(n):
+    rng, full = random.Random(n), (1 << (1 << n)) - 1
+    functions = [rng.getrandbits(1 << n), 0, full, _affine(rng.randrange(1 << n), n),
+                 _affine(rng.randrange(1 << n), n) ^ full, rng.getrandbits(1 << n),
+                 _affine(1 << n - 1, n), rng.getrandbits(1 << n) ^ full, _affine(3, n)]
+    expected = measure_by_stages(functions, n)
+    assert analysis._measure(functions, n) == expected
+    with patch.object(analysis, "_BATCH_BITS", 4 * (n + 2 << n)):  # batches of 4, 4 and 1
+        assert analysis._measure(functions, n) == expected
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_measure_finds_a_peak_in_every_block(n):
+    # An affine function's one peak, |W(mask)| = 2**n, lies in block mask >> 3
+    # of a block-major batch. Here every block holds one, at each lane offset,
+    # with and without complement; a tournament that passes over any block,
+    # or any lane, finds a nonlinearity above 0.
+    full = (1 << (1 << n)) - 1
+    masks = [8 * g + g % 8 for g in range(1 << n - 3)] + list(range(8))
+    functions = [_affine(a, n) ^ c for a in masks for c in (0, full)]
+    assert analysis._measure(functions, n) == [0] * len(functions)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_walsh_spectrum_equals_stage_oracle(n):
+    rng = random.Random(100 + n)
+    values = tuple(rng.randrange(2) for _ in range(1 << n))
+    spectrum = list(walsh_spectrum(BooleanFunctionTable(values)).coefficients)
+    assert spectrum == walsh_by_stages(sum(v << x for x, v in enumerate(values)), n)
+    if n <= 8:
+        assert spectrum == direct_walsh(values, _cached_sign_matrix(n))
+
+
+def test_measure_memory_stays_within_its_batch_budget():
+    # With room for 4 bitsets per batch at n = 14, a call on 16 holds one batch
+    # at a time. Its peak, the masks built on first use aside, stays under 3
+    # budgets plus one bitset's spectrum: a block int carries its digits and
+    # a header, and a butterfly stage keeps a quarter of the batch twice.
+    n, rng = 14, random.Random(14)
+    spectrum = n + 2 << n
+    functions = [rng.getrandbits(1 << n) for _ in range(16)]
+    with patch.object(analysis, "_BATCH_BITS", 4 * spectrum):
+        expected = analysis._measure(functions, n)
+        tracemalloc.start()
+        assert analysis._measure(functions, n) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak * 8 <= 3 * 4 * spectrum + spectrum
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -645,8 +712,7 @@ def _table_pairs(draw):
 @example(([0, 1, 2, 3], [0, 1, 1, 0]))  # equal counts; only bijectivity differs
 def test_invariants_decide_report_equality(tables):
     # Equal invariants mean equal reports, fixed points aside; unequal ones
-    # mean reports that differ, by more than compare_reports' tolerance at
-    # these widths.
+    # mean reports that differ, and compare_reports says so.
     a, b = (SBox.from_table(t) for t in tables)
     same = analysis._invariants(a) == analysis._invariants(b)
     report_a, report_b = analyze(a), analyze(b)
@@ -670,13 +736,32 @@ def test_compare_reports_detects_differences():
 
 
 def test_compare_reports_tolerance():
+    # No tolerance: equal counts give identical sd floats, so any other sd
+    # comes from other counts, however close.
     report = analyze(SBox.from_table(AES_SBOX))
-    for sd, equal in ((report.sac.sd + 1e-12, True), (report.sac.sd + 1e-6, False)):
+    for sd in (report.sac.sd + 1e-12, report.sac.sd + 1e-6):
         other = dataclasses.replace(report, sac=dataclasses.replace(report.sac, sd=sd))
-        expected = ReportComparison(equal, () if equal else ("sac.sd",))
-        assert compare_reports(report, other) == expected
+        assert compare_reports(report, other) == ReportComparison(False, ("sac.sd",))
     nl = dataclasses.replace(report.nl, min=report.nl.min + 1)
     assert compare_reports(report, dataclasses.replace(report, nl=nl)).differences == ("nl.min",)
+
+
+def test_compare_reports_tells_close_sac_populations_apart_at_n16():
+    # Two n = 16 SAC populations with equal sum, min and max, one count raised
+    # by 1 and an equal one lowered by 1: their sums of squares are 2 apart,
+    # and their sds closer than 1e-9.
+    rng, n = random.Random(16), 16
+    counts = [rng.randrange(32000, 33600) for _ in range(n * n)]
+    counts[:4] = 32000, 33600, 32768, 32768
+    moved = [32769, 32767, *counts[4:]]
+    moved[:0] = counts[:2]
+    assert analysis._moments(moved)[::2] == analysis._moments(counts)[::2]
+    assert analysis._moments(moved)[1] == analysis._moments(counts)[1] + 2
+    report = dataclasses.replace(analyze(SBox.from_table(AES_SBOX)), n=n)
+    a, b = (dataclasses.replace(report, sac=analysis._population_stats(c, 1 << n, sd_divisor=2))
+            for c in (counts, moved))
+    assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
+    assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
 
 
 def test_compare_reports_equal_for_published_pairs():

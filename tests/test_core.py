@@ -374,6 +374,18 @@ def test_avoidance_fails_fast_on_pinned_end_points(index, value):
     assert time.perf_counter() - start < 1.0
 
 
+def test_avoidance_checks_sizes_before_end_points():
+    # The identity seed pins both end points, but a permutation of the wrong
+    # size is the caller's error, reported as clone_sbox reports it.
+    seed, three, four = SBox.identity(4), BitPermutation.identity(3), BitPermutation.identity(4)
+    for sigma1, sigma2 in ((three, four), (four, three)):
+        with pytest.raises(ValueError) as plain:
+            clone_sbox(seed, sigma1, sigma2)
+        with pytest.raises(ValueError) as avoiding:
+            clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2)
+        assert str(avoiding.value) == str(plain.value)
+
+
 # Identity s-boxes with these entries swapped pass the end-point check yet
 # have no clean clone. No n = 2 seed is like that: each of the four that
 # pass has a clean clone.

@@ -88,8 +88,9 @@ def test_cli_import_leaves_argparse_out(child_env):
 
 
 def test_cli_import_builds_no_plan(child_env):
-    # Per-width Walsh plans with their byte tables, and the fingerprint's
-    # decimal strings, are built on first use: a cold call pays only for its widths.
+    # Per-width Walsh plans with their byte tables and butterfly masks, and
+    # the fingerprint's decimal strings, are built on first use: a cold call
+    # pays only for its widths.
     probe = ("import sboxforge.cli; from sboxforge import analysis, formats; "
              "print(analysis._plan.cache_info().currsize, formats._decimals.cache_info().currsize)")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

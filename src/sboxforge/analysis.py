@@ -94,7 +94,7 @@ def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
 
 
 class _Plan(NamedTuple):
-    """What depends on the width n alone, built once per width by _plan, and its memo."""
+    """What depends on the width n alone, built once per width by _plan."""
 
     lane: int            # bits per Walsh lane
     table: list          # byte -> its 8-point Walsh transform in packed lanes, as bytes
@@ -105,25 +105,12 @@ class _Plan(NamedTuple):
     rounds: tuple        # (width, low lanes, their top bits) per tournament round inside a block
     flips: tuple         # (2**i, low halves) per input bit i
     pairs: tuple         # every (j, k) with j < k < n
-    memo: dict           # profile by truth-table bitset, read and filled by _profiles
 
-
-# The memo of one width is cleared before its entries would pass 2**26 bits.
-# An entry counts as twice the 2**n bits of its key (at least 2**11, for the
-# int and dict slot around it) plus 2**8 bits for each of the n + 1 ints of
-# its profile and their tuples, more than it takes in memory at every width.
-# So a full memo stays under 8 MB, and holds the 15 120 distinct functions of
-# an n = 6 sweep (17 476 entries fit at n = 6).
-_MEMO_BITS = 1 << 26
 
 # A batch's spectra take at most 2**24 bits (one bitset's, if more), so the
 # butterfly's ints stay within a few MB at every width. A batch holds at most
 # the n(n+1)/2 functions of one s-box, the most that the plan's masks cover.
 _BATCH_BITS = 1 << 24
-
-
-def _entry_bits(n: int) -> int:
-    return (2 << max(n, 10)) + (n + 1 << 8)
 
 
 def _byte_table(n: int, lane: int) -> list[bytes]:
@@ -155,7 +142,7 @@ def _plan(n: int) -> _Plan:
     flips = tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n)))
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     return _Plan(lane, _byte_table(n, lane), most, ones, ones * ((1 << top) - 1), ones << top,
-                 tuple(rounds), flips, pairs, {})
+                 tuple(rounds), flips, pairs)
 
 
 def _butterfly(batch: list[int], n: int, bias: int) -> list[int]:
@@ -222,41 +209,6 @@ def _measure(functions, n: int) -> list[int]:
     return out
 
 
-# Profiles. Every criterion is a population of integer counts read off the
-# functions of an s-box: its n coordinate functions f_j, then the pair sums
-# f_j ^ f_k (j < k) in the order of _plan(n).pairs. The profile of a function
-# f is (NL(f), the n popcounts of D_i f), where D_i f(x) = f(x) ^ f(x ^ 2**i).
-#
-# Clones of one seed with the same sigma1 share their coordinate functions and
-# pair sums, only reordered, so a sweep meets each function many times. The
-# width's memo maps a function's exact bitset to its profile, never a class of
-# tables, so every clone's counts still come from its own table. _profiles is
-# the one reader and writer of the memo: it measures only the functions the
-# memo lacks, in one batch, and stores their profiles.
-
-
-def _profiles(s: SBox) -> list[tuple[int, tuple[int, ...]]]:
-    """The profile of each function of `s`: coordinates, then pair sums."""
-    n, f = s.n, _coordinates(s)
-    plan = _plan(n)
-    memo = plan.memo
-    functions = [*f, *[f[j] ^ f[k] for j, k in plan.pairs]]
-    profiles = list(map(memo.get, functions))
-    missed = [i for i, p in enumerate(profiles) if p is None]
-    if not missed:
-        return profiles
-    d = _derivatives(f, n)
-    for i, nl in zip(missed, _measure([functions[i] for i in missed], n)):
-        # A pair sum's derivatives are the xors of its two coordinates' derivatives.
-        derivatives = d[i] if i < n else map(xor, *map(d.__getitem__, plan.pairs[i - n]))
-        profiles[i] = nl, tuple(map(int.bit_count, derivatives))
-    fresh = {functions[i]: profiles[i] for i in missed}
-    if (len(memo) + len(fresh)) * _entry_bits(n) > _MEMO_BITS:
-        memo.clear()
-    memo.update(fresh)
-    return profiles
-
-
 def _bitset(f: BooleanFunctionTable) -> int:
     """The truth table as one int: bit x is f(x)."""
     return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
@@ -296,9 +248,11 @@ def _moments(counts: list[int]) -> tuple[int, int, int, int]:
     return sum(counts), sum(map(mul, counts, counts)), min(counts), max(counts)
 
 
-def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> PropertyStats:
-    """Stats of the values c / d; min and max stay ints when d == 1."""
-    count, (total, squares, low, high) = len(counts), _moments(counts)
+def _population_stats(moments: tuple[int, int, int, int], count: int, d: int = 1,
+                      sd_divisor: int = 1) -> PropertyStats:
+    """Stats of `count` values c / d, from the _moments of the counts c; min
+    and max stay ints when d == 1."""
+    total, squares, low, high = moments
     # Int true division rounds correctly, so this is the float of the exact variance.
     variance = (count * squares - total * total) / (count * d) ** 2
     if d != 1:
@@ -306,18 +260,32 @@ def _population_stats(counts: list[int], d: int = 1, sd_divisor: int = 1) -> Pro
     return PropertyStats(low, high, Fraction(total, count * d), math.sqrt(variance) / sd_divisor)
 
 
-def _populations(s: SBox) -> tuple[list[int], ...]:
-    """The counts of the four criteria, in CRITERIA order.
+# Every criterion is a population of integer counts read off the functions
+# of an s-box: its n coordinate functions and their pair sums. All that a
+# report or an invariant holds of them is their _moments, which do not depend
+# on the order of the coordinates. So they are computed from the sorted
+# coordinate bitsets: any reordering of the coordinates, as a clone with
+# another sigma2 makes, gives the same multiset of counts, and sorting keeps
+# a repeated coordinate's multiplicity. The key is read off each s-box's own
+# table, so no clone borrows the seed's counts. --all takes n! rows in a row
+# with one sigma1, all with the same sorted coordinates, so one entry answers
+# all but the first.
+@lru_cache(maxsize=1)
+def _criteria(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The _moments of the four criteria's counts, in CRITERIA order.
 
     nl: the nonlinearity of each coordinate f_j. sac: the n*n flip counts,
-    entry (i, j) the popcount of D_i f_j, out of 2**n inputs. bic_nl: the
-    nonlinearity of each pair sum f_j ^ f_k, j < k. bic_sac: per pair, the
-    sum of its n flip counts, out of n * 2**n.
+    entry (i, j) the popcount of D_i f_j, where D_i f(x) = f(x) ^ f(x ^ 2**i),
+    out of 2**n inputs. bic_nl: the nonlinearity of each pair sum f_j ^ f_k,
+    j < k. bic_sac: per pair, the sum of its n flip counts, out of n * 2**n;
+    a pair sum's derivatives are the xors of its two coordinates'.
     """
-    profiles = _profiles(s)
-    coordinates, pairs = profiles[:s.n], profiles[s.n:]
-    return ([nl for nl, _ in coordinates], [c for _, counts in coordinates for c in counts],
-            [nl for nl, _ in pairs], [sum(counts) for _, counts in pairs])
+    pairs = _plan(n).pairs
+    nl = _measure([*coordinates, *[coordinates[j] ^ coordinates[k] for j, k in pairs]], n)
+    d = _derivatives(coordinates, n)
+    sac = [c.bit_count() for row in d for c in row]
+    bic_sac = [sum(map(int.bit_count, map(xor, d[j], d[k]))) for j, k in pairs]
+    return _moments(nl[:n]), _moments(sac), _moments(nl[n:]), _moments(bic_sac)
 
 
 def analyze(s: SBox) -> AnalysisReport:
@@ -332,16 +300,17 @@ def analyze(s: SBox) -> AnalysisReport:
     the entries.
     """
     n = s.n
-    nl, sac, bic_nl, bic_sac = _populations(s)
+    nl, sac, bic_nl, bic_sac = _criteria(tuple(sorted(_coordinates(s))), n)
+    pairs = n * (n - 1) >> 1
     return AnalysisReport(
         n=n,
         bijective=s.is_bijective(),
         fixed_points=find_fixed_points(s),
-        nl=_population_stats(nl),
+        nl=_population_stats(nl, n),
         nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
-        sac=_population_stats(sac, 1 << n, sd_divisor=2),
-        bic_nl=_population_stats(bic_nl),
-        bic_sac=_population_stats(bic_sac, n << n),
+        sac=_population_stats(sac, n * n, 1 << n, sd_divisor=2),
+        bic_nl=_population_stats(bic_nl, pairs),
+        bic_sac=_population_stats(bic_sac, pairs, n << n),
     )
 
 
@@ -354,7 +323,7 @@ def _invariants(s: SBox) -> tuple:
     exactly, since its counts are the seed's, reordered. So an invariance
     sweep compares these, with no Fraction or float, instead of reports.
     """
-    return (s.is_bijective(), *map(_moments, _populations(s)))
+    return (s.is_bijective(), *_criteria(tuple(sorted(_coordinates(s))), s.n))
 
 
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:

@@ -246,10 +246,11 @@ def _pooled_rows(pool, pairs, chunk: int, depth: int):
 def _timed_rows(pairs, count: int) -> tuple[list, float]:
     """The first rows of a sweep of `count`, run here, and the least time one took.
 
-    The seed's invariants have built the width's plan and memo, and the
-    first row fills the caches, so later rows take what most rows take. Up
-    to four rows run; they stop once `count` rows at the least time would
-    not repay two workers, since more rows could only lower it.
+    The seed's invariants have built the width's plan and cached the seed's
+    criteria, and the first row fills the other caches, so later rows take
+    what most rows take. Up to four rows run; they stop once `count` rows at
+    the least time would not repay two workers, since more rows could only
+    lower it.
     """
     rows, best = [], float("inf")
     for pair in islice(pairs, 4):
@@ -361,7 +362,7 @@ COMMANDS = {
         Option(("--remove-fixed-points",), "avoid_fixed_points", bool,
                "retry until the clone has no fixed or reverse fixed points"),
         Option(("--max-attempts",), "max_attempts", int,
-               "cap on removal attempts (default n!, which tries every class)"),
+               "cap on removal attempts (default min(n!, 10!); n! tries every class)"),
         Option(("-o", "--output"), "output", str, "write the clone here instead of stdout"),
     )),
     "analyze": ("report the four algebraic criteria", (("sbox", "s-box file"),), (

@@ -28,6 +28,11 @@ class RemovalExhausted(RuntimeError):
     """No fixed-point-free clone was found within max_attempts, or none exists."""
 
 
+# The default removal budget: all n! attempts up to n = 10, where a full walk
+# takes seconds. At n = 11 one would take minutes, and years at n = 16.
+_ATTEMPT_BOUND = factorial(10)
+
+
 @dataclass(frozen=True)
 class SBox:
     """Lookup table of 2**n values in [0, 2**n), 2 <= n <= 16.
@@ -50,7 +55,8 @@ class SBox:
                 f"table of width {self.n} needs {size} entries, got {len(self.table)}"
             )
         for v in self.table:
-            if not isinstance(v, int) or not 0 <= v < size:
+            # type, not isinstance: a bool entry would serialise as True or False.
+            if type(v) is not int or not 0 <= v < size:
                 raise ValueError(f"entry {v!r} out of range for width {self.n}")
 
     @classmethod
@@ -90,8 +96,9 @@ class BitPermutation:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"{self.images!r} is not a permutation of 0..{len(self.images) - 1}")
+        images = self.images
+        if any(type(v) is not int for v in images) or sorted(images) != list(range(len(images))):
+            raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
 
     @classmethod
     def identity(cls, size: int) -> "BitPermutation":
@@ -200,8 +207,10 @@ def clone_sbox_avoiding_fixed_points(
     sigma1 and keeps sigma2; attempt 0 is the requested pair. Returns the
     first clean clone with its effective permutations, or raises
     RemovalExhausted once max_attempts or all n! attempts have failed.
-    max_attempts None, or any cap of n! or more, walks all n! input
-    permutations, which tries every class; a cap below 1 is a ValueError.
+    Any cap of n! or more walks all n! input permutations, which tries
+    every class; a cap below 1 is a ValueError. max_attempts None caps the
+    walk at min(n!, 10!): every class up to n = 10, and at n >= 11 a search
+    that is not exhaustive, which says so when it fails.
 
     Lifting is a homomorphism from S_n that commutes with complement, so the
     clone of (pi sigma1, sigma2) is conjugate by L_(pi sigma1) to
@@ -236,7 +245,7 @@ def clone_sbox_avoiding_fixed_points(
             raise RemovalExhausted(f"seed[{i}] = {v}: every clone has a {kind} point at {i}")
     n, size = seed.n, top + 1
     fact = factorial(n)
-    budget = min(fact, max_attempts or fact)
+    budget = min(fact, max_attempts or _ATTEMPT_BOUND)
     planes, full = [0] * n, (1 << size) - 1
     for j, f in enumerate(_coordinates(seed)):
         planes[sigma1.images[sigma2.images[j]]] = f
@@ -249,4 +258,7 @@ def clone_sbox_avoiding_fixed_points(
             return _clone(seed, _lift(eff1.images), _lift(sigma2.images)), eff1, sigma2
     if budget == fact:
         raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
+    if max_attempts is None:
+        raise RemovalExhausted(f"no clean clone within the default bound of {budget} attempts: "
+                               f"the search of {fact} input permutations was not exhaustive")
     raise RemovalExhausted(f"no clean clone within {budget} attempts")

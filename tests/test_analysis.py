@@ -24,6 +24,7 @@ from sboxforge import (
     clone_sbox,
     compare_reports,
     component_function,
+    core,
     lehmer_decode,
     max_balanced_nonlinearity,
     nonlinearity,
@@ -608,6 +609,7 @@ def _fresh_reports(tables, env) -> list[str]:
             "from sboxforge import SBox, analysis\n"
             "for table in json.load(sys.stdin):\n"
             "    analysis._plan.cache_clear()\n"
+            "    analysis._criteria.cache_clear()\n"
             "    print(repr(analysis.analyze(SBox.from_table(table))))\n")
     result = subprocess.run([sys.executable, "-c", code], input=json.dumps(tables),
                             capture_output=True, text=True, check=True, env=env)
@@ -615,13 +617,12 @@ def _fresh_reports(tables, env) -> list[str]:
 
 
 def test_reports_do_not_leak_between_sboxes(child_env):
-    # A (n = 4), B (n = 8), A again, C (n = 15, past the switch to 32-bit
-    # Walsh lanes), then clones of A and of D (n = 6) taken sigma1-major as
-    # enumerate --all takes them, then copies of A and D with output bit 1
-    # read from the reversed table, whose other coordinates and the pairs
-    # without bit 1 hit the memo while the rest miss: neither the per-width
-    # plans nor the nonlinearity memo kept between calls may carry anything
-    # from one s-box into another s-box's report.
+    # A (n = 4), B (n = 8), A again, C (n = 15), then clones of A and of D
+    # (n = 6) taken sigma1-major as enumerate --all takes them, then copies
+    # of A and D with output bit 1 read from the reversed table, which share
+    # every other coordinate with their s-box: neither the per-width plans
+    # nor the criteria cache kept between calls may carry anything from one
+    # s-box into another s-box's report.
     rng = random.Random(83)
     a, b, c, d = (SBox.from_table(random_bijective(rng, n)) for n in (4, 8, 15, 6))
     clones = [clone_sbox(seed, lehmer_decode(k1, seed.n), lehmer_decode(k2, seed.n))
@@ -635,7 +636,7 @@ def test_reports_do_not_leak_between_sboxes(child_env):
     assert [repr(analyze(s)) for s in sboxes] == fresh
 
 
-def test_nonlinearity_memo_keys_by_width():
+def test_criteria_cache_keys_by_width():
     # Both s-boxes have only the coordinate bitset 0xFFFF: at n = 4 it is the
     # constant 1, at n = 8 the indicator of a 4-dimensional subspace.
     flat4 = SBox(4, (15,) * 16)
@@ -647,40 +648,42 @@ def test_nonlinearity_memo_keys_by_width():
             assert (nl.min, nl.max) == ((0, 0) if s.n == 4 else (16, 16))
 
 
-def test_nonlinearity_memo_stays_within_its_bit_budget(monkeypatch):
-    # The memo holds a profile per function. Its accounting counts more bits
-    # than an entry takes in memory at every width, and its budget holds the
-    # 15 120 distinct functions of an n = 6 sweep.
-    assert 15120 * analysis._entry_bits(6) <= analysis._MEMO_BITS
-    for n in (4, 6, 8, 10, 12, 16):
-        rng = random.Random(n)
-        keys = {rng.getrandbits(1 << n) | 1 << (1 << n) - 1 for _ in range(64)}
-        tracemalloc.start()
-        memo = {f: (rng.randrange(1 << n - 1), tuple(rng.randrange(1 << n) for _ in range(n)))
-                for f in keys}
-        used = tracemalloc.get_traced_memory()[0] + sum(map(sys.getsizeof, memo))
-        tracemalloc.stop()
-        assert used * 8 <= len(memo) * analysis._entry_bits(n)
-    # With room for 100 n = 8 entries, the memo is cleared before it passes
-    # its budget, and reports and invariants answered from it, in whole or in
-    # part, equal those computed with an empty memo.
-    monkeypatch.setattr(analysis, "_MEMO_BITS", 100 * analysis._entry_bits(8))
-    rng = random.Random(8)
-    seeds = [SBox.from_table(random_bijective(rng, 8)) for _ in range(3)]
-    sboxes = [clone_sbox(seed, lehmer_decode(k1, 8), lehmer_decode(k2, 8))
-              for seed in seeds for k1 in (0, 0, 1, 0, 7) for k2 in (0, 5, 9)]
-    expected = []
-    for s in sboxes:
-        analysis._plan.cache_clear()
-        expected.append((analyze(s), analysis._invariants(s)))
-    analysis._plan.cache_clear()
-    memo, sizes = analysis._plan(8).memo, []
-    for s, want in zip(sboxes, expected):
-        assert (analyze(s), analysis._invariants(s)) == want
-        sizes.append(len(memo))
-        assert 0 < len(memo) * analysis._entry_bits(8) <= analysis._MEMO_BITS
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
-    analysis._plan.cache_clear()
+def test_sigma2_clone_hits_the_criteria_cache():
+    # A clone by sigma2 alone reorders the seed's coordinate bitsets, so its
+    # sorted key is the seed's; another sigma1 changes the bitsets. Either
+    # way the invariants equal those computed with nothing cached.
+    seed = SBox.from_table(random_bijective(random.Random(61), 6))
+    same, other = (clone_sbox(seed, lehmer_decode(k1, 6), lehmer_decode(417, 6)) for k1 in (0, 5))
+    analysis._criteria.cache_clear()
+    want = analysis._invariants(seed)
+    assert analysis._invariants(same) == want
+    assert analysis._criteria.cache_info()[:2] == (1, 1)
+    assert analysis._invariants(other) == want
+    assert analysis._criteria.cache_info()[:2] == (1, 2)
+    for clone in (same, other):
+        analysis._criteria.cache_clear()
+        assert analysis._invariants(clone) == want
+    analysis._criteria.cache_clear()
+
+
+def test_criteria_cache_keeps_repeated_coordinates():
+    # Non-bijective tables with coordinates (a, a, b) and (a, b, b): a is
+    # linear (NL 0), b is the majority function (NL 2). Sorting keeps each
+    # bitset's multiplicity, so the keys differ, the second table misses,
+    # and each table gets its own nonlinearities.
+    a = [x & 1 for x in range(8)]
+    b = [int((x & 1) + (x >> 1 & 1) + (x >> 2 & 1) >= 2) for x in range(8)]
+    aab, abb = (SBox(3, tuple(a[x] | f[x] << 1 | b[x] << 2 for x in range(8))) for f in (a, b))
+    keys = [tuple(sorted(core._coordinates(s))) for s in (aab, abb)]
+    assert keys[0] != keys[1] and set(keys[0]) == set(keys[1])
+    analysis._criteria.cache_clear()
+    got = [analysis._invariants(s) for s in (aab, abb)]
+    assert analysis._criteria.cache_info()[:2] == (0, 2)
+    assert [nl_moments[0] for _, nl_moments, *_ in got] == [2, 4]  # sums of the NLs
+    for s, want in zip((aab, abb), got):
+        analysis._criteria.cache_clear()
+        assert analysis._invariants(s) == want
+    analysis._criteria.cache_clear()
 
 
 def _without_fixed_points(report):
@@ -758,8 +761,8 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
     assert analysis._moments(moved)[::2] == analysis._moments(counts)[::2]
     assert analysis._moments(moved)[1] == analysis._moments(counts)[1] + 2
     report = dataclasses.replace(analyze(SBox.from_table(AES_SBOX)), n=n)
-    a, b = (dataclasses.replace(report, sac=analysis._population_stats(c, 1 << n, sd_divisor=2))
-            for c in (counts, moved))
+    a, b = (dataclasses.replace(report, sac=analysis._population_stats(
+                analysis._moments(c), len(c), 1 << n, sd_divisor=2)) for c in (counts, moved))
     assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
 

@@ -152,21 +152,49 @@ def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
     assert captured.err == "error: seed[0] = 0: every clone has a fixed point at 0\n"
 
 
-def test_clone_walk_exhausts_after_every_input_permutation(tmp_path, capsys, attempts):
-    # This seed passes the end-point check yet has no clean clone; the walk
-    # proves it after the 8! input permutations, not (8!)**2 pairs.
+@pytest.fixture
+def near_identity8_file(tmp_path):
+    # This seed passes the end-point check yet has no clean clone.
     table = list(range(256))
     for a, b in ((0, 125), (34, 172), (107, 255), (115, 149)):
         table[a], table[b] = table[b], table[a]
-    seed = tmp_path / "near_identity8.txt"
-    seed.write_text(serialize_sbox(SBox(8, tuple(table))))
+    path = tmp_path / "near_identity8.txt"
+    path.write_text(serialize_sbox(SBox(8, tuple(table))))
+    return str(path)
+
+
+def test_clone_walk_exhausts_after_every_input_permutation(near_identity8_file, tmp_path, capsys,
+                                                           attempts):
+    # The walk proves that the seed has no clean clone after the 8! input
+    # permutations, not (8!)**2 pairs.
     out = tmp_path / "clone.txt"
-    assert main(["clone", str(seed), "--key", "00", "--remove-fixed-points", "-o", str(out)]) == 3
+    assert main(["clone", near_identity8_file, "--key", "00", "--remove-fixed-points",
+                 "-o", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no clone is free of fixed points: all 40320 input permutations tried\n"
     assert not out.exists()
     assert len(attempts) == len(set(attempts)) == factorial(8)
+
+
+def test_clone_default_budget_stops_at_its_bound(near_identity8_file, capsys, attempts,
+                                                 monkeypatch):
+    # The default budget is min(n!, 10!), all n! up to n = 10. Below 8!, the
+    # bound stops the walk short of a proof, and the error says the search
+    # was not exhaustive; an explicit cap above the bound still runs.
+    assert core._ATTEMPT_BOUND == factorial(10)
+    monkeypatch.setattr(core, "_ATTEMPT_BOUND", 1000)
+    argv = ["clone", near_identity8_file, "--key", "00", "--remove-fixed-points"]
+    for extra, count, error in (
+            ([], 1000, "no clean clone within the default bound of 1000 attempts: "
+                       "the search of 40320 input permutations was not exhaustive"),
+            (["--max-attempts", "5000"], 5000, "no clean clone within 5000 attempts"),
+            (["--max-attempts", "40320"], 40320,
+             "no clone is free of fixed points: all 40320 input permutations tried")):
+        attempts.clear()
+        assert main(argv + extra) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert len(attempts) == count
 
 
 def test_clone_max_attempts_edges(seed4_file, tmp_path, capsys):
@@ -327,6 +355,19 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
     assert sorted(decoded) == list(range(24))
     assert cli._decode.cache_info().maxsize > factorial(6)
     cli._decode.cache_clear()
+
+
+def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
+    # --all takes sigma1 outermost. The seed's criteria miss the one-entry
+    # cache, the identity sigma1's rows hit that entry, and each other sigma1
+    # misses on its first row only: 4! = 24 misses in 1 + 576 lookups.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    analysis._criteria.cache_clear()
+    assert main(["enumerate", seed4_file, "--all", "--check-invariance"]) == 0
+    assert capsys.readouterr().err == "rows=576 distinct=576 invariance_pass=576\n"
+    info = analysis._criteria.cache_info()
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (24, 553, 1, 1)
+    analysis._criteria.cache_clear()
 
 
 def test_enumerate_sample_zero_is_header_only(seed4_file, capsys):
@@ -530,9 +571,9 @@ def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, 
 
 
 def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch, serial_pool):
-    # After the seed's invariants have built the width's plan and memo, the
-    # sweep's first rows run here and are timed, up to four; a stubbed clock
-    # makes them take 4, 3, 5 and 4 s. A sweep of R rows gets
+    # After the seed's invariants have built the width's plan and cached its
+    # criteria, the sweep's first rows run here and are timed, up to four; a
+    # stubbed clock makes them take 4, 3, 5 and 4 s. A sweep of R rows gets
     # R * (least time) / POOL_START workers, within the cap and the rows
     # left, fewer than two meaning serial, and the timed rows stop once that
     # is fewer than two. The output is the serial output.

@@ -82,6 +82,25 @@ def test_bit_permutation_validation():
         BitPermutation((1, 2, 3))
 
 
+def test_bit_permutation_rejects_bool_images():
+    # (True, False) sorts equal to [0, 1], but the CLI would print it as True,False.
+    for bad in ((True, False), (1, False), (0, True, 2)):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            BitPermutation(bad)
+    assert BitPermutation((1, 0)).images == (1, 0)
+
+
+def test_sbox_rejects_bool_entries():
+    # A bool passes isinstance(v, int), but serialize_sbox would write it as
+    # True or False, which parse_sbox_text rejects: no round trip.
+    for bad in ((True, False, 2, 3), (0, 1, 2, True), (False,) * 4):
+        with pytest.raises(ValueError, match="out of range for width 2"):
+            SBox(2, bad)
+        with pytest.raises(ValueError, match="out of range for width 2"):
+            SBox.from_table(bad)
+    assert SBox(2, (1, 0, 2, 3)).table == (1, 0, 2, 3)
+
+
 def test_bit_permutation_group_laws():
     # Fixed-point removal rests on lifting being a homomorphism.
     rng = random.Random(7)

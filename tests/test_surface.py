@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -111,3 +112,25 @@ def test_core_imports_without_analysis(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "['sboxforge', 'sboxforge.core']\n"
+
+
+def test_analysis_keeps_no_unbounded_memo():
+    # Module state of analysis is built at import and only read: no
+    # module-level dict, list or set it assigns, which calls could fill. Its
+    # caches are lru_caches of finite size, but for _plan, which the 15
+    # accepted widths bound.
+    from sboxforge import analysis
+
+    path = analysis.__file__
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    assigned = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)}
+    assert assigned and not {name for name in assigned
+                             if isinstance(getattr(analysis, name), (dict, list, set, bytearray))}
+    caches = {name: value.cache_parameters()["maxsize"] for name, value in vars(analysis).items()
+              if callable(getattr(value, "cache_parameters", None))}
+    assert caches.pop("_plan") is None
+    assert caches and all(size is not None for size in caches.values())
+    assert analysis._criteria.cache_parameters()["maxsize"] == 1

@@ -15,7 +15,7 @@ import re
 import sys
 from collections import deque
 from contextlib import ExitStack, contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice
 from math import factorial
 from time import perf_counter
@@ -176,42 +176,46 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-_sweep_seed = None  # (seed, the seed's invariants or None) of the running sweep
+_sweep = None  # (seed, the seed's invariants or None, rank cache) of the running sweep
+
+# Lifted table entries one sweep's rank cache may hold: 2**16 >> n ranks.
+# That is every rank for n <= 6, where --all visits each rank n! times, and
+# one 2**16-entry lift at n = 16, the widest s-box. A cache of 1024 ranks whatever
+# n took an n = 10 --sample 3000 sweep from about 20 to 52 MB peak resident
+# (2 cores, Python 3.11).
+_LIFT_BUDGET = 1 << 16
+
+
+def _rank(index: int, n: int) -> tuple[str, list[int]]:
+    """The index-th permutation of range(n) as CSV text, and its lifted table."""
+    sigma = lehmer_decode(index, n)
+    return _sigma_text(sigma, " "), _lift(sigma.images)
 
 
 def _init_sweep(table, seed_invariants) -> None:
-    """Hold the sweep's seed and its invariants (or None) for _enumerate_row, once per process."""
-    global _sweep_seed
-    _sweep_seed = (SBox.from_table(table), seed_invariants)
-
-
-# Room for all n! ranks of n <= 6 and one more: an --all sweep revisits one
-# sigma1 for n! rows while its sigma2 runs through every rank.
-@lru_cache(maxsize=1024)
-def _decode(index: int, n: int) -> BitPermutation:
-    return lehmer_decode(index, n)
-
-
-# The last sigma1's lifted table: --all takes n! rows in a row with one sigma1.
-@lru_cache(maxsize=1)
-def _lifted(index: int, n: int) -> list[int]:
-    return _lift(_decode(index, n).images)
+    """Hold the sweep's seed, its invariants (or None) and a new rank cache, once per process."""
+    global _sweep
+    seed = SBox.from_table(table)
+    ranks = lru_cache(maxsize=_LIFT_BUDGET >> seed.n)(partial(_rank, n=seed.n))
+    _sweep = (seed, seed_invariants, ranks)
 
 
 def _enumerate_row(pair):
     """A CSV row of the sweep, its clone's digest, and whether it passed (None unchecked).
 
-    The seed was checked bijective once before the sweep, so rows clone it
-    unchecked. A row passes when its clone's invariants equal the seed's.
+    Both ranks' texts and lifts come from the sweep's rank cache; the row
+    clones the seed by those lifts, unchecked, since the seed was checked
+    bijective once before the sweep, and reads its fixed points, digest and
+    invariants off that clone. It passes when those invariants equal the seed's.
     """
     k1, k2 = pair
-    seed, seed_invariants = _sweep_seed
-    sigma1 = _decode(k1, seed.n)
-    sigma2 = _decode(k2, seed.n)
-    result = _clone(seed, _lifted(k1, seed.n), _lift(sigma2.images))
+    seed, seed_invariants, ranks = _sweep
+    text1, rows = ranks(k1)
+    text2, out = ranks(k2)
+    result = _clone(seed, rows, out)
     points = find_fixed_points(result)
     prefix, digest = fingerprint(result)
-    fields = [str(k1), str(k2), _sigma_text(sigma1, " "), _sigma_text(sigma2, " "), prefix, digest,
+    fields = [str(k1), str(k2), text1, text2, prefix, digest,
               str(len(points.fixed)), str(len(points.reverse_fixed))]
     passed = None
     if seed_invariants is not None:
@@ -247,10 +251,13 @@ def _timed_rows(pairs, count: int) -> tuple[list, float]:
     """The first rows of a sweep of `count`, run here, and the least time one took.
 
     The seed's invariants have built the width's plan and cached the seed's
-    criteria, and the first row fills the other caches, so later rows take
-    what most rows take. Up to four rows run; they stop once `count` rows at
-    the least time would not repay two workers, since more rows could only
-    lower it.
+    criteria. The timed rows still decode and lift their sigma2, which the
+    rank cache does not hold yet, so under --all, where later rows find both
+    ranks cached, they take about twice the steady row time. That moves no
+    worker count with 2 CPUs at n = 5 or 6, whose sweeps repay two workers
+    by far, nor at n = 4, which stays serial. Up to four rows run; they stop
+    once `count` rows at the least time would not repay two workers, since
+    more rows could only lower it.
     """
     rows, best = [], float("inf")
     for pair in islice(pairs, 4):

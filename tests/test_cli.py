@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -347,14 +348,113 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
         return lehmer_decode(index, n)
 
     monkeypatch.setattr(cli, "lehmer_decode", counting)
-    cli._decode.cache_clear()
-    # --all and --sample share one per-process cache: each rank of S_4 is
-    # decoded once. It holds a sigma1 and every sigma2 up to n = 6.
+    # Each sweep has its own rank cache, and decodes each rank it meets once:
+    # --all every rank of S_4 in its 576 rows, a --sample sweep after it
+    # each rank it draws, once more.
     assert main(["enumerate", seed4_file, "--all"]) == 0
-    assert main(["enumerate", seed4_file, "--sample", "50", "--check-invariance"]) == 0
     assert sorted(decoded) == list(range(24))
-    assert cli._decode.cache_info().maxsize > factorial(6)
-    cli._decode.cache_clear()
+    decoded.clear()
+    assert main(["enumerate", seed4_file, "--sample", "50", "--check-invariance"]) == 0
+    assert sorted(decoded) == sorted(set(decoded)) and decoded
+    # Every rank of S_6 fits: after rows that meet all 720, rows that meet
+    # them again decode none.
+    decoded.clear()
+    cli._init_sweep(random_bijective(random.Random(6), 6), None)
+    for k in range(720):
+        cli._enumerate_row((k, 719 - k))
+    assert sorted(decoded) == list(range(720))
+    for k in range(720):
+        cli._enumerate_row((719 - k, k))
+    assert len(decoded) == 720
+
+
+def test_enumerate_rank_cache_keeps_lift_budget(tmp_path, capsys, monkeypatch):
+    # The cached lifts of a sweep hold at most 2**16 table entries: 2**16 >> n
+    # ranks of 2**n entries each. Sampled n = 10 ranks rarely repeat, so the
+    # cache runs full.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    seed10 = tmp_path / "seed10.txt"
+    seed10.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(10), 10))))
+    assert main(["enumerate", str(seed10), "--sample", "300"]) == 0
+    assert capsys.readouterr().err == "rows=300 distinct=300\n"
+    info = cli._sweep[2].cache_info()
+    assert info.misses > 500 and info.currsize == info.maxsize == 1 << 16 - 10
+
+
+def expected_sweep(table):
+    """stdout and stderr of `enumerate --all --check-invariance` on `table`, built
+    pair by pair from lehmer_decode, the dense oracle and the SHA-256 of the
+    clone's decimal join, with the fixed points counted directly."""
+    n = len(table).bit_length() - 1
+    top = len(table) - 1
+    lines = ["sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
+             "fixed_points,reverse_fixed_points,invariance"]
+    digests = set()
+    for k1 in range(factorial(n)):
+        for k2 in range(factorial(n)):
+            sigma1, sigma2 = lehmer_decode(k1, n).images, lehmer_decode(k2, n).images
+            clone = dense_clone(table, sigma1, sigma2)
+            digest = hashlib.sha256(" ".join(map(str, clone)).encode()).hexdigest()[:16]
+            digests.add(digest)
+            lines.append(",".join([
+                str(k1), str(k2), " ".join(map(str, sigma1)), " ".join(map(str, sigma2)),
+                " ".join(map(str, clone[:8])), digest,
+                str(sum(v == i for i, v in enumerate(clone))),
+                str(sum(v == top - i for i, v in enumerate(clone))), "pass"]))
+    rows = len(lines) - 1
+    return "\n".join(lines) + "\n", f"rows={rows} distinct={len(digests)} invariance_pass={rows}\n"
+
+
+@pytest.fixture(scope="module")
+def sweeps(tmp_path_factory):
+    """Seed files of widths 4, 5 and 4, each with its expected --all sweep."""
+    tables = [SEED4, random_bijective(random.Random(5), 5), random_bijective(random.Random(4), 4)]
+    files = []
+    for i, table in enumerate(tables):
+        path = tmp_path_factory.mktemp("sweeps") / f"seed{i}.txt"
+        path.write_text(serialize_sbox(SBox.from_table(table)))
+        files.append((str(path), expected_sweep(table)))
+    return files
+
+
+def test_enumerate_all_rows_match_oracle(sweeps, capsys, monkeypatch, serial_pool):
+    path, expected = sweeps[0]
+    argv = ["enumerate", path, "--all", "--check-invariance"]
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    assert main(argv) == 0
+    assert serial_pool.started == [2]
+    assert capsys.readouterr() == expected
+
+
+def test_enumerate_all_rows_match_oracle_on_two_workers(sweeps, capsys, monkeypatch):
+    path, expected = sweeps[1]
+    started = []
+
+    def spy_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(cli, "_process_pool", spy_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
+    assert started == [2]
+    assert capsys.readouterr() == expected
+
+
+def test_enumerate_sweeps_share_no_rank(sweeps, capsys, monkeypatch):
+    # Widths 4, 5, then 4 again in one process: each sweep decodes its own
+    # n! ranks once, and its rows match the oracle's.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    for path, expected in sweeps:
+        assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
+        assert capsys.readouterr() == expected
+        info = cli._sweep[2].cache_info()
+        assert info.misses == info.currsize == factorial(cli._sweep[0].n)
 
 
 def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
@@ -723,6 +823,15 @@ def test_n16_enumerate_sample(seed16, capsys):
     clone = clone_sbox(SBox(16, tuple(table)), lehmer_decode(int(k1), 16), lehmer_decode(int(k2), 16))
     assert (prefix, digest) == fingerprint(clone)
     assert captured.err == "rows=1 distinct=1\n"
+
+
+def test_n16_enumerate_caches_one_lift(seed16, capsys, monkeypatch):
+    # One n = 16 lift is the rank cache's whole budget of 2**16 table entries.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    assert main(["enumerate", seed16[0], "--sample", "3"]) == 0
+    assert capsys.readouterr().err == "rows=3 distinct=3\n"
+    info = cli._sweep[2].cache_info()
+    assert info.misses == 6 and info.currsize == info.maxsize == 1
 
 
 # ---------------------------------------------------------------------

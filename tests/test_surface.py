@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from math import factorial
 
 import sboxforge
 from sboxforge import cli
@@ -114,6 +115,25 @@ def test_core_imports_without_analysis(child_env):
     assert result.stdout == "['sboxforge', 'sboxforge.core']\n"
 
 
+def module_containers(module):
+    """Names assigned at the top level of `module` whose values are a dict, list, set or bytearray."""
+    path = module.__file__
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    assigned = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)}
+    assert assigned
+    return {name for name in assigned
+            if isinstance(getattr(module, name), (dict, list, set, bytearray))}
+
+
+def module_caches(module):
+    """The maxsize of every lru_cache bound at the top level of `module`."""
+    return {name: value.cache_parameters()["maxsize"] for name, value in vars(module).items()
+            if callable(getattr(value, "cache_parameters", None))}
+
+
 def test_analysis_keeps_no_unbounded_memo():
     # Module state of analysis is built at import and only read: no
     # module-level dict, list or set it assigns, which calls could fill. Its
@@ -121,16 +141,23 @@ def test_analysis_keeps_no_unbounded_memo():
     # accepted widths bound.
     from sboxforge import analysis
 
-    path = analysis.__file__
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), path)
-    assigned = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                if isinstance(target, ast.Name)}
-    assert assigned and not {name for name in assigned
-                             if isinstance(getattr(analysis, name), (dict, list, set, bytearray))}
-    caches = {name: value.cache_parameters()["maxsize"] for name, value in vars(analysis).items()
-              if callable(getattr(value, "cache_parameters", None))}
+    assert not module_containers(analysis)
+    caches = module_caches(analysis)
     assert caches.pop("_plan") is None
     assert caches and all(size is not None for size in caches.values())
     assert analysis._criteria.cache_parameters()["maxsize"] == 1
+
+
+def test_cli_keeps_no_unbounded_memo():
+    # cli's one module-level container is its command table, built at import
+    # and only read. Its one cache is the rank cache each sweep makes, whose
+    # lifts hold at most 2**16 table entries at every width (one lift at
+    # n = 16), and every rank up to n = 6.
+    assert module_containers(cli) == {"COMMANDS"}
+    assert not module_caches(cli)
+    for n in range(2, 17):
+        cli._init_sweep(list(range(1 << n)), None)
+        size = cli._sweep[2].cache_parameters()["maxsize"]
+        assert size is not None and 1 <= size and size << n <= 1 << 16
+        assert size >= factorial(n) or n > 6
+    assert size == 1

@@ -300,11 +300,11 @@ def analyze(s: SBox) -> AnalysisReport:
     the entries.
     """
     n = s.n
-    nl, sac, bic_nl, bic_sac = _criteria(tuple(sorted(_coordinates(s))), n)
+    bijective, nl, sac, bic_nl, bic_sac = _invariants(s)
     pairs = n * (n - 1) >> 1
     return AnalysisReport(
         n=n,
-        bijective=s.is_bijective(),
+        bijective=bijective,
         fixed_points=find_fixed_points(s),
         nl=_population_stats(nl, n),
         nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,

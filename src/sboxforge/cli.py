@@ -34,7 +34,6 @@ from .core import (
     find_fixed_points,
 )
 from .formats import (
-    SBoxFileError,
     fingerprint,
     load_sbox,
     render_report_json,
@@ -69,13 +68,9 @@ class UsageError(Exception):
     """Bad flag combination or malformed invocation."""
 
 
-class InputError(ValueError):
-    """Malformed user-supplied value (key or permutation list)."""
-
-
 def _parse_key(text: str) -> bytes:
     if not _HEX_KEY.fullmatch(text):
-        raise InputError(f"key must be non-empty even-length hex, got {text!r}")
+        raise ValueError(f"key must be non-empty even-length hex, got {text!r}")
     return bytes.fromhex(text)
 
 
@@ -83,13 +78,10 @@ def _parse_permutation(text: str, n: int) -> BitPermutation:
     try:
         images = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"invalid permutation list {text!r}") from exc
+        raise ValueError(f"invalid permutation list {text!r}") from exc
     if len(images) != n:
-        raise InputError(f"permutation {text!r} has {len(images)} entries, expected {n}")
-    try:
-        return BitPermutation(images)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"permutation {text!r} has {len(images)} entries, expected {n}")
+    return BitPermutation(images)
 
 
 def _sigma_text(sigma: BitPermutation, sep: str) -> str:
@@ -119,7 +111,7 @@ def _output(path: str | None):
     try:
         handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     with handle:
         try:
             yield handle
@@ -456,21 +448,14 @@ def _argparse(argv: list) -> SimpleNamespace:
         def error(self, message):
             raise UsageError(message)
 
-    class Help(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            raise _HelpRequested(self.const)
+        def print_help(self, file=None):
+            # A command's parser has prog "sboxforge NAME"; the top one, "sboxforge".
+            raise _HelpRequested(self.prog.partition(" ")[2] or None)
 
-    def add_help(parser, name):
-        # SUPPRESS keeps a "help" entry out of every namespace.
-        parser.add_argument(*HELP.flags, action=Help, nargs=0, const=name,
-                            default=argparse.SUPPRESS)
-
-    top = Parser(prog="sboxforge", add_help=False)
-    add_help(top, None)
+    top = Parser(prog="sboxforge")
     commands = top.add_subparsers(dest="command", required=True)
     for name, (_, positionals, options) in COMMANDS.items():
-        parser = commands.add_parser(name, add_help=False)
-        add_help(parser, name)
+        parser = commands.add_parser(name)
         for dest, _ in positionals:
             parser.add_argument(dest)
         if any(o.one_of for o in options):
@@ -508,6 +493,12 @@ def parse_args(argv) -> SimpleNamespace:
         return SimpleNamespace(func=_show_help, help=help_text(shown.args[0]))
 
 
+# The exit code of each failure class, the first class an error is an
+# instance of deciding: NonBijectiveError, like an s-box file's errors, is a ValueError.
+_FAILURES = ((UsageError, EXIT_USAGE), (NonBijectiveError, EXIT_NON_BIJECTIVE),
+             (RemovalExhausted, EXIT_EXHAUSTED), (ValueError, EXIT_PARSE))
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -516,18 +507,9 @@ def main(argv=None) -> int:
             if isinstance(getattr(args, o.dest), list):
                 raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, RemovalExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonBijectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_BIJECTIVE
-    except RemovalExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except (SBoxFileError, InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _FAILURES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

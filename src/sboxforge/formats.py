@@ -1,8 +1,9 @@
 """File and report formats owned by the command-line front end.
 
 S-box files are flat lists of 2**n integers (decimal or 0x-prefixed hex),
-separated by whitespace or commas, with '#' comments. Reports render as
-stable key=value text or JSON with decimals rounded half-to-even to six
+separated by whitespace or commas, with '#' comments; a leading UTF-8 byte
+order mark is skipped. A report renders as key: value text or as JSON, both
+from one document of its fields, with decimals rounded half-to-even to six
 places; identical inputs always produce byte-identical output.
 """
 
@@ -60,9 +61,10 @@ def load_sbox(path: str) -> SBox:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SBoxFileError(f"cannot read {path}: {exc}") from exc
-    return parse_sbox_text(text)
+    # Not encoding="utf-8-sig": loading that codec costs a fresh process about 1.5 ms.
+    return parse_sbox_text(text.removeprefix("\ufeff"))
 
 
 def serialize_sbox(s: SBox) -> str:
@@ -85,67 +87,51 @@ def fingerprint(s: SBox) -> tuple[str, str]:
     return " ".join(cells[:8]), digest
 
 
-def format_decimal(value, places: int = 6) -> str:
-    """Exact round-half-even rendering of a non-negative rational or float."""
-    f = Fraction(value)
-    scale = 10 ** places
-    scaled = f * scale
+def format_decimal(value) -> str:
+    """Exact round-half-even rendering of a non-negative rational or float to six places."""
+    scaled = Fraction(value) * 1_000_000
     whole, remainder = divmod(scaled.numerator, scaled.denominator)
     doubled = 2 * remainder
     if doubled > scaled.denominator or (doubled == scaled.denominator and whole % 2):
         whole += 1
-    return f"{whole // scale}.{whole % scale:0{places}d}"
+    return f"{whole // 1_000_000}.{whole % 1_000_000:06d}"
 
 
-def _cell(value) -> str:
-    return str(value) if isinstance(value, int) else format_decimal(value)
+def _document(report: AnalysisReport) -> dict:
+    """The report's fields in output order. Each statistic is a dict of its int
+    values and the format_decimal texts of the others; nl carries no sd."""
+    def stats(s: PropertyStats, fields=("min", "max", "avg", "sd")) -> dict:
+        cells = {f: getattr(s, f) for f in fields}
+        return {f: v if isinstance(v, int) else format_decimal(v) for f, v in cells.items()}
 
-
-def _stats_text(stats: PropertyStats, with_sd: bool) -> str:
-    parts = [f"min={_cell(stats.min)}", f"max={_cell(stats.max)}",
-             f"avg={format_decimal(stats.avg)}"]
-    if with_sd:
-        parts.append(f"sd={format_decimal(stats.sd)}")
-    return " ".join(parts)
-
-
-def render_report_text(report: AnalysisReport) -> str:
-    lines = [
-        f"n: {report.n}",
-        f"bijective: {'true' if report.bijective else 'false'}",
-        f"fixed_points: {sorted(report.fixed_points.fixed)}",
-        f"reverse_fixed_points: {sorted(report.fixed_points.reverse_fixed)}",
-        f"nl: {_stats_text(report.nl, with_sd=False)}",
-        f"nl_bound: {report.nl_bound}",
-        f"sac: {_stats_text(report.sac, with_sd=True)}",
-        f"bic_nl: {_stats_text(report.bic_nl, with_sd=True)}",
-        f"bic_sac: {_stats_text(report.bic_sac, with_sd=True)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _number(value):
-    return value if isinstance(value, int) else float(format_decimal(value))
-
-
-def _stats_json(stats: PropertyStats, with_sd: bool) -> dict:
-    out = {"min": _number(stats.min), "max": _number(stats.max),
-           "avg": float(format_decimal(stats.avg))}
-    if with_sd:
-        out["sd"] = float(format_decimal(stats.sd))
-    return out
-
-
-def render_report_json(report: AnalysisReport) -> str:
-    document = {
+    return {
         "n": report.n,
         "bijective": report.bijective,
         "fixed_points": sorted(report.fixed_points.fixed),
         "reverse_fixed_points": sorted(report.fixed_points.reverse_fixed),
-        "nl": _stats_json(report.nl, with_sd=False),
+        "nl": stats(report.nl, ("min", "max", "avg")),
         "nl_bound": report.nl_bound,
-        "sac": _stats_json(report.sac, with_sd=True),
-        "bic_nl": _stats_json(report.bic_nl, with_sd=True),
-        "bic_sac": _stats_json(report.bic_sac, with_sd=True),
+        "sac": stats(report.sac),
+        "bic_nl": stats(report.bic_nl),
+        "bic_sac": stats(report.bic_sac),
     }
+
+
+def render_report_text(report: AnalysisReport) -> str:
+    """One `key: value` line per field; a statistic as `k=v` pairs, bijective as true/false."""
+    lines = []
+    for key, value in _document(report).items():
+        if isinstance(value, dict):
+            value = " ".join(f"{k}={v}" for k, v in value.items())
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+def render_report_json(report: AnalysisReport) -> str:
+    """The report document, each decimal text a JSON number."""
+    document = {key: {k: float(v) if isinstance(v, str) else v for k, v in value.items()}
+                if isinstance(value, dict) else value
+                for key, value in _document(report).items()}
     return json.dumps(document, indent=2) + "\n"

@@ -23,7 +23,7 @@ from oracles import (
     random_bijective,
     stabilizer_size,
 )
-from vectors import AES_SBOX, CLONE4, SEED4, SIGMA1_4, SIGMA2_4
+from vectors import AES_SBOX, CLONE4, HELP, SEED4, SIGMA1_4, SIGMA2_4
 
 
 @pytest.fixture
@@ -260,6 +260,16 @@ def test_analyze_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3")
     assert main(["analyze", str(path)]) == 1
+
+
+def test_analyze_skips_a_byte_order_mark(seed4_file, tmp_path, capsys):
+    # Windows Notepad starts a UTF-8 file with a byte order mark.
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + serialize_sbox(SBox.from_table(SEED4)).encode())
+    assert main(["analyze", seed4_file]) == 0
+    plain = capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr() == plain
 
 
 # ---------------------------------------------------------------------
@@ -769,6 +779,16 @@ def test_verify_parse_error(seed4_file, tmp_path):
     assert main(["verify", seed4_file, str(bad)]) == 1
 
 
+def test_verify_names_a_file_that_is_not_utf8(seed4_file, tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_text("9 13 10 15", encoding="utf-16")
+    assert main(["verify", seed4_file, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                            "in position 0: invalid start byte\n")
+
+
 # ---------------------------------------------------------------------
 # n = 16, the widest s-box the types accept
 
@@ -887,6 +907,13 @@ def test_command_help_lists_every_argument(name, capsys):
         assert help_lists(captured.out, dest, explanation)
     for option in (cli.HELP,) + options:
         assert help_lists(captured.out, option.flags[0], option.help)
+
+
+@pytest.mark.parametrize("name", list(HELP))
+def test_help_bytes(name, capsys):
+    assert main(([name] if name else []) + ["-h"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (HELP[name], "")
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,18 @@ from sboxforge.formats import (
 )
 
 from oracles import parse_sbox_text_by_token, random_bijective
-from vectors import AES_SBOX, CLONE4, SEED4
+from vectors import (
+    AES_REPORT_JSON,
+    AES_SBOX,
+    CLONE4,
+    N2,
+    N2_REPORT_JSON,
+    N2_REPORT_TEXT,
+    NONBIJECTIVE4,
+    NONBIJECTIVE4_REPORT_JSON,
+    NONBIJECTIVE4_REPORT_TEXT,
+    SEED4,
+)
 
 AES_REPORT_TEXT = (
     "n: 8\n"
@@ -138,6 +149,17 @@ def test_format_decimal_exact_and_ties():
 
 def test_render_report_text_golden():
     assert render_report_text(analyze(SBox.from_table(AES_SBOX))) == AES_REPORT_TEXT
+
+
+@pytest.mark.parametrize("table, text, document", [
+    (AES_SBOX, AES_REPORT_TEXT, AES_REPORT_JSON),
+    (N2, N2_REPORT_TEXT, N2_REPORT_JSON),
+    (NONBIJECTIVE4, NONBIJECTIVE4_REPORT_TEXT, NONBIJECTIVE4_REPORT_JSON),
+])
+def test_render_report_bytes(table, text, document):
+    report = analyze(SBox.from_table(table))
+    assert render_report_text(report) == text
+    assert render_report_json(report) == document
 
 
 def test_render_report_json_schema_and_values():

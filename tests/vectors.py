@@ -5,6 +5,11 @@ AES_SBOX/AES_CLONE8 are the AES s-box and its clone under
 (SIGMA1_8, SIGMA2_8). ROWPERM_4 is the index permutation SIGMA1_4 induces
 on the 16 table positions, and SEED4_LSB_COLUMN is the low-bit coordinate
 of SEED4.
+
+The byte goldens below pin what the command-line front end prints: HELP
+maps None (for `sboxforge -h`) and each command (for `sboxforge COMMAND
+-h`) to its help text, and each *_REPORT_* string is the text or JSON
+report of AES_SBOX, of N2 (n = 2, nl_bound 0) or of NONBIJECTIVE4.
 """
 
 SEED4 = [9, 13, 10, 15, 11, 14, 7, 3, 12, 8, 6, 2, 4, 1, 0, 5]
@@ -59,3 +64,229 @@ AES_CLONE8 = [
 
 # n=3 bijection whose dependence matrix is exactly 1/2 everywhere.
 ALL_HALF_SAC_3 = [0, 1, 2, 4, 3, 5, 6, 7]
+
+N2 = [1, 3, 0, 2]
+NONBIJECTIVE4 = [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]
+
+HELP_TOP = (
+    "usage: sboxforge [-h] {clone,analyze,derive,enumerate,verify} ...\n"
+    "\n"
+    "Clone s-box generation and analysis\n"
+    "\n"
+    "commands:\n"
+    "  clone                 generate a clone s-box from a seed\n"
+    "  analyze               report the four algebraic criteria\n"
+    "  derive                show the permutations a key produces\n"
+    "  enumerate             sweep permutation pairs, emit CSV\n"
+    "  verify                compare two s-boxes' criteria\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "\n"
+    "Run 'sboxforge COMMAND -h' for the options of one command.\n"
+)
+
+HELP_CLONE = (
+    "usage: sboxforge clone [-h] [options] seed\n"
+    "\n"
+    "generate a clone s-box from a seed\n"
+    "\n"
+    "positional arguments:\n"
+    "  seed                  seed s-box file\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --key KEY             hex key; permutations derived from it\n"
+    "  --sigma1 SIGMA1       input-bit permutation, comma-separated images\n"
+    "  --sigma2 SIGMA2       output-bit permutation, comma-separated images\n"
+    "  --remove-fixed-points\n"
+    "                        retry until the clone has no fixed or reverse fixed points\n"
+    "  --max-attempts MAX_ATTEMPTS\n"
+    "                        cap on removal attempts (default min(n!, 10!); n! tries every class)\n"
+    "  -o OUTPUT, --output OUTPUT\n"
+    "                        write the clone here instead of stdout\n"
+)
+
+HELP_ANALYZE = (
+    "usage: sboxforge analyze [-h] [options] sbox\n"
+    "\n"
+    "report the four algebraic criteria\n"
+    "\n"
+    "positional arguments:\n"
+    "  sbox                  s-box file\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {text,json}  report format (default text)\n"
+)
+
+HELP_DERIVE = (
+    "usage: sboxforge derive [-h] --key KEY --n N\n"
+    "\n"
+    "show the permutations a key produces\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --key KEY             hex key\n"
+    "  --n N                 bit width\n"
+)
+
+HELP_ENUMERATE = (
+    "usage: sboxforge enumerate [-h] (--all | --sample SAMPLE) [options] seed\n"
+    "\n"
+    "sweep permutation pairs, emit CSV\n"
+    "\n"
+    "positional arguments:\n"
+    "  seed                  seed s-box file\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --all                 every pair (n <= 6 only)\n"
+    "  --sample SAMPLE       number of random pairs\n"
+    "  --rng-seed RNG_SEED   sampling seed (default 0; needs --sample)\n"
+    "  --check-invariance    compare every clone's report against the seed's\n"
+    "  --out OUT             write CSV here instead of stdout\n"
+)
+
+HELP_VERIFY = (
+    "usage: sboxforge verify [-h] seed clone\n"
+    "\n"
+    "compare two s-boxes' criteria\n"
+    "\n"
+    "positional arguments:\n"
+    "  seed                  first s-box file\n"
+    "  clone                 second s-box file\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+
+AES_REPORT_JSON = (
+    "{\n"
+    '  "n": 8,\n'
+    '  "bijective": true,\n'
+    '  "fixed_points": [],\n'
+    '  "reverse_fixed_points": [],\n'
+    '  "nl": {\n'
+    '    "min": 112,\n'
+    '    "max": 112,\n'
+    '    "avg": 112.0\n'
+    "  },\n"
+    '  "nl_bound": 112,\n'
+    '  "sac": {\n'
+    '    "min": 0.453125,\n'
+    '    "max": 0.5625,\n'
+    '    "avg": 0.504883,\n'
+    '    "sd": 0.015678\n'
+    "  },\n"
+    '  "bic_nl": {\n'
+    '    "min": 112,\n'
+    '    "max": 112,\n'
+    '    "avg": 112.0,\n'
+    '    "sd": 0.0\n'
+    "  },\n"
+    '  "bic_sac": {\n'
+    '    "min": 0.480469,\n'
+    '    "max": 0.525391,\n'
+    '    "avg": 0.504604,\n'
+    '    "sd": 0.011271\n'
+    "  }\n"
+    "}\n"
+)
+
+N2_REPORT_TEXT = (
+    "n: 2\n"
+    "bijective: true\n"
+    "fixed_points: []\n"
+    "reverse_fixed_points: []\n"
+    "nl: min=0 max=0 avg=0.000000\n"
+    "nl_bound: 0\n"
+    "sac: min=0.000000 max=1.000000 avg=0.500000 sd=0.250000\n"
+    "bic_nl: min=0 max=0 avg=0.000000 sd=0.000000\n"
+    "bic_sac: min=1.000000 max=1.000000 avg=1.000000 sd=0.000000\n"
+)
+
+N2_REPORT_JSON = (
+    "{\n"
+    '  "n": 2,\n'
+    '  "bijective": true,\n'
+    '  "fixed_points": [],\n'
+    '  "reverse_fixed_points": [],\n'
+    '  "nl": {\n'
+    '    "min": 0,\n'
+    '    "max": 0,\n'
+    '    "avg": 0.0\n'
+    "  },\n"
+    '  "nl_bound": 0,\n'
+    '  "sac": {\n'
+    '    "min": 0.0,\n'
+    '    "max": 1.0,\n'
+    '    "avg": 0.5,\n'
+    '    "sd": 0.25\n'
+    "  },\n"
+    '  "bic_nl": {\n'
+    '    "min": 0,\n'
+    '    "max": 0,\n'
+    '    "avg": 0.0,\n'
+    '    "sd": 0.0\n'
+    "  },\n"
+    '  "bic_sac": {\n'
+    '    "min": 1.0,\n'
+    '    "max": 1.0,\n'
+    '    "avg": 1.0,\n'
+    '    "sd": 0.0\n'
+    "  }\n"
+    "}\n"
+)
+
+NONBIJECTIVE4_REPORT_TEXT = (
+    "n: 4\n"
+    "bijective: false\n"
+    "fixed_points: [0]\n"
+    "reverse_fixed_points: [8]\n"
+    "nl: min=1 max=3 avg=1.500000\n"
+    "nl_bound: 4\n"
+    "sac: min=0.125000 max=0.875000 avg=0.390625 sd=0.168105\n"
+    "bic_nl: min=0 max=4 avg=2.333333 sd=1.374369\n"
+    "bic_sac: min=0.250000 max=0.687500 avg=0.510417 sd=0.132173\n"
+)
+
+NONBIJECTIVE4_REPORT_JSON = (
+    "{\n"
+    '  "n": 4,\n'
+    '  "bijective": false,\n'
+    '  "fixed_points": [\n'
+    "    0\n"
+    "  ],\n"
+    '  "reverse_fixed_points": [\n'
+    "    8\n"
+    "  ],\n"
+    '  "nl": {\n'
+    '    "min": 1,\n'
+    '    "max": 3,\n'
+    '    "avg": 1.5\n'
+    "  },\n"
+    '  "nl_bound": 4,\n'
+    '  "sac": {\n'
+    '    "min": 0.125,\n'
+    '    "max": 0.875,\n'
+    '    "avg": 0.390625,\n'
+    '    "sd": 0.168105\n'
+    "  },\n"
+    '  "bic_nl": {\n'
+    '    "min": 0,\n'
+    '    "max": 4,\n'
+    '    "avg": 2.333333,\n'
+    '    "sd": 1.374369\n'
+    "  },\n"
+    '  "bic_sac": {\n'
+    '    "min": 0.25,\n'
+    '    "max": 0.6875,\n'
+    '    "avg": 0.510417,\n'
+    '    "sd": 0.132173\n'
+    "  }\n"
+    "}\n"
+)
+
+HELP = {None: HELP_TOP, "clone": HELP_CLONE, "analyze": HELP_ANALYZE, "derive": HELP_DERIVE,
+        "enumerate": HELP_ENUMERATE, "verify": HELP_VERIFY}

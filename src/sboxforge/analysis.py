@@ -18,23 +18,21 @@ only at report serialisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub, xor
-from typing import NamedTuple
+from types import SimpleNamespace
 
-from .core import FixedPointReport, SBox, _DIGITS, _coordinates, _repeat, find_fixed_points
+from .core import FixedPointReport, SBox, _DIGITS, _Record, _coordinates, _repeat, find_fixed_points
 
 
-@dataclass(frozen=True)
-class BooleanFunctionTable:
+class BooleanFunctionTable(_Record):
     """Truth table of an n-input Boolean function as 2**n bits."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values: tuple[int, ...]):
+        self._set(tuple(values))
         count = len(self.values)
         if count < 2 or count & (count - 1):
             raise ValueError(f"truth table length {count} is not a power of two")
@@ -42,41 +40,39 @@ class BooleanFunctionTable:
             raise ValueError("truth table entries must be bits")
 
 
-@dataclass(frozen=True)
-class WalshSpectrum:
+class WalshSpectrum(_Record):
     """Signed correlations with every linear mask, indexed by mask."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        self._set(coefficients)
 
 
-@dataclass(frozen=True)
-class PropertyStats:
+class PropertyStats(_Record):
     """min/max/avg/sd summary of one metric family."""
 
-    min: int | Fraction
-    max: int | Fraction
-    avg: Fraction
-    sd: float
+    __slots__ = ("min", "max", "avg", "sd")
+
+    def __init__(self, min: int | Fraction, max: int | Fraction, avg: Fraction, sd: float):
+        self._set(min, max, avg, sd)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Full four-criterion measurement of one s-box."""
 
-    n: int
-    bijective: bool
-    fixed_points: FixedPointReport
-    nl: PropertyStats
-    nl_bound: int
-    sac: PropertyStats
-    bic_nl: PropertyStats
-    bic_sac: PropertyStats
+    __slots__ = ("n", "bijective", "fixed_points", "nl", "nl_bound", "sac", "bic_nl", "bic_sac")
+
+    def __init__(self, n: int, bijective: bool, fixed_points: FixedPointReport, nl: PropertyStats,
+                 nl_bound: int, sac: PropertyStats, bic_nl: PropertyStats, bic_sac: PropertyStats):
+        self._set(n, bijective, fixed_points, nl, nl_bound, sac, bic_nl, bic_sac)
 
 
-@dataclass(frozen=True)
-class ReportComparison:
-    equal: bool
-    differences: tuple[str, ...]
+class ReportComparison(_Record):
+    __slots__ = ("equal", "differences")
+
+    def __init__(self, equal: bool, differences: tuple[str, ...]):
+        self._set(equal, differences)
 
 
 CRITERIA = ("nl", "sac", "bic_nl", "bic_sac")
@@ -91,20 +87,6 @@ def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
     if not 0 <= mask < 1 << s.n:
         raise ValueError(f"mask {mask} out of range for width {s.n}")
     return BooleanFunctionTable(tuple((v & mask).bit_count() & 1 for v in s.table))
-
-
-class _Plan(NamedTuple):
-    """What depends on the width n alone, built once per width by _plan."""
-
-    lane: int            # bits per Walsh lane
-    table: list          # byte -> its 8-point Walsh transform in packed lanes, as bytes
-    most: int            # bitsets per batch, at most: the n(n+1)/2 functions of an s-box
-    ones: int            # bit 0 of every lane of a block-major int of `most` bitsets
-    below: int           # the bits under every such lane's top bit
-    high: int            # every such lane's top bit, 2**(L-1): the lane bias
-    rounds: tuple        # (width, low lanes, their top bits) per tournament round inside a block
-    flips: tuple         # (2**i, low halves) per input bit i
-    pairs: tuple         # every (j, k) with j < k < n
 
 
 # A batch's spectra take at most 2**24 bits (one bitset's, if more), so the
@@ -127,7 +109,8 @@ def _byte_table(n: int, lane: int) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int) -> _Plan:
+def _plan(n: int) -> SimpleNamespace:
+    """What depends on the width n alone, built once per width and then only read."""
     # |W| reaches 2**n and must stay below half a lane; at least 4 bits, so
     # that the 2**n < 8 lanes of n < 3 still fill whole bytes.
     lane, points = max(n + 2, 4), min(8, 1 << n)
@@ -139,10 +122,18 @@ def _plan(n: int) -> _Plan:
         width >>= 1
         low = _repeat((1 << width) - 1, width << 1, total)
         rounds.append((width, low, (ones & low) << top))
-    flips = tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n)))
-    pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
-    return _Plan(lane, _byte_table(n, lane), most, ones, ones * ((1 << top) - 1), ones << top,
-                 tuple(rounds), flips, pairs)
+    return SimpleNamespace(
+        lane=lane,                      # bits per Walsh lane
+        table=_byte_table(n, lane),     # byte -> its 8-point Walsh transform in packed lanes
+        most=most,                      # bitsets per batch, at most: an s-box's n(n+1)/2 functions
+        ones=ones,                      # bit 0 of every lane of a block-major int of `most` bitsets
+        below=ones * ((1 << top) - 1),  # the bits under every such lane's top bit
+        high=ones << top,               # every such lane's top bit, 2**(L-1): the lane bias
+        rounds=tuple(rounds),           # (width, low lanes, their top bits) per round inside a block
+        # (2**i, low halves) per input bit i; every (j, k) with j < k < n
+        flips=tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n))),
+        pairs=tuple((j, k) for j in range(n) for k in range(j + 1, n)),
+    )
 
 
 def _butterfly(batch: list[int], n: int, bias: int) -> list[int]:

@@ -103,18 +103,27 @@ def _thread_cap() -> int:
 
 @contextmanager
 def _output(path: str | None):
-    """Stdout, or `path` opened before any work; a failed command removes a file it created."""
+    """Stdout, or `path` opened before any work. A failed command removes a file
+    it created, and leaves an existing one as it was unless it began writing."""
     if path is None:
         yield sys.stdout
         return
     created = not os.path.exists(path)
     try:
-        handle = open(path, "w", encoding="utf-8", newline="")
+        # An existing file is opened to append, which keeps its bytes until the first write.
+        handle = open(path, "w" if created else "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
     with handle:
+        def first_write(text: str) -> int:  # empties the file now, not when it was opened
+            if os.path.isfile(path):  # as O_TRUNC would; a device or pipe has nothing to empty
+                handle.truncate(0)
+            out.write = handle.write
+            return handle.write(text)
+
+        out = handle if created else SimpleNamespace(write=first_write)
         try:
-            yield handle
+            yield out
         except BaseException:
             if created:
                 os.remove(path)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from math import factorial
@@ -33,8 +32,41 @@ class RemovalExhausted(RuntimeError):
 _ATTEMPT_BOUND = factorial(10)
 
 
-@dataclass(frozen=True)
-class SBox:
+class _Record:
+    """An immutable value of the fields named in __slots__, each set once by __init__; equal
+    within its class, hashed and shown by its fields, and pickled through its constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        # In __slots__ order. Records built per sweep row or permutation set theirs directly.
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        cells = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({cells})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SBox(_Record):
     """Lookup table of 2**n values in [0, 2**n), 2 <= n <= 16.
 
     Candidate tables with duplicate entries are representable (so they can
@@ -42,18 +74,15 @@ class SBox:
     refuse them.
     """
 
-    n: int
-    table: tuple[int, ...]
+    __slots__ = ("n", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
+    def __init__(self, n: int, table: tuple[int, ...]):
+        self._set(n, tuple(table))
         if not 2 <= self.n <= 16:
             raise ValueError(f"bit width must be in [2, 16], got {self.n}")
         size = 1 << self.n
         if len(self.table) != size:
-            raise ValueError(
-                f"table of width {self.n} needs {size} entries, got {len(self.table)}"
-            )
+            raise ValueError(f"table of width {self.n} needs {size} entries, got {len(self.table)}")
         for v in self.table:
             # type, not isinstance: a bool entry would serialise as True or False.
             if type(v) is not int or not 0 <= v < size:
@@ -88,15 +117,14 @@ class SBox:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class BitPermutation:
+class BitPermutation(_Record):
     """Permutation of {0..m-1}; images[j] is where position j lands."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        images = self.images
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(images)
+        object.__setattr__(self, "images", images)
         if any(type(v) is not int for v in images) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
 
@@ -109,12 +137,14 @@ class BitPermutation:
         return len(self.images)
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(_Record):
     """Indices i with table[i] = i (fixed) or table[i] = 2**n - 1 - i (reverse)."""
 
-    fixed: frozenset[int]
-    reverse_fixed: frozenset[int]
+    __slots__ = ("fixed", "reverse_fixed")
+
+    def __init__(self, fixed: frozenset[int], reverse_fixed: frozenset[int]):
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "reverse_fixed", reverse_fixed)
 
     @property
     def empty(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -686,8 +685,14 @@ def test_criteria_cache_keeps_repeated_coordinates():
     analysis._criteria.cache_clear()
 
 
+def _replace(record, **changes):
+    """A record of the same type with the named fields changed."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def _without_fixed_points(report):
-    return dataclasses.replace(report, fixed_points=None)
+    return _replace(report, fixed_points=None)
 
 
 @st.composite
@@ -743,10 +748,10 @@ def test_compare_reports_tolerance():
     # comes from other counts, however close.
     report = analyze(SBox.from_table(AES_SBOX))
     for sd in (report.sac.sd + 1e-12, report.sac.sd + 1e-6):
-        other = dataclasses.replace(report, sac=dataclasses.replace(report.sac, sd=sd))
+        other = _replace(report, sac=_replace(report.sac, sd=sd))
         assert compare_reports(report, other) == ReportComparison(False, ("sac.sd",))
-    nl = dataclasses.replace(report.nl, min=report.nl.min + 1)
-    assert compare_reports(report, dataclasses.replace(report, nl=nl)).differences == ("nl.min",)
+    nl = _replace(report.nl, min=report.nl.min + 1)
+    assert compare_reports(report, _replace(report, nl=nl)).differences == ("nl.min",)
 
 
 def test_compare_reports_tells_close_sac_populations_apart_at_n16():
@@ -760,8 +765,8 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
     moved[:0] = counts[:2]
     assert analysis._moments(moved)[::2] == analysis._moments(counts)[::2]
     assert analysis._moments(moved)[1] == analysis._moments(counts)[1] + 2
-    report = dataclasses.replace(analyze(SBox.from_table(AES_SBOX)), n=n)
-    a, b = (dataclasses.replace(report, sac=analysis._population_stats(
+    report = _replace(analyze(SBox.from_table(AES_SBOX)), n=n)
+    a, b = (_replace(report, sac=analysis._population_stats(
                 analysis._moments(c), len(c), 1 << n, sd_divisor=2)) for c in (counts, moved))
     assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))

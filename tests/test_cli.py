@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -139,9 +140,25 @@ def test_clone_removal_exhausted(seed4_file, tmp_path):
             "--remove-fixed-points", "--max-attempts", "1", "-o", str(out)]
     assert main(argv) == 3
     assert not out.exists()  # opened before the search, removed when it fails
-    out.write_text("")
+    out.write_bytes(b"keep me\n")
     assert main(argv) == 3
-    assert out.exists()  # a file that was there before is not removed
+    assert out.read_bytes() == b"keep me\n"  # a file that was there before keeps its bytes
+
+
+def test_output_replaces_a_longer_file(seed4_file, tmp_path, capsys):
+    # An existing -o/--out file is emptied when the result is written, not before.
+    out = tmp_path / "result.txt"
+    for argv in (["clone", seed4_file, "--key", "17", "-o", str(out)],
+                 ["enumerate", seed4_file, "--sample", "2", "--out", str(out)]):
+        out.unlink(missing_ok=True)
+        assert main(argv) == 0
+        fresh = out.read_bytes()
+        out.write_bytes(b"x" * (len(fresh) + 100))
+        assert main(argv) == 0
+        assert out.read_bytes() == fresh
+        # A device has nothing to empty: writing to it works as before.
+        assert main([*argv[:-1], os.devnull]) == 0
+    capsys.readouterr()
 
 
 def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):

@@ -89,6 +89,17 @@ def test_cli_import_leaves_argparse_out(child_env):
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_leaves_dataclasses_and_typing_out(child_env):
+    # The value types are plain slotted classes, so a cold CLI call loads
+    # neither dataclasses, with the inspect module it imports, nor typing.
+    # -S: site-packages hooks (.pth files) can load typing themselves.
+    probe = ("import sys, sboxforge.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=child_env, check=True)
+    assert result.stdout == "[]\n"
+
+
 def test_cli_import_builds_no_plan(child_env):
     # Per-width Walsh plans with their byte tables and butterfly masks, and
     # the fingerprint's decimal strings, are built on first use: a cold call

@@ -23,18 +23,19 @@ from functools import lru_cache
 from operator import add, mul, sub, xor
 from types import SimpleNamespace
 
-from .core import FixedPointReport, SBox, _DIGITS, _Record, _coordinates, _repeat, find_fixed_points
+from .core import FixedPointReport, SBox, _DIGITS, _Record, _coordinates, _repeat, _width, find_fixed_points
 
 
 class BooleanFunctionTable(_Record):
-    """Truth table of an n-input Boolean function as 2**n bits."""
+    """Truth table of an n-input Boolean function as 2**n bits, 1 <= n <= 16."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
         self._set(tuple(values))
         count = len(self.values)
-        if count < 2 or count & (count - 1):
+        # (count - 1).bit_length() is the least n with count <= 2**n (1 for an empty table).
+        if count != 1 << _width((count - 1).bit_length(), 1):
             raise ValueError(f"truth table length {count} is not a power of two")
         if any(v not in (0, 1) for v in self.values):
             raise ValueError("truth table entries must be bits")
@@ -228,9 +229,9 @@ def nonlinearity(f: BooleanFunctionTable) -> int:
 
 
 def max_balanced_nonlinearity(n: int) -> int:
-    """Reference bound 2**(n-1) - 2**(n//2) of the s-box literature; not a ceiling for even n >= 6."""
-    if n < 3:
-        raise ValueError(f"bound is defined for n >= 3, got {n}")
+    """Reference bound 2**(n-1) - 2**(n//2) of the s-box literature, 3 <= n <= 16; not a
+    ceiling for even n >= 6."""
+    _width(n, 3)
     return (1 << (n - 1)) - (1 << (n // 2))
 
 

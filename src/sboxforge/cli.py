@@ -3,8 +3,9 @@
 Exit codes are a fixed function of the failure class: 0 success, 1 input
 parse/validation error, 2 non-bijective seed, 3 fixed-point removal
 exhausted, 4 invariance check failure, 5 verify mismatch, 6 verify width
-mismatch, 64 command-line usage error. Results go to stdout, diagnostics
-to stderr. SBOXFORGE_THREADS (integer >= 1) caps worker parallelism.
+mismatch, 64 command-line usage error, 130 interrupted (Ctrl-C). Results go
+to stdout, diagnostics to stderr. SBOXFORGE_THREADS (integer >= 1) caps
+worker parallelism.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     NonBijectiveError,
     RemovalExhausted,
     SBox,
+    _check_clone,
     _clone,
     _lift,
     clone_sbox,
@@ -50,6 +52,7 @@ EXIT_INVARIANCE = 4
 EXIT_MISMATCH = 5
 EXIT_WIDTH = 6
 EXIT_USAGE = 64
+EXIT_INTERRUPTED = 130
 
 # Seconds a worker costs a sweep: a 2-worker pool, with the import of its
 # module, made a 16-row n = 4 sweep about 50 ms slower, and a 3000-row one
@@ -110,8 +113,8 @@ def _output(path: str | None):
         return
     created = not os.path.exists(path)
     try:
-        # An existing file is opened to append, which keeps its bytes until the first write.
-        handle = open(path, "w" if created else "a", encoding="utf-8", newline="")
+        # Opened to append, which keeps an existing file's bytes until the first write.
+        handle = open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
     with handle:
@@ -121,7 +124,7 @@ def _output(path: str | None):
             out.write = handle.write
             return handle.write(text)
 
-        out = handle if created else SimpleNamespace(write=first_write)
+        out = SimpleNamespace(write=first_write)
         try:
             yield out
         except BaseException:
@@ -201,6 +204,14 @@ def _init_sweep(table, seed_invariants) -> None:
     _sweep = (seed, seed_invariants, ranks)
 
 
+def _init_worker(table, seed_invariants) -> None:
+    """_init_sweep in a pool worker, which leaves Ctrl-C to the parent and so prints nothing."""
+    import signal  # here: the CLI's import and its serial runs do not need it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _init_sweep(table, seed_invariants)
+
+
 def _enumerate_row(pair):
     """A CSV row of the sweep, its clone's digest, and whether it passed (None unchecked).
 
@@ -229,12 +240,25 @@ def _enumerate_chunk(pairs):
     return [_enumerate_row(pair) for pair in pairs]
 
 
+@contextmanager
 def _process_pool(**kwargs):
     """A ProcessPoolExecutor, imported here: loading it at import would cost
-    every CLI call about 20 ms, and only a sweep long enough to pool needs it."""
-    from concurrent.futures import ProcessPoolExecutor
+    every CLI call about 20 ms, and only a sweep long enough to pool needs it.
 
-    return ProcessPoolExecutor(**kwargs)
+    Ctrl-C stops its workers at once. Leaving the pool would wait for the
+    chunks they hold: at n = 16 a 256-row --check-invariance chunk takes
+    about 4 minutes.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import active_children
+
+    with ProcessPoolExecutor(**kwargs) as pool:
+        try:
+            yield pool
+        except KeyboardInterrupt:
+            for worker in active_children():
+                worker.terminate()
+            raise
 
 
 def _pooled_rows(pool, pairs, chunk: int, depth: int):
@@ -272,8 +296,7 @@ def _timed_rows(pairs, count: int) -> tuple[list, float]:
 
 def cmd_enumerate(args) -> int:
     seed = load_sbox(args.seed)
-    if not seed.is_bijective():
-        raise NonBijectiveError("seed s-box has duplicate entries")
+    _check_clone(seed)
     n = seed.n
     fact = factorial(n)
     if args.all:
@@ -304,7 +327,7 @@ def cmd_enumerate(args) -> int:
             workers = min(cap, count - len(timed), int(count * seconds / POOL_START))
         if workers > 1:
             pool = stack.enter_context(_process_pool(
-                max_workers=workers, initializer=_init_sweep, initargs=sweep))
+                max_workers=workers, initializer=_init_worker, initargs=sweep))
             chunk = max(1, min(_CHUNK_ROWS, count // (workers * 4)))
             rows = _pooled_rows(pool, pairs, chunk, 2 * workers)
         else:
@@ -519,6 +542,9 @@ def main(argv=None) -> int:
     except (UsageError, RemovalExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _FAILURES if isinstance(exc, kind))
+    except KeyboardInterrupt:  # an -o/--out file the run created is already removed
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

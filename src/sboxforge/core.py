@@ -27,6 +27,18 @@ class RemovalExhausted(RuntimeError):
     """No fixed-point-free clone was found within max_attempts, or none exists."""
 
 
+def _width(n: int, low: int = 2) -> int:
+    """n, if it is a width in [low, 16], else a ValueError before any work that grows with n.
+
+    S-box and bit-permutation widths start at 2, Boolean function widths at 1
+    and the nonlinearity bound at 3; every public function that takes or
+    derives a width reads its bound here.
+    """
+    if not low <= n <= 16:
+        raise ValueError(f"bit width must be in [{low}, 16], got {n}")
+    return n
+
+
 # The default removal budget: all n! attempts up to n = 10, where a full walk
 # takes seconds. At n = 11 one would take minutes, and years at n = 16.
 _ATTEMPT_BOUND = factorial(10)
@@ -77,9 +89,7 @@ class SBox(_Record):
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table: tuple[int, ...]):
-        self._set(n, tuple(table))
-        if not 2 <= self.n <= 16:
-            raise ValueError(f"bit width must be in [2, 16], got {self.n}")
+        self._set(_width(n), tuple(table))
         size = 1 << self.n
         if len(self.table) != size:
             raise ValueError(f"table of width {self.n} needs {size} entries, got {len(self.table)}")
@@ -100,7 +110,7 @@ class SBox(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "SBox":
-        return cls(n, tuple(range(1 << n)))
+        return cls(n, tuple(range(1 << _width(n))))
 
     @classmethod
     def _trusted(cls, n: int, table: tuple[int, ...]) -> "SBox":
@@ -118,14 +128,14 @@ class SBox(_Record):
 
 
 class BitPermutation(_Record):
-    """Permutation of {0..m-1}; images[j] is where position j lands."""
+    """Permutation of {0..m-1}, m >= 1; images[j] is where position j lands."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
         images = tuple(images)
         object.__setattr__(self, "images", images)
-        if any(type(v) is not int for v in images) or sorted(images) != list(range(len(images))):
+        if not images or any(type(v) is not int for v in images) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
 
     @classmethod
@@ -164,9 +174,9 @@ def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
 
     Index i goes to i with bit j moved to bit sigma1.images[j]: the decimal
     reading of the identity table's bit matrix after sigma1 rearranges its
-    columns. Indices 0 and 2**n - 1 are always fixed.
+    columns. Indices 0 and 2**n - 1 are always fixed. n must be in [2, 16].
     """
-    if sigma1.size != n:
+    if sigma1.size != _width(n):
         raise ValueError(f"permutation size {sigma1.size} != {n}")
     return BitPermutation(_lift(sigma1.images))
 
@@ -179,11 +189,17 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
     of a bijective seed is bijective and shares its nonlinearity,
     avalanche and bit-independence statistics.
     """
-    if sigma1.size != seed.n or sigma2.size != seed.n:
-        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
+    _check_clone(seed, sigma1, sigma2)
+    return _clone(seed, _lift(sigma1.images), _lift(sigma2.images))
+
+
+def _check_clone(seed: SBox, *sigmas: BitPermutation) -> None:
+    """What every clone of `seed` needs: each sigma has the seed's width, and the seed is bijective."""
+    if any(sigma.size != seed.n for sigma in sigmas):
+        sizes = "/".join([str(sigma.size) for sigma in sigmas])
+        raise ValueError(f"permutation sizes {sizes} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
-    return _clone(seed, _lift(sigma1.images), _lift(sigma2.images))
 
 
 def _clone(seed: SBox, rows: list[int], out: list[int]) -> SBox:
@@ -264,10 +280,7 @@ def clone_sbox_avoiding_fixed_points(
     """
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if sigma1.size != seed.n or sigma2.size != seed.n:
-        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
-    if not seed.is_bijective():
-        raise NonBijectiveError("seed s-box has duplicate entries")
+    _check_clone(seed, sigma1, sigma2)
     top = len(seed) - 1
     for i, v in ((0, seed.table[0]), (top, seed.table[top])):
         if v in (0, top):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from math import factorial
 
-from .core import BitPermutation
+from .core import BitPermutation, _width
 
 
 def lehmer_decode(index: int, n: int) -> BitPermutation:
-    """Return the index-th permutation of {0..n-1} in lexicographic order."""
-    bound = factorial(n)
+    """Return the index-th permutation of {0..n-1} in lexicographic order, 2 <= n <= 16."""
+    bound = factorial(_width(n))
     if not 0 <= index < bound:
         raise ValueError(f"index {index} out of range [0, {bound})")
     available = list(range(n))
@@ -29,11 +29,9 @@ def lehmer_decode(index: int, n: int) -> BitPermutation:
 
 
 def key_to_permutations(key: bytes, n: int) -> tuple[BitPermutation, BitPermutation]:
-    """Split key material into the (input, output) bit permutation pair."""
+    """Split key material into the (input, output) bit permutation pair of width 2 <= n <= 16."""
     if len(key) == 0:
         raise ValueError("key must be at least one byte")
-    if n < 2:
-        raise ValueError(f"bit width must be >= 2, got {n}")
+    fact = factorial(_width(n))
     k = int.from_bytes(key, "big")
-    fact = factorial(n)
     return lehmer_decode(k % fact, n), lehmer_decode(k // fact % fact, n)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import signal
 
 import pytest
 
@@ -27,3 +28,13 @@ def attempts(monkeypatch):
 
     monkeypatch.setattr(core, "permutations", recording)
     return tried
+
+
+@pytest.fixture(autouse=True)
+def keep_ctrl_c():
+    """Restore the test process's Ctrl-C handler after each test. A pool
+    worker's initializer ignores Ctrl-C, and a stand-in pool runs it here;
+    children the suite starts later would inherit the ignored signal."""
+    handler = signal.getsignal(signal.SIGINT)
+    yield
+    signal.signal(signal.SIGINT, handler)

@@ -355,6 +355,7 @@ def test_max_balanced_nonlinearity_values():
     assert max_balanced_nonlinearity(6) == 24
     assert max_balanced_nonlinearity(7) == 56
     assert max_balanced_nonlinearity(8) == 112
+    assert max_balanced_nonlinearity(16) == 32512  # the widest width it takes
     with pytest.raises(ValueError):
         max_balanced_nonlinearity(2)
 

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from itertools import permutations, zip_longest
 from math import factorial
 
@@ -944,3 +946,66 @@ def test_python_dash_m_entry(child_env):
     )
     assert result.returncode == 0
     assert result.stdout == "sigma1=0,1,2,3\nsigma2=0,1,2,3\n"
+
+
+# ---------------------------------------------------------------------
+# Ctrl-C
+
+
+def test_interrupt_prints_one_line_and_exits_130(seed4_file, tmp_path, capsys, monkeypatch):
+    def interrupted(s):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "serialize_sbox", interrupted)
+    def run(argv):
+        try:
+            return main(argv)
+        except KeyboardInterrupt:  # not raised on, which would end the test session
+            pytest.fail("main let KeyboardInterrupt through")
+    out = tmp_path / "clone.txt"
+    argv = ["clone", seed4_file, "--key", "17", "-o", str(out)]
+    assert run(argv) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert not out.exists()  # the run created it, so the run removes it
+    out.write_bytes(b"keep me\n")
+    assert run(argv) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert out.read_bytes() == b"keep me\n"
+
+
+def test_cli_import_leaves_signal_out(child_env):
+    # Only a pool worker sets its Ctrl-C handler, so only it loads signal.
+    probe = "import sys, sboxforge.cli; print('signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=child_env, check=True)
+    assert result.stdout == "False\n"
+
+
+def test_pool_workers_ignore_ctrl_c():
+    cli._init_worker(SEED4, None)  # conftest's keep_ctrl_c restores the handler
+    assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+
+def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):
+    # Ctrl-C reaches the whole foreground process group. The workers ignore
+    # it and are stopped by the parent, which prints one line, removes the
+    # CSV it created and exits 130 without waiting for the chunks in flight.
+    out = tmp_path / "sweep.csv"
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "sboxforge", "enumerate", aes_file, "--sample", "100000",
+         "--check-invariance", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env={**child_env, "SBOXFORGE_THREADS": "2"})
+    try:
+        deadline = time.monotonic() + 60
+        # More than one 8 KB buffer of rows: pooled rows have come back, so
+        # every worker has run its initializer.
+        while not (out.exists() and out.stat().st_size > 16384) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.killpg(sweep.pid, signal.SIGINT)
+        began = time.monotonic()
+        stdout, stderr = sweep.communicate(timeout=60)
+    finally:
+        sweep.kill()
+    assert (sweep.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    assert time.monotonic() - began < 5
+    assert not out.exists()

@@ -1,13 +1,22 @@
 import ast
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from math import factorial
 
+import pytest
+
 import sboxforge
-from sboxforge import cli
+from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli,
+                       derive_row_permutation, key_to_permutations, lehmer_decode,
+                       max_balanced_nonlinearity, nonlinearity, walsh_spectrum)
+
+from oracles import direct_walsh, lehmer_rank, measure_by_stages, permute_bits, walsh_by_stages
 
 # The package exports what the CLI, the README quick start and the
 # acceptance suite use; growing this list is a deliberate API change.
@@ -148,8 +157,8 @@ def module_caches(module):
 def test_analysis_keeps_no_unbounded_memo():
     # Module state of analysis is built at import and only read: no
     # module-level dict, list or set it assigns, which calls could fill. Its
-    # caches are lru_caches of finite size, but for _plan, which the 15
-    # accepted widths bound.
+    # caches are lru_caches of finite size, but for _plan, which the
+    # accepted widths 1..16 bound.
     from sboxforge import analysis
 
     assert not module_containers(analysis)
@@ -172,3 +181,83 @@ def test_cli_keeps_no_unbounded_memo():
         assert size is not None and 1 <= size and size << n <= 1 << 16
         assert size >= factorial(n) or n > 6
     assert size == 1
+
+
+# Every public name that takes or derives a bit width, with the widths just
+# outside its domain: s-boxes and bit permutations 2..16, Boolean functions
+# 1..16 (from the truth table's length), the nonlinearity bound 3..16.
+# Inputs are built before the call is measured; the call itself must raise
+# before it allocates or loops in proportion to the width. Widths 17 and 18
+# already show such work as 2**17 entries, over 1 MB. Far wider ones go only
+# to calls whose work stays small if the check is lost: at n = 30 a lift
+# takes 2**30 entries, and at n = 20 000 a key takes minutes.
+OUTSIDE = [0, 1, 17, 18]
+WIDTH_CALLS = [
+    *[(f"SBox n={n}", lambda n=n: SBox(n, ())) for n in OUTSIDE + [30, 20_000]],
+    *[(f"SBox.identity n={n}", lambda n=n: SBox.identity(n)) for n in OUTSIDE],
+    *[(f"SBox.from_table n={n}", lambda table=tuple(range(1 << n)): SBox.from_table(table))
+      for n in (1, 17)],
+    *[(f"lehmer_decode n={n}", lambda n=n: lehmer_decode(0, n)) for n in OUTSIDE],
+    *[(f"key_to_permutations n={n}", lambda n=n: key_to_permutations(b"\xff" * 8, n))
+      for n in OUTSIDE],
+    *[(f"derive_row_permutation n={n}",
+       lambda n=n, sigma=BitPermutation.identity(max(n, 1)): derive_row_permutation(sigma, n))
+      for n in OUTSIDE],
+    *[(f"BooleanFunctionTable length {size}", lambda values=(0,) * size: BooleanFunctionTable(values))
+      for size in (0, 1, 3, 1 << 17)],
+    *[(f"max_balanced_nonlinearity n={n}", lambda n=n: max_balanced_nonlinearity(n))
+      for n in (0, 1, 2, 17, 18, 30, 40, 20_000)],
+    ("BitPermutation of no position", lambda: BitPermutation(())),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in WIDTH_CALLS], ids=[i for i, _ in WIDTH_CALLS])
+def test_width_outside_the_domain_is_rejected_up_front(call):
+    plans = analysis._plan.cache_info().currsize
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        with pytest.raises(ValueError):
+            call()
+        seconds = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.1
+    assert peak < 1 << 20
+    assert analysis._plan.cache_info().currsize == plans
+
+
+def test_width_bound_is_stated_in_one_message():
+    # Every width check reads core's one bound and says which domain it applies.
+    for call, low in ((lambda: SBox(17, ()), 2), (lambda: lehmer_decode(0, 1), 2),
+                      (lambda: key_to_permutations(b"\x01", 1), 2),
+                      (lambda: derive_row_permutation(BitPermutation.identity(17), 17), 2),
+                      (lambda: BooleanFunctionTable((0,)), 1),
+                      (lambda: max_balanced_nonlinearity(2), 3)):
+        with pytest.raises(ValueError, match=rf"^bit width must be in \[{low}, 16\], got "):
+            call()
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_width_edges_agree_with_the_oracles(n):
+    last = factorial(n) - 1
+    assert lehmer_decode(last, n).images == tuple(reversed(range(n)))
+    assert lehmer_rank(lehmer_decode(last // 3, n).images) == last // 3
+    key = (last * factorial(n) + last // 5).to_bytes(16, "big")
+    sigma1, sigma2 = key_to_permutations(key, n)
+    assert (lehmer_rank(sigma1.images), lehmer_rank(sigma2.images)) == (last // 5, last)
+    rows = derive_row_permutation(sigma1, n).images
+    assert all(rows[x] == permute_bits(x, sigma1.images) for x in range(0, 1 << n, 1 << n >> 8 or 1))
+    assert SBox.identity(n).table == tuple(range(1 << n))
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_boolean_width_edges_agree_with_the_oracles(n):
+    bits = random.Random(n).getrandbits(1 << n)
+    f = BooleanFunctionTable(tuple(bits >> x & 1 for x in range(1 << n)))
+    spectrum = walsh_spectrum(f).coefficients
+    assert list(spectrum) == walsh_by_stages(bits, n)
+    if n == 1:
+        assert list(spectrum) == direct_walsh(f.values)
+    assert nonlinearity(f) == measure_by_stages([bits], n)[0]

@@ -19,6 +19,7 @@ from contextlib import ExitStack, contextmanager
 from functools import lru_cache, partial
 from itertools import chain, islice
 from math import factorial
+from stat import S_ISREG
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -60,8 +61,9 @@ EXIT_INTERRUPTED = 130
 # per POOL_START of estimated row time, so a sweep too short to repay its
 # workers runs serially.
 POOL_START = 0.060
-# Rows per pool task, at most. With two tasks in flight per worker, this
-# bounds the rows the parent holds while it writes them out in order.
+# Rows per pool task, and per write of the CSV, at most. With two tasks in
+# flight per worker, this bounds the rows the parent holds while it writes
+# them out in order.
 _CHUNK_ROWS = 256
 
 _HEX_KEY = re.compile(r"(?:[0-9a-fA-F]{2})+")
@@ -104,33 +106,51 @@ def _thread_cap() -> int:
     return value
 
 
+# -o/--out is opened to create it, and only where that finds the path taken, to
+# append to it: no stat probe before the open, and no race in which a failing
+# command removes a file that another process made. O_BINARY: Windows would
+# translate "\n". Neither opens through a dangling symbolic link.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+_APPEND = os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0)
+
+
 @contextmanager
 def _output(path: str | None):
-    """Stdout, or `path` opened before any work. A failed command removes a file
-    it created, and leaves an existing one as it was unless it began writing."""
+    """Stdout, or `path` opened before any work and written as raw bytes, each
+    write's text in whole. A failed command removes a file it created, and
+    leaves an existing one as it was unless it began writing."""
     if path is None:
         yield sys.stdout
         return
-    created = not os.path.exists(path)
     try:
-        # Opened to append, which keeps an existing file's bytes until the first write.
-        handle = open(path, "a", encoding="utf-8", newline="")
+        try:
+            fd, created = os.open(path, _CREATE, 0o666), True
+        except FileExistsError:
+            fd, created = os.open(path, _APPEND), False
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
-    with handle:
-        def first_write(text: str) -> int:  # empties the file now, not when it was opened
-            if os.path.isfile(path):  # as O_TRUNC would; a device or pipe has nothing to empty
-                handle.truncate(0)
-            out.write = handle.write
-            return handle.write(text)
 
-        out = SimpleNamespace(write=first_write)
+    empty_first = not created
+
+    def write(text: str) -> None:
+        nonlocal empty_first
+        if empty_first:  # an existing file is emptied at the first write, not when opened
+            empty_first = False
+            if S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has nothing to empty
+                os.ftruncate(fd, 0)
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(fd, data):]
+
+    try:
         try:
-            yield out
-        except BaseException:
-            if created:
-                os.remove(path)
-            raise
+            yield SimpleNamespace(write=write)
+        finally:
+            os.close(fd)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def cmd_clone(args) -> int:
@@ -182,11 +202,12 @@ def cmd_derive(args) -> int:
 
 _sweep = None  # (seed, the seed's invariants or None, rank cache) of the running sweep
 
-# Lifted table entries one sweep's rank cache may hold: 2**16 >> n ranks.
-# That is every rank for n <= 6, where --all visits each rank n! times, and
-# one 2**16-entry lift at n = 16, the widest s-box. A cache of 1024 ranks whatever
-# n took an n = 10 --sample 3000 sweep from about 20 to 52 MB peak resident
-# (2 cores, Python 3.11).
+# Lifted table entries one sweep's rank cache may hold. Every rank fits for
+# n <= 6, where --all visits each rank n! times; the cache keeps them all.
+# Above that only --sample runs, whose ranks of n! rarely repeat, so the cache
+# keeps two ranks, and one 2**16-entry lift at n = 16, the widest s-box. At
+# n = 8 a cache of 2**16 >> n ranks made --sample 8 sweeps 2-3.5% slower than
+# two ranks (2 cores, Python 3.11).
 _LIFT_BUDGET = 1 << 16
 
 
@@ -200,7 +221,9 @@ def _init_sweep(table, seed_invariants) -> None:
     """Hold the sweep's seed, its invariants (or None) and a new rank cache, once per process."""
     global _sweep
     seed = SBox.from_table(table)
-    ranks = lru_cache(maxsize=_LIFT_BUDGET >> seed.n)(partial(_rank, n=seed.n))
+    n, count = seed.n, factorial(seed.n)
+    size = count if count << n <= _LIFT_BUDGET else min(2, _LIFT_BUDGET >> n)
+    ranks = lru_cache(maxsize=size)(partial(_rank, n=n))
     _sweep = (seed, seed_invariants, ranks)
 
 
@@ -332,11 +355,21 @@ def cmd_enumerate(args) -> int:
             rows = _pooled_rows(pool, pairs, chunk, 2 * workers)
         else:
             rows = map(_enumerate_row, pairs)
-        out.write(header + "\n")
+        lines = [header]
+
+        def write_lines():  # in one call; the empty last line ends the text in "\n"
+            lines.append("")
+            out.write("\n".join(lines))
+            lines.clear()
+
         for line, digest, passed in chain(timed, rows):
-            out.write(line + "\n")
+            lines.append(line)
             digests.add(digest)
             passes += bool(passed)
+            if len(lines) == _CHUNK_ROWS:
+                write_lines()
+        if lines:
+            write_lines()
 
     summary = f"rows={count} distinct={len(digests)}"
     if args.check_invariance:

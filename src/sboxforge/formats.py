@@ -59,9 +59,10 @@ def parse_sbox_text(text: str) -> SBox:
 
 def load_sbox(path: str) -> SBox:
     try:
-        # Bytes decoded in one call: a text-mode read costs a fresh process more, with the same errors.
-        with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
+        # Raw bytes decoded in one call: a buffered or text-mode read costs a
+        # fresh process more, with the same errors.
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.readall().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SBoxFileError(f"cannot read {path}: {exc}") from exc
     # Not encoding="utf-8-sig": loading that codec costs a fresh process about 1.5 ms.

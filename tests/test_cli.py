@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import runpy
 import signal
 import subprocess
 import sys
@@ -161,6 +162,89 @@ def test_output_replaces_a_longer_file(seed4_file, tmp_path, capsys):
         # A device has nothing to empty: writing to it works as before.
         assert main([*argv[:-1], os.devnull]) == 0
     capsys.readouterr()
+
+
+def test_output_writes_whole_text_through_short_writes(aes_file, tmp_path, capsys, monkeypatch):
+    # os.write may take fewer bytes than it is given; every write continues
+    # until its whole text is in the file.
+    argvs = [["clone", aes_file, "--key", "8f31", "-o"],
+             ["enumerate", aes_file, "--sample", "20", "--check-invariance", "--out"]]
+    expected = []
+    for argv in argvs:
+        assert main(argv[:-1]) == 0
+        expected.append(capsys.readouterr().out.encode())
+    real, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return real(fd, data[:1])
+
+    monkeypatch.setattr(os, "write", one_byte)
+    for argv, text in zip(argvs, expected):
+        out = tmp_path / "result.txt"
+        out.unlink(missing_ok=True)
+        assert main([*argv, str(out)]) == 0
+        assert out.read_bytes() == text
+        assert len(calls) == len(text)
+        calls.clear()
+    capsys.readouterr()
+
+
+def test_failing_command_keeps_a_file_that_appeared_before_the_open(seed4_file, tmp_path,
+                                                                    monkeypatch):
+    # Another process makes the path between any check for it and the open:
+    # the command did not create that file, so failing must not remove it.
+    out = tmp_path / "clone.txt"
+
+    def appear(path):
+        if path == str(out) and not out.exists():
+            out.write_bytes(b"theirs\n")
+
+    real_open, real_exists = os.open, os.path.exists
+    monkeypatch.setattr(os, "open", lambda path, *args: appear(path) or real_open(path, *args))
+    monkeypatch.setattr(os.path, "exists", lambda path: real_exists(path) or appear(path))
+    argv = ["clone", seed4_file, "--sigma1", "1,2,0,3", "--sigma2", "3,2,0,1",
+            "--remove-fixed-points", "--max-attempts", "1", "-o", str(out)]
+    assert main(argv) == 3
+    assert out.read_bytes() == b"theirs\n"
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 513])
+def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, monkeypatch):
+    # The header and rows go out 256 lines a write, on stdout and to --out,
+    # as the bytes of one row after another.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    rng = random.Random(0)
+    cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
+    lines = [cli._enumerate_row((rng.randrange(24), rng.randrange(24)))[0] for _ in range(rows)]
+    header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
+              "fixed_points,reverse_fixed_points,invariance")
+    expected = "".join(line + "\n" for line in [header] + lines)
+    argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    real, writes = os.write, []
+    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(len(data)) or real(fd, data))
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert len(writes) == -(-(1 + rows) // 256)  # the header and the rows, 256 lines a write
+
+
+def test_output_onto_a_dangling_symlink_is_refused(seed4_file, tmp_path, capsys):
+    # -o never creates a file through a symbolic link: a dangling one fails
+    # as a path that cannot be written, and stays as it was. A link to an
+    # existing file writes that file.
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["clone", seed4_file, "--key", "17", "-o", str(link)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {link}: [Errno 2] No such file "
+                                       f"or directory: {str(link)!r}\n")
+    assert link.is_symlink() and not target.exists()
+    target.write_bytes(b"x" * 1000)
+    assert main(["clone", seed4_file, "--key", "17", "-o", str(link)]) == 0
+    assert main(["clone", seed4_file, "--key", "17"]) == 0
+    assert target.read_text() == capsys.readouterr().out
 
 
 def test_clone_unremovable_seed_fails_fast(identity8_file, capsys):
@@ -398,16 +482,34 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
 
 
 def test_enumerate_rank_cache_keeps_lift_budget(tmp_path, capsys, monkeypatch):
-    # The cached lifts of a sweep hold at most 2**16 table entries: 2**16 >> n
-    # ranks of 2**n entries each. Sampled n = 10 ranks rarely repeat, so the
-    # cache runs full.
+    # Above n = 6 not every lift fits 2**16 table entries, and --sample's
+    # ranks rarely repeat: an n = 10 sweep keeps two ranks, full after its
+    # first row.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     seed10 = tmp_path / "seed10.txt"
     seed10.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(10), 10))))
     assert main(["enumerate", str(seed10), "--sample", "300"]) == 0
     assert capsys.readouterr().err == "rows=300 distinct=300\n"
     info = cli._sweep[2].cache_info()
-    assert info.misses > 500 and info.currsize == info.maxsize == 1 << 16 - 10
+    assert info.misses > 500 and info.currsize == info.maxsize == 2
+
+
+@pytest.mark.parametrize("n,size", [(4, 24), (6, 720), (7, 2), (8, 2)])
+def test_enumerate_rank_cache_keeps_ranks_only_where_they_repeat(n, size, tmp_path, capsys,
+                                                                 monkeypatch):
+    # Every rank where all n! lifts fit the budget, two above; the CSV is the
+    # one a cache of every rank gives.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    seed = tmp_path / "seed.txt"
+    seed.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(n), n))))
+    argv = ["enumerate", str(seed), "--sample", "40", "--check-invariance"]
+    assert main(argv) == 0
+    sized = capsys.readouterr()
+    assert cli._sweep[2].cache_parameters()["maxsize"] == size
+    monkeypatch.setattr(cli, "_LIFT_BUDGET", 1 << 40)
+    assert main(argv) == 0
+    assert cli._sweep[2].cache_parameters()["maxsize"] == factorial(n)
+    assert capsys.readouterr() == sized
 
 
 def expected_sweep(table):
@@ -970,6 +1072,22 @@ def test_interrupt_prints_one_line_and_exits_130(seed4_file, tmp_path, capsys, m
     assert run(argv) == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
     assert out.read_bytes() == b"keep me\n"
+
+
+class _InterruptedImport:
+    """A stand-in for sboxforge.cli whose `main` is Ctrl-C arriving mid-import."""
+
+    @property
+    def main(self):
+        raise KeyboardInterrupt
+
+
+def test_interrupt_while_starting_prints_one_line_and_exits_130(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sboxforge.cli", _InterruptedImport())
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sboxforge", run_name="__main__")
+    assert exited.value.code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_cli_import_leaves_signal_out(child_env):

@@ -135,6 +135,34 @@ def test_core_imports_without_analysis(child_env):
     assert result.stdout == "['sboxforge', 'sboxforge.core']\n"
 
 
+def test_cli_opens_every_file_as_bytes(tmp_path, monkeypatch, capsys):
+    # The CLI reads s-box files and writes -o/--out files as raw bytes. A
+    # text stack (a TextIOWrapper over a buffer) costs a cold call more, and
+    # would come back through an open without "b" in its mode.
+    import builtins
+
+    table = list(range(16))
+    random.Random(4).shuffle(table)
+    seed, clone = tmp_path / "seed.txt", tmp_path / "clone.txt"
+    seed.write_text(" ".join(map(str, table)) + "\n")
+    real_open, opened = builtins.open, []
+
+    def recording(file, mode="r", *args, **kwargs):
+        opened.append((os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    for argv in (["clone", str(seed), "--key", "17", "-o", str(clone)],
+                 ["enumerate", str(seed), "--sample", "3", "--out", str(tmp_path / "sweep.csv")],
+                 ["analyze", str(clone)],
+                 ["verify", str(seed), str(clone)]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert {path for path, _ in opened} >= {str(seed), str(clone)}
+    assert [(path, mode) for path, mode in opened if "b" not in mode] == []
+
+
 def module_containers(module):
     """Names assigned at the top level of `module` whose values are a dict, list, set or bytearray."""
     path = module.__file__

@@ -61,9 +61,9 @@ EXIT_INTERRUPTED = 130
 # per POOL_START of estimated row time, so a sweep too short to repay its
 # workers runs serially.
 POOL_START = 0.060
-# Rows per pool task, and per write of the CSV, at most. With two tasks in
-# flight per worker, this bounds the rows the parent holds while it writes
-# them out in order.
+# Pairs per batch of a sweep, at most: a batch is one call of _enumerate_rows,
+# one pool task and one write of the CSV. With two tasks in flight per
+# worker, this bounds the rows the parent holds while it writes them in order.
 _CHUNK_ROWS = 256
 
 _HEX_KEY = re.compile(r"(?:[0-9a-fA-F]{2})+")
@@ -117,36 +117,43 @@ _APPEND = os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0)
 @contextmanager
 def _output(path: str | None):
     """Stdout, or `path` opened before any work and written as raw bytes, each
-    write's text in whole. A failed command removes a file it created, and
+    write's text in whole. A write that fails ends the command with `cannot
+    write PATH: REASON`. A failed command removes a file it created, and
     leaves an existing one as it was unless it began writing."""
-    if path is None:
-        yield sys.stdout
-        return
-    try:
+    name, fd, created = path or "<stdout>", None, False
+    if path is not None:
         try:
-            fd, created = os.open(path, _CREATE, 0o666), True
-        except FileExistsError:
-            fd, created = os.open(path, _APPEND), False
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
-
-    empty_first = not created
+            try:
+                fd, created = os.open(path, _CREATE, 0o666), True
+            except FileExistsError:
+                fd = os.open(path, _APPEND)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
+    empty_first, stdout = not created, sys.stdout
 
     def write(text: str) -> None:
         nonlocal empty_first
-        if empty_first:  # an existing file is emptied at the first write, not when opened
-            empty_first = False
-            if S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has nothing to empty
-                os.ftruncate(fd, 0)
-        data = memoryview(text.encode())
-        while data:
-            data = data[os.write(fd, data):]
+        try:
+            if fd is None:
+                stdout.write(text)
+                stdout.flush()  # a pipe whose reader has gone fails here, not at exit
+                return
+            if empty_first:  # an existing file is emptied at the first write, not when opened
+                empty_first = False
+                if S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has nothing to empty
+                    os.ftruncate(fd, 0)
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        except OSError as exc:
+            raise ValueError(f"cannot write {name}: {exc}") from exc
 
     try:
         try:
             yield SimpleNamespace(write=write)
         finally:
-            os.close(fd)
+            if fd is not None:
+                os.close(fd)
     except BaseException:
         if created:
             os.remove(path)
@@ -187,7 +194,8 @@ def cmd_clone(args) -> int:
 def cmd_analyze(args) -> int:
     report = analyze(load_sbox(args.sbox))
     render = render_report_json if args.format == "json" else render_report_text
-    sys.stdout.write(render(report))
+    with _output(None) as out:
+        out.write(render(report))
     return EXIT_OK
 
 
@@ -195,20 +203,13 @@ def cmd_derive(args) -> int:
     if not 2 <= args.n <= 16:
         raise UsageError("--n must be in [2, 16]")
     sigma1, sigma2 = key_to_permutations(_parse_key(args.key), args.n)
-    print(f"sigma1={_sigma_text(sigma1, ',')}")
-    print(f"sigma2={_sigma_text(sigma2, ',')}")
+    with _output(None) as out:
+        print(f"sigma1={_sigma_text(sigma1, ',')}", file=out)
+        print(f"sigma2={_sigma_text(sigma2, ',')}", file=out)
     return EXIT_OK
 
 
 _sweep = None  # (seed, the seed's invariants or None, rank cache) of the running sweep
-
-# Lifted table entries one sweep's rank cache may hold. Every rank fits for
-# n <= 6, where --all visits each rank n! times; the cache keeps them all.
-# Above that only --sample runs, whose ranks of n! rarely repeat, so the cache
-# keeps two ranks, and one 2**16-entry lift at n = 16, the widest s-box. At
-# n = 8 a cache of 2**16 >> n ranks made --sample 8 sweeps 2-3.5% slower than
-# two ranks (2 cores, Python 3.11).
-_LIFT_BUDGET = 1 << 16
 
 
 def _rank(index: int, n: int) -> tuple[str, list[int]]:
@@ -218,12 +219,15 @@ def _rank(index: int, n: int) -> tuple[str, list[int]]:
 
 
 def _init_sweep(table, seed_invariants) -> None:
-    """Hold the sweep's seed, its invariants (or None) and a new rank cache, once per process."""
+    """Hold the sweep's seed, its invariants (or None) and a new rank cache, once per process.
+
+    The cache keeps every rank at n <= 6, the widths --all takes, where each
+    rank recurs 2 * n! times. Above that only --sample runs, whose ranks of
+    n! rarely repeat, so it keeps none.
+    """
     global _sweep
     seed = SBox.from_table(table)
-    n, count = seed.n, factorial(seed.n)
-    size = count if count << n <= _LIFT_BUDGET else min(2, _LIFT_BUDGET >> n)
-    ranks = lru_cache(maxsize=size)(partial(_rank, n=n))
+    ranks = lru_cache(maxsize=factorial(seed.n) if seed.n <= 6 else 0)(partial(_rank, n=seed.n))
     _sweep = (seed, seed_invariants, ranks)
 
 
@@ -235,32 +239,31 @@ def _init_worker(table, seed_invariants) -> None:
     _init_sweep(table, seed_invariants)
 
 
-def _enumerate_row(pair):
-    """A CSV row of the sweep, its clone's digest, and whether it passed (None unchecked).
+def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
+    """The sweep's CSV lines for `pairs`, each ended by "\n", their clones'
+    64-bit digests, and how many of them passed the invariance check.
 
-    Both ranks' texts and lifts come from the sweep's rank cache; the row
+    Both ranks' texts and lifts come from the sweep's rank cache; a row
     clones the seed by those lifts, unchecked, since the seed was checked
     bijective once before the sweep, and reads its fixed points, digest and
     invariants off that clone. It passes when those invariants equal the seed's.
     """
-    k1, k2 = pair
     seed, seed_invariants, ranks = _sweep
-    text1, rows = ranks(k1)
-    text2, out = ranks(k2)
-    result = _clone(seed, rows, out)
-    points = find_fixed_points(result)
-    prefix, digest = fingerprint(result)
-    fields = [str(k1), str(k2), text1, text2, prefix, digest,
-              str(len(points.fixed)), str(len(points.reverse_fixed))]
-    passed = None
-    if seed_invariants is not None:
-        passed = _invariants(result) == seed_invariants
-        fields.append("pass" if passed else "fail")
-    return ",".join(fields), int(digest, 16), passed
-
-
-def _enumerate_chunk(pairs):
-    return [_enumerate_row(pair) for pair in pairs]
+    lines, digests, passes = [], [], 0
+    for k1, k2 in pairs:
+        (text1, rows), (text2, out) = ranks(k1), ranks(k2)
+        result = _clone(seed, rows, out)
+        points = find_fixed_points(result)
+        prefix, digest = fingerprint(result)
+        fields = [str(k1), str(k2), text1, text2, prefix, digest,
+                  str(len(points.fixed)), str(len(points.reverse_fixed))]
+        if seed_invariants is not None:
+            passed = _invariants(result) == seed_invariants
+            passes += passed
+            fields.append("pass" if passed else "fail")
+        lines.append(",".join(fields) + "\n")
+        digests.append(int(digest, 16))
+    return "".join(lines), digests, passes
 
 
 @contextmanager
@@ -268,9 +271,9 @@ def _process_pool(**kwargs):
     """A ProcessPoolExecutor, imported here: loading it at import would cost
     every CLI call about 20 ms, and only a sweep long enough to pool needs it.
 
-    Ctrl-C stops its workers at once. Leaving the pool would wait for the
-    chunks they hold: at n = 16 a 256-row --check-invariance chunk takes
-    about 4 minutes.
+    Any exception that leaves it, Ctrl-C or a failed write, stops its
+    workers at once. Leaving the pool would wait for the batches they hold:
+    at n = 16 a 256-row --check-invariance batch takes about 4 minutes.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import active_children
@@ -278,25 +281,26 @@ def _process_pool(**kwargs):
     with ProcessPoolExecutor(**kwargs) as pool:
         try:
             yield pool
-        except KeyboardInterrupt:
+        except BaseException:
             for worker in active_children():
                 worker.terminate()
             raise
 
 
-def _pooled_rows(pool, pairs, chunk: int, depth: int):
-    """Rows of `pairs` in order, `chunk` pairs a task, at most `depth` tasks in flight."""
+def _pooled_rows(pool, batches, depth: int):
+    """The result of each batch in order, one task a batch, at most `depth` tasks in flight."""
     pending = deque()
-    for batch in iter(lambda: list(islice(pairs, chunk)), []):
-        pending.append(pool.submit(_enumerate_chunk, batch))
+    for batch in batches:
+        pending.append(pool.submit(_enumerate_rows, batch))
         if len(pending) == depth:
-            yield from pending.popleft().result()
+            yield pending.popleft().result()
     for future in pending:
-        yield from future.result()
+        yield future.result()
 
 
 def _timed_rows(pairs, count: int) -> tuple[list, float]:
-    """The first rows of a sweep of `count`, run here, and the least time one took.
+    """The results of the first rows of a sweep of `count`, each run here as a
+    batch of one pair, and the least time one took.
 
     The seed's invariants have built the width's plan and cached the seed's
     criteria. The timed rows still decode and lift their sigma2, which the
@@ -307,26 +311,25 @@ def _timed_rows(pairs, count: int) -> tuple[list, float]:
     once `count` rows at the least time would not repay two workers, since
     more rows could only lower it.
     """
-    rows, best = [], float("inf")
+    results, best = [], float("inf")
     for pair in islice(pairs, 4):
         began = perf_counter()
-        rows.append(_enumerate_row(pair))
+        results.append(_enumerate_rows((pair,)))
         best = min(best, perf_counter() - began)
         if count * best < 2 * POOL_START:
             break
-    return rows, best
+    return results, best
 
 
 def cmd_enumerate(args) -> int:
     seed = load_sbox(args.seed)
     _check_clone(seed)
-    n = seed.n
-    fact = factorial(n)
+    fact = factorial(seed.n)
     if args.all:
         if args.rng_seed is not None:
             raise UsageError("--rng-seed needs --sample")
-        if n > 6:
-            raise UsageError(f"--all is limited to n <= 6 (seed has n = {n}); use --sample")
+        if seed.n > 6:
+            raise UsageError(f"--all is limited to n <= 6 (seed has n = {seed.n}); use --sample")
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
@@ -337,9 +340,8 @@ def cmd_enumerate(args) -> int:
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
     cap = min(_thread_cap(), os.cpu_count() or 1, count)
 
-    header = "sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
-    if args.check_invariance:
-        header += ",invariance"
+    head = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
+            + (",invariance\n" if args.check_invariance else "\n"))
     digests, passes = set(), 0
     with _output(args.out) as out, ExitStack() as stack:
         sweep = (seed.table, _invariants(seed) if args.check_invariance else None)
@@ -348,36 +350,27 @@ def cmd_enumerate(args) -> int:
         if cap > 1:
             timed, seconds = _timed_rows(pairs, count)
             workers = min(cap, count - len(timed), int(count * seconds / POOL_START))
+        size = max(1, min(_CHUNK_ROWS, count // (workers * 4))) if workers > 1 else _CHUNK_ROWS
+        batches = iter(lambda: list(islice(pairs, size)), [])
         if workers > 1:
             pool = stack.enter_context(_process_pool(
                 max_workers=workers, initializer=_init_worker, initargs=sweep))
-            chunk = max(1, min(_CHUNK_ROWS, count // (workers * 4)))
-            rows = _pooled_rows(pool, pairs, chunk, 2 * workers)
+            results = _pooled_rows(pool, batches, 2 * workers)
         else:
-            rows = map(_enumerate_row, pairs)
-        lines = [header]
+            results = map(_enumerate_rows, batches)
+        # The header goes out with the first batch, so an existing --out file
+        # stays as it was until rows are ready.
+        for text, batch_digests, batch_passes in chain(timed, results):
+            out.write(head + text)
+            head = ""
+            digests.update(batch_digests)
+            passes += batch_passes
+        if head:  # no rows
+            out.write(head)
 
-        def write_lines():  # in one call; the empty last line ends the text in "\n"
-            lines.append("")
-            out.write("\n".join(lines))
-            lines.clear()
-
-        for line, digest, passed in chain(timed, rows):
-            lines.append(line)
-            digests.add(digest)
-            passes += bool(passed)
-            if len(lines) == _CHUNK_ROWS:
-                write_lines()
-        if lines:
-            write_lines()
-
-    summary = f"rows={count} distinct={len(digests)}"
-    if args.check_invariance:
-        summary += f" invariance_pass={passes}"
-    print(summary, file=sys.stderr)
-    if args.check_invariance and passes < count:
-        return EXIT_INVARIANCE
-    return EXIT_OK
+    checked = f" invariance_pass={passes}" if args.check_invariance else ""
+    print(f"rows={count} distinct={len(digests)}{checked}", file=sys.stderr)
+    return EXIT_INVARIANCE if args.check_invariance and passes < count else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -387,14 +380,15 @@ def cmd_verify(args) -> int:
         print(f"width mismatch: {seed.n} vs {clone.n}", file=sys.stderr)
         return EXIT_WIDTH
     comparison = compare_reports(analyze(seed), analyze(clone))
-    for name in ("bijective",) + CRITERIA:
-        hit = any(d == name or d.startswith(name + ".") for d in comparison.differences)
-        print(f"{name}: {'differs' if hit else 'equal'}")
-    if comparison.equal:
-        print("result: match")
-        return EXIT_OK
-    print("result: mismatch")
-    print("differences: " + " ".join(comparison.differences))
+    with _output(None) as out:
+        for name in ("bijective",) + CRITERIA:
+            hit = any(d == name or d.startswith(name + ".") for d in comparison.differences)
+            print(f"{name}: {'differs' if hit else 'equal'}", file=out)
+        if comparison.equal:
+            print("result: match", file=out)
+            return EXIT_OK
+        print("result: mismatch", file=out)
+        print("differences: " + " ".join(comparison.differences), file=out)
     return EXIT_MISMATCH
 
 
@@ -538,7 +532,8 @@ def _argparse(argv: list) -> SimpleNamespace:
 
 
 def _show_help(args) -> int:
-    sys.stdout.write(args.help)
+    with _output(None) as out:
+        out.write(args.help)
     return EXIT_OK
 
 

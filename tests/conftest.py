@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import os
 import signal
 
@@ -38,3 +39,14 @@ def keep_ctrl_c():
     handler = signal.getsignal(signal.SIGINT)
     yield
     signal.signal(signal.SIGINT, handler)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running, such as a pool
+    worker that a failed sweep did not stop. Each child gets a short join
+    first, time enough for one that is already stopping to end."""
+    yield
+    for child in multiprocessing.active_children():
+        child.join(0.5)
+    assert not multiprocessing.active_children()

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import runpy
@@ -211,24 +213,42 @@ def test_failing_command_keeps_a_file_that_appeared_before_the_open(seed4_file, 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 513])
 def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, monkeypatch):
-    # The header and rows go out 256 lines a write, on stdout and to --out,
-    # as the bytes of one row after another.
+    # A serial sweep makes its rows in batches of 256 pairs, and each batch
+    # goes out in one write, the header with the first, on stdout and to
+    # --out, as the bytes of one row after another.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     rng = random.Random(0)
+    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
     cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
-    lines = [cli._enumerate_row((rng.randrange(24), rng.randrange(24)))[0] for _ in range(rows)]
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
-              "fixed_points,reverse_fixed_points,invariance")
-    expected = "".join(line + "\n" for line in [header] + lines)
+              "fixed_points,reverse_fixed_points,invariance\n")
+    batches = [cli._enumerate_rows(pairs[i:i + 256])[0].encode() for i in range(0, rows, 256)]
+    batches[0] = header.encode() + batches[0]
     argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr().out == b"".join(batches).decode()
     real, writes = os.write, []
-    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(len(data)) or real(fd, data))
+    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(bytes(data)) or real(fd, data))
     out = tmp_path / "sweep.csv"
     assert main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == expected.encode()
-    assert len(writes) == -(-(1 + rows) // 256)  # the header and the rows, 256 lines a write
+    assert writes == batches
+    assert out.read_bytes() == b"".join(batches)
+
+
+def test_enumerate_rows_joins_what_each_row_gives():
+    # A batch's text is its rows' lines in order, its digests their hash64
+    # columns, and its pass count their "pass" cells; no pairs give nothing.
+    rng = random.Random(3)
+    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(40)]
+    cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
+    text, digests, passes = cli._enumerate_rows(pairs)
+    singles = [cli._enumerate_rows([pair]) for pair in pairs]
+    assert text == "".join(single[0] for single in singles) and text.count("\n") == 40
+    assert digests == [int(line.split(",")[5], 16) for line in text.splitlines()]
+    assert passes == 40 == sum(single[2] for single in singles)
+    assert cli._enumerate_rows([]) == ("", [], 0)
+    cli._init_sweep(SEED4, None)
+    assert cli._enumerate_rows(pairs[:3])[2] == 0
 
 
 def test_output_onto_a_dangling_symlink_is_refused(seed4_file, tmp_path, capsys):
@@ -328,6 +348,75 @@ def test_clone_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err == (f"error: cannot write {path}: [Errno 2] No such file or "
                             f"directory: {path!r}\n")
+
+
+# ---------------------------------------------------------------------
+# output errors
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["clone", "s", "--key", "17"],
+    ["analyze", "s"],
+    ["derive", "--key", "17", "--n", "4"],
+    ["enumerate", "s", "--sample", "3"],
+    ["verify", "s", "s"],
+    ["clone", "-h"],
+])
+def test_failed_stdout_write_is_one_line(argv, seed4_file, capsys, monkeypatch):
+    # Every command's results go through one writer: a failed write ends the
+    # command with one line and exit 1, not a traceback.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([seed4_file if arg == "s" else arg for arg in argv]) == 1
+    assert capsys.readouterr().err == "error: cannot write <stdout>: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_failed_output_write_is_one_line(seed4_file, capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC.
+    for argv in (["clone", seed4_file, "--key", "17", "-o"],
+                 ["enumerate", seed4_file, "--all", "--out"]):
+        assert main([*argv, "/dev/full"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+
+
+def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch):
+    # A write that fails while a real 2-worker pool holds batches of about
+    # two seconds each (100 rows of n = 12 with --check-invariance) ends the
+    # command at once: one line, exit 1, the workers stopped rather than
+    # waited for, and the --out file the run created removed.
+    seed = tmp_path / "seed12.txt"
+    seed.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(12), 12))))
+    out = tmp_path / "sweep.csv"
+    real, failed = os.write, []
+
+    def full_once_pooled(fd, data):
+        if not multiprocessing.active_children():  # the timed rows, written before the pool starts
+            return real(fd, data)
+        failed.append(time.monotonic())
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full_once_pooled)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    argv = ["enumerate", str(seed), "--sample", "800", "--check-invariance", "--out", str(out)]
+    assert main(argv) == 1
+    assert time.monotonic() - failed[0] < 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: [Errno 28] No space left on device\n")
+    assert len(failed) == 1 and not out.exists()
+    assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------
@@ -473,67 +562,62 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
     # them again decode none.
     decoded.clear()
     cli._init_sweep(random_bijective(random.Random(6), 6), None)
-    for k in range(720):
-        cli._enumerate_row((k, 719 - k))
+    cli._enumerate_rows([(k, 719 - k) for k in range(720)])
     assert sorted(decoded) == list(range(720))
-    for k in range(720):
-        cli._enumerate_row((719 - k, k))
+    cli._enumerate_rows([(719 - k, k) for k in range(720)])
     assert len(decoded) == 720
 
 
-def test_enumerate_rank_cache_keeps_lift_budget(tmp_path, capsys, monkeypatch):
-    # Above n = 6 not every lift fits 2**16 table entries, and --sample's
-    # ranks rarely repeat: an n = 10 sweep keeps two ranks, full after its
-    # first row.
-    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    seed10 = tmp_path / "seed10.txt"
-    seed10.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(10), 10))))
-    assert main(["enumerate", str(seed10), "--sample", "300"]) == 0
-    assert capsys.readouterr().err == "rows=300 distinct=300\n"
-    info = cli._sweep[2].cache_info()
-    assert info.misses > 500 and info.currsize == info.maxsize == 2
-
-
-@pytest.mark.parametrize("n,size", [(4, 24), (6, 720), (7, 2), (8, 2)])
+@pytest.mark.parametrize("n,size", [(4, 24), (6, 720), (7, 0), (8, 0), (16, 0)])
 def test_enumerate_rank_cache_keeps_ranks_only_where_they_repeat(n, size, tmp_path, capsys,
                                                                  monkeypatch):
-    # Every rank where all n! lifts fit the budget, two above; the CSV is the
-    # one a cache of every rank gives.
+    # Every rank at n <= 6, the widths --all takes; none above, where
+    # --sample's ranks of n! rarely repeat, so each row decodes and lifts
+    # both of its ranks. Either way the CSV is the oracle's.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    table = random_bijective(random.Random(n), n)
     seed = tmp_path / "seed.txt"
-    seed.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(n), n))))
-    argv = ["enumerate", str(seed), "--sample", "40", "--check-invariance"]
-    assert main(argv) == 0
-    sized = capsys.readouterr()
-    assert cli._sweep[2].cache_parameters()["maxsize"] == size
-    monkeypatch.setattr(cli, "_LIFT_BUDGET", 1 << 40)
-    assert main(argv) == 0
-    assert cli._sweep[2].cache_parameters()["maxsize"] == factorial(n)
-    assert capsys.readouterr() == sized
+    seed.write_text(serialize_sbox(SBox.from_table(table)))
+    rows, checked = (3, False) if n == 16 else (40, True)
+    assert main(["enumerate", str(seed), "--sample", str(rows)] + ["--check-invariance"] * checked) == 0
+    rng = random.Random(0)
+    pairs = [(rng.randrange(factorial(n)), rng.randrange(factorial(n))) for _ in range(rows)]
+    assert capsys.readouterr() == expected_csv(table, pairs, checked)
+    info = cli._sweep[2].cache_info()
+    distinct = len({k for pair in pairs for k in pair})
+    assert (info.maxsize, info.currsize, info.misses) == (
+        (size, distinct, distinct) if size else (0, 0, 2 * rows))
+
+
+def expected_csv(table, pairs, invariance):
+    """stdout and stderr of `enumerate` on `table` for `pairs`, built pair by
+    pair from lehmer_decode, the dense oracle and the SHA-256 of the clone's
+    decimal join, with the fixed points counted directly."""
+    n = len(table).bit_length() - 1
+    top = len(table) - 1
+    clone_of = dense_clone if n < 16 else _indexed_dense_clone
+    lines = ["sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
+             "fixed_points,reverse_fixed_points" + (",invariance" if invariance else "")]
+    digests = set()
+    for k1, k2 in pairs:
+        sigma1, sigma2 = lehmer_decode(k1, n).images, lehmer_decode(k2, n).images
+        clone = clone_of(table, sigma1, sigma2)
+        digest = hashlib.sha256(" ".join(map(str, clone)).encode()).hexdigest()[:16]
+        digests.add(digest)
+        lines.append(",".join([
+            str(k1), str(k2), " ".join(map(str, sigma1)), " ".join(map(str, sigma2)),
+            " ".join(map(str, clone[:8])), digest,
+            str(sum(v == i for i, v in enumerate(clone))),
+            str(sum(v == top - i for i, v in enumerate(clone)))] + ["pass"] * invariance))
+    summary = f"rows={len(pairs)} distinct={len(digests)}"
+    summary += f" invariance_pass={len(pairs)}" * invariance
+    return "\n".join(lines) + "\n", summary + "\n"
 
 
 def expected_sweep(table):
-    """stdout and stderr of `enumerate --all --check-invariance` on `table`, built
-    pair by pair from lehmer_decode, the dense oracle and the SHA-256 of the
-    clone's decimal join, with the fixed points counted directly."""
-    n = len(table).bit_length() - 1
-    top = len(table) - 1
-    lines = ["sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
-             "fixed_points,reverse_fixed_points,invariance"]
-    digests = set()
-    for k1 in range(factorial(n)):
-        for k2 in range(factorial(n)):
-            sigma1, sigma2 = lehmer_decode(k1, n).images, lehmer_decode(k2, n).images
-            clone = dense_clone(table, sigma1, sigma2)
-            digest = hashlib.sha256(" ".join(map(str, clone)).encode()).hexdigest()[:16]
-            digests.add(digest)
-            lines.append(",".join([
-                str(k1), str(k2), " ".join(map(str, sigma1)), " ".join(map(str, sigma2)),
-                " ".join(map(str, clone[:8])), digest,
-                str(sum(v == i for i, v in enumerate(clone))),
-                str(sum(v == top - i for i, v in enumerate(clone))), "pass"]))
-    rows = len(lines) - 1
-    return "\n".join(lines) + "\n", f"rows={rows} distinct={len(digests)} invariance_pass={rows}\n"
+    """expected_csv of `enumerate --all --check-invariance` on `table`."""
+    fact = factorial(len(table).bit_length() - 1)
+    return expected_csv(table, [(k1, k2) for k1 in range(fact) for k2 in range(fact)], True)
 
 
 @pytest.fixture(scope="module")
@@ -666,7 +750,8 @@ def test_enumerate_all_n5_covers_every_pair(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     seed5 = tmp_path / "seed5.txt"
     seed5.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(5), 5))))
-    monkeypatch.setattr(cli, "_enumerate_row", lambda pair: (f"{pair[0]},{pair[1]}", pair, None))
+    monkeypatch.setattr(cli, "_enumerate_rows", lambda pairs: (
+        "".join(f"{k1},{k2}\n" for k1, k2 in pairs), pairs, 0))
     assert main(["enumerate", str(seed5), "--all"]) == 0
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
@@ -679,7 +764,8 @@ def test_enumerate_all_n6_covers_every_pair(tmp_path, capsys, monkeypatch):
     seed6 = tmp_path / "seed6.txt"
     seed6.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(6), 6))))
     out = tmp_path / "sweep.csv"
-    monkeypatch.setattr(cli, "_enumerate_row", lambda pair: (f"{pair[0]},{pair[1]}", pair[1], None))
+    monkeypatch.setattr(cli, "_enumerate_rows", lambda pairs: (
+        "".join(f"{k1},{k2}\n" for k1, k2 in pairs), [k2 for _, k2 in pairs], 0))
     assert main(["enumerate", str(seed6), "--all", "--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "rows=518400 distinct=720\n")
     expected = (f"{k1},{k2}\n" for k1 in range(720) for k2 in range(720))
@@ -803,17 +889,18 @@ def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, 
 
 def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch, serial_pool):
     # After the seed's invariants have built the width's plan and cached its
-    # criteria, the sweep's first rows run here and are timed, up to four; a
-    # stubbed clock makes them take 4, 3, 5 and 4 s. A sweep of R rows gets
-    # R * (least time) / POOL_START workers, within the cap and the rows
-    # left, fewer than two meaning serial, and the timed rows stop once that
-    # is fewer than two. The output is the serial output.
+    # criteria, the sweep's first rows run here, each a batch of one, and are
+    # timed, up to four; a stubbed clock makes them take 4, 3, 5 and 4 s. A
+    # sweep of R rows gets R * (least time) / POOL_START workers, within the
+    # cap and the rows left, fewer than two meaning serial, and the timed rows
+    # stop once that is fewer than two. The rows left go out in batches, and
+    # the output is the serial output.
     events = []
-    row = cli._enumerate_row
+    rows_of = cli._enumerate_rows
 
-    def logged_row(pair):
-        events.append("row")
-        return row(pair)
+    def logged_rows(pairs):
+        events.append(len(pairs))
+        return rows_of(pairs)
 
     def logged_clock():
         events.append("clock")
@@ -821,11 +908,11 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
 
     invariants = cli._invariants
     monkeypatch.setattr(cli, "_invariants", lambda s: events.append("invariants") or invariants(s))
-    monkeypatch.setattr(cli, "_enumerate_row", logged_row)
+    monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
     monkeypatch.setattr(cli, "perf_counter", logged_clock)
     monkeypatch.setattr(cli, "POOL_START", 6.0)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    timed = ["clock", "row", "invariants", "clock"]
+    timed = ["clock", 1, "invariants", "clock"]
     for rows, workers, runs in ((2, None, 1), (3, None, 2), (5, None, 4), (6, 2, 4),
                                 (10, 5, 4), (100, 8, 4)):
         argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
@@ -838,16 +925,18 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
         clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
         assert main(argv) == 0
         assert events[:1 + 4 * runs] == ["invariants"] + timed * runs
-        assert events[1 + 4 * runs:] == ["row", "invariants"] * (rows - runs)
+        sizes = [e for e in events[1 + 4 * runs:] if e != "invariants"]
+        assert sum(sizes) == rows - runs
+        assert events[1 + 4 * runs:] == [e for k in sizes for e in [k] + ["invariants"] * k]
         assert serial_pool.started == ([workers] if workers else [])
         assert capsys.readouterr() == serial
     # Without --check-invariance rows build no invariants, and rows timed
-    # the same way still decide the pool.
+    # the same way still decide the pool: 2 workers, tasks of one pair.
     events.clear()
     serial_pool.started.clear()
     clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
     assert main(["enumerate", seed4_file, "--sample", "6"]) == 0
-    assert events == ["clock", "row", "clock"] * 4 + ["row"] * 2
+    assert events == ["clock", 1, "clock"] * 4 + [1, 1]
     assert serial_pool.started == [2]
 
 
@@ -964,15 +1053,6 @@ def test_n16_enumerate_sample(seed16, capsys):
     clone = clone_sbox(SBox(16, tuple(table)), lehmer_decode(int(k1), 16), lehmer_decode(int(k2), 16))
     assert (prefix, digest) == fingerprint(clone)
     assert captured.err == "rows=1 distinct=1\n"
-
-
-def test_n16_enumerate_caches_one_lift(seed16, capsys, monkeypatch):
-    # One n = 16 lift is the rank cache's whole budget of 2**16 table entries.
-    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    assert main(["enumerate", seed16[0], "--sample", "3"]) == 0
-    assert capsys.readouterr().err == "rows=3 distinct=3\n"
-    info = cli._sweep[2].cache_info()
-    assert info.misses == 6 and info.currsize == info.maxsize == 1
 
 
 # ---------------------------------------------------------------------
@@ -1106,7 +1186,7 @@ def test_pool_workers_ignore_ctrl_c():
 def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):
     # Ctrl-C reaches the whole foreground process group. The workers ignore
     # it and are stopped by the parent, which prints one line, removes the
-    # CSV it created and exits 130 without waiting for the chunks in flight.
+    # CSV it created and exits 130 without waiting for the batches in flight.
     out = tmp_path / "sweep.csv"
     sweep = subprocess.Popen(
         [sys.executable, "-m", "sboxforge", "enumerate", aes_file, "--sample", "100000",

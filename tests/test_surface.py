@@ -198,17 +198,14 @@ def test_analysis_keeps_no_unbounded_memo():
 
 def test_cli_keeps_no_unbounded_memo():
     # cli's one module-level container is its command table, built at import
-    # and only read. Its one cache is the rank cache each sweep makes, whose
-    # lifts hold at most 2**16 table entries at every width (one lift at
-    # n = 16), and every rank up to n = 6.
+    # and only read. Its one cache is the rank cache each sweep makes: every
+    # rank at n <= 6, the widths --all takes, so at most 720 lifts of 64
+    # entries, and none at all above.
     assert module_containers(cli) == {"COMMANDS"}
     assert not module_caches(cli)
     for n in range(2, 17):
         cli._init_sweep(list(range(1 << n)), None)
-        size = cli._sweep[2].cache_parameters()["maxsize"]
-        assert size is not None and 1 <= size and size << n <= 1 << 16
-        assert size >= factorial(n) or n > 6
-    assert size == 1
+        assert cli._sweep[2].cache_parameters()["maxsize"] == (factorial(n) if n <= 6 else 0)
 
 
 # Every public name that takes or derives a bit width, with the widths just
@@ -237,6 +234,27 @@ WIDTH_CALLS = [
       for n in (0, 1, 2, 17, 18, 30, 40, 20_000)],
     ("BitPermutation of no position", lambda: BitPermutation(())),
 ]
+
+
+# Every other public name gets its width from a value already checked: it is
+# a function of an SBox, BitPermutation or BooleanFunctionTable, whose
+# constructors WIDTH_CALLS checks, a value type such a function returns, or
+# one of the two errors. None loops or allocates by a width it is given.
+WIDTH_FROM_CHECKED_VALUES = [
+    "AnalysisReport", "FixedPointReport", "NonBijectiveError", "PropertyStats",
+    "RemovalExhausted", "ReportComparison", "WalshSpectrum", "analyze", "clone_sbox",
+    "clone_sbox_avoiding_fixed_points", "compare_reports", "component_function",
+    "find_fixed_points", "nonlinearity", "walsh_spectrum",
+]
+
+
+def test_width_contract_covers_every_public_name():
+    # A new public name must be given width calls, or be listed as taking
+    # its width from a value already checked.
+    called = {label.split()[0].partition(".")[0] for label, _ in WIDTH_CALLS}
+    listed = set(WIDTH_FROM_CHECKED_VALUES)
+    assert len(listed) == len(WIDTH_FROM_CHECKED_VALUES) and not called & listed
+    assert sorted(called | listed) == sorted(sboxforge.__all__)
 
 
 @pytest.mark.parametrize("call", [call for _, call in WIDTH_CALLS], ids=[i for i, _ in WIDTH_CALLS])

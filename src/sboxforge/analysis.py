@@ -6,13 +6,15 @@ single-bit input flips (dependence matrix), and the independence of
 output-bit pairs (nonlinearity and avalanche of f_j xor f_k). Each
 coordinate function f_j is one 2**n-bit int (bit x = f_j(x)): avalanche
 counts are popcounts of derivative bitsets, and nonlinearity runs a Walsh
-butterfly on packed lanes of n + 2 bits, its first three stages read per
-byte of the truth table from a 256-entry table built per width on first
-use. The functions measured together are laid out block-major, one int per
+butterfly on packed lanes of n + 2 bits, its first three stages read from a
+256-entry table built per width on first use, kept as one bytes.translate
+column per byte of an entry, so that a batch's bytes are read a column at a
+time. The functions measured together are laid out block-major, one int per
 byte position holding that byte's lanes of every function, so each later
-stage is one addition or subtraction per int. All flip probabilities are
-carried as exact fractions with denominator 2**n; decimal rounding happens
-only at report serialisation.
+stage is one addition or subtraction per int; nonlinearity folds the last
+stage into its maximum. All flip probabilities are carried as exact
+fractions with denominator 2**n; decimal rounding happens only at report
+serialisation.
 """
 
 from __future__ import annotations
@@ -123,9 +125,14 @@ def _plan(n: int) -> SimpleNamespace:
         width >>= 1
         low = _repeat((1 << width) - 1, width << 1, total)
         rounds.append((width, low, (ones & low) << top))
+    # Column i of the byte table maps byte v to byte i of v's entry: strided
+    # slices of the joined entries, padded to 256 for the 2**(2**n) bytes of n < 3.
+    joined = b"".join(_byte_table(n, lane))
+    size = lane * points >> 3
     return SimpleNamespace(
         lane=lane,                      # bits per Walsh lane
-        table=_byte_table(n, lane),     # byte -> its 8-point Walsh transform in packed lanes
+        # column i, a bytes.translate table: byte -> byte i of its packed 8-point transform
+        columns=tuple(joined[i::size].ljust(256, b"\0") for i in range(size)),
         most=most,                      # bitsets per batch, at most: an s-box's n(n+1)/2 functions
         ones=ones,                      # bit 0 of every lane of a block-major int of `most` bitsets
         below=ones * ((1 << top) - 1),  # the bits under every such lane's top bit
@@ -137,25 +144,41 @@ def _plan(n: int) -> SimpleNamespace:
     )
 
 
-def _butterfly(batch: list[int], n: int, bias: int) -> list[int]:
-    """The Walsh spectra of the batch, block-major: int g holds block g of
-    every bitset, masks 8g .. 8g + 7, each lane biased once.
+def _butterfly(batch: list[int], n: int, bias: int, stages: int) -> list[int]:
+    """The batch's Walsh spectra after `stages` of the n - 3 later stages,
+    block-major: int g holds block g of every bitset, each lane biased once
+    after all n - 3; after one fewer, only the even ints keep a bias.
 
     Block g of a bitset is its byte g's byte-table entry: eight lanes (2**n
     if n < 3) of L = _plan(n).lane bits with the first three stages done,
     lane a holding 2**(L-1) + W(a). Int X_g joins the entries of byte g of
-    every bitset, and each later stage adds and subtracts whole ints,
-    X_g, X_(g+h) = X_g + X_(g+h), X_g - X_(g+h), with no mask or shift: a
-    packed int holds negative lanes exactly. `bias` is 2**(L-1) in each lane
-    of the batch; only X_0 keeps it, so the stages leave one in every lane.
+    every bitset. The batch's bytes are regrouped so that byte g of every
+    bitset sits together, and byte i of every entry is read at once by
+    translating them through the plan's column i into every E-th byte of a
+    block-major buffer, E the entry length; X_g is its g-th stretch. Each
+    later stage adds and subtracts whole ints, X_g, X_(g+h) = X_g + X_(g+h),
+    X_g - X_(g+h), with no mask or shift: a packed int holds negative lanes
+    exactly. `bias` is 2**(L-1) in each lane of the batch; only X_0 keeps
+    it, so the stages leave one in every lane.
     """
-    count = max(1 << n >> 3, 1)
-    entry = _plan(n).table.__getitem__
-    raw = b"".join([f.to_bytes(count, "little") for f in batch])
-    ints = [int.from_bytes(b"".join(map(entry, raw[g::count])), "little") - (g and bias)
-            for g in range(count)]
+    columns, size, count = _plan(n).columns, len(batch), max(1 << n >> 3, 1)
+    grouped = bytearray(size * count)
+    for f, bits in enumerate(batch):
+        grouped[f::size] = bits.to_bytes(count, "little")
+    ints, entry, step = [], len(columns), max(count >> 2, 16) * size
+    # A quarter of the blocks (at least 16) at a time, so that the buffer
+    # stays a quarter of the batch beside the ints read so far.
+    buffer = bytearray(min(step, len(grouped)) * entry)
+    for start in range(0, len(grouped), step):
+        part = grouped[start:start + step]
+        for i, column in enumerate(columns):
+            buffer[i::entry] = part.translate(column)
+        ints += [int.from_bytes(buffer[k:k + size * entry], "little") - bias
+                 for k in range(0, len(buffer), size * entry)]
+    del grouped, part, buffer  # the stages hold the ints alone
+    ints[0] += bias
     half = count >> 1
-    for _ in range(n - 3):
+    for _ in range(stages):
         # Ints 2i and 2i + 1 go to i and i + G/2, so the spectra end in mask
         # order. Taking them from the end, a quarter (at least 16 ints) at a
         # time, keeps one copy of the batch and a quarter alive.
@@ -170,7 +193,12 @@ def _butterfly(batch: list[int], n: int, bias: int) -> list[int]:
 
 
 def _measure(functions, n: int) -> list[int]:
-    """(2**n - max|W|) / 2 of each bitset, the max taken by lane-parallel tournaments."""
+    """(2**n - max|W|) / 2 of each bitset, the max taken by lane-parallel tournaments.
+
+    The butterfly stops one stage short: the last would turn ints 2i and
+    2i + 1, lanes A and B, into A + B and A - B, and all it is needed for
+    is max(|A + B|, |A - B|) = |A| + |B|, which the tournament takes instead.
+    """
     plan, out = _plan(n), []
     top, ones, span = plan.lane - 1, plan.ones, plan.lane * min(8, 1 << n)
     fill, step = (1 << top) - 1, min(max(_BATCH_BITS // (plan.lane << n), 1), plan.most)
@@ -178,13 +206,23 @@ def _measure(functions, n: int) -> list[int]:
         batch = functions[start:start + step]
         keep = (1 << len(batch) * span) - 1
         below, high = plan.below & keep, plan.high & keep
-        # Lane a: |W(a)| if W(a) >= 0, else |W(a)| - 1, which gives the same
-        # (2**n - max) >> 1 as W is even. Each round keeps the larger lane:
-        # a lane's top bit survives (a | high) - b where a >= b. Ints are
-        # replaced in place, so no second copy of the batch is made.
-        ints = _butterfly(batch, n, high)
-        for g, w in enumerate(ints):
-            ints[g] = (w ^ below ^ (w >> top & ones) * fill) & below
+        # The odd int of a pair gets the bias that the stages left only on
+        # the even one. Lane a then folds to |W(a)| if W(a) >= 0, else to
+        # |W(a)| - 1, odd as W is even, which adding its bit 0 puts right;
+        # a pair's sum is at most 2**n. At n <= 3 there is one int and no
+        # stage, and a zero spectrum, all bias, pairs with it. Each round
+        # keeps the larger lane: a lane's top bit survives (a | high) - b
+        # where a >= b. Ints are replaced in place, so no second copy of the
+        # batch is made.
+        ints = _butterfly(batch, n, high, n - 4)
+        if len(ints) == 1:
+            ints.append(0)
+        for i in range(len(ints) >> 1):
+            a, b = ints[2 * i], ints[2 * i + 1] + high
+            a = (a ^ below ^ (a >> top & ones) * fill) & below
+            b = (b ^ below ^ (b >> top & ones) * fill) & below
+            ints[i] = a + (a & ones) + b + (b & ones)
+        del ints[len(ints) >> 1:]
         while len(ints) > 1:
             half = len(ints) >> 1
             for g in range(half):
@@ -219,7 +257,7 @@ def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
     plan = _plan(n)
     lane, span = plan.lane, plan.lane * min(8, 1 << n)
     fill, bias = (1 << lane) - 1, 1 << lane - 1
-    ints = _butterfly([_bitset(f)], n, plan.high & (1 << span) - 1)
+    ints = _butterfly([_bitset(f)], n, plan.high & (1 << span) - 1, n - 3)
     return WalshSpectrum(tuple([(x >> i & fill) - bias for x in ints for i in range(0, span, lane)]))
 
 
@@ -313,7 +351,8 @@ def _invariants(s: SBox) -> tuple:
     every field but the fixed points: each statistic is a function of these
     integers and the width. A clone of the seed has the seed's invariants
     exactly, since its counts are the seed's, reordered. So an invariance
-    sweep compares these, with no Fraction or float, instead of reports.
+    sweep compares these, with no Fraction or float, instead of reports,
+    and verify names the fields that differ from them (_differences).
     """
     return (s.is_bijective(), *_criteria(tuple(sorted(_coordinates(s))), s.n))
 
@@ -338,3 +377,23 @@ def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
             if getattr(stats_a, field) != getattr(stats_b, field):
                 diffs.append(f"{name}.{field}")
     return ReportComparison(not diffs, tuple(diffs))
+
+
+def _differences(a: tuple, b: tuple, n: int) -> tuple[str, ...]:
+    """compare_reports' differences between the reports of two s-boxes of
+    width n, in its order, read off their _invariants with no report built.
+
+    A criterion's min and max are its counts' min and max over a divisor
+    that n fixes, its avg differs where the sum does, and its sd where
+    count * (sum of squares) - sum**2 does: the variance is that integer
+    over a denominator that n fixes.
+    """
+    pairs = n * (n - 1) >> 1
+    diffs = [] if a[0] == b[0] else ["bijective"]
+    for name, count, (sum_a, squares_a, min_a, max_a), (sum_b, squares_b, min_b, max_b) in zip(
+            CRITERIA, (n, n * n, pairs, pairs), a[1:], b[1:]):
+        differs = (min_a != min_b, max_a != max_b, sum_a != sum_b,
+                   count * squares_a - sum_a * sum_a != count * squares_b - sum_b * sum_b)
+        diffs += [f"{name}.{field}" for field, hit in zip(("min", "max", "avg", "sd"), differs)
+                  if hit]
+    return tuple(diffs)

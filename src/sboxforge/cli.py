@@ -23,7 +23,7 @@ from stat import S_ISREG
 from time import perf_counter
 from types import SimpleNamespace
 
-from .analysis import CRITERIA, _invariants, analyze, compare_reports
+from .analysis import CRITERIA, _differences, _invariants, analyze
 from .core import (
     BitPermutation,
     NonBijectiveError,
@@ -65,6 +65,11 @@ POOL_START = 0.060
 # one pool task and one write of the CSV. With two tasks in flight per
 # worker, this bounds the rows the parent holds while it writes them in order.
 _CHUNK_ROWS = 256
+# Seconds of rows per batch, at most, at the timed rows' least time. A sweep
+# finds that its output has gone, a reader closing its pipe, only when it
+# writes, and it writes once a batch: an n = 16 row with --check-invariance
+# takes about a second, and a batch of 256 rows would take minutes.
+_BATCH_SECONDS = 0.25
 
 _HEX_KEY = re.compile(r"(?:[0-9a-fA-F]{2})+")
 
@@ -204,8 +209,7 @@ def cmd_derive(args) -> int:
         raise UsageError("--n must be in [2, 16]")
     sigma1, sigma2 = key_to_permutations(_parse_key(args.key), args.n)
     with _output(None) as out:
-        print(f"sigma1={_sigma_text(sigma1, ',')}", file=out)
-        print(f"sigma2={_sigma_text(sigma2, ',')}", file=out)
+        out.write(f"sigma1={_sigma_text(sigma1, ',')}\nsigma2={_sigma_text(sigma2, ',')}\n")
     return EXIT_OK
 
 
@@ -298,21 +302,22 @@ def _pooled_rows(pool, batches, depth: int):
         yield future.result()
 
 
-def _timed_rows(pairs, count: int) -> tuple[list, float]:
+def _timed_rows(pairs, count: int, most: int) -> tuple[list, float]:
     """The results of the first rows of a sweep of `count`, each run here as a
-    batch of one pair, and the least time one took.
+    batch of one pair, and the least time one took (inf with no rows).
 
     The seed's invariants have built the width's plan and cached the seed's
     criteria. The timed rows still decode and lift their sigma2, which the
     rank cache does not hold yet, so under --all, where later rows find both
     ranks cached, they take about twice the steady row time. That moves no
     worker count with 2 CPUs at n = 5 or 6, whose sweeps repay two workers
-    by far, nor at n = 4, which stays serial. Up to four rows run; they stop
-    once `count` rows at the least time would not repay two workers, since
-    more rows could only lower it.
+    by far, nor at n = 4, which stays serial; it only makes the batches
+    that _BATCH_SECONDS sizes shorter than they need be. Up to `most` rows
+    run; they stop once `count` rows at the least time would not repay two
+    workers, since more rows could only lower it.
     """
     results, best = [], float("inf")
-    for pair in islice(pairs, 4):
+    for pair in islice(pairs, most):
         began = perf_counter()
         results.append(_enumerate_rows((pair,)))
         best = min(best, perf_counter() - began)
@@ -346,11 +351,11 @@ def cmd_enumerate(args) -> int:
     with _output(args.out) as out, ExitStack() as stack:
         sweep = (seed.table, _invariants(seed) if args.check_invariance else None)
         _init_sweep(*sweep)
-        timed, workers = [], 1
-        if cap > 1:
-            timed, seconds = _timed_rows(pairs, count)
-            workers = min(cap, count - len(timed), int(count * seconds / POOL_START))
-        size = max(1, min(_CHUNK_ROWS, count // (workers * 4))) if workers > 1 else _CHUNK_ROWS
+        # One timed row sizes a serial sweep's batches; up to four decide the pool.
+        timed, seconds = _timed_rows(pairs, count, 4 if cap > 1 else 1)
+        workers = min(cap, count - len(timed), int(count * seconds / POOL_START)) if cap > 1 else 1
+        rows = min(_CHUNK_ROWS, int(_BATCH_SECONDS / seconds))
+        size = max(1, min(rows, count // (workers * 4)) if workers > 1 else rows)
         batches = iter(lambda: list(islice(pairs, size)), [])
         if workers > 1:
             pool = stack.enter_context(_process_pool(
@@ -379,17 +384,15 @@ def cmd_verify(args) -> int:
     if seed.n != clone.n:
         print(f"width mismatch: {seed.n} vs {clone.n}", file=sys.stderr)
         return EXIT_WIDTH
-    comparison = compare_reports(analyze(seed), analyze(clone))
+    differences = _differences(_invariants(seed), _invariants(clone), seed.n)
+    differing = {d.partition(".")[0] for d in differences}
+    lines = [f"{name}: {'differs' if name in differing else 'equal'}\n"
+             for name in ("bijective",) + CRITERIA]
+    lines.append(f"result: mismatch\ndifferences: {' '.join(differences)}\n" if differences
+                 else "result: match\n")
     with _output(None) as out:
-        for name in ("bijective",) + CRITERIA:
-            hit = any(d == name or d.startswith(name + ".") for d in comparison.differences)
-            print(f"{name}: {'differs' if hit else 'equal'}", file=out)
-        if comparison.equal:
-            print("result: match", file=out)
-            return EXIT_OK
-        print("result: mismatch", file=out)
-        print("differences: " + " ".join(comparison.differences), file=out)
-    return EXIT_MISMATCH
+        out.write("".join(lines))
+    return EXIT_MISMATCH if differences else EXIT_OK
 
 
 class Option:

@@ -295,13 +295,75 @@ def test_byte_table_entries_are_direct_walsh_transforms(n):
     # min(8, 2**n) bits of v: the butterfly's first three stages.
     plan = analysis._plan(n)
     points, lane = min(8, 1 << n), plan.lane
-    assert len(plan.table) == 1 << points
-    for v, entry in enumerate(plan.table):
+    table = analysis._byte_table(n, lane)
+    assert len(table) == 1 << points
+    for v, entry in enumerate(table):
         assert len(entry) * 8 == lane * points
         packed = int.from_bytes(entry, "little")
         lanes = [(packed >> lane * a & (1 << lane) - 1) - (1 << lane - 1) for a in range(points)]
         assert lanes == direct_walsh([v >> x & 1 for x in range(points)],
                                      _cached_sign_matrix(points.bit_length() - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_plan_columns_are_the_byte_tables_entry_bytes(n):
+    # Column i translates byte v to byte i of v's entry; the butterfly reads
+    # every entry through them. At n < 3 a byte has only 2**n bits, so the
+    # bytes above the table's 2**(2**n) entries are never read.
+    plan = analysis._plan(n)
+    table = analysis._byte_table(n, plan.lane)
+    assert len(plan.columns) == len(table[0])
+    for i, column in enumerate(plan.columns):
+        assert len(column) == 256
+        assert column[:len(table)] == bytes(entry[i] for entry in table)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_measure_on_the_constant_functions(n):
+    # The constant 0 has W(0) = 2**n, the all-ones function W(0) = -2**n:
+    # |W| reaches the lane's limit with each sign, and NL is 0 either way.
+    full = (1 << (1 << n)) - 1
+    assert analysis._measure([0, full], n) == measure_by_stages([0, full], n) == [0, 0]
+    assert analysis._measure([full], n) == analysis._measure([0], n) == [0]
+    if n <= 12:
+        for f, peak in ((0, 1 << n), (full, -(1 << n))):
+            values = tuple(f >> x & 1 for x in range(1 << n))
+            assert walsh_spectrum(BooleanFunctionTable(values)).coefficients[0] == peak
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_measure_on_every_affine_function(n):
+    # Every mask, with and without complement: the one peak, W = +-2**n,
+    # lands in the even or the odd int of the folded last stage, at every
+    # lane, with either sign. A batch of one, and all of them in batches of 8.
+    full, cases = (1 << (1 << n)) - 1, [(a, c) for a in range(1 << n) for c in (0, 1)]
+    functions = [_affine(a, n) ^ (full if c else 0) for a, c in cases]
+    assert [analysis._measure([f], n)[0] for f in functions] == [0] * len(functions)
+    with patch.object(analysis, "_BATCH_BITS", 8 * (max(n + 2, 4) << n)):
+        assert analysis._measure(functions, n) == [0] * len(functions)
+    assert measure_by_stages(functions, n) == [0] * len(functions)
+    for (a, c), f in zip(cases, functions):
+        values = tuple(f >> x & 1 for x in range(1 << n))
+        peak = -(1 << n) if c else 1 << n
+        assert walsh_spectrum(BooleanFunctionTable(values)).coefficients == tuple(
+            peak if mask == a else 0 for mask in range(1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_measure_across_batch_boundaries(n):
+    # 11 functions in batches of 1, 3, 4 and the plan's largest: each batch
+    # boundary falls elsewhere among random, constant and affine functions.
+    rng, full = random.Random(500 + n), (1 << (1 << n)) - 1
+    functions = [rng.getrandbits(1 << n), 0, full, _affine(rng.randrange(1 << n), n),
+                 rng.getrandbits(1 << n) ^ full, _affine(1 << n - 1, n) ^ full,
+                 rng.getrandbits(1 << n), _affine(rng.randrange(1 << n), n) ^ full,
+                 rng.getrandbits(1 << n), full, rng.getrandbits(1 << n)]
+    if n >= 13:
+        functions = functions[:6]
+    expected = measure_by_stages(functions, n)
+    for per_batch in (1, 3, 4, analysis._plan(n).most):
+        with patch.object(analysis, "_BATCH_BITS", per_batch * (max(n + 2, 4) << n)):
+            assert analysis._measure(functions, n) == expected
 
 
 def test_walsh_balance_coefficient():
@@ -721,12 +783,15 @@ def _table_pairs(draw):
 @example(([0, 1, 2, 3], [0, 1, 1, 0]))  # equal counts; only bijectivity differs
 def test_invariants_decide_report_equality(tables):
     # Equal invariants mean equal reports, fixed points aside; unequal ones
-    # mean reports that differ, and compare_reports says so.
+    # mean reports that differ, and compare_reports says so. The invariants
+    # alone name the fields it names.
     a, b = (SBox.from_table(t) for t in tables)
     same = analysis._invariants(a) == analysis._invariants(b)
     report_a, report_b = analyze(a), analyze(b)
     assert (_without_fixed_points(report_a) == _without_fixed_points(report_b)) == same
     assert compare_reports(report_a, report_b).equal == same
+    assert analysis._differences(analysis._invariants(a), analysis._invariants(b), a.n) == \
+        compare_reports(report_a, report_b).differences
 
 
 def test_analyze_accepts_candidates():
@@ -771,6 +836,9 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
                 analysis._moments(c), len(c), 1 << n, sd_divisor=2)) for c in (counts, moved))
     assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
+    bijective, nl, _, bic_nl, bic_sac = analysis._invariants(SBox.from_table(AES_SBOX))
+    invariants = [(bijective, nl, analysis._moments(c), bic_nl, bic_sac) for c in (counts, moved)]
+    assert analysis._differences(*invariants, n) == ("sac.sd",)
 
 
 def test_compare_reports_equal_for_published_pairs():

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -8,15 +9,20 @@ import runpy
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from itertools import permutations, zip_longest
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concurrent.futures import ProcessPoolExecutor
 
-from sboxforge import SBox, analysis, cli, clone_sbox, core, find_fixed_points, lehmer_decode
+from sboxforge import (SBox, analysis, analyze, cli, clone_sbox, compare_reports, core,
+                       find_fixed_points, lehmer_decode)
 from sboxforge.cli import main
 from sboxforge.formats import fingerprint, serialize_sbox
 
@@ -26,7 +32,9 @@ from oracles import (
     dense_clone,
     first_clean_pair,
     perm_matrix,
+    permute_bits,
     random_bijective,
+    random_perm,
     stabilizer_size,
 )
 from vectors import AES_SBOX, CLONE4, HELP, SEED4, SIGMA1_4, SIGMA2_4
@@ -213,16 +221,18 @@ def test_failing_command_keeps_a_file_that_appeared_before_the_open(seed4_file, 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 513])
 def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, monkeypatch):
-    # A serial sweep makes its rows in batches of 256 pairs, and each batch
-    # goes out in one write, the header with the first, on stdout and to
-    # --out, as the bytes of one row after another.
+    # A serial sweep times its first row alone, a batch of one, and makes
+    # the rest in batches of 256 pairs (a 0.25 s batch holds far more n = 4
+    # rows); each batch goes out in one write, the header with the first, on
+    # stdout and to --out, as the bytes of one row after another.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
     cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
               "fixed_points,reverse_fixed_points,invariance\n")
-    batches = [cli._enumerate_rows(pairs[i:i + 256])[0].encode() for i in range(0, rows, 256)]
+    batches = [cli._enumerate_rows(pairs[i:i + 256])[0].encode() for i in range(1, rows, 256)]
+    batches[:0] = [cli._enumerate_rows(pairs[:1])[0].encode()]
     batches[0] = header.encode() + batches[0]
     argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
     assert main(argv) == 0
@@ -917,7 +927,9 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
                                 (10, 5, 4), (100, 8, 4)):
         argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
         monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+        clock = iter([0, 4])  # a serial sweep times its first row only
         assert main(argv) == 0
+        assert next(clock, "spent") == "spent"
         serial = capsys.readouterr()
         monkeypatch.setenv("SBOXFORGE_THREADS", "8")
         events.clear()
@@ -938,6 +950,31 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     assert main(["enumerate", seed4_file, "--sample", "6"]) == 0
     assert events == ["clock", 1, "clock"] * 4 + [1, 1]
     assert serial_pool.started == [2]
+
+
+@pytest.mark.parametrize("threads, timed", [(None, 1), ("2", 4)])
+@pytest.mark.parametrize("seconds, rows", [(0.5, 1), (0.125, 2), (2 ** -9, 128), (2 ** -12, 256)])
+def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, timed, seconds, rows, seed4_file,
+                                                         capsys, monkeypatch, serial_pool):
+    # A sweep finds a closed reader only when it writes, once a batch, so no
+    # batch holds more rows than take 0.25 s at the timed rows' least time
+    # (a stubbed clock gives each the same), nor more than 256; a pool's
+    # tasks also stay within a quarter of each worker's share, 600 // 8.
+    sizes, rows_of, clock = [], cli._enumerate_rows, iter([0.0, seconds] * 4)
+    monkeypatch.setattr(cli, "_enumerate_rows",
+                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    if threads:
+        monkeypatch.setenv("SBOXFORGE_THREADS", threads)
+    else:
+        monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    assert main(["enumerate", seed4_file, "--sample", "600"]) == 0
+    size = min(rows, 600 // 8) if threads else rows
+    assert sizes[:timed] == [1] * timed and sum(sizes) == 600
+    assert sizes[timed:-1] == [size] * (len(sizes) - timed - 1) and sizes[-1] <= size
+    assert serial_pool.started == ([2] if threads else [])
 
 
 def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):
@@ -997,6 +1034,83 @@ def test_verify_names_a_file_that_is_not_utf8(seed4_file, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
                             "in position 0: invalid start byte\n")
+
+
+def _verify_by_reports(a, b):
+    """The stdout and exit code verify gave when it compared full reports:
+    compare_reports(analyze(a), analyze(b)), each criterion differing when a
+    difference names it or one of its fields."""
+    comparison = compare_reports(analyze(SBox.from_table(a)), analyze(SBox.from_table(b)))
+    hit = [any(d == name or d.startswith(name + ".") for d in comparison.differences)
+           for name in ("bijective",) + analysis.CRITERIA]
+    lines = [f"{name}: {'differs' if differs else 'equal'}"
+             for name, differs in zip(("bijective",) + analysis.CRITERIA, hit)]
+    if comparison.equal:
+        return "".join(line + "\n" for line in [*lines, "result: match"]), 0
+    lines += ["result: mismatch", "differences: " + " ".join(comparison.differences)]
+    return "".join(line + "\n" for line in lines), 5
+
+
+def _verify(a, b):
+    """verify's stdout and exit code on the two tables, written to files."""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, name) for name in ("a.txt", "b.txt")]
+        for path, table in zip(paths, (a, b)):
+            with open(path, "w") as f:
+                f.write(serialize_sbox(SBox.from_table(table)))
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", *paths])
+    return out.getvalue(), code
+
+
+def _bit_relabelled(table, sigma1, sigma2):
+    """x -> sigma2(table[sigma1(x)]), sigma moving bit j to bit sigma[j]: the
+    criteria's counts of `table`, reordered."""
+    return [permute_bits(table[permute_bits(x, sigma1)], sigma2) for x in range(len(table))]
+
+
+@st.composite
+def _verify_pairs(draw):
+    """Two tables of one width n in 2..10: the first bijective or not, the
+    second random, bijective or not, a bit relabelling of the first, or one
+    with two entries swapped."""
+    n = draw(st.integers(2, 10))
+    rng, size = random.Random(draw(st.integers(0, 1 << 32))), 1 << n
+    a = random_bijective(rng, n)
+    if draw(st.booleans()):
+        a = [rng.randrange(size) for _ in range(size)]
+    kind = draw(st.sampled_from(["random", "non-bijective", "clone", "swapped"]))
+    if kind == "random":
+        return a, random_bijective(rng, n)
+    if kind == "non-bijective":
+        return a, [rng.randrange(size) for _ in range(size)]
+    b = _bit_relabelled(a, random_perm(rng, n), random_perm(rng, n))
+    if kind == "swapped":
+        x, y = rng.sample(range(size), 2)
+        b[x], b[y] = b[y], b[x]
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_verify_pairs())
+@example((list(AES_SBOX), [v ^ 0x63 for v in AES_SBOX]))  # equal criteria, not a clone
+@example(([0, 1, 2, 3], [0, 1, 1, 0]))  # equal counts; only bijectivity differs
+def test_verify_says_what_comparing_reports_says(tables):
+    # verify decides on the two tables' invariants, and its stdout and exit
+    # code are what comparing their full reports gave.
+    assert _verify(*tables) == _verify_by_reports(*tables)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_verify_says_what_comparing_reports_says_at_the_widest(n):
+    rng = random.Random(n)
+    a = random_bijective(rng, n)
+    b = _bit_relabelled(a, random_perm(rng, n), random_perm(rng, n))
+    if n == 12:
+        b[1], b[2] = b[2], b[1]
+    expected = _verify_by_reports(a, b)
+    assert expected[1] == (5 if n == 12 else 0)
+    assert _verify(a, b) == expected
 
 
 # ---------------------------------------------------------------------

@@ -98,17 +98,21 @@ def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
 _BATCH_BITS = 1 << 24
 
 
-def _byte_table(n: int, lane: int) -> list[bytes]:
-    """Entry v: the packed, biased Walsh transform of the first min(8, 2**n)
-    bits of v, one lane each, built by doubling 1- to 2- to 4- to 8-point entries."""
-    bias, points, width, ones = 1 << lane - 1, min(8, 1 << n), 1, 1
-    table = [bias + 1, bias - 1]  # lane bias + (-1)**b for the bit b
-    while width < points:
-        half, rebias = lane * width, bias * ones
-        table = [lo + hi - rebias | lo - hi + rebias << half for hi in table for lo in table]
-        ones |= ones << half
-        width <<= 1
-    return [t.to_bytes(lane * points >> 3, "little") for t in table]
+def _byte_table(n: int, lane: int) -> bytes:
+    """Entries v < 2**points joined, points = min(8, 2**n): entry v is the
+    packed, biased Walsh transform of the first `points` bits of v, one lane
+    each. Entry 0 is the bias in every lane plus `points` in lane 0. Setting
+    bit x of an entry takes 2 (-1)**(a.x) from each lane a, so the table
+    doubles once per bit x, all of it one int."""
+    points = min(8, 1 << n)
+    stride = lane * points
+    table, ones = _repeat(1 << lane - 1, lane, stride) + points, 1
+    for x in range(points):
+        row = sum((-1) ** (a & x).bit_count() << lane * a for a in range(points))  # Hadamard row x
+        shift = stride << x
+        table |= table - 2 * row * ones << shift
+        ones |= ones << shift
+    return table.to_bytes(stride << points >> 3, "little")
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +131,7 @@ def _plan(n: int) -> SimpleNamespace:
         rounds.append((width, low, (ones & low) << top))
     # Column i of the byte table maps byte v to byte i of v's entry: strided
     # slices of the joined entries, padded to 256 for the 2**(2**n) bytes of n < 3.
-    joined = b"".join(_byte_table(n, lane))
-    size = lane * points >> 3
+    joined, size = _byte_table(n, lane), lane * points >> 3
     return SimpleNamespace(
         lane=lane,                      # bits per Walsh lane
         # column i, a bytes.translate table: byte -> byte i of its packed 8-point transform

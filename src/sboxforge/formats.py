@@ -10,8 +10,6 @@ places; identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import hashlib
-import json
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
@@ -90,11 +88,14 @@ def fingerprint(s: SBox) -> tuple[str, str]:
 
 
 def format_decimal(value) -> str:
-    """Exact round-half-even rendering of a non-negative rational or float to six places."""
-    scaled = Fraction(value) * 1_000_000
-    whole, remainder = divmod(scaled.numerator, scaled.denominator)
-    doubled = 2 * remainder
-    if doubled > scaled.denominator or (doubled == scaled.denominator and whole % 2):
+    """Exact round-half-even rendering of a non-negative int, float or Fraction
+    to six places; a negative value raises ValueError."""
+    numerator, denominator = value.as_integer_ratio()
+    if numerator < 0:
+        raise ValueError(f"format_decimal takes a non-negative value, got {value!r}")
+    whole, remainder = divmod(numerator * 1_000_000, denominator)
+    # Up past half, or at exactly half when that makes `whole` even.
+    if 2 * remainder + (whole & 1) > denominator:
         whole += 1
     return f"{whole // 1_000_000}.{whole % 1_000_000:06d}"
 
@@ -132,8 +133,17 @@ def render_report_text(report: AnalysisReport) -> str:
 
 
 def render_report_json(report: AnalysisReport) -> str:
-    """The report document, each decimal text a JSON number."""
-    document = {key: {k: float(v) if isinstance(v, str) else v for k, v in value.items()}
-                if isinstance(value, dict) else value
-                for key, value in _document(report).items()}
-    return json.dumps(document, indent=2) + "\n"
+    """The report document in json.dumps(indent=2)'s layout, written out here:
+    each decimal text a JSON number, repr(float(text)) as json writes it."""
+    fields = []
+    for key, value in _document(report).items():
+        if isinstance(value, dict):
+            value = "{\n" + ",\n".join(
+                f'    "{k}": {v if isinstance(v, int) else repr(float(v))}'
+                for k, v in value.items()) + "\n  }"
+        elif isinstance(value, list):
+            value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]" if value else "[]"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        fields.append(f'  "{key}": {value}')
+    return "{\n" + ",\n".join(fields) + "\n}\n"

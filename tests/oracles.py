@@ -6,6 +6,7 @@ against code that shares none of their shortcuts.
 """
 
 import argparse
+import json
 import re
 from fractions import Fraction
 from itertools import permutations
@@ -139,6 +140,21 @@ def _tile(pattern, period, total):
     return pattern
 
 
+def byte_table_by_lists(n, lane):
+    """The 2**points entries of the library's Walsh byte table, points =
+    min(8, 2**n), as it built them before it built the table as one int:
+    entry v, the packed, biased transform of the first `points` bits of v,
+    by doubling 1- to 2- to 4- to 8-point entry lists."""
+    bias, points, width, ones = 1 << lane - 1, min(8, 1 << n), 1, 1
+    table = [bias + 1, bias - 1]  # lane bias + (-1)**b for the bit b
+    while width < points:
+        half, rebias = lane * width, bias * ones
+        table = [lo + hi - rebias | lo - hi + rebias << half for hi in table for lo in table]
+        ones |= ones << half
+        width <<= 1
+    return [t.to_bytes(lane * points >> 3, "little") for t in table]
+
+
 def walsh_by_stages(f, n):
     """The Walsh spectrum of the 2**n-bit int f as the library computed it
     before its block-major butterfly: the reference it keeps to.
@@ -148,15 +164,9 @@ def walsh_by_stages(f, n):
     transform, stages 0..2; each later stage adds and subtracts all lane
     pairs at once through masks, and puts the bias back.
     """
-    lane, points = max(n + 2, 4), min(8, 1 << n)
+    lane = max(n + 2, 4)
     top, total, bias = lane - 1, lane << n, 1 << lane - 1
-    table, width, ones = [bias + 1, bias - 1], 1, 1
-    while width < points:
-        half, rebias = lane * width, bias * ones
-        table = [lo + hi - rebias | lo - hi + rebias << half for hi in table for lo in table]
-        ones |= ones << half
-        width <<= 1
-    entries = [t.to_bytes(lane * points >> 3, "little") for t in table]
+    entries = byte_table_by_lists(n, lane)
     ones = _tile(1, lane, total)
     w = int.from_bytes(b"".join(entries[v] for v in f.to_bytes(max(1 << n >> 3, 1), "little")),
                        "little")
@@ -338,3 +348,24 @@ def removal_walk_by_lift(seed, sigma1, sigma2, max_attempts=None):
     if budget == fact:
         raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
     raise RemovalExhausted(f"no clean clone within {budget} attempts")
+
+
+def format_decimal_by_fraction(value):
+    """The report's six-place decimal as the library wrote it before it read
+    value.as_integer_ratio(): Fraction arithmetic, rounded half to even."""
+    scaled = Fraction(value) * 1_000_000
+    whole, remainder = divmod(scaled.numerator, scaled.denominator)
+    doubled = 2 * remainder
+    if doubled > scaled.denominator or (doubled == scaled.denominator and whole % 2):
+        whole += 1
+    return f"{whole // 1_000_000}.{whole % 1_000_000:06d}"
+
+
+def report_json_by_json_module(document):
+    """A report document, as formats._document gives it, rendered as the
+    library did before it wrote JSON itself: json.dumps(indent=2), each
+    decimal text a float."""
+    document = {key: {k: float(v) if isinstance(v, str) else v for k, v in value.items()}
+                if isinstance(value, dict) else value
+                for key, value in document.items()}
+    return json.dumps(document, indent=2) + "\n"

@@ -31,6 +31,7 @@ from sboxforge import (
 )
 
 from oracles import (
+    byte_table_by_lists,
     dense_clone,
     dependence_matrix,
     direct_walsh,
@@ -295,11 +296,10 @@ def test_byte_table_entries_are_direct_walsh_transforms(n):
     # min(8, 2**n) bits of v: the butterfly's first three stages.
     plan = analysis._plan(n)
     points, lane = min(8, 1 << n), plan.lane
-    table = analysis._byte_table(n, lane)
-    assert len(table) == 1 << points
-    for v, entry in enumerate(table):
-        assert len(entry) * 8 == lane * points
-        packed = int.from_bytes(entry, "little")
+    table, size = analysis._byte_table(n, lane), lane * points >> 3
+    assert len(table) == size << points
+    for v in range(1 << points):
+        packed = int.from_bytes(table[v * size:(v + 1) * size], "little")
         lanes = [(packed >> lane * a & (1 << lane) - 1) - (1 << lane - 1) for a in range(points)]
         assert lanes == direct_walsh([v >> x & 1 for x in range(points)],
                                      _cached_sign_matrix(points.bit_length() - 1))
@@ -312,10 +312,22 @@ def test_plan_columns_are_the_byte_tables_entry_bytes(n):
     # bytes above the table's 2**(2**n) entries are never read.
     plan = analysis._plan(n)
     table = analysis._byte_table(n, plan.lane)
-    assert len(plan.columns) == len(table[0])
+    size = len(plan.columns)
+    assert len(table) == size << min(8, 1 << n)
     for i, column in enumerate(plan.columns):
         assert len(column) == 256
-        assert column[:len(table)] == bytes(entry[i] for entry in table)
+        assert column[:len(table) // size] == table[i::size]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_plan_columns_match_the_entry_list_construction(n):
+    # The byte table is built as one int; the list of entries it replaced,
+    # each a doubling of two smaller ones, gives the same columns.
+    plan = analysis._plan(n)
+    entries = byte_table_by_lists(n, plan.lane)
+    assert len(plan.columns) == len(entries[0])
+    for i, column in enumerate(plan.columns):
+        assert column == bytes(entry[i] for entry in entries).ljust(256, b"\0")
 
 
 @pytest.mark.parametrize("n", range(1, 17))

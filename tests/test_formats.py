@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sboxforge import SBox, analyze
+from sboxforge import SBox, analyze, formats
 from sboxforge.formats import (
     SBoxFileError,
     fingerprint,
@@ -18,7 +18,12 @@ from sboxforge.formats import (
     serialize_sbox,
 )
 
-from oracles import parse_sbox_text_by_token, random_bijective
+from oracles import (
+    format_decimal_by_fraction,
+    parse_sbox_text_by_token,
+    random_bijective,
+    report_json_by_json_module,
+)
 from vectors import (
     AES_REPORT_JSON,
     AES_SBOX,
@@ -145,6 +150,69 @@ def test_format_decimal_exact_and_ties():
     # half-to-even on exact decimal ties
     assert format_decimal(Fraction(1, 128)) == "0.007812"
     assert format_decimal(Fraction(3, 128)) == "0.023438"
+
+
+@pytest.mark.parametrize("value", [-1, -1.5, Fraction(-1, 3), -1e-9, Fraction(-1, 10**7)])
+def test_format_decimal_rejects_a_negative_value(value):
+    # A value that would round to -0.000000 is refused too.
+    with pytest.raises(ValueError, match="non-negative"):
+        format_decimal(value)
+
+
+@st.composite
+def _decimal_values(draw):
+    """Non-negative ints, floats and Fractions over 2**k * m, and exact ties
+    at the sixth decimal place: odd multiples of 1 / (2 * 10**6)."""
+    kind = draw(st.sampled_from(["int", "float", "fraction", "tie"]))
+    if kind == "int":
+        return draw(st.integers(0, 10**30))
+    if kind == "float":
+        return draw(st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+    if kind == "tie":
+        return Fraction(2 * draw(st.integers(0, 10**9)) + 1, 2_000_000)
+    m = draw(st.sampled_from([1, 3, 5, 7, 15, 25, 125, 625, 3125, 15625, 78125]))
+    return Fraction(draw(st.integers(0, 10**12)), m << draw(st.integers(0, 80)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_decimal_values())
+@example(Fraction(1, 128))  # 0.0078125, a tie rounded down to even
+@example(Fraction(3, 128))  # 0.0234375, a tie rounded up to even
+@example(0.5)
+@example(2.5e-07)
+@example(5e-324)
+@example(True)
+def test_format_decimal_matches_the_fraction_version(value):
+    assert format_decimal(value) == format_decimal_by_fraction(value)
+
+
+def _table(kind, n, rng):
+    """A table of width n: random bijective, random, identity, constant, or
+    affine x -> Mx ^ c for a random (maybe singular) bit matrix M."""
+    size = 1 << n
+    if kind == "bijective":
+        return random_bijective(rng, n)
+    if kind == "random":
+        return [rng.randrange(size) for _ in range(size)]
+    if kind == "identity":
+        return list(range(size))
+    if kind == "constant":
+        return [rng.randrange(size)] * size
+    columns, c = [rng.randrange(size) for _ in range(n)], rng.randrange(size)
+    table = [c]
+    for i, column in enumerate(columns):  # entry x | 2**i is entry x ^ column i
+        table += [v ^ column for v in table]
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]),
+       st.sampled_from(["bijective", "random", "identity", "constant", "affine"]),
+       st.randoms(use_true_random=False))
+def test_render_report_json_is_json_dumps_layout(n, kind, rng):
+    # Fixed-point lists run from empty (most tables) to all 2**n entries (identity).
+    report = analyze(SBox(n, tuple(_table(kind, n, rng))))
+    assert render_report_json(report) == report_json_by_json_module(formats._document(report))
 
 
 def test_render_report_text_golden():

@@ -101,9 +101,11 @@ def test_cli_import_leaves_argparse_out(child_env):
 def test_cli_import_leaves_dataclasses_and_typing_out(child_env):
     # The value types are plain slotted classes, so a cold CLI call loads
     # neither dataclasses, with the inspect module it imports, nor typing.
+    # The JSON report is written without the json module, so no json either.
     # -S: site-packages hooks (.pth files) can load typing themselves.
     probe = ("import sys, sboxforge.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'typing', 'json', 'json.encoder', '_json'}"
+             " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "[]\n"

@@ -2,19 +2,40 @@
 
 S-box files are flat lists of 2**n integers (decimal or 0x-prefixed hex),
 separated by whitespace or commas, with '#' comments; a leading UTF-8 byte
-order mark is skipped. A report renders as key: value text or as JSON, both
+order mark is skipped. A file is read no further once it passes
+MAX_FILE_BYTES, and split into no more than one entry past MAX_ENTRIES;
+either refuses it. A report renders as key: value text or as JSON, both
 from one document of its fields, with decimals rounded half-to-even to six
 places; identical inputs always produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import hashlib
+import re
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
+
+# The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto into
+# every CLI call, and only enumerate hashes.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without its own hashes
+        from hashlib import sha256
 
 from .analysis import AnalysisReport, PropertyStats
 from .core import SBox
+
+
+# The largest table has 2**16 entries; written as "0xffff, " each, it takes
+# half of MAX_FILE_BYTES, which leaves room for comments and padding.
+MAX_ENTRIES = 1 << 16
+MAX_FILE_BYTES = 1 << 20
+# An entry, or a comment: from '#' to the end of its line, where
+# str.splitlines ends a line.
+_ENTRY_OR_COMMENT = r"[^\s,#]+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
 
 class SBoxFileError(ValueError):
@@ -44,9 +65,32 @@ def _values(tokens: list[str]) -> list[int]:
     return list(map(_entry, tokens))  # mixed entries, or a bad one to report
 
 
+def _long_tokens(text: str) -> list[str]:
+    """The entries of a text too long for parse_sbox_text to split whole,
+    read one past MAX_ENTRIES at most, keeping nothing per line or comment:
+    such a text may have hundreds of thousands."""
+    if "#" in text:
+        matches = (match[0] for match in re.finditer(_ENTRY_OR_COMMENT, text))
+        tokens = list(islice((t for t in matches if t[0] != "#"), MAX_ENTRIES + 1))
+    else:
+        tokens = text.replace(",", " ").split(None, MAX_ENTRIES)
+    if len(tokens) > MAX_ENTRIES:
+        raise SBoxFileError(f"more than {MAX_ENTRIES} entries")
+    return tokens
+
+
 def parse_sbox_text(text: str) -> SBox:
-    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    values = _values(body.replace(",", " ").split())
+    # k entries need 2k - 1 characters, so a text of up to 2 * MAX_ENTRIES
+    # cannot hold too many, and is split whole: lines cut at '#', then
+    # tokens at whitespace and commas. This path skips the regex, whose
+    # compile costs a fresh process about 0.4 ms.
+    if len(text) > 2 * MAX_ENTRIES:
+        tokens = _long_tokens(text)
+    else:
+        if "#" in text:
+            text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        tokens = text.replace(",", " ").split()
+    values = _values(tokens)
     if not values:
         raise SBoxFileError("no entries found")
     try:
@@ -58,9 +102,19 @@ def parse_sbox_text(text: str) -> SBox:
 def load_sbox(path: str) -> SBox:
     try:
         # Raw bytes decoded in one call: a buffered or text-mode read costs a
-        # fresh process more, with the same errors.
+        # fresh process more, with the same errors. Reads of 64 KiB stop once
+        # they pass the bound, so an endless input such as /dev/zero stops
+        # there; a file of up to 64 KiB (any table up to n = 12) comes in one
+        # read and the empty one after it. A larger read size allocates through
+        # mmap, and sizing reads by os.fstat costs a forked process about 30 us.
         with open(path, "rb", buffering=0) as handle:
-            text = handle.readall().decode("utf-8")
+            chunks, size = [], 0
+            while size <= MAX_FILE_BYTES and (chunk := handle.read(1 << 16)):
+                chunks.append(chunk)
+                size += len(chunk)
+        if size > MAX_FILE_BYTES:
+            raise SBoxFileError(f"cannot read {path}: more than {MAX_FILE_BYTES} bytes")
+        text = b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SBoxFileError(f"cannot read {path}: {exc}") from exc
     # Not encoding="utf-8-sig": loading that codec costs a fresh process about 1.5 ms.
@@ -83,7 +137,7 @@ def _decimals(n: int) -> list[str]:
 def fingerprint(s: SBox) -> tuple[str, str]:
     """(first eight entries, 16-hex-digit table hash) for compact listings."""
     cells = list(map(_decimals(s.n).__getitem__, s.table))
-    digest = hashlib.sha256(" ".join(cells).encode()).hexdigest()[:16]
+    digest = sha256(" ".join(cells).encode()).hexdigest()[:16]
     return " ".join(cells[:8]), digest
 
 

@@ -10,7 +10,9 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from itertools import permutations, zip_longest
 from math import factorial
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from concurrent.futures import ProcessPoolExecutor
 
 from sboxforge import (SBox, analysis, analyze, cli, clone_sbox, compare_reports, core,
-                       find_fixed_points, lehmer_decode)
+                       find_fixed_points, formats, lehmer_decode)
 from sboxforge.cli import main
 from sboxforge.formats import fingerprint, serialize_sbox
 
@@ -472,6 +474,73 @@ def test_analyze_skips_a_byte_order_mark(seed4_file, tmp_path, capsys):
     plain = capsys.readouterr()
     assert main(["analyze", str(path)]) == 0
     assert capsys.readouterr() == plain
+
+
+def _endless_fifo(tmp_path):
+    """A FIFO whose writer sends `1 ` tokens until its reader has gone."""
+    path = tmp_path / "endless"
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as pipe:
+                while True:
+                    pipe.write(b"1 " * 32768)
+        except BrokenPipeError:
+            pass
+
+    threading.Thread(target=write, daemon=True).start()
+    return str(path)
+
+
+def _long_file(tmp_path):
+    """20 MB of `1 ` tokens, ten million entries."""
+    path = tmp_path / "long.txt"
+    with open(path, "wb") as handle:
+        for _ in range(100):
+            handle.write(b"1 " * 100_000)
+    return str(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero") or not hasattr(os, "mkfifo"),
+                    reason="needs /dev/zero and FIFOs")
+@pytest.mark.parametrize("make", [lambda tmp_path: "/dev/zero", _endless_fifo, _long_file],
+                         ids=["dev-zero", "endless-fifo", "long-file"])
+def test_endless_or_overlong_input_is_refused_in_one_line(make, tmp_path, capsys):
+    # /dev/zero is one endless token, since NUL is not whitespace: only the
+    # byte bound stops it.
+    path = make(tmp_path)
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        code = main(["analyze", path])
+        seconds = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: more than 1048576 bytes\n")
+    assert seconds < 0.5
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("text", ["1 " * (formats.MAX_ENTRIES + 1), "12#\n" * 262_143],
+                         ids=["tokens", "commented-lines"])
+def test_input_past_the_entry_bound_is_refused_with_little_memory(text, tmp_path, capsys):
+    # The second is just under the byte bound: a string per line would take tens of MB.
+    path = tmp_path / "many.txt"
+    path.write_text(text)
+    began = time.perf_counter()
+    assert main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - began < 0.5
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", "error: more than 65536 entries\n" * 2)
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ from sboxforge.formats import (
     SBoxFileError,
     fingerprint,
     format_decimal,
+    load_sbox,
     parse_sbox_text,
     render_report_json,
     render_report_text,
@@ -86,7 +91,9 @@ def _outcome(parse, text):
 
 _SEPARATORS = st.sampled_from([" ", ",", ", ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", ",,",
                                " , ", "\u2028", "\xa0", " # comment\n", "#,1 2\r", "\n#\n",
-                               "\x1c", "\x1f", "\x85", "\u3000"])
+                               "\x1c", "\x1f", "\x85", "\u3000", "#1\x0b", "#1\x0c", "#1\x1c",
+                               "#1\x1d", "#1\x1e", "#1\x1f", "#1\x85", "#1\u2028", "#1\u2029",
+                               "#1 # 2\r\n"])
 _BAD = st.sampled_from(["", "junk", "0x", "0xg", "1g", "-", "-0x1", "+3", "-2", "1_0", "٣",
                         "1.0", "0b1", "0o7", "#", "0x_1"])
 _BAD_HEX = st.sampled_from(["0xg", "0x", "0x_1", "-0x1", "0X", "0Xg", "+0x1", "0x1.0"])
@@ -116,6 +123,57 @@ def _sbox_texts(draw):
 @given(_sbox_texts())
 def test_parse_matches_the_token_by_token_parser(text):
     assert _outcome(parse_sbox_text, text) == _outcome(parse_sbox_text_by_token, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sbox_texts())
+def test_long_texts_parse_as_short_ones(text):
+    # Past 2 * MAX_ENTRIES characters a text is read by a regex, not split into lines.
+    padded = text + " " * (2 * formats.MAX_ENTRIES)
+    assert _outcome(parse_sbox_text, padded) == _outcome(parse_sbox_text_by_token, text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+@pytest.mark.parametrize("padding", [0, 2 * formats.MAX_ENTRIES], ids=["short", "long"])
+def test_comment_ends_where_str_splitlines_ends_a_line(end, padding):
+    # A text longer than 2 * MAX_ENTRIES is read by a regex.
+    pad = " " * padding
+    assert parse_sbox_text(f"0 1 # 9 9{end}2 3 #{end}{pad}").table == (0, 1, 2, 3)
+    assert parse_sbox_text(f"0 1 2 3 # 9\x1f9{end}{pad}").table == (0, 1, 2, 3)  # \x1f ends no line
+
+
+def _bounded_file(tmp_path, table, size):
+    """The table in "0xffff, " form with a comment per row, padded by a
+    trailing comment to exactly `size` bytes."""
+    rows = [", ".join(f"0x{v:04x}" for v in table[i:i + 16]) + f",  # row {i // 16}\n"
+            for i in range(0, len(table), 16)]
+    text = "# header\n" + "".join(rows)
+    path = tmp_path / "table.txt"
+    path.write_text(text + "#" * (size - len(text)))
+    return str(path)
+
+
+def test_a_file_at_both_bounds_loads(tmp_path):
+    # Exactly MAX_ENTRIES entries, with comments, in exactly MAX_FILE_BYTES bytes.
+    table = random_bijective(random.Random(16), 16)
+    assert len(table) == formats.MAX_ENTRIES
+    path = _bounded_file(tmp_path, table, formats.MAX_FILE_BYTES)
+    assert os.path.getsize(path) == formats.MAX_FILE_BYTES
+    assert load_sbox(path).table == tuple(table)
+
+
+def test_one_byte_or_entry_past_a_bound_is_refused(tmp_path):
+    table = random_bijective(random.Random(16), 16)
+    path = _bounded_file(tmp_path, table, formats.MAX_FILE_BYTES + 1)
+    with pytest.raises(SBoxFileError, match=rf"^cannot read {re.escape(path)}: more than 1048576 bytes$"):
+        load_sbox(path)
+    with pytest.raises(SBoxFileError, match="^more than 65536 entries$"):
+        parse_sbox_text("# one too many\n" + "0, " * (formats.MAX_ENTRIES + 1))
+    # Exactly MAX_ENTRIES entries, in a text long enough to be split with the bound.
+    text = "1 " * formats.MAX_ENTRIES + "  "
+    assert len(text) > 2 * formats.MAX_ENTRIES
+    assert parse_sbox_text(text).table == (1,) * formats.MAX_ENTRIES
 
 
 def test_serialize_round_trip_decimal_and_hex():
@@ -268,3 +326,17 @@ def test_fingerprint_hashes_the_decimal_table(n):
         prefix, digest = fingerprint(SBox(n, tuple(table)))
         assert prefix == " ".join(map(str, table[:8]))
         assert digest == hashlib.sha256(" ".join(map(str, table)).encode()).hexdigest()[:16]
+
+
+def test_fingerprint_falls_back_to_hashlib(child_env):
+    # On an interpreter built without its own SHA-256 modules, fingerprint
+    # takes hashlib's, with the same digests.
+    probe = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+             "import hashlib, random; from sboxforge import SBox, formats; "
+             "rng = random.Random(5); tables = [rng.sample(range(1 << n), 1 << n) for n in (2, 8, 12)]; "
+             "print(formats.sha256 is hashlib.sha256, [formats.fingerprint(SBox(len(t).bit_length() - 1, "
+             "tuple(t)))[1] == hashlib.sha256(' '.join(map(str, t)).encode()).hexdigest()[:16] "
+             "for t in tables])")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=child_env, check=True)
+    assert result.stdout == "True [True, True, True]\n"

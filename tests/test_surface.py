@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import random
 import re
@@ -109,6 +110,22 @@ def test_cli_import_leaves_dataclasses_and_typing_out(child_env):
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="the interpreter has no built-in SHA-256")
+def test_cli_and_a_serial_sweep_leave_hashlib_out(child_env, tmp_path):
+    # fingerprint hashes with the interpreter's own SHA-256: hashlib would
+    # load OpenSSL's libcrypto into every CLI call. -S as above.
+    seed = tmp_path / "seed4.txt"
+    seed.write_text(" ".join(map(str, random.Random(4).sample(range(16), 16))) + "\n")
+    argv = ["enumerate", str(seed), "--all", "--check-invariance", "--out", str(tmp_path / "e.csv")]
+    probe = ("import sys, sboxforge.cli; "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules))); "
+             f"print(sboxforge.cli.main({argv!r}), sorted({{'hashlib', '_hashlib'}} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env={**child_env, "SBOXFORGE_THREADS": "1"}, check=True)
+    assert (result.stdout, result.stderr) == ("[]\n0 []\n", "rows=576 distinct=576 invariance_pass=576\n")
 
 
 def test_cli_import_builds_no_plan(child_env):

@@ -11,6 +11,7 @@ places; identical inputs always produce byte-identical output.
 
 from __future__ import annotations
 
+import os
 import re
 from functools import lru_cache
 from itertools import islice, repeat
@@ -33,6 +34,13 @@ from .core import SBox
 # half of MAX_FILE_BYTES, which leaves room for comments and padding.
 MAX_ENTRIES = 1 << 16
 MAX_FILE_BYTES = 1 << 20
+# Raw bytes through os.open and os.read, decoded in one call: open() and
+# readall() cost a forked process about 55 us more, and a buffered or
+# text-mode read more still, with the same errors. Reads of 64 KiB stop once
+# they pass the bound, so an endless input such as /dev/zero stops there; a
+# file of up to 64 KiB (any table up to n = 12) comes in one read and the
+# empty one after it.
+_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 # An entry, or a comment: from '#' to the end of its line, where
 # str.splitlines ends a line.
 _ENTRY_OR_COMMENT = r"[^\s,#]+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
@@ -69,11 +77,8 @@ def _long_tokens(text: str) -> list[str]:
     """The entries of a text too long for parse_sbox_text to split whole,
     read one past MAX_ENTRIES at most, keeping nothing per line or comment:
     such a text may have hundreds of thousands."""
-    if "#" in text:
-        matches = (match[0] for match in re.finditer(_ENTRY_OR_COMMENT, text))
-        tokens = list(islice((t for t in matches if t[0] != "#"), MAX_ENTRIES + 1))
-    else:
-        tokens = text.replace(",", " ").split(None, MAX_ENTRIES)
+    matches = (match[0] for match in re.finditer(_ENTRY_OR_COMMENT, text))
+    tokens = list(islice((t for t in matches if t[0] != "#"), MAX_ENTRIES + 1))
     if len(tokens) > MAX_ENTRIES:
         raise SBoxFileError(f"more than {MAX_ENTRIES} entries")
     return tokens
@@ -87,9 +92,8 @@ def parse_sbox_text(text: str) -> SBox:
     if len(text) > 2 * MAX_ENTRIES:
         tokens = _long_tokens(text)
     else:
-        if "#" in text:
-            text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-        tokens = text.replace(",", " ").split()
+        body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        tokens = body.replace(",", " ").split()
     values = _values(tokens)
     if not values:
         raise SBoxFileError("no entries found")
@@ -101,17 +105,17 @@ def parse_sbox_text(text: str) -> SBox:
 
 def load_sbox(path: str) -> SBox:
     try:
-        # Raw bytes decoded in one call: a buffered or text-mode read costs a
-        # fresh process more, with the same errors. Reads of 64 KiB stop once
-        # they pass the bound, so an endless input such as /dev/zero stops
-        # there; a file of up to 64 KiB (any table up to n = 12) comes in one
-        # read and the empty one after it. A larger read size allocates through
-        # mmap, and sizing reads by os.fstat costs a forked process about 30 us.
-        with open(path, "rb", buffering=0) as handle:
+        fd = os.open(path, _READ)
+        try:
             chunks, size = [], 0
-            while size <= MAX_FILE_BYTES and (chunk := handle.read(1 << 16)):
+            while size <= MAX_FILE_BYTES and (chunk := os.read(fd, 1 << 16)):
                 chunks.append(chunk)
                 size += len(chunk)
+        except IsADirectoryError as exc:  # open() would have named the directory
+            exc.filename = path
+            raise
+        finally:
+            os.close(fd)
         if size > MAX_FILE_BYTES:
             raise SBoxFileError(f"cannot read {path}: more than {MAX_FILE_BYTES} bytes")
         text = b"".join(chunks).decode("utf-8")

@@ -163,6 +163,17 @@ def test_a_file_at_both_bounds_loads(tmp_path):
     assert load_sbox(path).table == tuple(table)
 
 
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+def test_an_unreadable_path_is_named_as_open_names_it(name, tmp_path):
+    path = str(tmp_path / name)
+    with pytest.raises(OSError) as opened:
+        with open(path, "rb") as handle:
+            handle.read()
+    with pytest.raises(SBoxFileError) as loaded:
+        load_sbox(path)
+    assert str(loaded.value) == f"cannot read {path}: {opened.value}"
+
+
 def test_one_byte_or_entry_past_a_bound_is_refused(tmp_path):
     table = random_bijective(random.Random(16), 16)
     path = _bounded_file(tmp_path, table, formats.MAX_FILE_BYTES + 1)
@@ -170,7 +181,7 @@ def test_one_byte_or_entry_past_a_bound_is_refused(tmp_path):
         load_sbox(path)
     with pytest.raises(SBoxFileError, match="^more than 65536 entries$"):
         parse_sbox_text("# one too many\n" + "0, " * (formats.MAX_ENTRIES + 1))
-    # Exactly MAX_ENTRIES entries, in a text long enough to be split with the bound.
+    # Exactly MAX_ENTRIES entries, in a text long enough to be read by the regex.
     text = "1 " * formats.MAX_ENTRIES + "  "
     assert len(text) > 2 * formats.MAX_ENTRIES
     assert parse_sbox_text(text).table == (1,) * formats.MAX_ENTRIES

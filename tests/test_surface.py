@@ -157,20 +157,28 @@ def test_core_imports_without_analysis(child_env):
 def test_cli_opens_every_file_as_bytes(tmp_path, monkeypatch, capsys):
     # The CLI reads s-box files and writes -o/--out files as raw bytes. A
     # text stack (a TextIOWrapper over a buffer) costs a cold call more, and
-    # would come back through an open without "b" in its mode.
+    # would come back through an open without "b" in its mode, or through an
+    # os.open without O_BINARY where that flag exists (Windows, where it
+    # stops "\n" being translated).
     import builtins
 
     table = list(range(16))
     random.Random(4).shuffle(table)
     seed, clone = tmp_path / "seed.txt", tmp_path / "clone.txt"
     seed.write_text(" ".join(map(str, table)) + "\n")
-    real_open, opened = builtins.open, []
+    real_open, real_os_open, opened = builtins.open, os.open, []
+    binary = getattr(os, "O_BINARY", 0)
 
     def recording(file, mode="r", *args, **kwargs):
         opened.append((os.fspath(file), mode))
         return real_open(file, mode, *args, **kwargs)
 
+    def recording_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), "rb" if flags & binary == binary else "r"))
+        return real_os_open(path, flags, *args, **kwargs)
+
     monkeypatch.setattr(builtins, "open", recording)
+    monkeypatch.setattr(os, "open", recording_os_open)
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     for argv in (["clone", str(seed), "--key", "17", "-o", str(clone)],
                  ["enumerate", str(seed), "--sample", "3", "--out", str(tmp_path / "sweep.csv")],

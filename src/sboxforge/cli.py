@@ -16,8 +16,9 @@ import re
 import sys
 from collections import deque
 from contextlib import ExitStack, contextmanager
+from errno import EBADF
 from functools import lru_cache, partial
-from itertools import chain, islice
+from itertools import islice
 from math import factorial
 from stat import S_ISREG
 from time import perf_counter
@@ -61,14 +62,10 @@ EXIT_INTERRUPTED = 130
 # per POOL_START of estimated row time, so a sweep too short to repay its
 # workers runs serially.
 POOL_START = 0.060
-# Pairs per batch of a sweep, at most: a batch is one call of _enumerate_rows,
-# one pool task and one write of the CSV. With two tasks in flight per
-# worker, this bounds the rows the parent holds while it writes them in order.
-_CHUNK_ROWS = 256
-# Seconds of rows per batch, at most, at the timed rows' least time. A sweep
-# finds that its output has gone, a reader closing its pipe, only when it
-# writes, and it writes once a batch: an n = 16 row with --check-invariance
-# takes about a second, and a batch of 256 rows would take minutes.
+# Seconds of rows per batch, at most, at the timed rows' least time. A batch
+# is one call of _enumerate_rows, one pool task and one write of the CSV. A
+# sweep finds that its output has gone, a reader closing its pipe, only when
+# it writes, and an n = 16 row with --check-invariance takes about a second.
 _BATCH_SECONDS = 0.25
 
 _HEX_KEY = re.compile(r"(?:[0-9a-fA-F]{2})+")
@@ -111,6 +108,19 @@ def _thread_cap() -> int:
     return value
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _note(line: str) -> None:
+    """Print a diagnostic line to stderr; nowhere if the process started with fd 2 closed."""
+    if sys.stderr is not None:  # print would fall back to stdout
+        print(line, file=sys.stderr)
+
+
 # -o/--out is opened to create it, and only where that finds the path taken, to
 # append to it: no stat probe before the open, and no race in which a failing
 # command removes a file that another process made. O_BINARY: Windows would
@@ -121,11 +131,14 @@ _APPEND = os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0)
 
 @contextmanager
 def _output(path: str | None):
-    """Stdout, or `path` opened before any work and written as raw bytes, each
-    write's text in whole. A write that fails ends the command with `cannot
-    write PATH: REASON`. A failed command removes a file it created, and
-    leaves an existing one as it was unless it began writing."""
+    """A function writing to stdout, or to `path` opened before any work and
+    written as raw bytes, each write's text in whole. A write that fails, or
+    a stdout that the process started without, ends the command with
+    `cannot write PATH: REASON`. A failed command removes a file it created,
+    and leaves an existing one as it was unless it began writing."""
     name, fd, created = path or "<stdout>", None, False
+    if path is None and sys.stdout is None:  # fd 1 was closed when the process started
+        raise ValueError(f"cannot write <stdout>: {OSError(EBADF, os.strerror(EBADF))}")
     if path is not None:
         try:
             try:
@@ -155,7 +168,7 @@ def _output(path: str | None):
 
     try:
         try:
-            yield SimpleNamespace(write=write)
+            yield write
         finally:
             if fd is not None:
                 os.close(fd)
@@ -184,23 +197,23 @@ def cmd_clone(args) -> int:
         sigma1 = _parse_permutation(args.sigma1, seed.n)
         sigma2 = _parse_permutation(args.sigma2, seed.n)
 
-    with _output(args.output) as out:
+    with _output(args.output) as write:
         if args.avoid_fixed_points:
             result, eff1, eff2 = clone_sbox_avoiding_fixed_points(
                 seed, sigma1, sigma2, max_attempts=args.max_attempts)
         else:
             result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
-        out.write(serialize_sbox(result))
-    print(f"sigma1={_sigma_text(eff1, ',')}", file=sys.stderr)
-    print(f"sigma2={_sigma_text(eff2, ',')}", file=sys.stderr)
+        write(serialize_sbox(result))
+    _note(f"sigma1={_sigma_text(eff1, ',')}")
+    _note(f"sigma2={_sigma_text(eff2, ',')}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     report = analyze(load_sbox(args.sbox))
     render = render_report_json if args.format == "json" else render_report_text
-    with _output(None) as out:
-        out.write(render(report))
+    with _output(None) as write:
+        write(render(report))
     return EXIT_OK
 
 
@@ -208,8 +221,8 @@ def cmd_derive(args) -> int:
     if not 2 <= args.n <= 16:
         raise UsageError("--n must be in [2, 16]")
     sigma1, sigma2 = key_to_permutations(_parse_key(args.key), args.n)
-    with _output(None) as out:
-        out.write(f"sigma1={_sigma_text(sigma1, ',')}\nsigma2={_sigma_text(sigma2, ',')}\n")
+    with _output(None) as write:
+        write(f"sigma1={_sigma_text(sigma1, ',')}\nsigma2={_sigma_text(sigma2, ',')}\n")
     return EXIT_OK
 
 
@@ -276,8 +289,8 @@ def _process_pool(**kwargs):
     every CLI call about 20 ms, and only a sweep long enough to pool needs it.
 
     Any exception that leaves it, Ctrl-C or a failed write, stops its
-    workers at once. Leaving the pool would wait for the batches they hold:
-    at n = 16 a 256-row --check-invariance batch takes about 4 minutes.
+    workers at once. Leaving the pool would wait for every batch in flight,
+    up to two per worker.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import active_children
@@ -302,30 +315,6 @@ def _pooled_rows(pool, batches, depth: int):
         yield future.result()
 
 
-def _timed_rows(pairs, count: int, most: int) -> tuple[list, float]:
-    """The results of the first rows of a sweep of `count`, each run here as a
-    batch of one pair, and the least time one took (inf with no rows).
-
-    The seed's invariants have built the width's plan and cached the seed's
-    criteria. The timed rows still decode and lift their sigma2, which the
-    rank cache does not hold yet, so under --all, where later rows find both
-    ranks cached, they take about twice the steady row time. That moves no
-    worker count with 2 CPUs at n = 5 or 6, whose sweeps repay two workers
-    by far, nor at n = 4, which stays serial; it only makes the batches
-    that _BATCH_SECONDS sizes shorter than they need be. Up to `most` rows
-    run; they stop once `count` rows at the least time would not repay two
-    workers, since more rows could only lower it.
-    """
-    results, best = [], float("inf")
-    for pair in islice(pairs, most):
-        began = perf_counter()
-        results.append(_enumerate_rows((pair,)))
-        best = min(best, perf_counter() - began)
-        if count * best < 2 * POOL_START:
-            break
-    return results, best
-
-
 def cmd_enumerate(args) -> int:
     seed = load_sbox(args.seed)
     _check_clone(seed)
@@ -343,38 +332,50 @@ def cmd_enumerate(args) -> int:
         rng = random.Random(0 if args.rng_seed is None else args.rng_seed)
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
-    cap = min(_thread_cap(), os.cpu_count() or 1, count)
+    cap = min(_thread_cap(), _cpus(), count)
 
     head = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
             + (",invariance\n" if args.check_invariance else "\n"))
     digests, passes = set(), 0
-    with _output(args.out) as out, ExitStack() as stack:
+    with _output(args.out) as write, ExitStack() as stack:
         sweep = (seed.table, _invariants(seed) if args.check_invariance else None)
         _init_sweep(*sweep)
-        # One timed row sizes a serial sweep's batches; up to four decide the pool.
-        timed, seconds = _timed_rows(pairs, count, 4 if cap > 1 else 1)
-        workers = min(cap, count - len(timed), int(count * seconds / POOL_START)) if cap > 1 else 1
-        rows = min(_CHUNK_ROWS, int(_BATCH_SECONDS / seconds))
-        size = max(1, min(rows, count // (workers * 4)) if workers > 1 else rows)
-        batches = iter(lambda: list(islice(pairs, size)), [])
-        if workers > 1:
-            pool = stack.enter_context(_process_pool(
-                max_workers=workers, initializer=_init_worker, initargs=sweep))
-            results = _pooled_rows(pool, batches, 2 * workers)
-        else:
-            results = map(_enumerate_rows, batches)
-        # The header goes out with the first batch, so an existing --out file
-        # stays as it was until rows are ready.
-        for text, batch_digests, batch_passes in chain(timed, results):
-            out.write(head + text)
+
+        def results():
+            # The first rows run one at a time, each a batch of one, and are
+            # timed; their least time sizes the later batches and, by
+            # POOL_START, decides the workers for the rows left.
+            times = []
+            for pair in islice(pairs, 4):
+                began = perf_counter()
+                result = _enumerate_rows((pair,))
+                times.append(perf_counter() - began)
+                yield result
+            least = min(times, default=_BATCH_SECONDS)  # no rows: nothing left to size
+            workers = min(cap, count - len(times), int(count * least / POOL_START))
+            size = int(_BATCH_SECONDS / least)
+            if workers > 1:
+                size = min(size, count // (4 * workers))
+            batches = iter(lambda: list(islice(pairs, max(1, size))), [])
+            if workers > 1:
+                pool = stack.enter_context(_process_pool(
+                    max_workers=workers, initializer=_init_worker, initargs=sweep))
+                yield from _pooled_rows(pool, batches, 2 * workers)
+            else:
+                yield from map(_enumerate_rows, batches)
+
+        # Each result is written as it comes, the header with the first, so
+        # an existing --out file stays as it was until rows are ready.
+        for text, batch_digests, batch_passes in results():
+            write(head + text)
             head = ""
             digests.update(batch_digests)
             passes += batch_passes
         if head:  # no rows
-            out.write(head)
+            write(head)
 
     checked = f" invariance_pass={passes}" if args.check_invariance else ""
-    print(f"rows={count} distinct={len(digests)}{checked}", file=sys.stderr)
+    _note(f"rows={count} distinct={len(digests)}{checked}")
     return EXIT_INVARIANCE if args.check_invariance and passes < count else EXIT_OK
 
 
@@ -382,7 +383,7 @@ def cmd_verify(args) -> int:
     seed = load_sbox(args.seed)
     clone = load_sbox(args.clone)
     if seed.n != clone.n:
-        print(f"width mismatch: {seed.n} vs {clone.n}", file=sys.stderr)
+        _note(f"width mismatch: {seed.n} vs {clone.n}")
         return EXIT_WIDTH
     differences = _differences(_invariants(seed), _invariants(clone), seed.n)
     differing = {d.partition(".")[0] for d in differences}
@@ -390,8 +391,8 @@ def cmd_verify(args) -> int:
              for name in ("bijective",) + CRITERIA]
     lines.append(f"result: mismatch\ndifferences: {' '.join(differences)}\n" if differences
                  else "result: match\n")
-    with _output(None) as out:
-        out.write("".join(lines))
+    with _output(None) as write:
+        write("".join(lines))
     return EXIT_MISMATCH if differences else EXIT_OK
 
 
@@ -535,8 +536,8 @@ def _argparse(argv: list) -> SimpleNamespace:
 
 
 def _show_help(args) -> int:
-    with _output(None) as out:
-        out.write(args.help)
+    with _output(None) as write:
+        write(args.help)
     return EXIT_OK
 
 
@@ -571,10 +572,10 @@ def main(argv=None) -> int:
                 raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
         return args.func(args)
     except (UsageError, RemovalExhausted, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return next(code for kind, code in _FAILURES if isinstance(exc, kind))
     except KeyboardInterrupt:  # an -o/--out file the run created is already removed
-        print("error: interrupted", file=sys.stderr)
+        _note("error: interrupted")
         return EXIT_INTERRUPTED
 
 

@@ -223,28 +223,38 @@ def test_failing_command_keeps_a_file_that_appeared_before_the_open(seed4_file, 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 513])
 def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, monkeypatch):
-    # A serial sweep times its first row alone, a batch of one, and makes
-    # the rest in batches of 256 pairs (a 0.25 s batch holds far more n = 4
-    # rows); each batch goes out in one write, the header with the first, on
-    # stdout and to --out, as the bytes of one row after another.
+    # A sweep runs its first four rows alone, writing each before the next
+    # one runs, the header with the first. A stubbed clock makes them take
+    # 3t, t, 2t and t, t = 0.25 / 252.5 s, so the rest go out in batches of
+    # int(0.25 / t) = 252 pairs: one write each, on stdout and to --out, as
+    # the bytes of one row after another.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    t = 0.25 / 252.5
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
     cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
               "fixed_points,reverse_fixed_points,invariance\n")
-    batches = [cli._enumerate_rows(pairs[i:i + 256])[0].encode() for i in range(1, rows, 256)]
-    batches[:0] = [cli._enumerate_rows(pairs[:1])[0].encode()]
+    bounds = [0, 1, 2, 3, *range(4, rows, 252), rows]
+    batches = [cli._enumerate_rows(pairs[a:b])[0].encode() for a, b in zip(bounds, bounds[1:])]
     batches[0] = header.encode() + batches[0]
     argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == b"".join(batches).decode()
-    real, writes = os.write, []
-    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(bytes(data)) or real(fd, data))
-    out = tmp_path / "sweep.csv"
-    assert main([*argv, "--out", str(out)]) == 0
-    assert writes == batches
-    assert out.read_bytes() == b"".join(batches)
+    real, rows_of, events = os.write, cli._enumerate_rows, []
+    monkeypatch.setattr(os, "write", lambda fd, data: events.append(bytes(data)) or real(fd, data))
+    monkeypatch.setattr(cli, "_enumerate_rows",
+                        lambda batch: events.append(len(batch)) or rows_of(batch))
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    for out in (None, tmp_path / "sweep.csv"):
+        clock = iter([0, 3 * t, 0, t, 0, 2 * t, 0, t])
+        events.clear()
+        assert main(argv + (["--out", str(out)] if out else [])) == 0
+        assert next(clock, "spent") == "spent"
+        if out:
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            assert events == [e for pair in zip(sizes, batches) for e in pair]
+            assert out.read_bytes() == b"".join(batches)
+        else:
+            assert capsys.readouterr().out == b"".join(batches).decode()
 
 
 def test_enumerate_rows_joins_what_each_row_gives():
@@ -393,6 +403,46 @@ def test_failed_stdout_write_is_one_line(argv, seed4_file, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: cannot write <stdout>: [Errno 32] Broken pipe\n"
 
 
+def _run_with_closed_fd(fd, argv, env):
+    """`python -m sboxforge argv...` started with file descriptor `fd` closed."""
+    return subprocess.run([sys.executable, "-m", "sboxforge", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=lambda: os.close(fd))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before the child starts")
+@pytest.mark.parametrize("argv", [
+    ["derive", "--key", "00", "--n", "4"],
+    ["clone", "s", "--key", "01"],
+    ["enumerate", "s", "--sample", "3"],
+])
+def test_closed_stdout_is_a_failed_write(argv, seed4_file, child_env):
+    # Started without fd 1, the interpreter has no sys.stdout: the command
+    # fails as a write to stdout fails, in one line with exit 1.
+    result = _run_with_closed_fd(1, [seed4_file if a == "s" else a for a in argv], child_env)
+    assert (result.returncode, result.stderr) == (
+        1, "error: cannot write <stdout>: [Errno 9] Bad file descriptor\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before the child starts")
+def test_closed_stderr_keeps_diagnostics_off_stdout(seed4_file, tmp_path, child_env):
+    # Started without fd 2, the interpreter has no sys.stderr, and print
+    # would write a diagnostic to stdout instead: none goes there.
+    clone = _run_with_closed_fd(2, ["clone", seed4_file, "--key", "01"], child_env)
+    assert (clone.returncode, clone.stdout) == (0, cli.serialize_sbox(
+        clone_sbox(SBox.from_table(SEED4), *cli.key_to_permutations(b"\x01", 4))))
+    sweep = _run_with_closed_fd(2, ["enumerate", seed4_file, "--sample", "2"], child_env)
+    assert (sweep.returncode, sweep.stdout.count("\n")) == (0, 3)
+    assert "rows=" not in sweep.stdout
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text(serialize_sbox(SBox.from_table([1, 0, 3, 2])))
+    for argv, code in ((["derive", "--key", "zz", "--n", "4"], 1),
+                       (["enumerate", seed4_file, "--all", "--rng-seed", "1"], 64),
+                       (["verify", seed4_file, str(tmp_path / "missing")], 1),
+                       (["verify", seed4_file, str(narrow)], 6)):
+        failed = _run_with_closed_fd(2, argv, child_env)
+        assert (failed.returncode, failed.stdout) == (code, "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
 def test_failed_output_write_is_one_line(seed4_file, capsys):
     # /dev/full opens, and every write to it fails with ENOSPC.
@@ -420,7 +470,7 @@ def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(os, "write", full_once_pooled)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     argv = ["enumerate", str(seed), "--sample", "800", "--check-invariance", "--out", str(out)]
     assert main(argv) == 1
@@ -718,7 +768,7 @@ def test_enumerate_all_rows_match_oracle(sweeps, capsys, monkeypatch, serial_poo
     assert main(argv) == 0
     assert capsys.readouterr() == expected
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     assert main(argv) == 0
     assert serial_pool.started == [2]
@@ -733,7 +783,7 @@ def test_enumerate_all_rows_match_oracle_on_two_workers(sweeps, capsys, monkeypa
         started.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
     monkeypatch.setattr(cli, "_process_pool", spy_pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
     assert started == [2]
@@ -885,7 +935,7 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
         return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
     monkeypatch.setattr(cli, "_process_pool", spy_pool)
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     main(["enumerate", seed4_file, "--sample", "8", "--rng-seed", "11",
           "--check-invariance"])
@@ -934,17 +984,34 @@ def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypa
     monkeypatch.setattr(cli, "POOL_START", 1e-12)  # the row-time estimate never binds
     monkeypatch.setenv("SBOXFORGE_THREADS", "64")
     # Four of the seven rows are timed before the pool starts, leaving three.
-    for cpus, expected in ((8, 3), (2, 2), (None, None)):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    for cpus, expected in ((8, 3), (2, 2), (1, None)):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         serial_pool.started.clear()
         assert main(["enumerate", seed4_file, "--sample", "7"]) == 0
         assert serial_pool.started == ([expected] if expected else [])
     assert capsys.readouterr().out.count("\n") == 3 * 8
 
 
+def test_enumerate_one_usable_cpu_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
+    # The CPUs counted are those the process may run on, not the machine's.
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "8")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._cpus() == 1
+    assert main(["enumerate", seed4_file, "--sample", "100"]) == 0
+    assert serial_pool.started == []
+    assert "rows=100 distinct=" in capsys.readouterr().err
+    # Where the platform has no affinity mask, every CPU counts, and at least one.
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._cpus() == 8
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._cpus() == 1
+
+
 def test_enumerate_short_sweep_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
     monkeypatch.setenv("SBOXFORGE_THREADS", "64")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_cpus", lambda: 8)
     assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 0
     assert serial_pool.started == []
     assert "rows=3 distinct=3 invariance_pass=3" in capsys.readouterr().err
@@ -957,10 +1024,11 @@ def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, 
     serial = capsys.readouterr()
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     assert main(argv) == 0
     assert capsys.readouterr() == serial
-    # 600 rows in tasks of 600 // (2 * 4) = 75: eight tasks, at most four in flight.
+    # 596 rows after the timed four, in tasks of 600 // (2 * 4) = 75: eight
+    # tasks, at most four in flight.
     assert serial_pool.started == [2]
     assert len(serial_pool.in_flight) == 8
     assert max(serial_pool.in_flight) == 4
@@ -968,12 +1036,12 @@ def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, 
 
 def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch, serial_pool):
     # After the seed's invariants have built the width's plan and cached its
-    # criteria, the sweep's first rows run here, each a batch of one, and are
-    # timed, up to four; a stubbed clock makes them take 4, 3, 5 and 4 s. A
-    # sweep of R rows gets R * (least time) / POOL_START workers, within the
-    # cap and the rows left, fewer than two meaning serial, and the timed rows
-    # stop once that is fewer than two. The rows left go out in batches, and
-    # the output is the serial output.
+    # criteria, the sweep's first rows run here, each a batch of one, and
+    # are timed: four, or all of a shorter sweep, however many workers the
+    # cap allows. A stubbed clock makes them take 4, 3, 5 and 4 s. A sweep
+    # of R rows gets R * (least time) / POOL_START workers, within the cap
+    # and the rows left, fewer than two meaning serial. The rows left go out
+    # in batches, and the output is the serial output.
     events = []
     rows_of = cli._enumerate_rows
 
@@ -990,27 +1058,27 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
     monkeypatch.setattr(cli, "perf_counter", logged_clock)
     monkeypatch.setattr(cli, "POOL_START", 6.0)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_cpus", lambda: 8)
     timed = ["clock", 1, "invariants", "clock"]
-    for rows, workers, runs in ((2, None, 1), (3, None, 2), (5, None, 4), (6, 2, 4),
-                                (10, 5, 4), (100, 8, 4)):
+    for rows, workers in ((2, None), (3, None), (5, None), (6, 2), (10, 5), (100, 8)):
         argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
-        monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-        clock = iter([0, 4])  # a serial sweep times its first row only
-        assert main(argv) == 0
-        assert next(clock, "spent") == "spent"
-        serial = capsys.readouterr()
-        monkeypatch.setenv("SBOXFORGE_THREADS", "8")
-        events.clear()
-        serial_pool.started.clear()
-        clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
-        assert main(argv) == 0
-        assert events[:1 + 4 * runs] == ["invariants"] + timed * runs
-        sizes = [e for e in events[1 + 4 * runs:] if e != "invariants"]
-        assert sum(sizes) == rows - runs
-        assert events[1 + 4 * runs:] == [e for k in sizes for e in [k] + ["invariants"] * k]
-        assert serial_pool.started == ([workers] if workers else [])
-        assert capsys.readouterr() == serial
+        runs, outputs = min(4, rows), []
+        for threads in (None, "8"):
+            if threads:
+                monkeypatch.setenv("SBOXFORGE_THREADS", threads)
+            else:
+                monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+            events.clear()
+            serial_pool.started.clear()
+            clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
+            assert main(argv) == 0
+            assert events[:1 + 4 * runs] == ["invariants"] + timed * runs
+            sizes = [e for e in events[1 + 4 * runs:] if e != "invariants"]
+            assert sum(sizes) == rows - runs
+            assert events[1 + 4 * runs:] == [e for k in sizes for e in [k] + ["invariants"] * k]
+            assert serial_pool.started == ([workers] if threads and workers else [])
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
     # Without --check-invariance rows build no invariants, and rows timed
     # the same way still decide the pool: 2 workers, tasks of one pair.
     events.clear()
@@ -1021,28 +1089,49 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     assert serial_pool.started == [2]
 
 
-@pytest.mark.parametrize("threads, timed", [(None, 1), ("2", 4)])
-@pytest.mark.parametrize("seconds, rows", [(0.5, 1), (0.125, 2), (2 ** -9, 128), (2 ** -12, 256)])
-def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, timed, seconds, rows, seed4_file,
+def test_enumerate_slow_first_row_keeps_a_short_sweep_serial(seed4_file, capsys, monkeypatch,
+                                                             serial_pool):
+    # The least of the four timed rows decides, not the first: a first row
+    # can be cold, as in a forked child. A stubbed clock makes the first row
+    # of the 576-row --all sweep take 1 s and the next three 0.1 ms each;
+    # 576 rows of 0.1 ms are less than POOL_START, so two allowed workers
+    # stay unstarted, and the 572 rows left fit one 0.25 s batch.
+    sizes, rows_of = [], cli._enumerate_rows
+    clock = iter([0, 1.0, 0, 1e-4, 0, 1e-4, 0, 1e-4])
+    monkeypatch.setattr(cli, "_enumerate_rows",
+                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    assert main(["enumerate", seed4_file, "--all", "--check-invariance"]) == 0
+    assert serial_pool.started == []
+    assert sizes == [1, 1, 1, 1, 572]
+    assert capsys.readouterr().err == "rows=576 distinct=576 invariance_pass=576\n"
+
+
+@pytest.mark.parametrize("threads, cpus", [(None, 1), ("2", 4)])
+@pytest.mark.parametrize("seconds, rows", [(0.5, 1), (0.125, 2), (2 ** -9, 128), (2 ** -12, 1024)])
+def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, cpus, seconds, rows, seed4_file,
                                                          capsys, monkeypatch, serial_pool):
     # A sweep finds a closed reader only when it writes, once a batch, so no
-    # batch holds more rows than take 0.25 s at the timed rows' least time
-    # (a stubbed clock gives each the same), nor more than 256; a pool's
-    # tasks also stay within a quarter of each worker's share, 600 // 8.
+    # batch after the four timed rows holds more rows than take 0.25 s at
+    # their least time (a stubbed clock gives each the same), and none fewer
+    # than one; a pool's tasks also stay within a quarter of each worker's
+    # share, 600 // 8.
     sizes, rows_of, clock = [], cli._enumerate_rows, iter([0.0, seconds] * 4)
     monkeypatch.setattr(cli, "_enumerate_rows",
                         lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     if threads:
         monkeypatch.setenv("SBOXFORGE_THREADS", threads)
     else:
         monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     assert main(["enumerate", seed4_file, "--sample", "600"]) == 0
     size = min(rows, 600 // 8) if threads else rows
-    assert sizes[:timed] == [1] * timed and sum(sizes) == 600
-    assert sizes[timed:-1] == [size] * (len(sizes) - timed - 1) and sizes[-1] <= size
+    assert sizes[:4] == [1] * 4 and sum(sizes) == 600
+    assert sizes[4:-1] == [size] * (len(sizes) - 5) and sizes[-1] <= size
     assert serial_pool.started == ([2] if threads else [])
 
 

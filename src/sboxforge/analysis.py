@@ -4,9 +4,11 @@ Covers the four criteria preserved by the clone transform: bijectivity,
 nonlinearity of the coordinate functions, the avalanche behaviour of
 single-bit input flips (dependence matrix), and the independence of
 output-bit pairs (nonlinearity and avalanche of f_j xor f_k). Each
-coordinate function f_j is one 2**n-bit int (bit x = f_j(x)): avalanche
-counts are popcounts of derivative bitsets, and nonlinearity runs a Walsh
-butterfly on packed lanes of n + 2 bits, its first three stages read from a
+coordinate function f_j is one 2**n-bit int (bit x = f_j(x)), read off
+core's bit-matrix transpose of the table, or handed in by a sweep that
+transposed a whole batch of tables at once. Avalanche counts are popcounts
+of derivative bitsets, and nonlinearity runs a Walsh butterfly on packed
+lanes of n + 2 bits, its first three stages read from a
 256-entry table built per width on first use, kept as one bytes.translate
 column per byte of an entry, so that a batch's bytes are read a column at a
 time. The functions measured together are laid out block-major, one int per
@@ -25,7 +27,7 @@ from functools import lru_cache
 from operator import add, mul, sub, xor
 from types import SimpleNamespace
 
-from .core import FixedPointReport, SBox, _DIGITS, _Record, _coordinates, _repeat, _width, find_fixed_points
+from .core import FixedPointReport, SBox, _Record, _coordinates, _fixed_points, _planes, _repeat, _width
 
 
 class BooleanFunctionTable(_Record):
@@ -244,7 +246,7 @@ def _measure(functions, n: int) -> list[int]:
 
 def _bitset(f: BooleanFunctionTable) -> int:
     """The truth table as one int: bit x is f(x)."""
-    return int(bytes(f.values[::-1]).translate(_DIGITS[0]), 2)
+    return int(bytes(f.values[::-1]).hex()[1::2], 2)  # bytes 0 and 1 in hex are 00 and 01
 
 
 def _derivatives(coordinates: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
@@ -332,13 +334,13 @@ def analyze(s: SBox) -> AnalysisReport:
     2**n samples, so sac.sd is half the population standard deviation of
     the entries.
     """
-    n = s.n
-    bijective, nl, sac, bic_nl, bic_sac = _invariants(s)
+    n, coordinates = s.n, _coordinates(s)
+    bijective, nl, sac, bic_nl, bic_sac = _invariants(s.table, coordinates)
     pairs = n * (n - 1) >> 1
     return AnalysisReport(
         n=n,
         bijective=bijective,
-        fixed_points=find_fixed_points(s),
+        fixed_points=_fixed_points(coordinates, n),
         nl=_population_stats(nl, n),
         nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
         sac=_population_stats(sac, n * n, 1 << n, sd_divisor=2),
@@ -347,8 +349,10 @@ def analyze(s: SBox) -> AnalysisReport:
     )
 
 
-def _invariants(s: SBox) -> tuple:
-    """Bijectivity, then (sum, sum of squares, min, max) of each criterion's counts.
+def _invariants(table, coordinates: tuple[int, ...] | None = None) -> tuple:
+    """Bijectivity, then (sum, sum of squares, min, max) of each criterion's
+    counts, of the s-box `table`; a caller that holds its coordinate bitsets
+    passes them as `coordinates`.
 
     Of two s-boxes of one width, equal invariants mean reports equal in
     every field but the fixed points: each statistic is a function of these
@@ -357,7 +361,9 @@ def _invariants(s: SBox) -> tuple:
     sweep compares these, with no Fraction or float, instead of reports,
     and verify names the fields that differ from them (_differences).
     """
-    return (s.is_bijective(), *_criteria(tuple(sorted(_coordinates(s))), s.n))
+    n = len(table).bit_length() - 1
+    coordinates = coordinates or _planes([table], n)[0]
+    return (len(set(table)) == len(table), *_criteria(tuple(sorted(coordinates)), n))
 
 
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:

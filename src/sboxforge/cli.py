@@ -14,7 +14,8 @@ import os
 import random
 import re
 import sys
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 from contextlib import ExitStack, contextmanager
 from errno import EBADF
 from functools import lru_cache, partial
@@ -31,14 +32,14 @@ from .core import (
     RemovalExhausted,
     SBox,
     _check_clone,
-    _clone,
     _lift,
+    _masks,
+    _planes,
     clone_sbox,
     clone_sbox_avoiding_fixed_points,
-    find_fixed_points,
 )
 from .formats import (
-    fingerprint,
+    _fingerprint,
     load_sbox,
     render_report_json,
     render_report_text,
@@ -229,10 +230,11 @@ def cmd_derive(args) -> int:
 _sweep = None  # (seed, the seed's invariants or None, rank cache) of the running sweep
 
 
-def _rank(index: int, n: int) -> tuple[str, list[int]]:
-    """The index-th permutation of range(n) as CSV text, and its lifted table."""
+def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
+    """The index-th permutation of range(n) as CSV text, and its lifted table, as bytes at n <= 8."""
     sigma = lehmer_decode(index, n)
-    return _sigma_text(sigma, " "), _lift(sigma.images)
+    lift = _lift(sigma.images)
+    return _sigma_text(sigma, " "), bytes(lift) if n <= 8 else lift
 
 
 def _init_sweep(table, seed_invariants) -> None:
@@ -249,10 +251,19 @@ def _init_sweep(table, seed_invariants) -> None:
 
 
 def _init_worker(table, seed_invariants) -> None:
-    """_init_sweep in a pool worker, which leaves Ctrl-C to the parent and so prints nothing."""
+    """_init_sweep in a pool worker, which leaves Ctrl-C to the parent and so
+    prints nothing, and which exits as soon as its parent has gone, however
+    that ended: otherwise a killed parent's workers live on, holding the
+    caller's stderr."""
     import signal  # here: the CLI's import and its serial runs do not need it
+    from multiprocessing import parent_process
+    from threading import Thread
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = parent_process()
+    if parent is not None:  # None where the caller is no child process
+        # Nothing is written to the sentinel: a read returns b"" once the parent has gone.
+        Thread(target=lambda: os.read(parent.sentinel, 1) or os._exit(1), daemon=True).start()
     _init_sweep(table, seed_invariants)
 
 
@@ -260,25 +271,34 @@ def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
     """The sweep's CSV lines for `pairs`, each ended by "\n", their clones'
     64-bit digests, and how many of them passed the invariance check.
 
-    Both ranks' texts and lifts come from the sweep's rank cache; a row
-    clones the seed by those lifts, unchecked, since the seed was checked
-    bijective once before the sweep, and reads its fixed points, digest and
-    invariants off that clone. It passes when those invariants equal the seed's.
+    Both ranks' texts and lifts come from the sweep's rank cache. A row's
+    clone is the seed gathered by its sigma1's lift and mapped through its
+    sigma2's, unchecked, since the seed was checked bijective once before
+    the sweep; at n <= 8 that is two bytes.translate calls, through the
+    seed's table and the sigma2 lift, each padded to 256 entries. One
+    _planes call, one transpose, gives every clone of the batch its
+    coordinates. A row's digest, fixed-point masks and invariants come from
+    its own table and coordinates: nothing is read off the seed. It passes
+    when those invariants equal the seed's.
     """
     seed, seed_invariants, ranks = _sweep
-    lines, digests, passes = [], [], 0
+    n, heads, clones = seed.n, [], []
+    table = bytes(seed.table).ljust(256, b"\0") if n <= 8 else seed.table
     for k1, k2 in pairs:
         (text1, rows), (text2, out) = ranks(k1), ranks(k2)
-        result = _clone(seed, rows, out)
-        points = find_fixed_points(result)
-        prefix, digest = fingerprint(result)
-        fields = [str(k1), str(k2), text1, text2, prefix, digest,
-                  str(len(points.fixed)), str(len(points.reverse_fixed))]
+        heads.append(f"{k1},{k2},{text1},{text2}")
+        clones.append(rows.translate(table).translate(out.ljust(256, b"\0")) if n <= 8 else
+                      [out[table[r]] for r in rows])
+    lines, digests, passes = [], [], 0
+    for head, clone, planes in zip(heads, clones, _planes(clones, n)):
+        prefix, digest = _fingerprint(clone)
+        fixed, reverse = _masks(planes, n)
+        line = f"{head},{prefix},{digest},{fixed.bit_count()},{reverse.bit_count()}"
         if seed_invariants is not None:
-            passed = _invariants(result) == seed_invariants
+            passed = _invariants(clone, planes) == seed_invariants
             passes += passed
-            fields.append("pass" if passed else "fail")
-        lines.append(",".join(fields) + "\n")
+            line += ",pass" if passed else ",fail"
+        lines.append(line + "\n")
         digests.append(int(digest, 16))
     return "".join(lines), digests, passes
 
@@ -336,9 +356,12 @@ def cmd_enumerate(args) -> int:
 
     head = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
             + (",invariance\n" if args.check_invariance else "\n"))
-    digests, passes = set(), 0
+    # Each 64-bit digest goes in an array("Q") bucket by its top byte, 8 bytes
+    # a row where a set of them all takes about 78; a bucket is made when a
+    # digest first needs it, and each is counted apart at the end.
+    digests, passes = defaultdict(partial(array, "Q")), 0
     with _output(args.out) as write, ExitStack() as stack:
-        sweep = (seed.table, _invariants(seed) if args.check_invariance else None)
+        sweep = (seed.table, _invariants(seed.table) if args.check_invariance else None)
         _init_sweep(*sweep)
 
         def results():
@@ -369,13 +392,14 @@ def cmd_enumerate(args) -> int:
         for text, batch_digests, batch_passes in results():
             write(head + text)
             head = ""
-            digests.update(batch_digests)
+            for digest in batch_digests:
+                digests[digest >> 56].append(digest)
             passes += batch_passes
         if head:  # no rows
             write(head)
 
     checked = f" invariance_pass={passes}" if args.check_invariance else ""
-    _note(f"rows={count} distinct={len(digests)}{checked}")
+    _note(f"rows={count} distinct={sum(len(set(bucket)) for bucket in digests.values())}{checked}")
     return EXIT_INVARIANCE if args.check_invariance and passes < count else EXIT_OK
 
 
@@ -385,7 +409,7 @@ def cmd_verify(args) -> int:
     if seed.n != clone.n:
         _note(f"width mismatch: {seed.n} vs {clone.n}")
         return EXIT_WIDTH
-    differences = _differences(_invariants(seed), _invariants(clone), seed.n)
+    differences = _differences(_invariants(seed.table), _invariants(clone.table), seed.n)
     differing = {d.partition(".")[0] for d in differences}
     lines = [f"{name}: {'differs' if name in differing else 'equal'}\n"
              for name in ("bijective",) + CRITERIA]

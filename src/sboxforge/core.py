@@ -7,14 +7,20 @@ permutation of the 2**n table indices; permuting the bit positions of the
 output rearranges the matrix columns. Applying both produces a "clone"
 s-box that keeps the seed's bijectivity, nonlinearity, avalanche and
 bit-independence statistics while relocating its fixed points.
+
+The matrix's columns, the coordinate bitsets, are read off one bit-matrix
+transpose, made for a whole batch of tables at once (_planes): analysis,
+enumerate's sweep rows and the fixed-point removal walk all read them
+there. A table's fixed and reverse fixed points are two masks over its
+coordinate bitsets (_masks).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import reduce
-from itertools import permutations
+from functools import lru_cache, reduce
+from itertools import accumulate, permutations
 from math import factorial
 from operator import and_, xor
 
@@ -208,10 +214,6 @@ def _clone(seed: SBox, rows: list[int], out: list[int]) -> SBox:
     return SBox._trusted(seed.n, tuple([out[table[r]] for r in rows]))
 
 
-_DIGITS = [bytes.maketrans(bytes(range(256)), bytes(48 | v >> j & 1 for v in range(256)))
-           for j in range(8)]  # byte -> b"0"/b"1" by its bit j
-
-
 def _repeat(pattern: int, period: int, total: int) -> int:
     """Tile `pattern`, one period wide, across `total` bits."""
     while period < total:
@@ -220,24 +222,84 @@ def _repeat(pattern: int, period: int, total: int) -> int:
     return pattern & (1 << total) - 1  # the doubling may pass `total`
 
 
+# Three delta swaps transpose each 64-bit word of an int, read as an 8 x 8
+# bit matrix with byte i its row i: bit j of byte i trades places with bit i
+# of byte j. Each mask is kept as its eight bytes, to be repeated once per word.
+_SWAPS = [(shift, mask.to_bytes(8, "little"))
+          for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The identity table's planes I_k, bit x set when bit k of x is, and
+    their complements within 2**n bits: built once per width, and read by
+    _masks and the removal walk."""
+    planes = tuple([_repeat((1 << h) - 1 << h, h << 1, 1 << n) for h in (1 << k for k in range(n))])
+    return planes, tuple([(1 << (1 << n)) - 1 ^ p for p in planes])
+
+
+def _planes(tables: list, n: int) -> list[tuple[int, ...]]:
+    """The coordinate bitsets C_k of each table of width n, bit x of C_k
+    being bit k of entry x.
+
+    One transpose serves the whole batch. The entries' bytes are joined
+    into one int, and each 64-bit word of it is transposed (_SWAPS), so that
+    byte j of a word holds bit j of the word's eight entries: the bytes j,
+    j + 8, j + 16, ... are plane j of every table in turn, and a table's
+    C_j is its stretch of them. At n > 8 the entries' low and high bytes are
+    transposed apart, giving planes 0-7 and 8 on; an n = 2 table is padded
+    with four zero entries, to fill a byte of each plane. A table may be
+    bytes at n <= 8, or any sequence of ints.
+    """
+    pad = bytes(-(1 << n) % 8)  # four zero entries after each n = 2 table
+    if n > 8:
+        raw, big = b"".join([array("H", table).tobytes() for table in tables]), sys.byteorder == "big"
+    halves = (raw[big::2], raw[not big::2]) if n > 8 else (pad.join(map(bytes, tables)) + pad * bool(tables),)
+    planes = []
+    for half in halves:
+        x = int.from_bytes(half, "little")
+        for shift, mask in _SWAPS:
+            swap = (x ^ x >> shift) & int.from_bytes(mask * (len(half) >> 3), "little")
+            x ^= swap ^ swap << shift
+        words = x.to_bytes(len(half), "little")
+        planes += [words[j::8] for j in range(8)]
+    size = max(1 << n >> 3, 1)  # bytes of a plane per table
+    return list(zip(*[[int.from_bytes(plane[i:i + size], "little") for i in range(0, len(plane), size)]
+                      for plane in planes[:n]]))
+
+
+def _masks(coordinates: tuple[int, ...], n: int) -> tuple[int, int]:
+    """The masks of the fixed and reverse fixed points of the width-n table
+    whose coordinate bitsets are `coordinates`.
+
+    x is a fixed point when C_k(x) = I_k(x) for every k (_identity), and a
+    reverse fixed point when C_k(x) differs from I_k(x) for every k: the
+    masks are AND_k (~C_k ^ I_k) and AND_k (C_k ^ I_k), the test that the
+    removal walk makes of each attempt.
+    """
+    identity, flipped = _identity(n)
+    return reduce(and_, map(xor, coordinates, flipped)), reduce(and_, map(xor, coordinates, identity))
+
+
 def _coordinates(s: SBox) -> tuple[int, ...]:
-    """The n coordinate bitsets of `s`: bit x of entry j is bit j of s[x]."""
-    lanes = array("H", s.table[::-1])
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    raw = lanes.tobytes()
-    planes = (raw[::2], raw[1::2])
-    return tuple(int(planes[j >> 3].translate(_DIGITS[j & 7]), 2) for j in range(s.n))
+    """The n coordinate bitsets of `s`, bit x of entry j being bit j of s[x]:
+    _planes of a batch of one."""
+    return _planes([s.table], s.n)[0]
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:
-    top, fixed, reverse = len(s) - 1, [], []
-    for i, v in enumerate(s.table):
-        if v == i:
-            fixed.append(i)
-        elif v == top - i:  # never both: top is odd, so i != top - i
-            reverse.append(i)
-    return FixedPointReport(frozenset(fixed), frozenset(reverse))
+    """Indices i with s[i] = i (fixed) or s[i] = 2**n - 1 - i (reverse fixed)."""
+    return _fixed_points(_coordinates(s), s.n)
+
+
+def _fixed_points(coordinates: tuple[int, ...], n: int) -> FixedPointReport:
+    """find_fixed_points of the width-n table whose coordinate bitsets are
+    `coordinates`: the set bits of its two _masks. Split at its 1s, a mask's
+    binary text, bit 0 first, leaves the runs of 0s between them, so each 1
+    is at the running sum of the runs and 1s before it: no step runs per entry."""
+    return FixedPointReport(*[frozenset(accumulate(map(len, f"{mask:b}"[::-1].split("1")[:-1]),
+                                                   lambda at, run: at + run + 1))
+                              for mask in _masks(coordinates, n)])
 
 
 def clone_sbox_avoiding_fixed_points(
@@ -293,7 +355,7 @@ def clone_sbox_avoiding_fixed_points(
     for j, f in enumerate(_coordinates(seed)):
         planes[sigma1.images[sigma2.images[j]]] = f
     flipped = [full ^ b for b in planes]
-    identity = [_repeat((1 << h) - 1 << h, h << 1, size) for h in (1 << k for k in range(n))]
+    identity = _identity(n)[0]
     for _, moved in zip(range(budget), permutations(identity)):  # moved[k] = I_pi[k]
         if not reduce(and_, map(xor, flipped, moved)) and not reduce(and_, map(xor, planes, moved)):
             pi = tuple(map(identity.index, moved))

@@ -133,16 +133,21 @@ def serialize_sbox(s: SBox) -> str:
 
 
 @lru_cache(maxsize=None)
-def _decimals(n: int) -> list[str]:
-    """str(v) for every entry value v of width n, built on first use."""
-    return list(map(str, range(1 << n)))
+def _decimals(size: int) -> list[str]:
+    """str(v) for every entry value v of a table of `size` entries, built on first use."""
+    return list(map(str, range(size)))
 
 
 def fingerprint(s: SBox) -> tuple[str, str]:
     """(first eight entries, 16-hex-digit table hash) for compact listings."""
-    cells = list(map(_decimals(s.n).__getitem__, s.table))
-    digest = sha256(" ".join(cells).encode()).hexdigest()[:16]
-    return " ".join(cells[:8]), digest
+    return _fingerprint(s.table)
+
+
+def _fingerprint(table) -> tuple[str, str]:
+    """fingerprint of the s-box `table`: the hash is the first 16 hex digits
+    of the SHA-256 of its entries in decimal, joined by spaces."""
+    cells = list(map(_decimals(len(table)).__getitem__, table))
+    return " ".join(cells[:8]), sha256(" ".join(cells).encode()).hexdigest()[:16]
 
 
 def format_decimal(value) -> str:

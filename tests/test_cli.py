@@ -232,7 +232,7 @@ def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, mo
     t = 0.25 / 252.5
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
-    cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
+    cli._init_sweep(SEED4, analysis._invariants(SEED4))
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
               "fixed_points,reverse_fixed_points,invariance\n")
     bounds = [0, 1, 2, 3, *range(4, rows, 252), rows]
@@ -262,7 +262,7 @@ def test_enumerate_rows_joins_what_each_row_gives():
     # columns, and its pass count their "pass" cells; no pairs give nothing.
     rng = random.Random(3)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(40)]
-    cli._init_sweep(SEED4, analysis._invariants(SBox.from_table(SEED4)))
+    cli._init_sweep(SEED4, analysis._invariants(SEED4))
     text, digests, passes = cli._enumerate_rows(pairs)
     singles = [cli._enumerate_rows([pair]) for pair in pairs]
     assert text == "".join(single[0] for single in singles) and text.count("\n") == 40
@@ -271,6 +271,40 @@ def test_enumerate_rows_joins_what_each_row_gives():
     assert cli._enumerate_rows([]) == ("", [], 0)
     cli._init_sweep(SEED4, None)
     assert cli._enumerate_rows(pairs[:3])[2] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 16])
+def test_enumerate_rows_fields_are_each_clones_own(n):
+    # Every field of a row is what the library gives its own clone:
+    # clone_sbox of the pair's permutations, then find_fixed_points,
+    # fingerprint and _invariants. n = 2 puts two tables in a byte of each
+    # plane, n = 9 is the first width of 2-byte entries. The rows are the
+    # same whether the pairs come as one batch or one at a time. At n = 16
+    # both pairs keep sigma1 the identity, so their clones share the seed's
+    # cached criteria.
+    rng = random.Random(n)
+    table, fact = random_bijective(rng, n), factorial(n)
+    seed = SBox.from_table(table)
+    invariants = analysis._invariants(table)
+    pairs = [(0 if n == 16 else rng.randrange(fact), rng.randrange(fact))
+             for _ in range(2 if n == 16 else 12)]
+    cli._init_sweep(table, invariants)
+    text, digests, passes = cli._enumerate_rows(pairs)
+    singles = [cli._enumerate_rows([pair]) for pair in pairs]
+    assert text == "".join(single[0] for single in singles)
+    assert digests == [d for single in singles for d in single[1]]
+    assert passes == sum(single[2] for single in singles) == len(pairs)
+    for (k1, k2), line, digest in zip(pairs, text.splitlines(), digests):
+        sigma1, sigma2 = lehmer_decode(k1, n), lehmer_decode(k2, n)
+        clone = clone_sbox(seed, sigma1, sigma2)
+        points = find_fixed_points(clone)
+        prefix, hash64 = fingerprint(clone)
+        passed = analysis._invariants(clone.table) == invariants
+        assert line.split(",") == [
+            str(k1), str(k2), " ".join(map(str, sigma1.images)), " ".join(map(str, sigma2.images)),
+            prefix, hash64, str(len(points.fixed)), str(len(points.reverse_fixed)),
+            "pass" if passed else "fail"]
+        assert digest == int(hash64, 16)
 
 
 def test_output_onto_a_dangling_symlink_is_refused(seed4_file, tmp_path, capsys):
@@ -637,37 +671,48 @@ def test_enumerate_sample_with_invariance(seed4_file, capsys):
 
 def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
     # The second row's clone is a real table that is no clone of the seed:
-    # the identity, whose coordinate functions are linear (NL 0, not 4).
+    # the identity, whose coordinate functions are linear (NL 0, not 4). It
+    # is put in place of the clone in the batch that _planes transposes, and
+    # every field of its row comes from it: its prefix, digest, 16 fixed
+    # points and failed check.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     made = []
 
-    def second_is_wrong(seed, rows, out):
-        made.append(rows)
-        return SBox.identity(4) if len(made) == 2 else core._clone(seed, rows, out)
+    def second_is_wrong(tables, n):
+        made.append(len(tables))
+        if len(made) == 2:
+            tables[0] = bytes(range(16))
+        return core._planes(tables, n)
 
-    monkeypatch.setattr(cli, "_clone", second_is_wrong)
+    monkeypatch.setattr(cli, "_planes", second_is_wrong)
     assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 4
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
     assert [line.rsplit(",", 1)[1] for line in rows] == ["pass", "fail", "pass"]
-    assert rows[1].split(",")[4] == "0 1 2 3 4 5 6 7"
+    assert rows[1].split(",")[4:] == [*fingerprint(SBox.identity(4)), "16", "0", "fail"]
     assert captured.err.endswith(" invariance_pass=2\n")
 
 
-def test_enumerate_invariance_scans_fixed_points_once_per_row(seed4_file, capsys, monkeypatch):
+def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkeypatch):
+    # A sweep's rows take their coordinates, and with them their fixed
+    # points, from one _planes call per batch: the four timed rows one
+    # each, the six left one call together. find_fixed_points, a transpose
+    # per table, never runs.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    scanned = []
+    batches = []
 
-    def counting(s):
-        scanned.append(s)
-        return find_fixed_points(s)
+    def counting(tables, n):
+        batches.append(len(tables))
+        return core._planes(tables, n)
 
-    monkeypatch.setattr(cli, "find_fixed_points", counting)
-    monkeypatch.setattr(analysis, "find_fixed_points", counting)
+    monkeypatch.setattr(cli, "_planes", counting)
+    monkeypatch.setattr(core, "find_fixed_points", _must_not_run)
+    monkeypatch.setattr(core, "_fixed_points", _must_not_run)
     assert main(["enumerate", seed4_file, "--sample", "10", "--check-invariance"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 11
-    # One scan per row; the seed's invariants need none.
-    assert len(scanned) == 10
+    rng = random.Random(0)
+    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(10)]
+    assert capsys.readouterr() == expected_csv(SEED4, pairs, True)
+    assert batches == [1, 1, 1, 1, 6]
 
 
 def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
@@ -880,7 +925,7 @@ def test_enumerate_all_n5_covers_every_pair(tmp_path, capsys, monkeypatch):
     seed5 = tmp_path / "seed5.txt"
     seed5.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(5), 5))))
     monkeypatch.setattr(cli, "_enumerate_rows", lambda pairs: (
-        "".join(f"{k1},{k2}\n" for k1, k2 in pairs), pairs, 0))
+        "".join(f"{k1},{k2}\n" for k1, k2 in pairs), [k1 << 56 | k2 for k1, k2 in pairs], 0))
     assert main(["enumerate", str(seed5), "--all"]) == 0
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
@@ -1054,7 +1099,8 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
         return next(clock)
 
     invariants = cli._invariants
-    monkeypatch.setattr(cli, "_invariants", lambda s: events.append("invariants") or invariants(s))
+    monkeypatch.setattr(cli, "_invariants",
+                        lambda *args: events.append("invariants") or invariants(*args))
     monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
     monkeypatch.setattr(cli, "perf_counter", logged_clock)
     monkeypatch.setattr(cli, "POOL_START", 6.0)
@@ -1137,7 +1183,7 @@ def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, cpus, seconds,
 
 def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_invariants", _must_not_run)
-    monkeypatch.setattr(cli, "_clone", _must_not_run)
+    monkeypatch.setattr(cli, "_planes", _must_not_run)
     path = str(tmp_path / "missing" / "sweep.csv")
     assert main(["enumerate", seed4_file, "--all", "--check-invariance", "--out", path]) == 1
     captured = capsys.readouterr()
@@ -1453,6 +1499,37 @@ def test_cli_import_leaves_signal_out(child_env):
 def test_pool_workers_ignore_ctrl_c():
     cli._init_worker(SEED4, None)  # conftest's keep_ctrl_c restores the handler
     assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM, signal.SIGHUP])
+def test_pool_workers_exit_when_their_parent_dies(sig, aes_file, tmp_path, child_env):
+    # A signal to the parent alone kills it before it can stop its workers.
+    # Each worker sees its parent go and exits, so the stdout and stderr
+    # pipes they share with it close within seconds, and a caller that reads
+    # them to the end is not kept waiting. The whole group is killed at the
+    # end, so no process is left either way.
+    out = tmp_path / "sweep.csv"
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "sboxforge", "enumerate", aes_file, "--sample", "100000",
+         "--check-invariance", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        env={**child_env, "SBOXFORGE_THREADS": "2"})
+    try:
+        deadline = time.monotonic() + 60
+        # Pooled rows have come back, so every worker has run its initializer.
+        while not (out.exists() and out.stat().st_size > 16384) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.kill(sweep.pid, sig)
+        began = time.monotonic()
+        sweep.communicate(timeout=30)  # ends when every holder of the pipes has exited
+        assert time.monotonic() - began < 5
+    finally:
+        try:
+            os.killpg(sweep.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        sweep.wait()
+    assert sweep.returncode == -sig
 
 
 def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sboxforge import core
 from sboxforge import (
     BitPermutation,
+    FixedPointReport,
     NonBijectiveError,
     RemovalExhausted,
     SBox,
@@ -329,6 +330,37 @@ def test_fixed_and_reverse_sets_disjoint():
         for _ in range(50):
             report = find_fixed_points(SBox(n, tuple(random_bijective(rng, n))))
             assert not report.fixed & report.reverse_fixed
+
+
+def _coordinates_by_loop(table, n):
+    """Coordinate j as one int read off a bit string, entry x giving bit x."""
+    return tuple(int("".join(str(v >> j & 1) for v in reversed(table)), 2) for j in range(n))
+
+
+def _fixed_points_by_loop(table):
+    top = len(table) - 1
+    return FixedPointReport(frozenset(x for x, v in enumerate(table) if v == x),
+                            frozenset(x for x, v in enumerate(table) if v == top - x))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_planes_equal_per_entry_loops(n):
+    # _coordinates reads one transpose of a table and find_fixed_points the
+    # set bits of its two _masks; each equals a loop over the entries, on a
+    # random bijection, a random table with repeats, the identity (every
+    # point fixed) and its complement (every point reverse fixed). A batch
+    # of them gives each table what it gives alone: at n = 2 a table is half
+    # a byte of each plane, above n = 8 its entries take two bytes.
+    rng = random.Random(n)
+    size = 1 << n
+    tables = [random_bijective(rng, n), [rng.randrange(size) for _ in range(size)],
+              list(range(size)), [size - 1 - x for x in range(size)]]
+    for table in tables:
+        s = SBox(n, tuple(table))
+        assert core._coordinates(s) == _coordinates_by_loop(table, n)
+        assert find_fixed_points(s) == _fixed_points_by_loop(table)
+    assert core._planes(tables, n) == [_coordinates_by_loop(table, n) for table in tables]
+    assert core._planes([], n) == []
 
 
 # ---------------------------------------------------------------------

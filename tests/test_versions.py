@@ -55,6 +55,9 @@ def lines(tmp_path_factory):
     tables = {"seed4": SEED4, "aes": AES_SBOX,
               "seed10": random_bijective(random.Random(10), 10),
               "clone4": CLONE4}
+    # Widths 2, 9 and 16: a table of half a byte of each plane, the first of
+    # 2-byte entries, and the widest.
+    tables.update((f"seed{n}", random_bijective(random.Random(n), n)) for n in (2, 9, 16))
     files = {}
     for name, table in tables.items():
         files[name] = str(folder / f"{name}.txt")
@@ -73,6 +76,9 @@ def lines(tmp_path_factory):
         ["enumerate", files["seed4"], "--all"],
         ["enumerate", files["seed4"], "--all", "--check-invariance"],
         ["enumerate", files["aes"], "--sample", "200", "--rng-seed", "3", "--check-invariance"],
+        ["enumerate", files["seed2"], "--all", "--check-invariance"],
+        ["enumerate", files["seed9"], "--sample", "20", "--rng-seed", "5", "--check-invariance"],
+        ["enumerate", files["seed16"], "--sample", "3"],
         ["enumerate", files["seed10"], "--sample", "100", "--check-invariance"],
     ]
     return [(argv, None) for argv in fixed] + [(argv, t) for argv in sweeps for t in (None, "2")]

@@ -32,6 +32,7 @@ from .core import (
     RemovalExhausted,
     SBox,
     _check_clone,
+    _clone,
     _lift,
     _masks,
     _planes,
@@ -97,9 +98,7 @@ def _sigma_text(sigma: BitPermutation, sep: str) -> str:
 
 
 def _thread_cap() -> int:
-    raw = os.environ.get("SBOXFORGE_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("SBOXFORGE_THREADS", "1")  # unset: serial
     try:
         value = int(raw)
     except ValueError:
@@ -205,8 +204,7 @@ def cmd_clone(args) -> int:
         else:
             result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
         write(serialize_sbox(result))
-    _note(f"sigma1={_sigma_text(eff1, ',')}")
-    _note(f"sigma2={_sigma_text(eff2, ',')}")
+    _note(f"sigma1={_sigma_text(eff1, ',')}\nsigma2={_sigma_text(eff2, ',')}")
     return EXIT_OK
 
 
@@ -231,10 +229,9 @@ _sweep = None  # (seed, the seed's invariants or None, rank cache) of the runnin
 
 
 def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
-    """The index-th permutation of range(n) as CSV text, and its lifted table, as bytes at n <= 8."""
+    """The index-th permutation of range(n) as CSV text, and its lifted table."""
     sigma = lehmer_decode(index, n)
-    lift = _lift(sigma.images)
-    return _sigma_text(sigma, " "), bytes(lift) if n <= 8 else lift
+    return _sigma_text(sigma, " "), _lift(sigma.images)
 
 
 def _init_sweep(table, seed_invariants) -> None:
@@ -271,24 +268,21 @@ def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
     """The sweep's CSV lines for `pairs`, each ended by "\n", their clones'
     64-bit digests, and how many of them passed the invariance check.
 
-    Both ranks' texts and lifts come from the sweep's rank cache. A row's
-    clone is the seed gathered by its sigma1's lift and mapped through its
-    sigma2's, unchecked, since the seed was checked bijective once before
-    the sweep; at n <= 8 that is two bytes.translate calls, through the
-    seed's table and the sigma2 lift, each padded to 256 entries. One
-    _planes call, one transpose, gives every clone of the batch its
+    Both ranks' texts and lifts come from the sweep's rank cache. One
+    _clone call makes the batch's clones of the seed by those lifts,
+    unchecked, since the seed was checked bijective once before the sweep,
+    and one _planes call, one transpose, gives every clone its
     coordinates. A row's digest, fixed-point masks and invariants come from
     its own table and coordinates: nothing is read off the seed. It passes
     when those invariants equal the seed's.
     """
     seed, seed_invariants, ranks = _sweep
-    n, heads, clones = seed.n, [], []
-    table = bytes(seed.table).ljust(256, b"\0") if n <= 8 else seed.table
+    n, heads, lifts = seed.n, [], []
     for k1, k2 in pairs:
         (text1, rows), (text2, out) = ranks(k1), ranks(k2)
         heads.append(f"{k1},{k2},{text1},{text2}")
-        clones.append(rows.translate(table).translate(out.ljust(256, b"\0")) if n <= 8 else
-                      [out[table[r]] for r in rows])
+        lifts.append((rows, out))
+    clones = _clone(seed.table, lifts)
     lines, digests, passes = [], [], 0
     for head, clone, planes in zip(heads, clones, _planes(clones, n)):
         prefix, digest = _fingerprint(clone)
@@ -475,12 +469,8 @@ COMMANDS = {
 # most once, spelled exactly as "--opt value" or "--opt=value". It reads
 # them as argparse does, without loading argparse. Every other argv (an
 # abbreviation, "-oVALUE", "--", a repeat, a value or positional starting
-# with "-", -h, a usage error) goes to argparse itself, which keeps its
-# rules and messages.
-
-
-class _HelpRequested(Exception):
-    """-h/--help was taken; `args[0]` is the command, or None for the top level."""
+# with "-", -h, a usage error) goes to argparse itself, through
+# usage.parse_fallback, which keeps argparse's rules and messages.
 
 
 def _fast(argv: list) -> SimpleNamespace | None:
@@ -523,42 +513,6 @@ def _fast(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _argparse(argv: list) -> SimpleNamespace:
-    """The namespace argparse makes of `argv`, its parser built from COMMANDS.
-
-    Imported here: loading argparse costs a cold call about 8 ms, which
-    only argvs that _fast declines pay.
-    """
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-        def print_help(self, file=None):
-            # A command's parser has prog "sboxforge NAME"; the top one, "sboxforge".
-            raise _HelpRequested(self.prog.partition(" ")[2] or None)
-
-    top = Parser(prog="sboxforge")
-    commands = top.add_subparsers(dest="command", required=True)
-    for name, (_, positionals, options) in COMMANDS.items():
-        parser = commands.add_parser(name)
-        for dest, _ in positionals:
-            parser.add_argument(dest)
-        if any(o.one_of for o in options):
-            group = parser.add_mutually_exclusive_group(required=True)
-        for o in options:
-            into = group if o.one_of else parser
-            if o.kind is bool:
-                into.add_argument(*o.flags, dest=o.dest, action="store_true")
-            else:
-                into.add_argument(*o.flags, dest=o.dest, default=o.default, required=o.required,
-                                  type=int if o.kind is int else None,
-                                  choices=o.kind if isinstance(o.kind, tuple) else None)
-        parser.set_defaults(func=globals()[f"cmd_{name}"])
-    return SimpleNamespace(**vars(top.parse_args(argv)))
-
-
 def _show_help(args) -> int:
     with _output(None) as write:
         write(args.help)
@@ -572,13 +526,11 @@ def parse_args(argv) -> SimpleNamespace:
     message. -h/--help yields a namespace whose func prints the help.
     """
     argv = list(argv)
-    try:
-        return _fast(argv) or _argparse(argv)
-    except _HelpRequested as shown:
-        # Imported here: compiling the help renderer would slow every cold start.
-        from .usage import help_text
+    if (args := _fast(argv)) is None:  # imported here: argparse and the help cost a cold call 8 ms
+        from .usage import parse_fallback
 
-        return SimpleNamespace(func=_show_help, help=help_text(shown.args[0]))
+        args = parse_fallback(argv)
+    return args
 
 
 # The exit code of each failure class, the first class an error is an

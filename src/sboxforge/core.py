@@ -57,7 +57,7 @@ class _Record:
     __slots__ = ()
 
     def _set(self, *values) -> None:
-        # In __slots__ order. Records built per sweep row or permutation set theirs directly.
+        # In __slots__ order. BitPermutation, built per sweep row above n = 6, sets its field directly.
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -119,11 +119,10 @@ class SBox(_Record):
         return cls(n, tuple(range(1 << _width(n))))
 
     @classmethod
-    def _trusted(cls, n: int, table: tuple[int, ...]) -> "SBox":
+    def _trusted(cls, n: int, table) -> "SBox":
         """An SBox of a table that is valid by construction, built without the per-entry check."""
         s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "table", table)
+        s._set(n, tuple(table))
         return s
 
     def is_bijective(self) -> bool:
@@ -159,20 +158,19 @@ class FixedPointReport(_Record):
     __slots__ = ("fixed", "reverse_fixed")
 
     def __init__(self, fixed: frozenset[int], reverse_fixed: frozenset[int]):
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "reverse_fixed", reverse_fixed)
+        self._set(fixed, reverse_fixed)
 
     @property
     def empty(self) -> bool:
         return not self.fixed and not self.reverse_fixed
 
 
-def _lift(images) -> list[int]:
-    """Entry v is v with bit j moved to bit images[j], built by doubling."""
+def _lift(images) -> list[int] | bytes:
+    """Entry v is v with bit j moved to bit images[j], built by doubling; bytes where all fit, as at n <= 8."""
     table = [0]
     for image in images:
         table += [v | 1 << image for v in table]
-    return table
+    return bytes(table) if table[-1] < 256 else table  # the last entry is the largest
 
 
 def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
@@ -196,7 +194,7 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
     avalanche and bit-independence statistics.
     """
     _check_clone(seed, sigma1, sigma2)
-    return _clone(seed, _lift(sigma1.images), _lift(sigma2.images))
+    return SBox._trusted(seed.n, _clone(seed.table, [(_lift(sigma1.images), _lift(sigma2.images))])[0])
 
 
 def _check_clone(seed: SBox, *sigmas: BitPermutation) -> None:
@@ -208,10 +206,14 @@ def _check_clone(seed: SBox, *sigmas: BitPermutation) -> None:
         raise NonBijectiveError("seed s-box has duplicate entries")
 
 
-def _clone(seed: SBox, rows: list[int], out: list[int]) -> SBox:
-    """clone_sbox by the lifts of sigma1 and sigma2, for a caller that has checked the seed and sizes."""
-    table = seed.table
-    return SBox._trusted(seed.n, tuple([out[table[r]] for r in rows]))
+def _clone(table, lifts: list) -> list:
+    """The clone x -> out[table[rows[x]]] of seed `table` for each pair (rows, out) of lifts of sigma1
+    and sigma2, unchecked: every clone that is built. Where _lift gives bytes (n <= 8), two
+    bytes.translate calls, through `table` and `out` padded to 256 entries, giving bytes; above, a gather."""
+    if len(table) > 256:
+        return [[out[table[r]] for r in rows] for rows, out in lifts]
+    table = bytes(table).ljust(256, b"\0")
+    return [rows.translate(table).translate(out.ljust(256, b"\0")) for rows, out in lifts]
 
 
 def _repeat(pattern: int, period: int, total: int) -> int:
@@ -360,7 +362,8 @@ def clone_sbox_avoiding_fixed_points(
         if not reduce(and_, map(xor, flipped, moved)) and not reduce(and_, map(xor, planes, moved)):
             pi = tuple(map(identity.index, moved))
             eff1 = BitPermutation(tuple([pi[j] for j in sigma1.images]))
-            return _clone(seed, _lift(eff1.images), _lift(sigma2.images)), eff1, sigma2
+            clone = _clone(seed.table, [(_lift(eff1.images), _lift(sigma2.images))])[0]
+            return SBox._trusted(n, clone), eff1, sigma2
     if budget == fact:
         raise RemovalExhausted(f"no clone is free of fixed points: all {fact} input permutations tried")
     if max_attempts is None:

@@ -742,7 +742,7 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
     assert len(decoded) == 720
 
 
-@pytest.mark.parametrize("n,size", [(4, 24), (6, 720), (7, 0), (8, 0), (16, 0)])
+@pytest.mark.parametrize("n,size", [(4, 24), (6, 720), (7, 0), (8, 0), (9, 0), (16, 0)])
 def test_enumerate_rank_cache_keeps_ranks_only_where_they_repeat(n, size, tmp_path, capsys,
                                                                  monkeypatch):
     # Every rank at n <= 6, the widths --all takes; none above, where

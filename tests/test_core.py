@@ -260,8 +260,10 @@ def _all_perms(n):
 
 
 def test_clone_matches_dense_pipeline():
+    # n = 8 is the widest clone of two bytes.translate calls, n = 9 the
+    # narrowest gather.
     rng = random.Random(23)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 8, 9):
         for _ in range(20):
             table = random_bijective(rng, n)
             s1, s2 = random_perm(rng, n), random_perm(rng, n)
@@ -370,14 +372,16 @@ def test_planes_equal_per_entry_loops(n):
 def test_avoidance_schedule_reference(monkeypatch):
     # Attempt 0 reproduces CLONE4 (reverse fixed point at 4); the schedule
     # first succeeds at attempt 6, perturbing only the input permutation,
-    # and builds only the clone it returns, from the lifts of that pair.
+    # and builds only the clone it returns: one table, the seed's, gathered
+    # by eff1's lift and mapped through sigma2's.
     seed = SBox.from_table(SEED4)
     calls, clone = [], core._clone
     monkeypatch.setattr(core, "_clone", lambda *args: calls.append(args) or clone(*args))
     result, eff1, eff2 = clone_sbox_avoiding_fixed_points(
         seed, BitPermutation(SIGMA1_4), BitPermutation(SIGMA2_4)
     )
-    assert calls == [(seed, list(derive_row_permutation(eff1, 4).images), core._lift(eff2.images))]
+    assert [(table, [(list(rows), list(out)) for rows, out in lifts]) for table, lifts in calls] == [
+        (seed.table, [(list(derive_row_permutation(eff1, 4).images), list(core._lift(eff2.images)))])]
     assert find_fixed_points(result).empty
     assert eff1.images == (0, 2, 1, 3)
     assert eff2.images == SIGMA2_4

@@ -89,11 +89,12 @@ BENCH_ARGVS = [
 
 def test_cli_import_leaves_argparse_out(child_env):
     # A cold CLI call should not pay for building argparse parsers or loading gettext,
-    # nor should parsing the README's command lines or the benchmark's.
+    # nor should parsing the README's command lines or the benchmark's; nor
+    # compile sboxforge.usage, which holds the argparse reader and the help.
     argvs = [shlex.split(line)[1:] for line in readme_block("CLI", "sh").splitlines()
              if line.startswith("sboxforge ")] + BENCH_ARGVS
     probe = (f"import sys, sboxforge.cli; [sboxforge.cli.parse_args(a) for a in {argvs!r}]; "
-             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+             "print(sorted({'argparse', 'gettext', 'sboxforge.usage'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "[]\n"

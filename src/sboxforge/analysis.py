@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import add, mul, sub, xor
 from types import SimpleNamespace
 
-from .core import FixedPointReport, SBox, _Record, _coordinates, _fixed_points, _planes, _repeat, _width
+from .core import FixedPointReport, SBox, _Record, _fixed_points, _planes, _repeat, _split, _width
 
 
 class BooleanFunctionTable(_Record):
@@ -303,8 +303,9 @@ def _population_stats(moments: tuple[int, int, int, int], count: int, d: int = 1
 # another sigma2 makes, gives the same multiset of counts, and sorting keeps
 # a repeated coordinate's multiplicity. The key is read off each s-box's own
 # table, so no clone borrows the seed's counts. --all takes n! rows in a row
-# with one sigma1, all with the same sorted coordinates, so one entry answers
-# all but the first.
+# with one sigma1, all with the same sorted coordinates: a sweep batch asks
+# once per key (_verdicts), and the one entry carries a key, the seed's or a
+# batch's last, into the next batch.
 @lru_cache(maxsize=1)
 def _criteria(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, int, int, int], ...]:
     """The _moments of the four criteria's counts, in CRITERIA order.
@@ -334,13 +335,13 @@ def analyze(s: SBox) -> AnalysisReport:
     2**n samples, so sac.sd is half the population standard deviation of
     the entries.
     """
-    n, coordinates = s.n, _coordinates(s)
-    bijective, nl, sac, bic_nl, bic_sac = _invariants(s.table, coordinates)
+    n, planes = s.n, _planes([s.table], s.n)
+    bijective, nl, sac, bic_nl, bic_sac = _invariants(s.table, _split(planes)[0])
     pairs = n * (n - 1) >> 1
     return AnalysisReport(
         n=n,
         bijective=bijective,
-        fixed_points=_fixed_points(coordinates, n),
+        fixed_points=_fixed_points(planes),
         nl=_population_stats(nl, n),
         nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
         sac=_population_stats(sac, n * n, 1 << n, sd_divisor=2),
@@ -358,12 +359,29 @@ def _invariants(table, coordinates: tuple[int, ...] | None = None) -> tuple:
     every field but the fixed points: each statistic is a function of these
     integers and the width. A clone of the seed has the seed's invariants
     exactly, since its counts are the seed's, reordered. So an invariance
-    sweep compares these, with no Fraction or float, instead of reports,
-    and verify names the fields that differ from them (_differences).
+    sweep compares these, with no Fraction or float, instead of reports
+    (_verdicts), and verify names the fields that differ from them
+    (_differences).
     """
     n = len(table).bit_length() - 1
-    coordinates = coordinates or _planes([table], n)[0]
+    coordinates = coordinates or _split(_planes([table], n))[0]
     return (len(set(table)) == len(table), *_criteria(tuple(sorted(coordinates)), n))
+
+
+def _verdicts(tables: list, planes: list[bytes], reference: tuple) -> list[bool]:
+    """Whether each table of a batch, whose joined _planes are `planes`, has
+    the _invariants `reference` of a bijective seed.
+
+    A table's criteria depend on its sorted coordinates alone, read off its
+    own stretch of the planes: that is its key. _criteria runs once per
+    distinct key of the batch, in the order the keys first appear, so the
+    n! rows of one sigma1 in --all make one call. A table passes when its
+    key's criteria are the seed's and it is bijective itself.
+    """
+    n = len(planes)
+    size, keys = 1 << n, list(map(tuple, map(sorted, _split(planes))))
+    matches = {key: reference == (True, *_criteria(key, n)) for key in dict.fromkeys(keys)}
+    return [matches[key] and len(set(table)) == size for key, table in zip(keys, tables)]
 
 
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:

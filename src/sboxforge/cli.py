@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-import re
 import sys
 from array import array
 from collections import defaultdict, deque
@@ -25,7 +24,7 @@ from stat import S_ISREG
 from time import perf_counter
 from types import SimpleNamespace
 
-from .analysis import CRITERIA, _differences, _invariants, analyze
+from .analysis import CRITERIA, _differences, _invariants, _verdicts, analyze
 from .core import (
     BitPermutation,
     NonBijectiveError,
@@ -33,8 +32,8 @@ from .core import (
     SBox,
     _check_clone,
     _clone,
+    _fixed_counts,
     _lift,
-    _masks,
     _planes,
     clone_sbox,
     clone_sbox_avoiding_fixed_points,
@@ -58,29 +57,34 @@ EXIT_WIDTH = 6
 EXIT_USAGE = 64
 EXIT_INTERRUPTED = 130
 
-# Seconds a worker costs a sweep: a 2-worker pool, with the import of its
-# module, made a 16-row n = 4 sweep about 50 ms slower, and a 3000-row one
-# neither faster nor slower (2 cores, Python 3.11). A sweep gets one worker
-# per POOL_START of estimated row time, so a sweep too short to repay its
-# workers runs serially.
-POOL_START = 0.060
+# Seconds of estimated row time per worker, the estimate being the rows
+# times the least of the timed rows. On 2 cores (Python 3.11) a 2-worker pool
+# cost an n = 5 --all --check-invariance sweep about 0.16 s, and then ran
+# its rows in 0.6 of their serial time: it repays itself from about 0.4 s of
+# rows. A timed row is a batch of one, about 6x a batched row's time there
+# (1.3x for a sampled n = 8 row), so two workers start from about 2 s
+# estimated: n = 5 (about 1.2 s) runs serially, n = 6 (about 48 s) pools.
+POOL_START = 1.0
 # Seconds of rows per batch, at most, at the timed rows' least time. A batch
 # is one call of _enumerate_rows, one pool task and one write of the CSV. A
 # sweep finds that its output has gone, a reader closing its pipe, only when
 # it writes, and an n = 16 row with --check-invariance takes about a second.
 _BATCH_SECONDS = 0.25
 
-_HEX_KEY = re.compile(r"(?:[0-9a-fA-F]{2})+")
-
-
 class UsageError(Exception):
     """Bad flag combination or malformed invocation."""
 
 
 def _parse_key(text: str) -> bytes:
-    if not _HEX_KEY.fullmatch(text):
-        raise ValueError(f"key must be non-empty even-length hex, got {text!r}")
-    return bytes.fromhex(text)
+    # Pairs of hex digits and nothing else, read with no regex, whose compile
+    # would cost every call about 0.2 ms: fromhex alone skips whitespace, and
+    # isalnum alone takes non-ASCII digits.
+    if text.isascii() and text.isalnum():
+        try:
+            return bytes.fromhex(text)
+        except ValueError:
+            pass
+    raise ValueError(f"key must be non-empty even-length hex, got {text!r}")
 
 
 def _parse_permutation(text: str, n: int) -> BitPermutation:
@@ -271,30 +275,28 @@ def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
     Both ranks' texts and lifts come from the sweep's rank cache. One
     _clone call makes the batch's clones of the seed by those lifts,
     unchecked, since the seed was checked bijective once before the sweep,
-    and one _planes call, one transpose, gives every clone its
-    coordinates. A row's digest, fixed-point masks and invariants come from
-    its own table and coordinates: nothing is read off the seed. It passes
-    when those invariants equal the seed's.
+    and one _planes call, one transpose, gives the whole batch its planes.
+    Every row's fixed-point counts and invariance verdict are read off
+    them for the whole batch at once, and its digest off its own table:
+    nothing is read off the seed.
     """
     seed, seed_invariants, ranks = _sweep
-    n, heads, lifts = seed.n, [], []
+    heads, lifts = [], []
     for k1, k2 in pairs:
         (text1, rows), (text2, out) = ranks(k1), ranks(k2)
         heads.append(f"{k1},{k2},{text1},{text2}")
         lifts.append((rows, out))
     clones = _clone(seed.table, lifts)
-    lines, digests, passes = [], [], 0
-    for head, clone, planes in zip(heads, clones, _planes(clones, n)):
+    planes = _planes(clones, seed.n)
+    verdicts = ([None] * len(clones) if seed_invariants is None
+                else _verdicts(clones, planes, seed_invariants))
+    lines, digests = [], []
+    for head, clone, fixed, reverse, verdict in zip(heads, clones, *_fixed_counts(planes), verdicts):
         prefix, digest = _fingerprint(clone)
-        fixed, reverse = _masks(planes, n)
-        line = f"{head},{prefix},{digest},{fixed.bit_count()},{reverse.bit_count()}"
-        if seed_invariants is not None:
-            passed = _invariants(clone, planes) == seed_invariants
-            passes += passed
-            line += ",pass" if passed else ",fail"
-        lines.append(line + "\n")
+        lines.append(f"{head},{prefix},{digest},{fixed},{reverse}"
+                     f"{'' if verdict is None else ',pass' if verdict else ',fail'}\n")
         digests.append(int(digest, 16))
-    return "".join(lines), digests, passes
+    return "".join(lines), digests, verdicts.count(True)
 
 
 @contextmanager

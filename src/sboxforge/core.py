@@ -11,8 +11,9 @@ bit-independence statistics while relocating its fixed points.
 The matrix's columns, the coordinate bitsets, are read off one bit-matrix
 transpose, made for a whole batch of tables at once (_planes): analysis,
 enumerate's sweep rows and the fixed-point removal walk all read them
-there. A table's fixed and reverse fixed points are two masks over its
-coordinate bitsets (_masks).
+there. The fixed and reverse fixed points of every table of a batch are
+two masks over its joined planes (_masks): a sweep counts each table's,
+and find_fixed_points lists those of a batch of one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from array import array
 from functools import lru_cache, reduce
 from itertools import accumulate, permutations
 from math import factorial
-from operator import and_, xor
+from operator import and_, or_, xor
 
 
 class NonBijectiveError(ValueError):
@@ -165,12 +166,28 @@ class FixedPointReport(_Record):
         return not self.fixed and not self.reverse_fixed
 
 
+# Per bit k < 8, a bytes.translate table that sets bit k of a byte: the
+# bytes 0..255 as one int, ORed with bit k of every byte, so the import does
+# no per-byte work.
+_SET_BIT = [(ramp | ones << k).to_bytes(256, "little")
+            for ramp, ones in [(int.from_bytes(bytes(range(256)), "little"),  # byte v is v
+                                int.from_bytes(b"\1" * 256, "little"))]      # every byte is 1
+            for k in range(8)]
+
+
 def _lift(images) -> list[int] | bytes:
-    """Entry v is v with bit j moved to bit images[j], built by doubling; bytes where all fit, as at n <= 8."""
+    """Entry v is v with bit j moved to bit images[j], built by doubling: as
+    bytes where every image is below 8, as at n <= 8, a translate through
+    _SET_BIT per step; else a list."""
+    if max(images, default=0) < 8:
+        table = b"\0"
+        for image in images:
+            table += table.translate(_SET_BIT[image])
+        return table
     table = [0]
     for image in images:
         table += [v | 1 << image for v in table]
-    return bytes(table) if table[-1] < 256 else table  # the last entry is the largest
+    return table
 
 
 def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
@@ -232,26 +249,24 @@ _SWAPS = [(shift, mask.to_bytes(8, "little"))
 
 
 @lru_cache(maxsize=None)
-def _identity(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The identity table's planes I_k, bit x set when bit k of x is, and
-    their complements within 2**n bits: built once per width, and read by
-    _masks and the removal walk."""
-    planes = tuple([_repeat((1 << h) - 1 << h, h << 1, 1 << n) for h in (1 << k for k in range(n))])
-    return planes, tuple([(1 << (1 << n)) - 1 ^ p for p in planes])
+def _identity(n: int) -> tuple[int, ...]:
+    """The identity table's planes I_k, bit x set when bit k of x is: built
+    once per width, and read by _masks and the removal walk."""
+    return tuple([_repeat((1 << h) - 1 << h, h << 1, 1 << n) for h in (1 << k for k in range(n))])
 
 
-def _planes(tables: list, n: int) -> list[tuple[int, ...]]:
-    """The coordinate bitsets C_k of each table of width n, bit x of C_k
-    being bit k of entry x.
+def _planes(tables: list, n: int) -> list[bytes]:
+    """The joined planes of a batch of tables of width n: plane k holds the
+    coordinate bitset C_k of each table in turn, bit x of a table's C_k
+    being bit k of its entry x, in a stretch of max(2**n / 8, 1) bytes.
 
     One transpose serves the whole batch. The entries' bytes are joined
     into one int, and each 64-bit word of it is transposed (_SWAPS), so that
     byte j of a word holds bit j of the word's eight entries: the bytes j,
-    j + 8, j + 16, ... are plane j of every table in turn, and a table's
-    C_j is its stretch of them. At n > 8 the entries' low and high bytes are
-    transposed apart, giving planes 0-7 and 8 on; an n = 2 table is padded
-    with four zero entries, to fill a byte of each plane. A table may be
-    bytes at n <= 8, or any sequence of ints.
+    j + 8, j + 16, ... are plane j of every table in turn. At n > 8 the
+    entries' low and high bytes are transposed apart, giving planes 0-7 and
+    8 on; an n = 2 table is padded with four zero entries, to fill a byte of
+    each plane. A table may be bytes at n <= 8, or any sequence of ints.
     """
     pad = bytes(-(1 << n) % 8)  # four zero entries after each n = 2 table
     if n > 8:
@@ -265,43 +280,73 @@ def _planes(tables: list, n: int) -> list[tuple[int, ...]]:
             x ^= swap ^ swap << shift
         words = x.to_bytes(len(half), "little")
         planes += [words[j::8] for j in range(8)]
-    size = max(1 << n >> 3, 1)  # bytes of a plane per table
-    return list(zip(*[[int.from_bytes(plane[i:i + size], "little") for i in range(0, len(plane), size)]
-                      for plane in planes[:n]]))
+    return planes[:n]
 
 
-def _masks(coordinates: tuple[int, ...], n: int) -> tuple[int, int]:
-    """The masks of the fixed and reverse fixed points of the width-n table
-    whose coordinate bitsets are `coordinates`.
+def _stretches(data: bytes, n: int):
+    """The ints of `data`'s stretches of one plane of a width-n table,
+    max(2**n / 8, 1) bytes each, read little-endian: up to 8 bytes (n <= 6)
+    as machine words, all by one array."""
+    size = max(1 << n >> 3, 1)
+    if size > 8:
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    words = array("BHIQ"[size.bit_length() - 1], data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _split(planes: list[bytes]) -> list[tuple[int, ...]]:
+    """Each table's n coordinate bitsets, read off the batch's joined _planes."""
+    return list(zip(*[_stretches(plane, len(planes)) for plane in planes]))
+
+
+def _masks(planes: list[bytes]) -> tuple[int, int]:
+    """The fixed and reverse fixed masks of every table of a batch, read off
+    its joined _planes: bit x of table i's stretch of each is set when x is
+    a fixed, or reverse fixed, point of table i.
 
     x is a fixed point when C_k(x) = I_k(x) for every k (_identity), and a
-    reverse fixed point when C_k(x) differs from I_k(x) for every k: the
-    masks are AND_k (~C_k ^ I_k) and AND_k (C_k ^ I_k), the test that the
-    removal walk makes of each attempt.
+    reverse fixed point when C_k(x) differs from I_k(x) for every k. With
+    D_k = C_k ^ I_k, each I_k repeated once per table by multiplying it with
+    a 1 at the start of every table's stretch, the masks are ~OR_k D_k and
+    AND_k D_k. ~ is taken within each table's 2**n bits, so an n = 2
+    table's padding, zero in C_k and I_k, is in neither.
     """
-    identity, flipped = _identity(n)
-    return reduce(and_, map(xor, coordinates, flipped)), reduce(and_, map(xor, coordinates, identity))
+    n = len(planes)
+    ones = _repeat(1, max(1 << n, 8), len(planes[0]) << 3)  # bit 0 of every table's stretch
+    diffs = [int.from_bytes(plane, "little") ^ identity * ones for plane, identity in zip(planes, _identity(n))]
+    return ((1 << (1 << n)) - 1) * ones ^ reduce(or_, diffs), reduce(and_, diffs)
+
+
+def _fixed_counts(planes: list[bytes]) -> tuple[list[int], list[int]]:
+    """The number of fixed and of reverse fixed points of each table of a
+    batch, read off its joined _planes: the popcount of its stretch of each
+    of the batch's two _masks."""
+    n, length = len(planes), len(planes[0])
+    return tuple([list(map(int.bit_count, _stretches(mask.to_bytes(length, "little"), n)))
+                  for mask in _masks(planes)])
 
 
 def _coordinates(s: SBox) -> tuple[int, ...]:
     """The n coordinate bitsets of `s`, bit x of entry j being bit j of s[x]:
     _planes of a batch of one."""
-    return _planes([s.table], s.n)[0]
+    return _split(_planes([s.table], s.n))[0]
 
 
 def find_fixed_points(s: SBox) -> FixedPointReport:
     """Indices i with s[i] = i (fixed) or s[i] = 2**n - 1 - i (reverse fixed)."""
-    return _fixed_points(_coordinates(s), s.n)
+    return _fixed_points(_planes([s.table], s.n))
 
 
-def _fixed_points(coordinates: tuple[int, ...], n: int) -> FixedPointReport:
-    """find_fixed_points of the width-n table whose coordinate bitsets are
-    `coordinates`: the set bits of its two _masks. Split at its 1s, a mask's
-    binary text, bit 0 first, leaves the runs of 0s between them, so each 1
-    is at the running sum of the runs and 1s before it: no step runs per entry."""
+def _fixed_points(planes: list[bytes]) -> FixedPointReport:
+    """find_fixed_points of the one table whose _planes are `planes`: the set
+    bits of its two _masks. Split at its 1s, a mask's binary text, bit 0
+    first, leaves the runs of 0s between them, so each 1 is at the running
+    sum of the runs and 1s before it: no step runs per entry."""
     return FixedPointReport(*[frozenset(accumulate(map(len, f"{mask:b}"[::-1].split("1")[:-1]),
                                                    lambda at, run: at + run + 1))
-                              for mask in _masks(coordinates, n)])
+                              for mask in _masks(planes)])
 
 
 def clone_sbox_avoiding_fixed_points(
@@ -357,7 +402,7 @@ def clone_sbox_avoiding_fixed_points(
     for j, f in enumerate(_coordinates(seed)):
         planes[sigma1.images[sigma2.images[j]]] = f
     flipped = [full ^ b for b in planes]
-    identity = _identity(n)[0]
+    identity = _identity(n)
     for _, moved in zip(range(budget), permutations(identity)):  # moved[k] = I_pi[k]
         if not reduce(and_, map(xor, flipped, moved)) and not reduce(and_, map(xor, planes, moved)):
             pi = tuple(map(identity.index, moved))

@@ -860,3 +860,21 @@ def test_compare_reports_equal_for_published_pairs():
     assert compare_reports(
         analyze(SBox.from_table(AES_SBOX)), analyze(SBox.from_table(AES_CLONE8))
     ).equal
+
+
+def test_verdicts_take_criteria_once_per_key(monkeypatch):
+    # A batch's rows that share a key, their sorted coordinates, share one
+    # _criteria call, made when the key first appears. Clones with the
+    # identity sigma1 have the seed's key, another sigma1 gives another key
+    # with the same criteria, and the identity table, no clone, has a key of
+    # its own and fails alone.
+    keys, criteria = [], analysis._criteria
+    monkeypatch.setattr(analysis, "_criteria", lambda key, n: keys.append(key) or criteria(key, n))
+    seed = SBox.from_table(SEED4)
+    ident, other = BitPermutation.identity(4), BitPermutation((1, 2, 3, 0))
+    tables = [clone_sbox(seed, ident, BitPermutation((3, 1, 0, 2))).table, tuple(range(16)),
+              clone_sbox(seed, other, ident).table, seed.table, clone_sbox(seed, other, other).table]
+    verdicts = analysis._verdicts(tables, core._planes(tables, 4), analysis._invariants(SEED4))
+    assert verdicts == [True, False, True, True, True]
+    assert keys[1:] == [tuple(sorted(core._coordinates(SBox.from_table(t)))) for t in tables[:3]]
+    assert analysis._verdicts([], core._planes([], 4), analysis._invariants(SEED4)) == []

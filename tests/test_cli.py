@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import runpy
 import signal
 import subprocess
@@ -130,6 +131,21 @@ def test_clone_input_errors(tmp_path, seed4_file):
     assert main(["clone", seed4_file, "--key", "171"]) == 1  # odd length
     assert main(["clone", seed4_file, "--sigma1", "1,2,0", "--sigma2", "3,2,0,1"]) == 1
     assert main(["clone", seed4_file, "--sigma1", "1,1,2,3", "--sigma2", "3,2,0,1"]) == 1
+
+
+@given(st.text(alphabet="0123456789abcdefABCDEFgxX \t\n\u0661\uff11", max_size=8))
+@example("")
+@example("0a 0b")
+@example("\u0661\u0662")
+def test_key_is_pairs_of_hex_digits_and_nothing_else(text):
+    # _parse_key reads a key with no regex, and accepts exactly what the
+    # pattern (?:[0-9a-fA-F]{2})+ matches in full, with the same message for
+    # the rest: whitespace between pairs and non-ASCII digits included.
+    if re.fullmatch(r"(?:[0-9a-fA-F]{2})+", text):
+        assert cli._parse_key(text) == bytes.fromhex(text)
+    else:
+        with pytest.raises(ValueError, match="key must be non-empty even-length hex, got "):
+            cli._parse_key(text)
 
 
 def test_clone_non_bijective_seed(tmp_path):
@@ -694,25 +710,32 @@ def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
 
 
 def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkeypatch):
-    # A sweep's rows take their coordinates, and with them their fixed
-    # points, from one _planes call per batch: the four timed rows one
-    # each, the six left one call together. find_fixed_points, a transpose
-    # per table, never runs.
+    # A sweep's rows take their fixed-point counts and verdicts from one
+    # _planes call per batch: the four timed rows one each, the six left one
+    # call together (n = 4: two bytes of each plane per table). Each batch's
+    # planes go to one _verdicts and one _fixed_counts call. find_fixed_points,
+    # a transpose per table, never runs, and _invariants runs once, for the seed.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    batches = []
+    batches, reads = [], []
 
     def counting(tables, n):
-        batches.append(len(tables))
-        return core._planes(tables, n)
+        batches.append(core._planes(tables, n))
+        return batches[-1]
 
+    fixed_counts, verdicts, invariants = cli._fixed_counts, cli._verdicts, cli._invariants
     monkeypatch.setattr(cli, "_planes", counting)
+    monkeypatch.setattr(cli, "_fixed_counts", lambda planes: reads.append(planes) or fixed_counts(planes))
+    monkeypatch.setattr(cli, "_verdicts",
+                        lambda tables, planes, seed: reads.append(planes) or verdicts(tables, planes, seed))
+    monkeypatch.setattr(cli, "_invariants", lambda *args: reads.append("seed") or invariants(*args))
     monkeypatch.setattr(core, "find_fixed_points", _must_not_run)
     monkeypatch.setattr(core, "_fixed_points", _must_not_run)
     assert main(["enumerate", seed4_file, "--sample", "10", "--check-invariance"]) == 0
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(10)]
     assert capsys.readouterr() == expected_csv(SEED4, pairs, True)
-    assert batches == [1, 1, 1, 1, 6]
+    assert [len(planes[0]) // 2 for planes in batches] == [1, 1, 1, 1, 6]
+    assert reads == ["seed"] + [planes for planes in batches for _ in range(2)]
 
 
 def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
@@ -821,8 +844,11 @@ def test_enumerate_all_rows_match_oracle(sweeps, capsys, monkeypatch, serial_poo
 
 
 def test_enumerate_all_rows_match_oracle_on_two_workers(sweeps, capsys, monkeypatch):
+    # The n = 5 sweep on a real 2-worker pool. Left to POOL_START it runs
+    # serially, too short to repay the workers; here the estimate never binds.
     path, expected = sweeps[1]
     started = []
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
 
     def spy_pool(max_workers, **kwargs):
         started.append(max_workers)
@@ -848,15 +874,23 @@ def test_enumerate_sweeps_share_no_rank(sweeps, capsys, monkeypatch):
 
 def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
     # --all takes sigma1 outermost. The seed's criteria miss the one-entry
-    # cache, the identity sigma1's rows hit that entry, and each other sigma1
-    # misses on its first row only: 4! = 24 misses in 1 + 576 lookups.
+    # cache, and the four timed rows, batches of one with the identity
+    # sigma1, hit that entry. A stubbed clock puts the other 572 rows in one
+    # batch, which asks once per sigma1, each of whose rows has one sorted
+    # set of coordinates: the identity's hits, every other misses. So 4! = 24
+    # misses in 1 + 4 + 24 calls, where a call per row would make 577.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    analysis._criteria.cache_clear()
+    clock = iter([0, 1e-4] * 4)
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    keys, criteria = [], analysis._criteria
+    monkeypatch.setattr(analysis, "_criteria", lambda key, n: keys.append(key) or criteria(key, n))
+    criteria.cache_clear()
     assert main(["enumerate", seed4_file, "--all", "--check-invariance"]) == 0
     assert capsys.readouterr().err == "rows=576 distinct=576 invariance_pass=576\n"
-    info = analysis._criteria.cache_info()
-    assert (info.misses, info.hits, info.maxsize, info.currsize) == (24, 553, 1, 1)
-    analysis._criteria.cache_clear()
+    info = criteria.cache_info()
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (24, 5, 1, 1)
+    assert len(keys) == 29 and len(set(keys)) == 24 and len(set(keys[5:])) == 24
+    criteria.cache_clear()
 
 
 def test_enumerate_sample_zero_is_header_only(seed4_file, capsys):
@@ -1086,7 +1120,8 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     # cap allows. A stubbed clock makes them take 4, 3, 5 and 4 s. A sweep
     # of R rows gets R * (least time) / POOL_START workers, within the cap
     # and the rows left, fewer than two meaning serial. The rows left go out
-    # in batches, and the output is the serial output.
+    # in batches, each taking its verdicts in one call, and the output is the
+    # serial output.
     events = []
     rows_of = cli._enumerate_rows
 
@@ -1098,14 +1133,15 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
         events.append("clock")
         return next(clock)
 
-    invariants = cli._invariants
+    invariants, verdicts = cli._invariants, cli._verdicts
     monkeypatch.setattr(cli, "_invariants",
                         lambda *args: events.append("invariants") or invariants(*args))
+    monkeypatch.setattr(cli, "_verdicts", lambda *args: events.append("verdicts") or verdicts(*args))
     monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
     monkeypatch.setattr(cli, "perf_counter", logged_clock)
     monkeypatch.setattr(cli, "POOL_START", 6.0)
     monkeypatch.setattr(cli, "_cpus", lambda: 8)
-    timed = ["clock", 1, "invariants", "clock"]
+    timed = ["clock", 1, "verdicts", "clock"]
     for rows, workers in ((2, None), (3, None), (5, None), (6, 2), (10, 5), (100, 8)):
         argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
         runs, outputs = min(4, rows), []
@@ -1119,13 +1155,13 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
             clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
             assert main(argv) == 0
             assert events[:1 + 4 * runs] == ["invariants"] + timed * runs
-            sizes = [e for e in events[1 + 4 * runs:] if e != "invariants"]
+            sizes = [e for e in events[1 + 4 * runs:] if e != "verdicts"]
             assert sum(sizes) == rows - runs
-            assert events[1 + 4 * runs:] == [e for k in sizes for e in [k] + ["invariants"] * k]
+            assert events[1 + 4 * runs:] == [e for k in sizes for e in (k, "verdicts")]
             assert serial_pool.started == ([workers] if threads and workers else [])
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
-    # Without --check-invariance rows build no invariants, and rows timed
+    # Without --check-invariance rows take no verdicts, and rows timed
     # the same way still decide the pool: 2 workers, tasks of one pair.
     events.clear()
     serial_pool.started.clear()

@@ -161,6 +161,29 @@ def test_lifted_images_examples():
     assert derive_row_permutation(BitPermutation.identity(4), 4).images == tuple(range(16))
 
 
+def _lift_by_lists(images):
+    """The lift as the list it was built as before it was bytes at n <= 8."""
+    table = [0]
+    for image in images:
+        table += [v | 1 << image for v in table]
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_lift_equals_the_list_form(n):
+    # Whole permutations of every width, and the half-width images that the
+    # lift-and-scan walk lifts (tests/oracles.removal_walk_by_lift): their
+    # positions run up to n - 1, so a half of width at most 8 is bytes only
+    # when every image is below 8.
+    rng = random.Random(n)
+    images = [tuple(random_perm(rng, n)) for _ in range(4)] + [tuple(range(n))]
+    halves = [pi[:n // 2] for pi in images] + [pi[n // 2:] for pi in images]
+    for case in images + halves:
+        lifted = core._lift(case)
+        assert list(lifted) == _lift_by_lists(case)
+        assert isinstance(lifted, bytes) == (max(case, default=0) < 8)
+
+
 def test_base_planes_are_the_seeds_relabelled_coordinates():
     # The removal walk reads plane sigma1[sigma2[j]] of base = L_sigma1 L_sigma2 seed
     # off the seed's coordinate bitset j, lifting nothing; that must be base's own plane.
@@ -351,18 +374,25 @@ def test_planes_equal_per_entry_loops(n):
     # set bits of its two _masks; each equals a loop over the entries, on a
     # random bijection, a random table with repeats, the identity (every
     # point fixed) and its complement (every point reverse fixed). A batch
-    # of them gives each table what it gives alone: at n = 2 a table is half
-    # a byte of each plane, above n = 8 its entries take two bytes.
+    # of them gives each table what it gives alone, its coordinates and its
+    # fixed-point counts: at n = 2 a table is half a byte of each plane,
+    # above n = 8 its entries take two bytes, and from n = 7 a table's
+    # stretch of a mask is more than one 8-byte word.
     rng = random.Random(n)
     size = 1 << n
     tables = [random_bijective(rng, n), [rng.randrange(size) for _ in range(size)],
               list(range(size)), [size - 1 - x for x in range(size)]]
-    for table in tables:
+    points = [_fixed_points_by_loop(table) for table in tables]
+    for table, expected in zip(tables, points):
         s = SBox(n, tuple(table))
         assert core._coordinates(s) == _coordinates_by_loop(table, n)
-        assert find_fixed_points(s) == _fixed_points_by_loop(table)
-    assert core._planes(tables, n) == [_coordinates_by_loop(table, n) for table in tables]
-    assert core._planes([], n) == []
+        assert find_fixed_points(s) == expected
+    planes = core._planes(tables, n)
+    assert core._split(planes) == [_coordinates_by_loop(table, n) for table in tables]
+    assert core._fixed_counts(planes) == ([len(p.fixed) for p in points],
+                                          [len(p.reverse_fixed) for p in points])
+    assert core._split(core._planes([], n)) == []
+    assert core._fixed_counts(core._planes([], n)) == ([], [])
 
 
 # ---------------------------------------------------------------------

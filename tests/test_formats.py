@@ -351,3 +351,22 @@ def test_fingerprint_falls_back_to_hashlib(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "True [True, True, True]\n"
+
+
+def _serialize_by_lines(s):
+    """serialize_sbox as it was before it formatted with one % operation."""
+    cells = [str(v) for v in s.table]
+    return "\n".join(" ".join(cells[i:i + 16]) for i in range(0, len(cells), 16)) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_serialize_matches_line_form_and_round_trips(n):
+    # 16 entries a line, the 4 and 8 entries of n = 2 and 3 on one line, the
+    # bytes of the line-by-line form, and parse_sbox_text reads the table back.
+    rng = random.Random(n)
+    for table in (random_bijective(rng, n), [rng.randrange(1 << n) for _ in range(1 << n)]):
+        s = SBox(n, tuple(table))
+        text = serialize_sbox(s)
+        assert text == _serialize_by_lines(s)
+        assert text.count("\n") == max(len(table) // 16, 1)
+        assert parse_sbox_text(text) == s

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tokenize
 import tracemalloc
 from math import factorial
 
@@ -153,6 +154,20 @@ def test_core_imports_without_analysis(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "['sboxforge', 'sboxforge.core']\n"
+
+
+@pytest.mark.parametrize("name", sorted(name for name in os.listdir(os.path.dirname(sboxforge.__file__))
+                                         if name.endswith(".py")))
+def test_modules_stay_below_4096_parser_tokens(name):
+    # Every CLI call compiles the modules it imports (PYTHONDONTWRITEBYTECODE
+    # leaves no bytecode cache to read), and the parser's token array doubles
+    # at 4096 tokens: past that, compiling a module peaks about 230 KiB
+    # higher, and the import leaves about 270 KiB more resident. Counted as
+    # the parser sees them: comments and blank-line NL tokens left out.
+    with open(os.path.join(os.path.dirname(sboxforge.__file__), name), "rb") as handle:
+        tokens = [t for t in tokenize.tokenize(handle.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < 4096
 
 
 def test_cli_opens_every_file_as_bytes(tmp_path, monkeypatch, capsys):

@@ -57,18 +57,19 @@ EXIT_WIDTH = 6
 EXIT_USAGE = 64
 EXIT_INTERRUPTED = 130
 
-# Seconds of estimated row time per worker, the estimate being the rows
-# times the least of the timed rows. On 2 cores (Python 3.11) a 2-worker pool
-# cost an n = 5 --all --check-invariance sweep about 0.16 s, and then ran
-# its rows in 0.6 of their serial time: it repays itself from about 0.4 s of
-# rows. A timed row is a batch of one, about 6x a batched row's time there
-# (1.3x for a sampled n = 8 row), so two workers start from about 2 s
-# estimated: n = 5 (about 1.2 s) runs serially, n = 6 (about 48 s) pools.
-POOL_START = 1.0
-# Seconds of rows per batch, at most, at the timed rows' least time. A batch
-# is one call of _enumerate_rows, one pool task and one write of the CSV. A
-# sweep finds that its output has gone, a reader closing its pipe, only when
-# it writes, and an n = 16 row with --check-invariance takes about a second.
+# Seconds of rows left, at the row time, per worker; fewer than two workers
+# run serially. Measured on 2 cores (Python 3.11.7), whole processes with
+# --check-invariance: a 2-worker pool cost about 0.06 s, and repaid itself
+# from about 0.3 s of rows at n = 8, where the row time is a sampled row's
+# own. The n = 5 --all sweep, whose row time is about twice a row's share
+# of a large batch, read 0.28-0.57 s in 41 of 42 runs (0.76 s once), and
+# the pool lost 0.04-0.06 s there; sampled n = 8 and n = 10 sweeps of 3000
+# and 500 rows read 0.64-1.5 s. So two workers start from 0.6 s.
+POOL_START = 0.3
+# Seconds of rows per batch, at most, at the row time. A batch is one call
+# of _enumerate_rows, one pool task and one write of the CSV. A sweep finds
+# that its output has gone, a reader closing its pipe, only when it writes,
+# and an n = 16 row with --check-invariance takes about a second.
 _BATCH_SECONDS = 0.25
 
 class UsageError(Exception):
@@ -361,20 +362,22 @@ def cmd_enumerate(args) -> int:
         _init_sweep(*sweep)
 
         def results():
-            # The first rows run one at a time, each a batch of one, and are
-            # timed; their least time sizes the later batches and, by
-            # POOL_START, decides the workers for the rows left.
-            times = []
-            for pair in islice(pairs, 4):
-                began = perf_counter()
-                result = _enumerate_rows((pair,))
-                times.append(perf_counter() - began)
-                yield result
-            least = min(times, default=_BATCH_SECONDS)  # no rows: nothing left to size
-            workers = min(cap, count - len(times), int(count * least / POOL_START))
+            # The first batches, of up to 1, 2, 4 and 8 rows, run here and
+            # are timed, and their least time per row is the row time: the
+            # first rows build the width's tables and, under --all, lift ranks
+            # that later rows find cached, a forked process's first row is
+            # cold, and a batch's fixed work weighs less on more rows.
+            least, left = float("inf"), count
+            for size in (1, 2, 4, 8):
+                if batch := list(islice(pairs, max(1, min(size, int(_BATCH_SECONDS / least))))):
+                    began = perf_counter()
+                    result = _enumerate_rows(batch)
+                    least, left = min(least, (perf_counter() - began) / len(batch)), left - len(batch)
+                    yield result
+            workers = min(cap, left, int(left * least / POOL_START)) if left else 0
             size = int(_BATCH_SECONDS / least)
             if workers > 1:
-                size = min(size, count // (4 * workers))
+                size = min(size, left // (4 * workers))
             batches = iter(lambda: list(islice(pairs, max(1, size))), [])
             if workers > 1:
                 pool = stack.enter_context(_process_pool(

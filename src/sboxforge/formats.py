@@ -141,14 +141,10 @@ def _decimals(size: int) -> list[str]:
     return list(map(str, range(size)))
 
 
-def fingerprint(s: SBox) -> tuple[str, str]:
-    """(first eight entries, 16-hex-digit table hash) for compact listings."""
-    return _fingerprint(s.table)
-
-
 def _fingerprint(table) -> tuple[str, str]:
-    """fingerprint of the s-box `table`: the hash is the first 16 hex digits
-    of the SHA-256 of its entries in decimal, joined by spaces."""
+    """(first eight entries, 16-hex-digit hash) of the s-box `table`, as a
+    sweep row lists it: the hash is the first 16 hex digits of the SHA-256
+    of its entries in decimal, joined by spaces."""
     cells = list(map(_decimals(len(table)).__getitem__, table))
     return " ".join(cells[:8]), sha256(" ".join(cells).encode()).hexdigest()[:16]
 

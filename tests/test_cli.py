@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from sboxforge import (SBox, analysis, analyze, cli, clone_sbox, compare_reports, core,
                        find_fixed_points, formats, lehmer_decode)
 from sboxforge.cli import main
-from sboxforge.formats import fingerprint, serialize_sbox
+from sboxforge.formats import serialize_sbox
 
 from oracles import (
     bits_matrix,
@@ -239,19 +239,19 @@ def test_failing_command_keeps_a_file_that_appeared_before_the_open(seed4_file, 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 513])
 def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, monkeypatch):
-    # A sweep runs its first four rows alone, writing each before the next
-    # one runs, the header with the first. A stubbed clock makes them take
-    # 3t, t, 2t and t, t = 0.25 / 252.5 s, so the rest go out in batches of
-    # int(0.25 / t) = 252 pairs: one write each, on stdout and to --out, as
-    # the bytes of one row after another.
+    # A sweep runs its first batches of 1, 2, 4 and 8 rows alone, writing
+    # each before the next one runs, the header with the first. A stubbed
+    # clock makes their rows take 3t, t, 2t and t each, t = 0.25 / 241.5 s,
+    # so the rest go out in batches of int(0.25 / t) = 241 pairs: one write
+    # each, on stdout and to --out, as the bytes of one row after another.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    t = 0.25 / 252.5
+    t = 0.25 / 241.5
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
     cli._init_sweep(SEED4, analysis._invariants(SEED4))
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
               "fixed_points,reverse_fixed_points,invariance\n")
-    bounds = [0, 1, 2, 3, *range(4, rows, 252), rows]
+    bounds = [0, 1, 3, 7, *range(15, rows, 241), rows]
     batches = [cli._enumerate_rows(pairs[a:b])[0].encode() for a, b in zip(bounds, bounds[1:])]
     batches[0] = header.encode() + batches[0]
     argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
@@ -261,7 +261,7 @@ def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, mo
                         lambda batch: events.append(len(batch)) or rows_of(batch))
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
     for out in (None, tmp_path / "sweep.csv"):
-        clock = iter([0, 3 * t, 0, t, 0, 2 * t, 0, t])
+        clock = iter([0, 3 * t, 0, 2 * t, 0, 8 * t, 0, 8 * t])
         events.clear()
         assert main(argv + (["--out", str(out)] if out else [])) == 0
         assert next(clock, "spent") == "spent"
@@ -293,8 +293,8 @@ def test_enumerate_rows_joins_what_each_row_gives():
 def test_enumerate_rows_fields_are_each_clones_own(n):
     # Every field of a row is what the library gives its own clone:
     # clone_sbox of the pair's permutations, then find_fixed_points,
-    # fingerprint and _invariants. n = 2 puts two tables in a byte of each
-    # plane, n = 9 is the first width of 2-byte entries. The rows are the
+    # formats._fingerprint and _invariants. n = 2 puts two tables in a byte
+    # of each plane, n = 9 is the first width of 2-byte entries. The rows are the
     # same whether the pairs come as one batch or one at a time. At n = 16
     # both pairs keep sigma1 the identity, so their clones share the seed's
     # cached criteria.
@@ -314,7 +314,7 @@ def test_enumerate_rows_fields_are_each_clones_own(n):
         sigma1, sigma2 = lehmer_decode(k1, n), lehmer_decode(k2, n)
         clone = clone_sbox(seed, sigma1, sigma2)
         points = find_fixed_points(clone)
-        prefix, hash64 = fingerprint(clone)
+        prefix, hash64 = formats._fingerprint(clone.table)
         passed = analysis._invariants(clone.table) == invariants
         assert line.split(",") == [
             str(k1), str(k2), " ".join(map(str, sigma1.images)), " ".join(map(str, sigma2.images)),
@@ -504,8 +504,8 @@ def test_failed_output_write_is_one_line(seed4_file, capsys):
 
 
 def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch):
-    # A write that fails while a real 2-worker pool holds batches of about
-    # two seconds each (100 rows of n = 12 with --check-invariance) ends the
+    # A write that fails while a real 2-worker pool holds batches of up to
+    # a quarter second each (n = 12 rows with --check-invariance) ends the
     # command at once: one line, exit 1, the workers stopped rather than
     # waited for, and the --out file the run created removed.
     seed = tmp_path / "seed12.txt"
@@ -514,7 +514,7 @@ def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch
     real, failed = os.write, []
 
     def full_once_pooled(fd, data):
-        if not multiprocessing.active_children():  # the timed rows, written before the pool starts
+        if not multiprocessing.active_children():  # the timed batches, written before the pool starts
             return real(fd, data)
         failed.append(time.monotonic())
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -705,14 +705,15 @@ def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
     assert [line.rsplit(",", 1)[1] for line in rows] == ["pass", "fail", "pass"]
-    assert rows[1].split(",")[4:] == [*fingerprint(SBox.identity(4)), "16", "0", "fail"]
+    assert rows[1].split(",")[4:] == [*formats._fingerprint(range(16)), "16", "0", "fail"]
     assert captured.err.endswith(" invariance_pass=2\n")
 
 
 def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkeypatch):
     # A sweep's rows take their fixed-point counts and verdicts from one
-    # _planes call per batch: the four timed rows one each, the six left one
-    # call together (n = 4: two bytes of each plane per table). Each batch's
+    # _planes call per batch: the timed batches of 1, 2, 4 and 8 rows one
+    # each, the five left one call together (n = 4: two bytes of each plane
+    # per table). Each batch's
     # planes go to one _verdicts and one _fixed_counts call. find_fixed_points,
     # a transpose per table, never runs, and _invariants runs once, for the seed.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
@@ -730,11 +731,11 @@ def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkey
     monkeypatch.setattr(cli, "_invariants", lambda *args: reads.append("seed") or invariants(*args))
     monkeypatch.setattr(core, "find_fixed_points", _must_not_run)
     monkeypatch.setattr(core, "_fixed_points", _must_not_run)
-    assert main(["enumerate", seed4_file, "--sample", "10", "--check-invariance"]) == 0
+    assert main(["enumerate", seed4_file, "--sample", "20", "--check-invariance"]) == 0
     rng = random.Random(0)
-    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(10)]
+    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(20)]
     assert capsys.readouterr() == expected_csv(SEED4, pairs, True)
-    assert [len(planes[0]) // 2 for planes in batches] == [1, 1, 1, 1, 6]
+    assert [len(planes[0]) // 2 for planes in batches] == [1, 2, 4, 8, 5]
     assert reads == ["seed"] + [planes for planes in batches for _ in range(2)]
 
 
@@ -874,11 +875,11 @@ def test_enumerate_sweeps_share_no_rank(sweeps, capsys, monkeypatch):
 
 def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
     # --all takes sigma1 outermost. The seed's criteria miss the one-entry
-    # cache, and the four timed rows, batches of one with the identity
-    # sigma1, hit that entry. A stubbed clock puts the other 572 rows in one
-    # batch, which asks once per sigma1, each of whose rows has one sorted
-    # set of coordinates: the identity's hits, every other misses. So 4! = 24
-    # misses in 1 + 4 + 24 calls, where a call per row would make 577.
+    # cache, and the four timed batches, 15 rows with the identity sigma1,
+    # hit that entry once each. A stubbed clock puts the other 561 rows in
+    # one batch, which asks once per sigma1, each of whose rows has one
+    # sorted set of coordinates: the identity's hits, every other misses. So
+    # 4! = 24 misses in 1 + 4 + 24 calls, where a call per row would make 577.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     clock = iter([0, 1e-4] * 4)
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
@@ -1003,10 +1004,11 @@ def test_enumerate_requires_mode(seed4_file):
 
 def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkeypatch):
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    main(["enumerate", seed4_file, "--sample", "8", "--rng-seed", "11",
+    main(["enumerate", seed4_file, "--sample", "20", "--rng-seed", "11",
           "--check-invariance"])
     serial = capsys.readouterr().out
-    # A real two-worker pool, however short the sweep.
+    # A real two-worker pool, however short the sweep, for the 5 rows after
+    # the 15 timed.
     started = []
 
     def spy_pool(max_workers, **kwargs):
@@ -1016,7 +1018,7 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
-    main(["enumerate", seed4_file, "--sample", "8", "--rng-seed", "11",
+    main(["enumerate", seed4_file, "--sample", "20", "--rng-seed", "11",
           "--check-invariance"])
     parallel = capsys.readouterr().out
     assert started == [2]
@@ -1062,13 +1064,13 @@ def serial_pool(monkeypatch):
 def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch, serial_pool):
     monkeypatch.setattr(cli, "POOL_START", 1e-12)  # the row-time estimate never binds
     monkeypatch.setenv("SBOXFORGE_THREADS", "64")
-    # Four of the seven rows are timed before the pool starts, leaving three.
+    # Fifteen of the 18 rows are timed before the pool starts, leaving three.
     for cpus, expected in ((8, 3), (2, 2), (1, None)):
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         serial_pool.started.clear()
-        assert main(["enumerate", seed4_file, "--sample", "7"]) == 0
+        assert main(["enumerate", seed4_file, "--sample", "18"]) == 0
         assert serial_pool.started == ([expected] if expected else [])
-    assert capsys.readouterr().out.count("\n") == 3 * 8
+    assert capsys.readouterr().out.count("\n") == 3 * 19
 
 
 def test_enumerate_one_usable_cpu_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
@@ -1098,7 +1100,7 @@ def test_enumerate_short_sweep_starts_no_pool(seed4_file, capsys, monkeypatch, s
 
 def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, serial_pool):
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    argv = ["enumerate", seed4_file, "--sample", "600", "--rng-seed", "5"]
+    argv = ["enumerate", seed4_file, "--sample", "615", "--rng-seed", "5"]
     assert main(argv) == 0
     serial = capsys.readouterr()
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
@@ -1106,22 +1108,66 @@ def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     assert main(argv) == 0
     assert capsys.readouterr() == serial
-    # 596 rows after the timed four, in tasks of 600 // (2 * 4) = 75: eight
+    # 600 rows after the 15 timed, in tasks of 600 // (2 * 4) = 75: eight
     # tasks, at most four in flight.
     assert serial_pool.started == [2]
     assert len(serial_pool.in_flight) == 8
     assert max(serial_pool.in_flight) == 4
 
 
+def timed_clock(per_row, sizes):
+    """A stub for cli.perf_counter around each _enumerate_rows call that
+    appends its batch's size to `sizes`: 0 before the call, then
+    per_row(size) * size after it, so each row of a batch takes per_row(size)."""
+    calls = []
+
+    def clock():
+        calls.append(None)
+        return 0.0 if len(calls) % 2 else per_row(sizes[-1]) * sizes[-1]
+    return clock
+
+
+def test_enumerate_row_time_is_a_batch_time_over_its_rows(seed4_file, capsys, monkeypatch,
+                                                           serial_pool):
+    # Rows of the timed batches of 1, 2 and 4 take 10t each, and the 8-row
+    # batch takes 8t: the row time is t, so the 585 rows left fit one batch
+    # of int(0.25 / t) = 1024, where 10t would give batches of 102. The row
+    # time also decides the pool: 585t is 0.14 s, so a POOL_START of 0.07 s
+    # starts two workers, and one of 0.072 s none.
+    t = 2 ** -12
+    sizes, rows_of = [], cli._enumerate_rows
+    monkeypatch.setattr(cli, "_enumerate_rows",
+                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    for pool_start, started in ((0.072, []), (0.07, [2])):
+        sizes.clear()
+        serial_pool.started.clear()
+        monkeypatch.setattr(cli, "perf_counter",
+                            timed_clock(lambda size: t if size == 8 else 10 * t, sizes))
+        monkeypatch.setattr(cli, "POOL_START", pool_start)
+        assert main(["enumerate", seed4_file, "--sample", "600"]) == 0
+        assert serial_pool.started == started
+        # Two workers cap a task at a quarter of each one's share, 585 // 8.
+        assert sizes == [1, 2, 4, 8] + ([585] if not started else [73] * 8 + [1])
+    assert capsys.readouterr().out.count("\n") == 2 * 601
+
+
 def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch, serial_pool):
     # After the seed's invariants have built the width's plan and cached its
-    # criteria, the sweep's first rows run here, each a batch of one, and
-    # are timed: four, or all of a shorter sweep, however many workers the
-    # cap allows. A stubbed clock makes them take 4, 3, 5 and 4 s. A sweep
-    # of R rows gets R * (least time) / POOL_START workers, within the cap
-    # and the rows left, fewer than two meaning serial. The rows left go out
-    # in batches, each taking its verdicts in one call, and the output is the
-    # serial output.
+    # criteria, the sweep's first batches run here, of 1, 2, 4 and 8 rows,
+    # or fewer for a shorter sweep, and are timed, however many workers the
+    # cap allows. A stubbed clock makes their rows take 4u, 3u, 5u and 4u
+    # each. At u = 2 ** -10 s the batches grow; at u = 1 s, rows as slow as
+    # an n = 16 row with --check-invariance, each holds one row. The L rows
+    # left get L * 3u / POOL_START workers, within the cap and L, fewer than
+    # two meaning serial. They go out in batches, each taking its verdicts
+    # in one call, and the output is the serial output.
+    fast = ((0, [], None), (1, [1], None), (2, [1, 1], None), (3, [1, 2], None),
+            (10, [1, 2, 4, 3], None), (15, [1, 2, 4, 8], None), (17, [1, 2, 4, 8], None),
+            (19, [1, 2, 4, 8], 2), (25, [1, 2, 4, 8], 5), (100, [1, 2, 4, 8], 8))
+    slow = ((0, [], None), (1, [1], None), (3, [1] * 3, None), (5, [1] * 4, None),
+            (6, [1] * 4, None), (8, [1] * 4, 2), (14, [1] * 4, 5), (100, [1] * 4, 8))
     events = []
     rows_of = cli._enumerate_rows
 
@@ -1139,47 +1185,74 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     monkeypatch.setattr(cli, "_verdicts", lambda *args: events.append("verdicts") or verdicts(*args))
     monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
     monkeypatch.setattr(cli, "perf_counter", logged_clock)
-    monkeypatch.setattr(cli, "POOL_START", 6.0)
     monkeypatch.setattr(cli, "_cpus", lambda: 8)
-    timed = ["clock", 1, "verdicts", "clock"]
-    for rows, workers in ((2, None), (3, None), (5, None), (6, 2), (10, 5), (100, 8)):
-        argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
-        runs, outputs = min(4, rows), []
-        for threads in (None, "8"):
-            if threads:
-                monkeypatch.setenv("SBOXFORGE_THREADS", threads)
-            else:
-                monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-            events.clear()
-            serial_pool.started.clear()
-            clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
-            assert main(argv) == 0
-            assert events[:1 + 4 * runs] == ["invariants"] + timed * runs
-            sizes = [e for e in events[1 + 4 * runs:] if e != "verdicts"]
-            assert sum(sizes) == rows - runs
-            assert events[1 + 4 * runs:] == [e for k in sizes for e in (k, "verdicts")]
-            assert serial_pool.started == ([workers] if threads and workers else [])
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-    # Without --check-invariance rows take no verdicts, and rows timed
-    # the same way still decide the pool: 2 workers, tasks of one pair.
-    events.clear()
-    serial_pool.started.clear()
-    clock = iter([0, 4, 10, 13, 20, 25, 30, 34])
-    assert main(["enumerate", seed4_file, "--sample", "6"]) == 0
-    assert events == ["clock", 1, "clock"] * 4 + [1, 1]
-    assert serial_pool.started == [2]
+    for u, cases in ((2 ** -10, fast), (1.0, slow)):
+        full = cases[-1][1]
+        clock_values = [x for r, k in zip((4, 3, 5, 4), full) for x in (0, r * u * k)]
+        monkeypatch.setattr(cli, "POOL_START", 6 * u)
+        for rows, timed, workers in cases:
+            argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
+            outputs = []
+            for threads in (None, "8"):
+                if threads:
+                    monkeypatch.setenv("SBOXFORGE_THREADS", threads)
+                else:
+                    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+                events.clear()
+                serial_pool.started.clear()
+                clock = iter(clock_values)
+                assert main(argv) == 0
+                head = 1 + 4 * len(timed)
+                assert events[:head] == ["invariants"] + [
+                    e for k in timed for e in ("clock", k, "verdicts", "clock")]
+                sizes = [e for e in events[head:] if e != "verdicts"]
+                assert sum(sizes) == rows - sum(timed)
+                assert events[head:] == [e for k in sizes for e in (k, "verdicts")]
+                assert serial_pool.started == ([workers] if threads and workers else [])
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+        # Without --check-invariance rows take no verdicts, and batches timed
+        # the same way still decide the pool: 2 workers for the 4 rows left,
+        # tasks of one pair.
+        events.clear()
+        serial_pool.started.clear()
+        clock = iter(clock_values)
+        assert main(["enumerate", seed4_file, "--sample", str(sum(full) + 4)]) == 0
+        assert events == [e for k in full for e in ("clock", k, "clock")] + [1] * 4
+        assert serial_pool.started == [2]
+        assert capsys.readouterr().out.count("\n") == sum(full) + 5
+
+
+@pytest.mark.parametrize("rows, cpus", [(6, 2), (12, 8)])
+def test_enumerate_rows_of_a_second_each_get_a_worker(rows, cpus, seed4_file, capsys,
+                                                      monkeypatch, serial_pool):
+    # At the shipped POOL_START, rows of a second each, as n = 16 rows with
+    # --check-invariance take, are timed one at a time, and each of the rows
+    # left after the four timed gets a worker, as many as the CPUs allow:
+    # 2 workers for 2 rows on 2 CPUs, 8 for 8 rows on 8 CPUs. A task holds
+    # one pair.
+    sizes, rows_of = [], cli._enumerate_rows
+    monkeypatch.setattr(cli, "_enumerate_rows",
+                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+    monkeypatch.setattr(cli, "perf_counter", timed_clock(lambda size: 1.0, sizes))
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setenv("SBOXFORGE_THREADS", str(cpus))
+    assert main(["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]) == 0
+    assert serial_pool.started == [cpus]
+    assert sizes == [1] * rows
+    assert capsys.readouterr().out.count("\n") == rows + 1
 
 
 def test_enumerate_slow_first_row_keeps_a_short_sweep_serial(seed4_file, capsys, monkeypatch,
                                                              serial_pool):
-    # The least of the four timed rows decides, not the first: a first row
-    # can be cold, as in a forked child. A stubbed clock makes the first row
-    # of the 576-row --all sweep take 1 s and the next three 0.1 ms each;
-    # 576 rows of 0.1 ms are less than POOL_START, so two allowed workers
-    # stay unstarted, and the 572 rows left fit one 0.25 s batch.
+    # The least time per row decides, not the first: a first row can be
+    # cold, as in a forked child. A stubbed clock makes the first row of the
+    # 576-row --all sweep take 1 s, so the next batch holds one row, not
+    # two; that row and the rows of the batches of 4 and 8 take 0.1 ms each.
+    # 562 rows of 0.1 ms are less than two POOL_STARTs, so two allowed
+    # workers stay unstarted, and the rows left fit one 0.25 s batch.
     sizes, rows_of = [], cli._enumerate_rows
-    clock = iter([0, 1.0, 0, 1e-4, 0, 1e-4, 0, 1e-4])
+    clock = iter([0, 1.0, 0, 1e-4, 0, 4e-4, 0, 8e-4])
     monkeypatch.setattr(cli, "_enumerate_rows",
                         lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
@@ -1187,23 +1260,25 @@ def test_enumerate_slow_first_row_keeps_a_short_sweep_serial(seed4_file, capsys,
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     assert main(["enumerate", seed4_file, "--all", "--check-invariance"]) == 0
     assert serial_pool.started == []
-    assert sizes == [1, 1, 1, 1, 572]
+    assert sizes == [1, 1, 4, 8, 562]
     assert capsys.readouterr().err == "rows=576 distinct=576 invariance_pass=576\n"
 
 
 @pytest.mark.parametrize("threads, cpus", [(None, 1), ("2", 4)])
-@pytest.mark.parametrize("seconds, rows", [(0.5, 1), (0.125, 2), (2 ** -9, 128), (2 ** -12, 1024)])
+@pytest.mark.parametrize("seconds, rows", [(1.0, 1), (0.5, 1), (0.125, 2), (2 ** -9, 128),
+                                           (2 ** -12, 1024)])
 def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, cpus, seconds, rows, seed4_file,
                                                          capsys, monkeypatch, serial_pool):
     # A sweep finds a closed reader only when it writes, once a batch, so no
-    # batch after the four timed rows holds more rows than take 0.25 s at
-    # their least time (a stubbed clock gives each the same), and none fewer
-    # than one; a pool's tasks also stay within a quarter of each worker's
-    # share, 600 // 8.
-    sizes, rows_of, clock = [], cli._enumerate_rows, iter([0.0, seconds] * 4)
+    # batch holds more rows than take 0.25 s at the least time per row so
+    # far (a stubbed clock gives every row the same), and none fewer than
+    # one, the timed batches of up to 1, 2, 4 and 8 rows too; a pool's tasks
+    # also stay within a quarter of each worker's share of the rows left.
+    timed = {1.0: [1, 1, 1, 1], 0.5: [1, 1, 1, 1], 0.125: [1, 2, 2, 2]}.get(seconds, [1, 2, 4, 8])
+    sizes, rows_of = [], cli._enumerate_rows
     monkeypatch.setattr(cli, "_enumerate_rows",
                         lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
-    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(cli, "perf_counter", timed_clock(lambda size: seconds, sizes))
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     if threads:
@@ -1211,8 +1286,8 @@ def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, cpus, seconds,
     else:
         monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     assert main(["enumerate", seed4_file, "--sample", "600"]) == 0
-    size = min(rows, 600 // 8) if threads else rows
-    assert sizes[:4] == [1] * 4 and sum(sizes) == 600
+    size = min(rows, (600 - sum(timed)) // 8) if threads else rows
+    assert sizes[:4] == timed and sum(sizes) == 600
     assert sizes[4:-1] == [size] * (len(sizes) - 5) and sizes[-1] <= size
     assert serial_pool.started == ([2] if threads else [])
 
@@ -1405,7 +1480,7 @@ def test_n16_enumerate_sample(seed16, capsys):
     header, row = captured.out.splitlines()
     k1, k2, _, _, prefix, digest = row.split(",")[:6]
     clone = clone_sbox(SBox(16, tuple(table)), lehmer_decode(int(k1), 16), lehmer_decode(int(k2), 16))
-    assert (prefix, digest) == fingerprint(clone)
+    assert (prefix, digest) == formats._fingerprint(clone.table)
     assert captured.err == "rows=1 distinct=1\n"
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from sboxforge import SBox, analyze, formats
 from sboxforge.formats import (
     SBoxFileError,
-    fingerprint,
     format_decimal,
     load_sbox,
     parse_sbox_text,
@@ -324,7 +323,7 @@ def test_rendering_is_deterministic():
 
 
 def test_fingerprint_reference():
-    prefix, digest = fingerprint(SBox.from_table(CLONE4))
+    prefix, digest = formats._fingerprint(CLONE4)
     assert prefix == "10 6 14 13 11 15 7 12"
     assert digest == "2ce84f70887f49b1"
     assert len(digest) == 16
@@ -334,20 +333,19 @@ def test_fingerprint_reference():
 def test_fingerprint_hashes_the_decimal_table(n):
     rng = random.Random(n)
     for table in (random_bijective(rng, n), [rng.randrange(1 << n) for _ in range(1 << n)]):
-        prefix, digest = fingerprint(SBox(n, tuple(table)))
+        prefix, digest = formats._fingerprint(table)
         assert prefix == " ".join(map(str, table[:8]))
         assert digest == hashlib.sha256(" ".join(map(str, table)).encode()).hexdigest()[:16]
 
 
 def test_fingerprint_falls_back_to_hashlib(child_env):
-    # On an interpreter built without its own SHA-256 modules, fingerprint
+    # On an interpreter built without its own SHA-256 modules, _fingerprint
     # takes hashlib's, with the same digests.
     probe = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
-             "import hashlib, random; from sboxforge import SBox, formats; "
+             "import hashlib, random; from sboxforge import formats; "
              "rng = random.Random(5); tables = [rng.sample(range(1 << n), 1 << n) for n in (2, 8, 12)]; "
-             "print(formats.sha256 is hashlib.sha256, [formats.fingerprint(SBox(len(t).bit_length() - 1, "
-             "tuple(t)))[1] == hashlib.sha256(' '.join(map(str, t)).encode()).hexdigest()[:16] "
-             "for t in tables])")
+             "print(formats.sha256 is hashlib.sha256, [formats._fingerprint(t)[1] "
+             "== hashlib.sha256(' '.join(map(str, t)).encode()).hexdigest()[:16] for t in tables])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "True [True, True, True]\n"

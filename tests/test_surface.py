@@ -55,12 +55,21 @@ def test_public_surface_is_pinned():
         assert getattr(sboxforge, name) is not None
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
 def readme_block(heading, language):
     """The first fenced block under the README's `## heading`."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(path, encoding="utf-8") as handle:
+    with open(README, encoding="utf-8") as handle:
         section = handle.read().split(f"\n## {heading}\n", 1)[1]
     return re.match(rf"\s*```{language}\n(.*?)```\n", section, re.S).group(1)
+
+
+def readme_section(heading):
+    """The text under the README's `### heading`, up to the next heading."""
+    with open(README, encoding="utf-8") as handle:
+        section = handle.read().split(f"\n### {heading}\n", 1)[1]
+    return re.split(r"\n#+ ", section, maxsplit=1)[0]
 
 
 def test_readme_quick_start_runs_as_written():
@@ -74,6 +83,26 @@ def test_readme_cli_lines_parse():
         words = shlex.split(line)[1:]
         args = cli.parse_args(words)
         assert (args.command, args.func) == (words[0], getattr(cli, f"cmd_{words[0]}"))
+
+
+def test_readme_exit_codes_are_the_cli_codes():
+    # The "Exit codes" table lists every cli.EXIT_* code once, in order, and no other.
+    listed = re.findall(r"^\| (\d+) +\|", readme_section("Exit codes"), re.M)
+    assert [int(code) for code in listed] == sorted(
+        value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+
+
+def test_readme_csv_header_is_the_one_enumerate_writes(tmp_path, capsys):
+    # "Enumeration CSV" gives the header on a line of its own, with
+    # "[,invariance]" for the column that --check-invariance adds.
+    line = re.search(r"^`(sigma1_index,.*)\[,invariance\]`$",
+                     readme_section("Enumeration CSV"), re.M).group(1)
+    seed = tmp_path / "seed.txt"
+    seed.write_text("0 1 2 3\n")
+    for flags, column, summary in (([], "", ""),
+                                   (["--check-invariance"], ",invariance", " invariance_pass=0")):
+        assert cli.main(["enumerate", str(seed), "--sample", "0", *flags]) == 0
+        assert capsys.readouterr() == (f"{line}{column}\n", f"rows=0 distinct=0{summary}\n")
 
 
 # One argv of each shape the benchmark's ops send.

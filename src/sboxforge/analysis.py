@@ -4,19 +4,12 @@ Covers the four criteria preserved by the clone transform: bijectivity,
 nonlinearity of the coordinate functions, the avalanche behaviour of
 single-bit input flips (dependence matrix), and the independence of
 output-bit pairs (nonlinearity and avalanche of f_j xor f_k). Each
-coordinate function f_j is one 2**n-bit int (bit x = f_j(x)), read off
-core's bit-matrix transpose of the table, or handed in by a sweep that
-transposed a whole batch of tables at once. Avalanche counts are popcounts
-of derivative bitsets, and nonlinearity runs a Walsh butterfly on packed
-lanes of n + 2 bits, its first three stages read from a
-256-entry table built per width on first use, kept as one bytes.translate
-column per byte of an entry, so that a batch's bytes are read a column at a
-time. The functions measured together are laid out block-major, one int per
-byte position holding that byte's lanes of every function, so each later
-stage is one addition or subtraction per int; nonlinearity folds the last
-stage into its maximum. All flip probabilities are carried as exact
-fractions with denominator 2**n; decimal rounding happens only at report
-serialisation.
+coordinate function f_j is one 2**n-bit int (bit x = f_j(x)) read off
+core._planes. Avalanche counts are popcounts of derivative bitsets
+(_criteria); nonlinearity runs a Walsh butterfly on packed lanes of
+max(n + 2, 4) bits (_plan, _butterfly, _measure). All flip probabilities
+are carried as exact fractions with denominator 2**n; decimal rounding
+happens only at report serialisation.
 """
 
 from __future__ import annotations
@@ -302,10 +295,9 @@ def _population_stats(moments: tuple[int, int, int, int], count: int, d: int = 1
 # coordinate bitsets: any reordering of the coordinates, as a clone with
 # another sigma2 makes, gives the same multiset of counts, and sorting keeps
 # a repeated coordinate's multiplicity. The key is read off each s-box's own
-# table, so no clone borrows the seed's counts. --all takes n! rows in a row
-# with one sigma1, all with the same sorted coordinates: a sweep batch asks
-# once per key (_verdicts), and the one entry carries a key, the seed's or a
-# batch's last, into the next batch.
+# table, so no clone borrows the seed's counts. --all takes the n! rows of
+# one sigma1 in a row, so the one entry carries a key, the seed's or a sweep
+# batch's last (_verdicts), into the next batch.
 @lru_cache(maxsize=1)
 def _criteria(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, int, int, int], ...]:
     """The _moments of the four criteria's counts, in CRITERIA order.

@@ -8,12 +8,10 @@ output rearranges the matrix columns. Applying both produces a "clone"
 s-box that keeps the seed's bijectivity, nonlinearity, avalanche and
 bit-independence statistics while relocating its fixed points.
 
-The matrix's columns, the coordinate bitsets, are read off one bit-matrix
-transpose, made for a whole batch of tables at once (_planes): analysis,
-enumerate's sweep rows and the fixed-point removal walk all read them
-there. The fixed and reverse fixed points of every table of a batch are
-two masks over its joined planes (_masks): a sweep counts each table's,
-and find_fixed_points lists those of a batch of one.
+Every clone is built by _clone from _lift's tables. The matrix's columns,
+the coordinate bitsets, come from one transpose per batch of tables
+(_planes), which analysis, the fixed points (_masks) and the removal walk
+(clone_sbox_avoiding_fixed_points) read.
 """
 
 from __future__ import annotations
@@ -376,9 +374,9 @@ def clone_sbox_avoiding_fixed_points(
 
     Each attempt is decided on bit-planes, 2**n-bit ints with one bit per
     index x. Plane sigma1[sigma2[j]] of base is the seed's coordinate bitset
-    j, so the n base planes B_k cost no lift; identity plane I_k has bit x set
-    when bit k of x is. L_pi moves bit k to bit pi[k], so x is a fixed point
-    when B_k(x) = I_pi[k](x) for every k, and a reverse fixed point when they
+    j, so the n base planes B_k cost no lift; I_k is _identity's plane k.
+    L_pi moves bit k to bit pi[k], so x is a fixed point when
+    B_k(x) = I_pi[k](x) for every k, and a reverse fixed point when they
     differ for every k. So pi is clean when AND_k (~B_k ^ I_pi[k]) and
     AND_k (B_k ^ I_pi[k]) are both zero, ~ taken within 2**n bits: 2n big-int
     operations per attempt, with each ~B_k computed once per walk.

@@ -184,7 +184,8 @@ def _coordinate(table, mask):
 def test_walsh_at_lane_width_boundary(n):
     # Every coordinate of the identity is linear: its one nonzero Walsh
     # coefficient is +2**n, and -2**n for the complement. That magnitude is
-    # the most a Walsh lane of n + 2 bits holds beside its bias, at every n.
+    # the most a Walsh lane of n + 2 bits holds beside its bias: the lane
+    # width at every n >= 2 (a lane has 4 bits at n = 1).
     top, mask = (1 << n) - 1, 1 << (n - 1)
     for table, peak in ((tuple(range(1 << n)), 1 << n),
                         (tuple(v ^ top for v in range(1 << n)), -(1 << n))):
@@ -309,10 +310,12 @@ def test_byte_table_entries_are_direct_walsh_transforms(n):
 def test_plan_columns_are_the_byte_tables_entry_bytes(n):
     # Column i translates byte v to byte i of v's entry; the butterfly reads
     # every entry through them. At n < 3 a byte has only 2**n bits, so the
-    # bytes above the table's 2**(2**n) entries are never read.
+    # bytes above the table's 2**(2**n) entries are never read, and an entry
+    # of 2**n lanes of 4 bits has 1 byte at n = 1 and 2 at n = 2, not n + 2.
     plan = analysis._plan(n)
     table = analysis._byte_table(n, plan.lane)
     size = len(plan.columns)
+    assert size == {1: 1, 2: 2}.get(n, n + 2)
     assert len(table) == size << min(8, 1 << n)
     for i, column in enumerate(plan.columns):
         assert len(column) == 256

@@ -14,7 +14,7 @@ from math import factorial
 import pytest
 
 import sboxforge
-from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli,
+from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli, formats,
                        derive_row_permutation, key_to_permutations, lehmer_decode,
                        max_balanced_nonlinearity, nonlinearity, walsh_spectrum)
 
@@ -103,6 +103,30 @@ def test_readme_csv_header_is_the_one_enumerate_writes(tmp_path, capsys):
                                    (["--check-invariance"], ",invariance", " invariance_pass=0")):
         assert cli.main(["enumerate", str(seed), "--sample", "0", *flags]) == 0
         assert capsys.readouterr() == (f"{line}{column}\n", f"rows=0 distinct=0{summary}\n")
+
+
+def test_readme_input_bounds_are_the_parsers(tmp_path, capsys, monkeypatch):
+    # "S-box files" states the byte bound in MiB and in bytes, the entry
+    # bound and the longest text that is split whole; it and "Exit codes"
+    # quote the line a command prints past each bound. Lines are joined.
+    files, codes = (" ".join(readme_section(name).split()) for name in ("S-box files", "Exit codes"))
+    mib, size, entries, split = [int(re.search(pattern, files)[1].replace(" ", "")) for pattern in (
+        r"At most (\d+) MiB", r"MiB \(([\d ]+) bytes\)", r"more than ([\d ]+) entries exits",
+        r"A text of up to ([\d ]+) characters")]
+    assert mib << 20 == size == formats.MAX_FILE_BYTES
+    assert entries == formats.MAX_ENTRIES
+    big, many = tmp_path / "big.txt", tmp_path / "many.txt"
+    big.write_bytes(b" " * (formats.MAX_FILE_BYTES + 1))
+    many.write_text("0 " * (formats.MAX_ENTRIES + 1))
+    for path in (big, many):
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_PARSE
+        line = capsys.readouterr().err.replace(str(path), "PATH").rstrip("\n")
+        assert f"`{line}`" in files and f"`{line}`" in codes
+    long_texts = []
+    monkeypatch.setattr(formats, "_long_tokens", lambda text: long_texts.append(len(text)) or text.split())
+    for length in (split, split + 1):
+        assert formats.parse_sbox_text("0 1 2 3".ljust(length)).table == (0, 1, 2, 3)
+    assert long_texts == [split + 1]
 
 
 # One argv of each shape the benchmark's ops send.
@@ -355,6 +379,30 @@ def test_width_bound_is_stated_in_one_message():
                       (lambda: max_balanced_nonlinearity(2), 3)):
         with pytest.raises(ValueError, match=rf"^bit width must be in \[{low}, 16\], got "):
             call()
+
+
+def test_readme_width_table_is_the_width_checks():
+    # Each row of "Accepted widths" names public names whose widths are
+    # [LOW, 16]: the bound that the name's WIDTH_CALLS reject with, or for a
+    # name without width calls that of the type its first argument takes.
+    rows = re.findall(r"^\| (\d+) to (\d+) \| (.+) \|$", readme_section("Accepted widths"), re.M)
+    assert rows
+    bounds = {}
+    for label, call in WIDTH_CALLS:
+        try:
+            call()
+        except ValueError as exc:
+            if found := re.match(r"bit width must be in \[(\d+), (\d+)\]", str(exc)):
+                bounds.setdefault(label.split()[0], set()).add(tuple(map(int, found.groups())))
+    listed = set()
+    for low, high, cell in rows:
+        for name in re.findall(r"`([\w.]+)`", cell):
+            assert name.partition(".")[0] in sboxforge.__all__
+            if name not in bounds:
+                name = next(iter(getattr(sboxforge, name).__annotations__.values()))
+            assert bounds[name] == {(int(low), int(high))}, name
+            listed.add(name)
+    assert listed == set(bounds)
 
 
 @pytest.mark.parametrize("n", [2, 16])

@@ -292,12 +292,9 @@ def _population_stats(moments: tuple[int, int, int, int], count: int, d: int = 1
 # of an s-box: its n coordinate functions and their pair sums. All that a
 # report or an invariant holds of them is their _moments, which do not depend
 # on the order of the coordinates. So they are computed from the sorted
-# coordinate bitsets: any reordering of the coordinates, as a clone with
-# another sigma2 makes, gives the same multiset of counts, and sorting keeps
-# a repeated coordinate's multiplicity. The key is read off each s-box's own
-# table, so no clone borrows the seed's counts. --all takes the n! rows of
-# one sigma1 in a row, so the one entry carries a key, the seed's or a sweep
-# batch's last (_verdicts), into the next batch.
+# coordinate bitsets, the key that _invariants reads off each table. The
+# cache's one entry carries a key, the seed's or a sweep batch's last, into
+# the next batch.
 @lru_cache(maxsize=1)
 def _criteria(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, int, int, int], ...]:
     """The _moments of the four criteria's counts, in CRITERIA order.
@@ -328,7 +325,7 @@ def analyze(s: SBox) -> AnalysisReport:
     the entries.
     """
     n, planes = s.n, _planes([s.table], s.n)
-    bijective, nl, sac, bic_nl, bic_sac = _invariants(s.table, _split(planes)[0])
+    bijective, nl, sac, bic_nl, bic_sac = _invariants([s.table], planes)[0]
     pairs = n * (n - 1) >> 1
     return AnalysisReport(
         n=n,
@@ -342,38 +339,30 @@ def analyze(s: SBox) -> AnalysisReport:
     )
 
 
-def _invariants(table, coordinates: tuple[int, ...] | None = None) -> tuple:
-    """Bijectivity, then (sum, sum of squares, min, max) of each criterion's
-    counts, of the s-box `table`; a caller that holds its coordinate bitsets
-    passes them as `coordinates`.
+def _invariants(tables: list, planes: list[bytes]) -> list[tuple]:
+    """Each table's invariants, in table order, for a batch of tables of one
+    width whose joined _planes are `planes`: its bijectivity, then the (sum,
+    sum of squares, min, max) of each criterion's counts.
+
+    A table's criteria depend on its sorted coordinates alone, its key, read
+    off its own stretch of the planes, so no clone borrows the seed's counts.
+    Sorting keeps a repeated coordinate's multiplicity, and any reordering of
+    the coordinates, as a clone with another sigma2 makes, gives the same
+    key. _criteria runs once per distinct key of the batch, in the order the
+    keys first appear: the n! rows of one sigma1, which --all takes in a
+    row, make one call.
 
     Of two s-boxes of one width, equal invariants mean reports equal in
     every field but the fixed points: each statistic is a function of these
     integers and the width. A clone of the seed has the seed's invariants
     exactly, since its counts are the seed's, reordered. So an invariance
-    sweep compares these, with no Fraction or float, instead of reports
-    (_verdicts), and verify names the fields that differ from them
+    sweep's row passes when its invariants equal the seed's, with no
+    Fraction or float, and verify names the fields that differ from them
     (_differences).
     """
-    n = len(table).bit_length() - 1
-    coordinates = coordinates or _split(_planes([table], n))[0]
-    return (len(set(table)) == len(table), *_criteria(tuple(sorted(coordinates)), n))
-
-
-def _verdicts(tables: list, planes: list[bytes], reference: tuple) -> list[bool]:
-    """Whether each table of a batch, whose joined _planes are `planes`, has
-    the _invariants `reference` of a bijective seed.
-
-    A table's criteria depend on its sorted coordinates alone, read off its
-    own stretch of the planes: that is its key. _criteria runs once per
-    distinct key of the batch, in the order the keys first appear, so the
-    n! rows of one sigma1 in --all make one call. A table passes when its
-    key's criteria are the seed's and it is bijective itself.
-    """
-    n = len(planes)
-    size, keys = 1 << n, list(map(tuple, map(sorted, _split(planes))))
-    matches = {key: reference == (True, *_criteria(key, n)) for key in dict.fromkeys(keys)}
-    return [matches[key] and len(set(table)) == size for key, table in zip(keys, tables)]
+    n, keys = len(planes), list(map(tuple, map(sorted, _split(planes))))
+    criteria = {key: _criteria(key, n) for key in dict.fromkeys(keys)}
+    return [(len(set(table)) == len(table), *criteria[key]) for key, table in zip(keys, tables)]
 
 
 def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:

@@ -24,12 +24,11 @@ from stat import S_ISREG
 from time import perf_counter
 from types import SimpleNamespace
 
-from .analysis import CRITERIA, _differences, _invariants, _verdicts, analyze
+from .analysis import CRITERIA, _differences, _invariants, analyze
 from .core import (
     BitPermutation,
     NonBijectiveError,
     RemovalExhausted,
-    SBox,
     _check_clone,
     _clone,
     _fixed_counts,
@@ -230,7 +229,7 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-_sweep = None  # (seed, the seed's invariants or None, rank cache) of the running sweep
+_sweep = None  # (seed table, n, the seed's invariants or None, rank cache) of the running sweep
 
 
 def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
@@ -239,20 +238,20 @@ def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
     return _sigma_text(sigma, " "), _lift(sigma.images)
 
 
-def _init_sweep(table, seed_invariants) -> None:
-    """Hold the sweep's seed, its invariants (or None) and a new rank cache, once per process.
+def _init_sweep(table, n, reference) -> None:
+    """Hold the sweep's seed table, checked once before the sweep, its width,
+    its invariants (or None) and a new rank cache, once per process.
 
     The cache keeps every rank at n <= 6, the widths --all takes, where each
     rank recurs 2 * n! times. Above that only --sample runs, whose ranks of
     n! rarely repeat, so it keeps none.
     """
     global _sweep
-    seed = SBox.from_table(table)
-    ranks = lru_cache(maxsize=factorial(seed.n) if seed.n <= 6 else 0)(partial(_rank, n=seed.n))
-    _sweep = (seed, seed_invariants, ranks)
+    _sweep = (table, n, reference,
+              lru_cache(maxsize=factorial(n) if n <= 6 else 0)(partial(_rank, n=n)))
 
 
-def _init_worker(table, seed_invariants) -> None:
+def _init_worker(*sweep) -> None:
     """_init_sweep in a pool worker, which leaves Ctrl-C to the parent and so
     prints nothing, and which exits as soon as its parent has gone, however
     that ended: otherwise a killed parent's workers live on, holding the
@@ -263,10 +262,10 @@ def _init_worker(table, seed_invariants) -> None:
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = parent_process()
-    if parent is not None:  # None where the caller is no child process
+    if parent:  # None where the caller is no child process
         # Nothing is written to the sentinel: a read returns b"" once the parent has gone.
         Thread(target=lambda: os.read(parent.sentinel, 1) or os._exit(1), daemon=True).start()
-    _init_sweep(table, seed_invariants)
+    _init_sweep(*sweep)
 
 
 def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
@@ -277,20 +276,20 @@ def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
     _clone call makes the batch's clones of the seed by those lifts,
     unchecked, since the seed was checked bijective once before the sweep,
     and one _planes call, one transpose, gives the whole batch its planes.
-    Every row's fixed-point counts and invariance verdict are read off
-    them for the whole batch at once, and its digest off its own table:
-    nothing is read off the seed.
+    Every row's fixed-point counts and invariants are read off them for
+    the whole batch at once, and its digest off its own table: nothing is
+    read off the seed. A row passes when its invariants are the seed's.
     """
-    seed, seed_invariants, ranks = _sweep
+    table, n, reference, ranks = _sweep
     heads, lifts = [], []
     for k1, k2 in pairs:
         (text1, rows), (text2, out) = ranks(k1), ranks(k2)
         heads.append(f"{k1},{k2},{text1},{text2}")
         lifts.append((rows, out))
-    clones = _clone(seed.table, lifts)
-    planes = _planes(clones, seed.n)
-    verdicts = ([None] * len(clones) if seed_invariants is None
-                else _verdicts(clones, planes, seed_invariants))
+    clones = _clone(table, lifts)
+    planes = _planes(clones, n)
+    verdicts = ([row == reference for row in _invariants(clones, planes)] if reference
+                else [None] * len(clones))
     lines, digests = [], []
     for head, clone, fixed, reverse, verdict in zip(heads, clones, *_fixed_counts(planes), verdicts):
         prefix, digest = _fingerprint(clone)
@@ -335,12 +334,13 @@ def _pooled_rows(pool, batches, depth: int):
 def cmd_enumerate(args) -> int:
     seed = load_sbox(args.seed)
     _check_clone(seed)
-    fact = factorial(seed.n)
+    table, n = seed.table, seed.n
+    fact = factorial(n)
     if args.all:
         if args.rng_seed is not None:
             raise UsageError("--rng-seed needs --sample")
-        if seed.n > 6:
-            raise UsageError(f"--all is limited to n <= 6 (seed has n = {seed.n}); use --sample")
+        if n > 6:
+            raise UsageError(f"--all is limited to n <= 6 (seed has n = {n}); use --sample")
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
@@ -349,7 +349,7 @@ def cmd_enumerate(args) -> int:
         rng = random.Random(0 if args.rng_seed is None else args.rng_seed)
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
-    cap = min(_thread_cap(), _cpus(), count)
+    cap = min(_thread_cap(), _cpus())
 
     head = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
             + (",invariance\n" if args.check_invariance else "\n"))
@@ -358,7 +358,8 @@ def cmd_enumerate(args) -> int:
     # digest first needs it, and each is counted apart at the end.
     digests, passes = defaultdict(partial(array, "Q")), 0
     with _output(args.out) as write, ExitStack() as stack:
-        sweep = (seed.table, _invariants(seed.table) if args.check_invariance else None)
+        sweep = (table, n, _invariants([table], _planes([table], n))[0]
+                 if args.check_invariance else None)
         _init_sweep(*sweep)
 
         def results():
@@ -378,13 +379,11 @@ def cmd_enumerate(args) -> int:
             size = int(_BATCH_SECONDS / least)
             if workers > 1:
                 size = min(size, left // (4 * workers))
-            batches = iter(lambda: list(islice(pairs, max(1, size))), [])
-            if workers > 1:
                 pool = stack.enter_context(_process_pool(
                     max_workers=workers, initializer=_init_worker, initargs=sweep))
-                yield from _pooled_rows(pool, batches, 2 * workers)
-            else:
-                yield from map(_enumerate_rows, batches)
+            batches = iter(lambda: list(islice(pairs, max(1, size))), [])
+            yield from (_pooled_rows(pool, batches, 2 * workers) if workers > 1
+                        else map(_enumerate_rows, batches))
 
         # Each result is written as it comes, the header with the first, so
         # an existing --out file stays as it was until rows are ready.
@@ -408,7 +407,8 @@ def cmd_verify(args) -> int:
     if seed.n != clone.n:
         _note(f"width mismatch: {seed.n} vs {clone.n}")
         return EXIT_WIDTH
-    differences = _differences(_invariants(seed.table), _invariants(clone.table), seed.n)
+    tables = [seed.table, clone.table]
+    differences = _differences(*_invariants(tables, _planes(tables, seed.n)), seed.n)
     differing = {d.partition(".")[0] for d in differences}
     lines = [f"{name}: {'differs' if name in differing else 'equal'}\n"
              for name in ("bijective",) + CRITERIA]

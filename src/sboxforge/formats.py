@@ -28,7 +28,6 @@ try:
 except ImportError:  # an interpreter built without its own hashes
     from hashlib import sha256
 
-from .analysis import AnalysisReport, PropertyStats
 from .core import SBox
 
 

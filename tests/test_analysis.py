@@ -55,6 +55,11 @@ from vectors import (
 APPROX = 1e-6
 
 
+def _invariants(table):
+    """analysis._invariants of `table` as a batch of one."""
+    return analysis._invariants([table], core._planes([table], len(table).bit_length() - 1))[0]
+
+
 def _parity(value):
     return bin(value).count("1") & 1
 
@@ -732,14 +737,14 @@ def test_sigma2_clone_hits_the_criteria_cache():
     seed = SBox.from_table(random_bijective(random.Random(61), 6))
     same, other = (clone_sbox(seed, lehmer_decode(k1, 6), lehmer_decode(417, 6)) for k1 in (0, 5))
     analysis._criteria.cache_clear()
-    want = analysis._invariants(seed.table)
-    assert analysis._invariants(same.table) == want
+    want = _invariants(seed.table)
+    assert _invariants(same.table) == want
     assert analysis._criteria.cache_info()[:2] == (1, 1)
-    assert analysis._invariants(other.table) == want
+    assert _invariants(other.table) == want
     assert analysis._criteria.cache_info()[:2] == (1, 2)
     for clone in (same, other):
         analysis._criteria.cache_clear()
-        assert analysis._invariants(clone.table) == want
+        assert _invariants(clone.table) == want
     analysis._criteria.cache_clear()
 
 
@@ -754,12 +759,12 @@ def test_criteria_cache_keeps_repeated_coordinates():
     keys = [tuple(sorted(core._coordinates(s))) for s in (aab, abb)]
     assert keys[0] != keys[1] and set(keys[0]) == set(keys[1])
     analysis._criteria.cache_clear()
-    got = [analysis._invariants(s.table) for s in (aab, abb)]
+    got = [_invariants(s.table) for s in (aab, abb)]
     assert analysis._criteria.cache_info()[:2] == (0, 2)
     assert [nl_moments[0] for _, nl_moments, *_ in got] == [2, 4]  # sums of the NLs
     for s, want in zip((aab, abb), got):
         analysis._criteria.cache_clear()
-        assert analysis._invariants(s.table) == want
+        assert _invariants(s.table) == want
     analysis._criteria.cache_clear()
 
 
@@ -801,11 +806,11 @@ def test_invariants_decide_report_equality(tables):
     # mean reports that differ, and compare_reports says so. The invariants
     # alone name the fields it names.
     a, b = (SBox.from_table(t) for t in tables)
-    same = analysis._invariants(a.table) == analysis._invariants(b.table)
+    same = _invariants(a.table) == _invariants(b.table)
     report_a, report_b = analyze(a), analyze(b)
     assert (_without_fixed_points(report_a) == _without_fixed_points(report_b)) == same
     assert compare_reports(report_a, report_b).equal == same
-    assert analysis._differences(analysis._invariants(a.table), analysis._invariants(b.table), a.n) == \
+    assert analysis._differences(_invariants(a.table), _invariants(b.table), a.n) == \
         compare_reports(report_a, report_b).differences
 
 
@@ -851,7 +856,7 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
                 analysis._moments(c), len(c), 1 << n, sd_divisor=2)) for c in (counts, moved))
     assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
-    bijective, nl, _, bic_nl, bic_sac = analysis._invariants(AES_SBOX)
+    bijective, nl, _, bic_nl, bic_sac = _invariants(AES_SBOX)
     invariants = [(bijective, nl, analysis._moments(c), bic_nl, bic_sac) for c in (counts, moved)]
     assert analysis._differences(*invariants, n) == ("sac.sd",)
 
@@ -865,19 +870,54 @@ def test_compare_reports_equal_for_published_pairs():
     ).equal
 
 
-def test_verdicts_take_criteria_once_per_key(monkeypatch):
-    # A batch's rows that share a key, their sorted coordinates, share one
+def test_invariants_take_criteria_once_per_key(monkeypatch):
+    # A batch's tables that share a key, their sorted coordinates, share one
     # _criteria call, made when the key first appears. Clones with the
     # identity sigma1 have the seed's key, another sigma1 gives another key
     # with the same criteria, and the identity table, no clone, has a key of
-    # its own and fails alone.
+    # its own and other invariants. No tables give none.
     keys, criteria = [], analysis._criteria
     monkeypatch.setattr(analysis, "_criteria", lambda key, n: keys.append(key) or criteria(key, n))
     seed = SBox.from_table(SEED4)
     ident, other = BitPermutation.identity(4), BitPermutation((1, 2, 3, 0))
     tables = [clone_sbox(seed, ident, BitPermutation((3, 1, 0, 2))).table, tuple(range(16)),
               clone_sbox(seed, other, ident).table, seed.table, clone_sbox(seed, other, other).table]
-    verdicts = analysis._verdicts(tables, core._planes(tables, 4), analysis._invariants(SEED4))
-    assert verdicts == [True, False, True, True, True]
-    assert keys[1:] == [tuple(sorted(core._coordinates(SBox.from_table(t)))) for t in tables[:3]]
-    assert analysis._verdicts([], core._planes([], 4), analysis._invariants(SEED4)) == []
+    reference = _invariants(SEED4)
+    keys.clear()
+    got = analysis._invariants(tables, core._planes(tables, 4))
+    assert [row == reference for row in got] == [True, False, True, True, True]
+    assert keys == [tuple(sorted(core._coordinates(SBox.from_table(t)))) for t in tables[:3]]
+    assert analysis._invariants([], core._planes([], 4)) == []
+
+
+@st.composite
+def _batches(draw):
+    """A batch of tables of one width n = 2..6, in drawn order: clones of one
+    seed, a non-bijective table and a repeat of one of them."""
+    n = draw(st.integers(2, 6))
+    size = 1 << n
+    seed = draw(st.permutations(range(size)))
+    tables = [dense_clone(seed, draw(st.permutations(range(n))), draw(st.permutations(range(n))))
+              for _ in range(draw(st.integers(1, 4)))]
+    tables.append(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+                       .filter(lambda t: len(set(t)) < size)))
+    tables.append(draw(st.sampled_from(tables)))
+    return n, draw(st.permutations(tables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches())
+def test_batch_invariants_are_each_tables_own(batch):
+    # Each table of a batch gets, in order, the invariants it gets as a
+    # batch of one, and _criteria runs once per distinct key of the batch,
+    # in the order the keys first appear.
+    n, tables = batch
+    alone = [_invariants(t) for t in tables]
+    keys = []
+    criteria = analysis._criteria
+    with patch.object(analysis, "_criteria", lambda key, n: keys.append(key) or criteria(key, n)):
+        got = analysis._invariants(tables, core._planes(tables, n))
+    assert got == alone
+    assert keys == list(dict.fromkeys(tuple(sorted(core._coordinates(SBox(n, tuple(t)))))
+                                      for t in tables))
+    assert [row[0] for row in got] == [len(set(t)) == len(t) for t in tables]

@@ -43,6 +43,11 @@ from oracles import (
 from vectors import AES_SBOX, CLONE4, HELP, SEED4, SIGMA1_4, SIGMA2_4
 
 
+def invariants_of(table):
+    """analysis._invariants of `table` as a batch of one: a sweep's reference."""
+    return analysis._invariants([table], core._planes([table], len(table).bit_length() - 1))[0]
+
+
 @pytest.fixture
 def seed4_file(tmp_path):
     path = tmp_path / "seed4.txt"
@@ -248,7 +253,7 @@ def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, mo
     t = 0.25 / 241.5
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
-    cli._init_sweep(SEED4, analysis._invariants(SEED4))
+    cli._init_sweep(SEED4, 4, invariants_of(SEED4))
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
               "fixed_points,reverse_fixed_points,invariance\n")
     bounds = [0, 1, 3, 7, *range(15, rows, 241), rows]
@@ -278,14 +283,14 @@ def test_enumerate_rows_joins_what_each_row_gives():
     # columns, and its pass count their "pass" cells; no pairs give nothing.
     rng = random.Random(3)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(40)]
-    cli._init_sweep(SEED4, analysis._invariants(SEED4))
+    cli._init_sweep(SEED4, 4, invariants_of(SEED4))
     text, digests, passes = cli._enumerate_rows(pairs)
     singles = [cli._enumerate_rows([pair]) for pair in pairs]
     assert text == "".join(single[0] for single in singles) and text.count("\n") == 40
     assert digests == [int(line.split(",")[5], 16) for line in text.splitlines()]
     assert passes == 40 == sum(single[2] for single in singles)
     assert cli._enumerate_rows([]) == ("", [], 0)
-    cli._init_sweep(SEED4, None)
+    cli._init_sweep(SEED4, 4, None)
     assert cli._enumerate_rows(pairs[:3])[2] == 0
 
 
@@ -293,7 +298,7 @@ def test_enumerate_rows_joins_what_each_row_gives():
 def test_enumerate_rows_fields_are_each_clones_own(n):
     # Every field of a row is what the library gives its own clone:
     # clone_sbox of the pair's permutations, then find_fixed_points,
-    # formats._fingerprint and _invariants. n = 2 puts two tables in a byte
+    # formats._fingerprint and _invariants against the seed's. n = 2 puts two tables in a byte
     # of each plane, n = 9 is the first width of 2-byte entries. The rows are the
     # same whether the pairs come as one batch or one at a time. At n = 16
     # both pairs keep sigma1 the identity, so their clones share the seed's
@@ -301,10 +306,10 @@ def test_enumerate_rows_fields_are_each_clones_own(n):
     rng = random.Random(n)
     table, fact = random_bijective(rng, n), factorial(n)
     seed = SBox.from_table(table)
-    invariants = analysis._invariants(table)
+    invariants = invariants_of(table)
     pairs = [(0 if n == 16 else rng.randrange(fact), rng.randrange(fact))
              for _ in range(2 if n == 16 else 12)]
-    cli._init_sweep(table, invariants)
+    cli._init_sweep(table, n, invariants)
     text, digests, passes = cli._enumerate_rows(pairs)
     singles = [cli._enumerate_rows([pair]) for pair in pairs]
     assert text == "".join(single[0] for single in singles)
@@ -315,7 +320,7 @@ def test_enumerate_rows_fields_are_each_clones_own(n):
         clone = clone_sbox(seed, sigma1, sigma2)
         points = find_fixed_points(clone)
         prefix, hash64 = formats._fingerprint(clone.table)
-        passed = analysis._invariants(clone.table) == invariants
+        passed = invariants_of(clone.table) == invariants
         assert line.split(",") == [
             str(k1), str(k2), " ".join(map(str, sigma1.images)), " ".join(map(str, sigma2.images)),
             prefix, hash64, str(len(points.fixed)), str(len(points.reverse_fixed)),
@@ -688,15 +693,16 @@ def test_enumerate_sample_with_invariance(seed4_file, capsys):
 def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
     # The second row's clone is a real table that is no clone of the seed:
     # the identity, whose coordinate functions are linear (NL 0, not 4). It
-    # is put in place of the clone in the batch that _planes transposes, and
-    # every field of its row comes from it: its prefix, digest, 16 fixed
-    # points and failed check.
+    # is put in place of the clone in the batch that _planes transposes, the
+    # third call after the seed's own and the first row's, and every field of
+    # its row comes from it: its prefix, digest, 16 fixed points and failed
+    # check.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     made = []
 
     def second_is_wrong(tables, n):
         made.append(len(tables))
-        if len(made) == 2:
+        if len(made) == 3:
             tables[0] = bytes(range(16))
         return core._planes(tables, n)
 
@@ -710,12 +716,13 @@ def test_enumerate_invariance_failure(seed4_file, capsys, monkeypatch):
 
 
 def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkeypatch):
-    # A sweep's rows take their fixed-point counts and verdicts from one
+    # A sweep's rows take their fixed-point counts and invariants from one
     # _planes call per batch: the timed batches of 1, 2, 4 and 8 rows one
     # each, the five left one call together (n = 4: two bytes of each plane
-    # per table). Each batch's
-    # planes go to one _verdicts and one _fixed_counts call. find_fixed_points,
-    # a transpose per table, never runs, and _invariants runs once, for the seed.
+    # per table). Before them one more call, of the seed alone, gives the
+    # seed's invariants. Each batch's planes go to one _invariants and one
+    # _fixed_counts call. find_fixed_points, a transpose per table, never
+    # runs, and the seed is read once.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     batches, reads = [], []
 
@@ -723,20 +730,20 @@ def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkey
         batches.append(core._planes(tables, n))
         return batches[-1]
 
-    fixed_counts, verdicts, invariants = cli._fixed_counts, cli._verdicts, cli._invariants
+    fixed_counts, invariants = cli._fixed_counts, cli._invariants
     monkeypatch.setattr(cli, "_planes", counting)
     monkeypatch.setattr(cli, "_fixed_counts", lambda planes: reads.append(planes) or fixed_counts(planes))
-    monkeypatch.setattr(cli, "_verdicts",
-                        lambda tables, planes, seed: reads.append(planes) or verdicts(tables, planes, seed))
-    monkeypatch.setattr(cli, "_invariants", lambda *args: reads.append("seed") or invariants(*args))
+    monkeypatch.setattr(cli, "_invariants",
+                        lambda tables, planes: reads.append(planes) or invariants(tables, planes))
     monkeypatch.setattr(core, "find_fixed_points", _must_not_run)
     monkeypatch.setattr(core, "_fixed_points", _must_not_run)
     assert main(["enumerate", seed4_file, "--sample", "20", "--check-invariance"]) == 0
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(20)]
     assert capsys.readouterr() == expected_csv(SEED4, pairs, True)
-    assert [len(planes[0]) // 2 for planes in batches] == [1, 2, 4, 8, 5]
-    assert reads == ["seed"] + [planes for planes in batches for _ in range(2)]
+    assert [len(planes[0]) // 2 for planes in batches] == [1, 1, 2, 4, 8, 5]
+    assert batches[0] == core._planes([SEED4], 4)
+    assert reads == batches[:1] + [planes for planes in batches[1:] for _ in range(2)]
 
 
 def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
@@ -759,7 +766,7 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
     # Every rank of S_6 fits: after rows that meet all 720, rows that meet
     # them again decode none.
     decoded.clear()
-    cli._init_sweep(random_bijective(random.Random(6), 6), None)
+    cli._init_sweep(random_bijective(random.Random(6), 6), 6, None)
     cli._enumerate_rows([(k, 719 - k) for k in range(720)])
     assert sorted(decoded) == list(range(720))
     cli._enumerate_rows([(719 - k, k) for k in range(720)])
@@ -781,7 +788,7 @@ def test_enumerate_rank_cache_keeps_ranks_only_where_they_repeat(n, size, tmp_pa
     rng = random.Random(0)
     pairs = [(rng.randrange(factorial(n)), rng.randrange(factorial(n))) for _ in range(rows)]
     assert capsys.readouterr() == expected_csv(table, pairs, checked)
-    info = cli._sweep[2].cache_info()
+    info = cli._sweep[3].cache_info()
     distinct = len({k for pair in pairs for k in pair})
     assert (info.maxsize, info.currsize, info.misses) == (
         (size, distinct, distinct) if size else (0, 0, 2 * rows))
@@ -869,8 +876,8 @@ def test_enumerate_sweeps_share_no_rank(sweeps, capsys, monkeypatch):
     for path, expected in sweeps:
         assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
         assert capsys.readouterr() == expected
-        info = cli._sweep[2].cache_info()
-        assert info.misses == info.currsize == factorial(cli._sweep[0].n)
+        info = cli._sweep[3].cache_info()
+        assert info.misses == info.currsize == factorial(cli._sweep[1])
 
 
 def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
@@ -1073,6 +1080,24 @@ def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypa
     assert capsys.readouterr().out.count("\n") == 3 * 19
 
 
+def test_enumerate_checks_its_seed_once(seed4_file, capsys, monkeypatch, serial_pool):
+    # The seed's entries are checked once, when its file is read. The sweep,
+    # and each pool worker that its initializer sets up, keep that checked
+    # table and build no SBox of it again.
+    widths, init = [], core.SBox.__init__
+    monkeypatch.setattr(core.SBox, "__init__",
+                        lambda self, n, table: widths.append(n) or init(self, n, table))
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    assert main(["enumerate", seed4_file, "--sample", "100", "--check-invariance"]) == 0
+    assert serial_pool.started == [2]
+    assert widths == [4]
+    rng = random.Random(0)
+    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(100)]
+    assert capsys.readouterr() == expected_csv(SEED4, pairs, True)
+
+
 def test_enumerate_one_usable_cpu_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
     # The CPUs counted are those the process may run on, not the machine's.
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
@@ -1161,8 +1186,9 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     # each. At u = 2 ** -10 s the batches grow; at u = 1 s, rows as slow as
     # an n = 16 row with --check-invariance, each holds one row. The L rows
     # left get L * 3u / POOL_START workers, within the cap and L, fewer than
-    # two meaning serial. They go out in batches, each taking its verdicts
-    # in one call, and the output is the serial output.
+    # two meaning serial. They go out in batches, each taking its invariants
+    # in one call, as the seed took its own first, and the output is the
+    # serial output.
     fast = ((0, [], None), (1, [1], None), (2, [1, 1], None), (3, [1, 2], None),
             (10, [1, 2, 4, 3], None), (15, [1, 2, 4, 8], None), (17, [1, 2, 4, 8], None),
             (19, [1, 2, 4, 8], 2), (25, [1, 2, 4, 8], 5), (100, [1, 2, 4, 8], 8))
@@ -1179,10 +1205,9 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
         events.append("clock")
         return next(clock)
 
-    invariants, verdicts = cli._invariants, cli._verdicts
+    invariants = cli._invariants
     monkeypatch.setattr(cli, "_invariants",
                         lambda *args: events.append("invariants") or invariants(*args))
-    monkeypatch.setattr(cli, "_verdicts", lambda *args: events.append("verdicts") or verdicts(*args))
     monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
     monkeypatch.setattr(cli, "perf_counter", logged_clock)
     monkeypatch.setattr(cli, "_cpus", lambda: 8)
@@ -1204,14 +1229,14 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
                 assert main(argv) == 0
                 head = 1 + 4 * len(timed)
                 assert events[:head] == ["invariants"] + [
-                    e for k in timed for e in ("clock", k, "verdicts", "clock")]
-                sizes = [e for e in events[head:] if e != "verdicts"]
+                    e for k in timed for e in ("clock", k, "invariants", "clock")]
+                sizes = [e for e in events[head:] if e != "invariants"]
                 assert sum(sizes) == rows - sum(timed)
-                assert events[head:] == [e for k in sizes for e in (k, "verdicts")]
+                assert events[head:] == [e for k in sizes for e in (k, "invariants")]
                 assert serial_pool.started == ([workers] if threads and workers else [])
                 outputs.append(capsys.readouterr())
             assert outputs[0] == outputs[1]
-        # Without --check-invariance rows take no verdicts, and batches timed
+        # Without --check-invariance rows take no invariants, and batches timed
         # the same way still decide the pool: 2 workers for the 4 rows left,
         # tasks of one pair.
         events.clear()
@@ -1333,6 +1358,21 @@ def test_verify_mismatch(aes_file, identity8_file, capsys):
 
 def test_verify_width_mismatch(seed4_file, aes_file):
     assert main(["verify", seed4_file, aes_file]) == 6
+
+
+def test_verify_reads_both_tables_off_one_transpose(seed4_file, clone4_file, aes_file, capsys,
+                                                   monkeypatch):
+    # verify makes one _planes call, of both tables, after its width check,
+    # and reads their invariants off it in one _invariants call.
+    calls, planes_of, invariants = [], cli._planes, cli._invariants
+    monkeypatch.setattr(cli, "_planes", lambda tables, n: calls.append(list(tables)) or planes_of(tables, n))
+    monkeypatch.setattr(cli, "_invariants",
+                        lambda tables, planes: calls.append("invariants") or invariants(tables, planes))
+    assert main(["verify", seed4_file, aes_file]) == 6
+    assert calls == []
+    assert main(["verify", seed4_file, clone4_file]) == 0
+    assert calls == [[tuple(SEED4), tuple(CLONE4)], "invariants"]
+    assert capsys.readouterr().out.endswith("result: match\n")
 
 
 def test_verify_parse_error(seed4_file, tmp_path):
@@ -1608,7 +1648,7 @@ def test_cli_import_leaves_signal_out(child_env):
 
 
 def test_pool_workers_ignore_ctrl_c():
-    cli._init_worker(SEED4, None)  # conftest's keep_ctrl_c restores the handler
+    cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the handler
     assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
 
 

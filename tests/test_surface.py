@@ -195,18 +195,21 @@ def test_cli_import_builds_no_plan(child_env):
 
 
 def test_core_imports_without_analysis(child_env):
-    # analysis builds on core's coordinate bitsets, so core must not import analysis.
-    # The package's __init__ loads both; a bare package module stands in for it.
+    # analysis builds on core's coordinate bitsets, so core must not import
+    # analysis; formats, which reads and writes files and reports, depends on
+    # core alone. The package's __init__ loads them all; a bare package module
+    # stands in for it.
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('sboxforge'))); "
     probe = ("import sys, types, importlib.util; "
              "spec = importlib.util.find_spec('sboxforge'); "
              "package = types.ModuleType('sboxforge'); "
              "package.__path__ = list(spec.submodule_search_locations); "
              "sys.modules['sboxforge'] = package; "
-             "import sboxforge.core; "
-             "print(sorted(m for m in sys.modules if m.startswith('sboxforge')))")
+             f"import sboxforge.core; {loaded}import sboxforge.formats; {loaded}")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
-    assert result.stdout == "['sboxforge', 'sboxforge.core']\n"
+    assert result.stdout == ("['sboxforge', 'sboxforge.core']\n"
+                             "['sboxforge', 'sboxforge.core', 'sboxforge.formats']\n")
 
 
 @pytest.mark.parametrize("name", sorted(name for name in os.listdir(os.path.dirname(sboxforge.__file__))
@@ -300,8 +303,8 @@ def test_cli_keeps_no_unbounded_memo():
     assert module_containers(cli) == {"COMMANDS"}
     assert not module_caches(cli)
     for n in range(2, 17):
-        cli._init_sweep(list(range(1 << n)), None)
-        assert cli._sweep[2].cache_parameters()["maxsize"] == (factorial(n) if n <= 6 else 0)
+        cli._init_sweep(list(range(1 << n)), n, None)
+        assert cli._sweep[3].cache_parameters()["maxsize"] == (factorial(n) if n <= 6 else 0)
 
 
 # Every public name that takes or derives a bit width, with the widths just

@@ -7,9 +7,11 @@ output-bit pairs (nonlinearity and avalanche of f_j xor f_k). Each
 coordinate function f_j is one 2**n-bit int (bit x = f_j(x)) read off
 core._planes. Avalanche counts are popcounts of derivative bitsets
 (_criteria); nonlinearity runs a Walsh butterfly on packed lanes of
-max(n + 2, 4) bits (_plan, _butterfly, _measure). All flip probabilities
-are carried as exact fractions with denominator 2**n; decimal rounding
-happens only at report serialisation.
+max(n + 2, 4) bits (_plan, _butterfly, _measure). Flip probabilities are
+exact fractions: a SAC entry over 2**n, a BIC-SAC value over n * 2**n, and
+their averages over n * n * 2**n and p * n * 2**n, for the
+p = n * (n - 1) / 2 output pairs. Each sd is a float, the square root of
+an exact variance. Decimal rounding happens only at report serialisation.
 """
 
 from __future__ import annotations

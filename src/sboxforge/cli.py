@@ -16,11 +16,9 @@ import sys
 from array import array
 from collections import defaultdict, deque
 from contextlib import ExitStack, contextmanager
-from errno import EBADF
 from functools import lru_cache, partial
 from itertools import islice
 from math import factorial
-from stat import S_ISREG
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -39,6 +37,8 @@ from .core import (
 )
 from .formats import (
     _fingerprint,
+    _note,
+    _output,
     load_sbox,
     render_report_json,
     render_report_text,
@@ -119,71 +119,9 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _note(line: str) -> None:
-    """Print a diagnostic line to stderr; nowhere if the process started with fd 2 closed."""
-    if sys.stderr is not None:  # print would fall back to stdout
-        print(line, file=sys.stderr)
-
-
-# -o/--out is opened to create it, and only where that finds the path taken, to
-# append to it: no stat probe before the open, and no race in which a failing
-# command removes a file that another process made. O_BINARY: Windows would
-# translate "\n". Neither opens through a dangling symbolic link.
-_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-_APPEND = os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0)
-
-
-@contextmanager
-def _output(path: str | None):
-    """A function writing to stdout, or to `path` opened before any work and
-    written as raw bytes, each write's text in whole. A write that fails, or
-    a stdout that the process started without, ends the command with
-    `cannot write PATH: REASON`. A failed command removes a file it created,
-    and leaves an existing one as it was unless it began writing."""
-    name, fd, created = path or "<stdout>", None, False
-    if path is None and sys.stdout is None:  # fd 1 was closed when the process started
-        raise ValueError(f"cannot write <stdout>: {OSError(EBADF, os.strerror(EBADF))}")
-    if path is not None:
-        try:
-            try:
-                fd, created = os.open(path, _CREATE, 0o666), True
-            except FileExistsError:
-                fd = os.open(path, _APPEND)
-        except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc}") from exc
-    empty_first, stdout = not created, sys.stdout
-
-    def write(text: str) -> None:
-        nonlocal empty_first
-        try:
-            if fd is None:
-                stdout.write(text)
-                stdout.flush()  # a pipe whose reader has gone fails here, not at exit
-                return
-            if empty_first:  # an existing file is emptied at the first write, not when opened
-                empty_first = False
-                if S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has nothing to empty
-                    os.ftruncate(fd, 0)
-            data = memoryview(text.encode())
-            while data:
-                data = data[os.write(fd, data):]
-        except OSError as exc:
-            raise ValueError(f"cannot write {name}: {exc}") from exc
-
-    try:
-        try:
-            yield write
-        finally:
-            if fd is not None:
-                os.close(fd)
-    except BaseException:
-        if created:
-            os.remove(path)
-        raise
-
-
 def cmd_clone(args) -> int:
-    seed = load_sbox(args.seed)
+    # The command line is checked before the seed is read, so a malformed
+    # one exits 64 whatever the file holds.
     key_mode = args.key is not None
     sigma_mode = args.sigma1 is not None or args.sigma2 is not None
     if key_mode == sigma_mode:
@@ -195,6 +133,7 @@ def cmd_clone(args) -> int:
     if args.max_attempts is not None and args.max_attempts < 1:
         raise UsageError("--max-attempts must be >= 1")
 
+    seed = load_sbox(args.seed)
     if key_mode:
         sigma1, sigma2 = key_to_permutations(_parse_key(args.key), seed.n)
     else:
@@ -332,24 +271,25 @@ def _pooled_rows(pool, batches, depth: int):
 
 
 def cmd_enumerate(args) -> int:
+    # As in cmd_clone, every usage check but the --all limit comes before the seed.
+    if args.all and args.rng_seed is not None:
+        raise UsageError("--rng-seed needs --sample")
+    if not args.all and args.sample < 0:
+        raise UsageError("--sample must be >= 0")
+    cap = min(_thread_cap(), _cpus())
     seed = load_sbox(args.seed)
     _check_clone(seed)
     table, n = seed.table, seed.n
     fact = factorial(n)
     if args.all:
-        if args.rng_seed is not None:
-            raise UsageError("--rng-seed needs --sample")
         if n > 6:
             raise UsageError(f"--all is limited to n <= 6 (seed has n = {n}); use --sample")
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
-        if args.sample < 0:
-            raise UsageError("--sample must be >= 0")
         rng = random.Random(0 if args.rng_seed is None else args.rng_seed)
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
-    cap = min(_thread_cap(), _cpus())
 
     head = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
             + (",invariance\n" if args.check_invariance else "\n"))

@@ -1,4 +1,7 @@
-"""File and report formats owned by the command-line front end.
+"""File and report formats, and every byte the command-line front end reads
+or writes: s-box files, stdout, -o/--out files and stderr diagnostics. Only
+the line for a Ctrl-C that comes while the CLI loads is __main__'s own,
+since this module has not loaded yet.
 
 S-box files are flat lists of 2**n integers (decimal or 0x-prefixed hex),
 separated by whitespace or commas, with '#' comments; a leading UTF-8 byte
@@ -14,8 +17,11 @@ from __future__ import annotations
 import os
 import re
 import sys
+from contextlib import contextmanager
+from errno import EBADF
 from functools import lru_cache
 from itertools import islice, repeat
+from stat import S_ISREG
 
 # The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto into
 # every CLI call, and only enumerate hashes. Its module is chosen by version,
@@ -40,8 +46,15 @@ MAX_FILE_BYTES = 1 << 20
 # text-mode read more still, with the same errors. Reads of 64 KiB stop once
 # they pass the bound, so an endless input such as /dev/zero stops there; a
 # file of up to 64 KiB (any table up to n = 12) comes in one read and the
-# empty one after it.
-_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# empty one after it. O_BINARY, here and below: Windows would translate "\n".
+_BINARY = getattr(os, "O_BINARY", 0)
+_READ = os.O_RDONLY | _BINARY
+# -o/--out is opened to create it, and only where that finds the path taken, to
+# append to it: no stat probe before the open, and no race in which a failing
+# command removes a file that another process made. Neither opens through a
+# dangling symbolic link.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | _BINARY
+_APPEND = os.O_WRONLY | os.O_APPEND | _BINARY
 # An entry, or a comment: from '#' to the end of its line, where
 # str.splitlines ends a line.
 _ENTRY_OR_COMMENT = r"[^\s,#]+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
@@ -124,6 +137,61 @@ def load_sbox(path: str) -> SBox:
         raise SBoxFileError(f"cannot read {path}: {exc}") from exc
     # Not encoding="utf-8-sig": loading that codec costs a fresh process about 1.5 ms.
     return parse_sbox_text(text.removeprefix("\ufeff"))
+
+
+def _note(line: str) -> None:
+    """Print a diagnostic line to stderr; nowhere if the process started with fd 2 closed."""
+    if sys.stderr is not None:  # print would fall back to stdout
+        print(line, file=sys.stderr)
+
+
+@contextmanager
+def _output(path: str | None):
+    """A function writing to stdout, or to `path` opened before any work and
+    written as raw bytes, each write's text in whole. A write that fails, or
+    a stdout that the process started without, ends the command with
+    `cannot write PATH: REASON`. A failed command removes a file it created,
+    and leaves an existing one as it was unless it began writing."""
+    name, fd, created = path or "<stdout>", None, False
+    if path is None and sys.stdout is None:  # fd 1 was closed when the process started
+        raise ValueError(f"cannot write <stdout>: {OSError(EBADF, os.strerror(EBADF))}")
+    if path is not None:
+        try:
+            try:
+                fd, created = os.open(path, _CREATE, 0o666), True
+            except FileExistsError:
+                fd = os.open(path, _APPEND)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
+    empty_first, stdout = not created, sys.stdout
+
+    def write(text: str) -> None:
+        nonlocal empty_first
+        try:
+            if fd is None:
+                stdout.write(text)
+                stdout.flush()  # a pipe whose reader has gone fails here, not at exit
+                return
+            if empty_first:  # an existing file is emptied at the first write, not when opened
+                empty_first = False
+                if S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has nothing to empty
+                    os.ftruncate(fd, 0)
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        except OSError as exc:
+            raise ValueError(f"cannot write {name}: {exc}") from exc
+
+    try:
+        try:
+            yield write
+        finally:
+            if fd is not None:
+                os.close(fd)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def serialize_sbox(s: SBox) -> str:

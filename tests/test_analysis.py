@@ -134,6 +134,11 @@ def test_is_bijective_strict_matches_distinctness():
 # Walsh spectrum and nonlinearity
 
 
+def test_truth_table_entries_must_be_bits():
+    with pytest.raises(ValueError, match="^truth table entries must be bits$"):
+        BooleanFunctionTable((0, 2))
+
+
 def test_walsh_examples():
     constant = walsh_spectrum(BooleanFunctionTable((0, 0, 0, 0)))
     assert constant.coefficients == (4, 0, 0, 0)
@@ -827,6 +832,13 @@ def test_compare_reports_detects_differences():
     assert not comparison.equal
     top_level = {d.split(".")[0] for d in comparison.differences}
     assert {"nl", "sac"} <= top_level
+
+
+def test_compare_reports_names_a_width_difference_first():
+    narrow, wide = analyze(SBox.from_table(CLONE4)), analyze(SBox.from_table(AES_SBOX))
+    differences = compare_reports(narrow, wide).differences
+    assert differences[0] == "n"
+    assert "n" not in differences[1:]
 
 
 def test_compare_reports_tolerance():

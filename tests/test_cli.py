@@ -97,6 +97,11 @@ def test_clone_stdout_and_identity(seed4_file, capsys):
     assert capsys.readouterr().out == "9 13 10 15 11 14 7 3 12 8 6 2 4 1 0 5\n"
 
 
+def test_clone_names_a_permutation_list_that_is_not_integers(seed4_file, capsys):
+    assert main(["clone", seed4_file, "--sigma1", "0,1,x,3", "--sigma2", "0,1,2,3"]) == 1
+    assert capsys.readouterr() == ("", "error: invalid permutation list '0,1,x,3'\n")
+
+
 def test_clone_reference_output_n8(aes_file, tmp_path, capsys):
     from vectors import AES_CLONE8
 
@@ -240,6 +245,43 @@ def test_failing_command_keeps_a_file_that_appeared_before_the_open(seed4_file, 
             "--remove-fixed-points", "--max-attempts", "1", "-o", str(out)]
     assert main(argv) == 3
     assert out.read_bytes() == b"theirs\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="lists open descriptors in /dev/fd")
+def test_commands_close_every_descriptor_they_open(seed4_file, tmp_path, capsys, monkeypatch):
+    # A leaked os.open descriptor raises no ResourceWarning, so they are
+    # counted: each command leaves open what it found open, whether it
+    # succeeds, fails reading, fails writing or runs a worker pool.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    out, failed, missing = (str(tmp_path / name) for name in ("out.txt", "failed.txt", "missing"))
+    exhausted = ["--sigma1", "1,2,0,3", "--sigma2", "3,2,0,1", "--remove-fixed-points",
+                 "--max-attempts", "1"]
+    argvs = [["clone", seed4_file, "--key", "17", "-o", out],
+             ["clone", seed4_file, "--key", "17", "-o", out],  # the path exists: appended to
+             ["clone", seed4_file, *exhausted, "-o", failed],
+             ["clone", seed4_file, *exhausted, "-o", out],
+             ["clone", seed4_file, "--key", "17", "-o", str(tmp_path)],
+             ["enumerate", seed4_file, "--sample", "3", "--out", out],
+             ["analyze", seed4_file], ["analyze", str(tmp_path)], ["analyze", missing],
+             ["verify", seed4_file, seed4_file]]
+    before = sorted(os.listdir("/dev/fd"))
+    for argv in argvs:
+        main(argv)
+        assert sorted(os.listdir("/dev/fd")) == before, argv
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "write", full)
+        assert main(["clone", seed4_file, "--key", "17", "-o", out]) == 1
+    assert sorted(os.listdir("/dev/fd")) == before
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    assert main(["enumerate", seed4_file, "--sample", "40", "--out", out]) == 0
+    assert sorted(os.listdir("/dev/fd")) == before
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 513])
@@ -411,6 +453,30 @@ def test_clone_max_attempts_edges(seed4_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no clone is free of fixed points: all 6 input permutations tried\n"
+
+
+@pytest.mark.parametrize("argv, threads, error", [
+    (["clone", "--key", "00", "--max-attempts", "5"], None,
+     "--max-attempts needs --remove-fixed-points"),
+    (["clone", "--key", "00", "--sigma1", "0,1,2,3"], None,
+     "exactly one of --key or --sigma1/--sigma2 is required"),
+    (["clone", "--key", "00", "--remove-fixed-points", "--max-attempts", "0"], None,
+     "--max-attempts must be >= 1"),
+    (["enumerate", "--all", "--rng-seed", "3"], None, "--rng-seed needs --sample"),
+    (["enumerate", "--sample", "-1"], None, "--sample must be >= 0"),
+    (["enumerate", "--all"], "x", "SBOXFORGE_THREADS must be an integer >= 1, got 'x'"),
+])
+def test_malformed_command_line_exits_64_whatever_the_seed_holds(argv, threads, error, seed4_file,
+                                                                 tmp_path, capsys, monkeypatch):
+    # The command line is checked before the seed is read: a missing seed
+    # gives the same usage error as a readable one.
+    if threads is None:
+        monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SBOXFORGE_THREADS", threads)
+    for seed in (seed4_file, str(tmp_path / "missing.txt")):
+        assert main([argv[0], seed, *argv[1:]]) == 64
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def _must_not_run(*args):
@@ -1354,6 +1420,23 @@ def test_verify_mismatch(aes_file, identity8_file, capsys):
     assert "nl: differs" in out
     assert "sac: differs" in out
     assert "differences:" in out
+
+
+def test_verify_names_an_nl_sd_that_analyze_does_not_print(tmp_path, capsys):
+    # Reports carry nl's sd, which analyze does not print: these two tables'
+    # nl lines match, and their nonlinearities (0, 2, 2, 4 and 0, 0, 4, 4)
+    # differ in sd alone.
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("11 0 8 2 12 15 13 4 1 3 10 9 14 7 5 6\n")
+    b.write_text("10 12 2 8 0 14 4 6 9 15 5 3 11 1 7 13\n")
+    for path in (a, b):
+        assert main(["analyze", str(path)]) == 0
+        assert "nl: min=0 max=4 avg=2.000000\n" in capsys.readouterr().out
+    assert main(["verify", str(a), str(b)]) == 5
+    out = capsys.readouterr().out
+    assert "nl: differs\n" in out
+    assert out.endswith("differences: nl.sd sac.avg sac.sd bic_nl.min bic_nl.avg bic_nl.sd "
+                        "bic_sac.min bic_sac.avg bic_sac.sd\n")
 
 
 def test_verify_width_mismatch(seed4_file, aes_file):

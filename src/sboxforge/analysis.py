@@ -274,17 +274,20 @@ def max_balanced_nonlinearity(n: int) -> int:
 
 
 def _moments(counts: list[int]) -> tuple[int, int, int, int]:
-    """(sum, sum of squares, min, max): with their number, all the stats of `counts` depend on."""
-    return sum(counts), sum(map(mul, counts, counts)), min(counts), max(counts)
+    """(min, max, sum, spread) of `counts`, spread = len * (sum of squares) - sum**2:
+    the integers that decide, one to one at a given width, the min, max, avg
+    and sd that _population_stats makes of them."""
+    total, squares = sum(counts), sum(map(mul, counts, counts))
+    return min(counts), max(counts), total, len(counts) * squares - total * total
 
 
 def _population_stats(moments: tuple[int, int, int, int], count: int, d: int = 1,
                       sd_divisor: int = 1) -> PropertyStats:
     """Stats of `count` values c / d, from the _moments of the counts c; min
     and max stay ints when d == 1."""
-    total, squares, low, high = moments
+    low, high, total, spread = moments
     # Int true division rounds correctly, so this is the float of the exact variance.
-    variance = (count * squares - total * total) / (count * d) ** 2
+    variance = spread / (count * d) ** 2
     if d != 1:
         low, high = Fraction(low, d), Fraction(high, d)
     return PropertyStats(low, high, Fraction(total, count * d), math.sqrt(variance) / sd_divisor)
@@ -343,8 +346,8 @@ def analyze(s: SBox) -> AnalysisReport:
 
 def _invariants(tables: list, planes: list[bytes]) -> list[tuple]:
     """Each table's invariants, in table order, for a batch of tables of one
-    width whose joined _planes are `planes`: its bijectivity, then the (sum,
-    sum of squares, min, max) of each criterion's counts.
+    width whose joined _planes are `planes`: its bijectivity, then the
+    _moments of each criterion's counts.
 
     A table's criteria depend on its sorted coordinates alone, its key, read
     off its own stretch of the planes, so no clone borrows the seed's counts.
@@ -354,13 +357,13 @@ def _invariants(tables: list, planes: list[bytes]) -> list[tuple]:
     keys first appear: the n! rows of one sigma1, which --all takes in a
     row, make one call.
 
-    Of two s-boxes of one width, equal invariants mean reports equal in
-    every field but the fixed points: each statistic is a function of these
-    integers and the width. A clone of the seed has the seed's invariants
-    exactly, since its counts are the seed's, reordered. So an invariance
-    sweep's row passes when its invariants equal the seed's, with no
-    Fraction or float, and verify names the fields that differ from them
-    (_differences).
+    Of two s-boxes of one width, each moment is equal exactly where the
+    report field in its place is, so equal invariants mean reports equal
+    in every field but the fixed points. A clone of the seed has the seed's
+    invariants exactly, since its counts are the seed's, reordered. So an
+    invariance sweep's row passes when its invariants equal the seed's,
+    with no Fraction or float, and verify names the fields that differ
+    from them (_differences).
     """
     n, keys = len(planes), list(map(tuple, map(sorted, _split(planes))))
     criteria = {key: _criteria(key, n) for key in dict.fromkeys(keys)}
@@ -376,34 +379,16 @@ def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
     Fixed-point sets are informational and deliberately excluded: cloning
     relocates fixed points rather than preserving them.
     """
-    diffs = []
-    if a.n != b.n:
-        diffs.append("n")
-    if a.bijective != b.bijective:
-        diffs.append("bijective")
-    for name in CRITERIA:
-        stats_a, stats_b = getattr(a, name), getattr(b, name)
-        for field in ("min", "max", "avg", "sd"):
-            if getattr(stats_a, field) != getattr(stats_b, field):
-                diffs.append(f"{name}.{field}")
-    return ReportComparison(not diffs, tuple(diffs))
+    rows = [(r.bijective, *[getattr(r, name)._fields() for name in CRITERIA]) for r in (a, b)]
+    diffs = (("n",) if a.n != b.n else ()) + _differences(*rows)
+    return ReportComparison(not diffs, diffs)
 
 
-def _differences(a: tuple, b: tuple, n: int) -> tuple[str, ...]:
-    """compare_reports' differences between the reports of two s-boxes of
-    width n, in its order, read off their _invariants with no report built.
-
-    A criterion's min and max are its counts' min and max over a divisor
-    that n fixes, its avg differs where the sum does, and its sd where
-    count * (sum of squares) - sum**2 does: the variance is that integer
-    over a denominator that n fixes.
-    """
-    pairs = n * (n - 1) >> 1
+def _differences(a: tuple, b: tuple) -> tuple[str, ...]:
+    """The fields in which two rows differ, named in compare_reports' order. A
+    row is a bijectivity, then per criterion its (min, max, avg, sd) or the
+    _moments that decide them: a report's, or a table's _invariants."""
     diffs = [] if a[0] == b[0] else ["bijective"]
-    for name, count, (sum_a, squares_a, min_a, max_a), (sum_b, squares_b, min_b, max_b) in zip(
-            CRITERIA, (n, n * n, pairs, pairs), a[1:], b[1:]):
-        differs = (min_a != min_b, max_a != max_b, sum_a != sum_b,
-                   count * squares_a - sum_a * sum_a != count * squares_b - sum_b * sum_b)
-        diffs += [f"{name}.{field}" for field, hit in zip(("min", "max", "avg", "sd"), differs)
-                  if hit]
+    for name, x, y in zip(CRITERIA, a[1:], b[1:]):
+        diffs += [f"{name}.{field}" for field, u, v in zip(PropertyStats.__slots__, x, y) if u != v]
     return tuple(diffs)

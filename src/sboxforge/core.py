@@ -35,9 +35,11 @@ class RemovalExhausted(RuntimeError):
 def _width(n: int, low: int = 2) -> int:
     """n, if it is a width in [low, 16], else a ValueError before any work that grows with n.
 
-    S-box and bit-permutation widths start at 2, Boolean function widths at 1
-    and the nonlinearity bound at 3; every public function that takes or
-    derives a width reads its bound here.
+    S-box widths start at 2, Boolean function widths at 1 and the
+    nonlinearity bound at 3; every public function that takes or derives
+    one of these widths reads its bound here. A BitPermutation alone has
+    any size >= 1, as a row permutation of 2**n positions needs; only the
+    functions that pair one with an s-box width hold its size to 2..16.
     """
     if not low <= n <= 16:
         raise ValueError(f"bit width must be in [{low}, 16], got {n}")

@@ -3,9 +3,9 @@ or writes: s-box files, stdout, -o/--out files and stderr diagnostics. Only
 the line for a Ctrl-C that comes while the CLI loads is __main__'s own,
 since this module has not loaded yet.
 
-S-box files are flat lists of 2**n integers (decimal or 0x-prefixed hex),
-separated by whitespace or commas, with '#' comments; a leading UTF-8 byte
-order mark is skipped. A file is read no further once it passes
+S-box files are flat lists of 2**n integers (ASCII decimal or 0x-prefixed
+hex), separated by whitespace or commas, with '#' comments; a leading UTF-8
+byte order mark is skipped. A file is read no further once it passes
 MAX_FILE_BYTES, and split into no more than one entry past MAX_ENTRIES;
 either refuses it. A report renders as key: value text or as JSON, both
 from one document of its fields, with decimals rounded half-to-even to six
@@ -65,25 +65,29 @@ class SBoxFileError(ValueError):
 
 
 def _entry(token: str) -> int:
-    try:
-        return int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
-    except ValueError as exc:
-        raise SBoxFileError(f"invalid entry {token!r}") from exc
+    # ASCII digits, as _values checks first: int alone also takes "1_0" and "٣".
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
+        except ValueError:
+            pass
+    raise SBoxFileError(f"invalid entry {token!r}")
 
 
 def _values(tokens: list[str]) -> list[int]:
-    try:
-        return list(map(int, tokens))
-    except ValueError:  # hex entries, or a bad one to report
-        pass
     # Tokens hold no space, so after a space in the text that joins them,
     # each one that starts with 0x or 0X starts one " 0x" or " 0X".
     joined = " " + " ".join(tokens)
-    if joined.count(" 0x") + joined.count(" 0X") == len(tokens):
+    if joined.isascii() and "_" not in joined:
         try:
-            return list(map(int, tokens, repeat(16)))
-        except ValueError:
+            return list(map(int, tokens))
+        except ValueError:  # hex entries, or a bad one to report
             pass
+        if joined.count(" 0x") + joined.count(" 0X") == len(tokens):
+            try:
+                return list(map(int, tokens, repeat(16)))
+            except ValueError:
+                pass
     return list(map(_entry, tokens))  # mixed entries, or a bad one to report
 
 

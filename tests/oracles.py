@@ -303,6 +303,8 @@ def parse_sbox_text_by_token(text):
             if not token:
                 continue
             try:
+                if not token.isascii() or "_" in token:  # int alone takes "1_0" and "٣"
+                    raise ValueError(token)
                 value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
             except ValueError as exc:
                 raise SBoxFileError(f"invalid entry {token!r}") from exc

@@ -766,7 +766,7 @@ def test_criteria_cache_keeps_repeated_coordinates():
     analysis._criteria.cache_clear()
     got = [_invariants(s.table) for s in (aab, abb)]
     assert analysis._criteria.cache_info()[:2] == (0, 2)
-    assert [nl_moments[0] for _, nl_moments, *_ in got] == [2, 4]  # sums of the NLs
+    assert [nl_moments[2] for _, nl_moments, *_ in got] == [2, 4]  # sums of the NLs
     for s, want in zip((aab, abb), got):
         analysis._criteria.cache_clear()
         assert _invariants(s.table) == want
@@ -815,7 +815,7 @@ def test_invariants_decide_report_equality(tables):
     report_a, report_b = analyze(a), analyze(b)
     assert (_without_fixed_points(report_a) == _without_fixed_points(report_b)) == same
     assert compare_reports(report_a, report_b).equal == same
-    assert analysis._differences(_invariants(a.table), _invariants(b.table), a.n) == \
+    assert analysis._differences(_invariants(a.table), _invariants(b.table)) == \
         compare_reports(report_a, report_b).differences
 
 
@@ -862,7 +862,7 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
     moved = [32769, 32767, *counts[4:]]
     moved[:0] = counts[:2]
     assert analysis._moments(moved)[::2] == analysis._moments(counts)[::2]
-    assert analysis._moments(moved)[1] == analysis._moments(counts)[1] + 2
+    assert analysis._moments(moved)[3] == analysis._moments(counts)[3] + 2 * len(counts)
     report = _replace(analyze(SBox.from_table(AES_SBOX)), n=n)
     a, b = (_replace(report, sac=analysis._population_stats(
                 analysis._moments(c), len(c), 1 << n, sd_divisor=2)) for c in (counts, moved))
@@ -870,7 +870,33 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
     bijective, nl, _, bic_nl, bic_sac = _invariants(AES_SBOX)
     invariants = [(bijective, nl, analysis._moments(c), bic_nl, bic_sac) for c in (counts, moved)]
-    assert analysis._differences(*invariants, n) == ("sac.sd",)
+    assert analysis._differences(*invariants) == ("sac.sd",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 3),
+       st.sampled_from(["shuffled", "moved", "changed", "other"]), st.integers(0, 2**32))
+def test_each_moment_differs_where_its_stats_field_does(n, shape, kind, seed):
+    # Two count lists of one of analyze's criterion shapes at width n: moment
+    # i of their _moments differs exactly when field i (min, max, avg, sd) of
+    # their _population_stats does. "moved" takes 1 from one count and gives
+    # it to another, which keeps the sum and changes only the spread, if any.
+    pairs, rng = n * (n - 1) >> 1, random.Random(seed)
+    count, d, sd_divisor, top = ((n, 1, 1, 1 << n - 1), (n * n, 1 << n, 2, 1 << n),
+                                 (pairs, 1, 1, 1 << n - 1), (pairs, n << n, 1, n << n))[shape]
+    a = [rng.randint(0, top) for _ in range(count)]
+    b = rng.sample(a, count)
+    i, j = rng.randrange(count), rng.randrange(count)
+    if kind == "moved":
+        b[i] += 1
+        b[j] -= 1
+    elif kind == "changed":
+        b[i] = rng.randint(0, top)
+    elif kind == "other":
+        b = [rng.randint(0, top) for _ in range(count)]
+    moments = [analysis._moments(c) for c in (a, b)]
+    stats = [analysis._population_stats(m, count, d, sd_divisor)._fields() for m in moments]
+    assert [x != y for x, y in zip(*moments)] == [x != y for x, y in zip(*stats)]
 
 
 def test_compare_reports_equal_for_published_pairs():

@@ -465,6 +465,8 @@ def test_clone_max_attempts_edges(seed4_file, tmp_path, capsys):
     (["enumerate", "--all", "--rng-seed", "3"], None, "--rng-seed needs --sample"),
     (["enumerate", "--sample", "-1"], None, "--sample must be >= 0"),
     (["enumerate", "--all"], "x", "SBOXFORGE_THREADS must be an integer >= 1, got 'x'"),
+    (["enumerate", "--all"], "٢", "SBOXFORGE_THREADS must be an integer >= 1, got '٢'"),
+    (["enumerate", "--all"], "2_0", "SBOXFORGE_THREADS must be an integer >= 1, got '2_0'"),
 ])
 def test_malformed_command_line_exits_64_whatever_the_seed_holds(argv, threads, error, seed4_file,
                                                                  tmp_path, capsys, monkeypatch):
@@ -1472,6 +1474,16 @@ def test_verify_names_a_file_that_is_not_utf8(seed4_file, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
                             "in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "٣", "0x_1", "0x٣"])
+def test_an_entry_python_alone_would_read_exits_1(token, tmp_path, capsys):
+    # int("1_0"), int("٣"), int("0x_1", 16) and int("0x٣", 16) are all valid
+    # entries of this n = 4 table; an entry is ASCII with no `_`.
+    path = tmp_path / "seed.txt"
+    path.write_text(" ".join([*map(str, range(15)), token]), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: invalid entry {token!r}\n")
 
 
 def _verify_by_reports(a, b):

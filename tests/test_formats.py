@@ -81,6 +81,21 @@ def test_parse_errors():
         parse_sbox_text("0 1")  # below the minimum width
 
 
+@pytest.mark.parametrize("token, value", [("1_0", 10), ("٣", 3), ("0x_1", 1), ("0x٣", 3)])
+def test_parse_takes_ascii_entries_only(token, value):
+    # Python's int alone would read each token as `value`, a valid entry
+    # here, in a decimal table and in an all-hex one; a comment may hold any text.
+    for form in ("{}", "0x{:x}"):
+        entries = [form.format(v) for v in range(16)]
+        entries[value] = token
+        with pytest.raises(SBoxFileError) as info:
+            parse_sbox_text(" ".join(entries))
+        assert str(info.value) == f"invalid entry {token!r}"
+    comment = f"0 1 2 3 # {token} 1_0 ٣ é\n"
+    assert parse_sbox_text(comment).table == (0, 1, 2, 3)
+    assert parse_sbox_text(comment + " " * (2 * formats.MAX_ENTRIES)).table == (0, 1, 2, 3)
+
+
 def _outcome(parse, text):
     try:
         return parse(text)

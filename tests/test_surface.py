@@ -14,11 +14,14 @@ from math import factorial
 import pytest
 
 import sboxforge
-from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli, formats,
-                       derive_row_permutation, key_to_permutations, lehmer_decode,
+from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli, clone_sbox,
+                       formats, derive_row_permutation, key_to_permutations, lehmer_decode,
                        max_balanced_nonlinearity, nonlinearity, walsh_spectrum)
+from sboxforge.formats import serialize_sbox
 
-from oracles import direct_walsh, lehmer_rank, measure_by_stages, permute_bits, walsh_by_stages
+from oracles import (direct_walsh, lehmer_rank, measure_by_stages, permute_bits, stabilizer_size,
+                     walsh_by_stages)
+from vectors import AES_SBOX
 
 # The package exports what the CLI, the README quick start and the
 # acceptance suite use; growing this list is a deliberate API change.
@@ -65,10 +68,10 @@ def readme_block(heading, language):
     return re.match(rf"\s*```{language}\n(.*?)```\n", section, re.S).group(1)
 
 
-def readme_section(heading):
-    """The text under the README's `### heading`, up to the next heading."""
+def readme_section(heading, level="###"):
+    """The text under the README's `level heading` (### by default), up to the next heading."""
     with open(README, encoding="utf-8") as handle:
-        section = handle.read().split(f"\n### {heading}\n", 1)[1]
+        section = handle.read().split(f"\n{level} {heading}\n", 1)[1]
     return re.split(r"\n#+ ", section, maxsplit=1)[0]
 
 
@@ -127,6 +130,49 @@ def test_readme_input_bounds_are_the_parsers(tmp_path, capsys, monkeypatch):
     for length in (split, split + 1):
         assert formats.parse_sbox_text("0 1 2 3".ljust(length)).table == (0, 1, 2, 3)
     assert long_texts == [split + 1]
+
+
+def test_readme_key_reach_is_the_keys(tmp_path, capsys):
+    # "Security notes" states what a key reaches; each figure is computed
+    # here from key_to_permutations, clone and the stabilizer oracle.
+    notes = " ".join(readme_section("Security notes", "##").split())
+
+    def figures(pattern):
+        return re.search(pattern, notes).groups()
+
+    assert "such as `--key 00`, gives sigma1 = sigma2 = identity" in notes
+    path = tmp_path / "seed.txt"
+    for seed in (SBox.identity(4), SBox.from_table(AES_SBOX)):
+        path.write_text(serialize_sbox(seed))
+        identity = ",".join(map(str, range(seed.n)))
+        # Two keys with K mod (n!)**2 = 0: 00 and (n!)**2 itself.
+        for key in ("00", (factorial(seed.n) ** 2).to_bytes(4, "big").hex()):
+            assert cli.main(["clone", str(path), "--key", key]) == cli.EXIT_OK
+            assert capsys.readouterr() == (serialize_sbox(seed),
+                                           f"sigma1={identity}\nsigma2={identity}\n")
+
+    fixed, total = map(int, figures(r"(\d+) of the (\d+) pairs of the n = 4 identity"))
+    seed = SBox.identity(4)
+    pairs = [key_to_permutations(k.to_bytes(2, "big"), 4) for k in range(total)]
+    assert total == factorial(4) ** 2 == len(set(pairs))
+    assert fixed == stabilizer_size(seed.table) == sum(clone_sbox(seed, *p) == seed for p in pairs)
+
+    pairs8 = factorial(8) ** 2
+    one_byte, mantissa, power = figures(r"One byte reaches (\d+) of about ([\d.]+)·10\^(\d+) pairs")
+    reached = {key_to_permutations(bytes([k]), 8) for k in range(256)}
+    assert int(one_byte) == min(1 << 8, pairs8) == len(reached)
+    assert float(f"{mantissa}e{power}") == float(f"{pairs8:.1e}")
+    sizes = figures(r"takes (\d+) bytes at n = 8 and (\d+) bytes at n = 16")
+    for size, n in zip(sizes, (8, 16)):
+        assert int(size) == min(b for b in range(1, 17) if 1 << 8 * b >= factorial(n) ** 2)
+
+    low, high, mean, bias = figures(r"4-byte key at n = 8 hits each pair (\d+) or (\d+) times "
+                                    r"\(2\^32 / \(8!\)\^2 ≈ ([\d.]+)\), a ([\d.]+)× bias")
+    hits, rest = divmod(1 << 32, pairs8)
+    assert rest and (int(low), int(high)) == (hits, hits + 1)
+    assert (mean, float(bias)) == (f"{(1 << 32) / pairs8:.2f}", (hits + 1) / hits)
+    exponent = int(figures(r"An 8-byte key's bias at n = 8 is below 10\^(-\d+)")[0])
+    assert 1 / ((1 << 64) // pairs8) < 10 ** exponent
 
 
 # One argv of each shape the benchmark's ops send.

@@ -8,16 +8,23 @@ coordinate function f_j is one 2**n-bit int (bit x = f_j(x)) read off
 core._planes. Avalanche counts are popcounts of derivative bitsets
 (_criteria); nonlinearity runs a Walsh butterfly on packed lanes of
 max(n + 2, 4) bits (_plan, _butterfly, _measure). Flip probabilities are
-exact fractions: a SAC entry over 2**n, a BIC-SAC value over n * 2**n, and
-their averages over n * n * 2**n and p * n * 2**n, for the
+exact ratios of ints: a SAC entry over 2**n, a BIC-SAC value over
+n * 2**n, and their averages over n * n * 2**n and p * n * 2**n, for the
 p = n * (n - 1) / 2 output pairs. Each sd is a float, the square root of
-an exact variance. Decimal rounding happens only at report serialisation.
+an exact variance.
+
+The CLI renders a report from its integer form (_report), each ratio
+rounded to six places by formats, and compares integer moments; it builds
+no Fraction. Only the library's analyze makes Fractions of those ratios
+(_population_stats), for AnalysisReport's fields, which compare_reports
+then compares. fractions is imported there, on the first call: loading it,
+with the decimal and numbers modules it imports, would cost every CLI call
+about 2.5 ms.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub, xor
 from types import SimpleNamespace
@@ -281,16 +288,24 @@ def _moments(counts: list[int]) -> tuple[int, int, int, int]:
     return min(counts), max(counts), total, len(counts) * squares - total * total
 
 
-def _population_stats(moments: tuple[int, int, int, int], count: int, d: int = 1,
-                      sd_divisor: int = 1) -> PropertyStats:
-    """Stats of `count` values c / d, from the _moments of the counts c; min
-    and max stay ints when d == 1."""
+def _ratios(moments: tuple[int, int, int, int], count: int, d: int, sd_divisor: int) -> tuple:
+    """Stats of `count` values c / d in integer form, from the _moments of the
+    counts c: min, max and avg as (numerator, denominator) pairs of ints, and
+    sd as the float that PropertyStats holds."""
     low, high, total, spread = moments
     # Int true division rounds correctly, so this is the float of the exact variance.
-    variance = spread / (count * d) ** 2
+    sd = math.sqrt(spread / (count * d) ** 2) / sd_divisor
+    return (low, d), (high, d), (total, count * d), sd
+
+
+def _population_stats(ratios: tuple) -> PropertyStats:
+    """The PropertyStats of a criterion's _ratios; min and max stay ints when d == 1."""
+    from fractions import Fraction  # here alone: see the module docstring
+
+    (low, d), (high, _), avg, sd = ratios
     if d != 1:
         low, high = Fraction(low, d), Fraction(high, d)
-    return PropertyStats(low, high, Fraction(total, count * d), math.sqrt(variance) / sd_divisor)
+    return PropertyStats(low, high, Fraction(*avg), sd)
 
 
 # Every criterion is a population of integer counts read off the functions
@@ -318,6 +333,19 @@ def _criteria(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, int, int
     return _moments(nl[:n]), _moments(sac), _moments(nl[n:]), _moments(bic_sac)
 
 
+def _report(s: SBox) -> tuple:
+    """The integer form of s's report, which formats renders and analyze
+    turns into an AnalysisReport: (n, bijective, fixed points, nl_bound,
+    each criterion's _ratios in CRITERIA order)."""
+    n, planes = s.n, _planes([s.table], s.n)
+    bijective, *moments = _invariants([s.table], planes)[0]
+    pairs = n * (n - 1) >> 1
+    # Each criterion's (count, d, sd divisor): `count` values c / d (see analyze).
+    shapes = (n, 1, 1), (n * n, 1 << n, 2), (pairs, 1, 1), (pairs, n << n, 1)
+    stats = [_ratios(m, *shape) for m, shape in zip(moments, shapes)]
+    return n, bijective, _fixed_points(planes), max_balanced_nonlinearity(n) if n >= 3 else 0, stats
+
+
 def analyze(s: SBox) -> AnalysisReport:
     """Bundle all four criteria plus fixed-point detection into one report.
 
@@ -329,19 +357,9 @@ def analyze(s: SBox) -> AnalysisReport:
     2**n samples, so sac.sd is half the population standard deviation of
     the entries.
     """
-    n, planes = s.n, _planes([s.table], s.n)
-    bijective, nl, sac, bic_nl, bic_sac = _invariants([s.table], planes)[0]
-    pairs = n * (n - 1) >> 1
-    return AnalysisReport(
-        n=n,
-        bijective=bijective,
-        fixed_points=_fixed_points(planes),
-        nl=_population_stats(nl, n),
-        nl_bound=max_balanced_nonlinearity(n) if n >= 3 else 0,
-        sac=_population_stats(sac, n * n, 1 << n, sd_divisor=2),
-        bic_nl=_population_stats(bic_nl, pairs),
-        bic_sac=_population_stats(bic_sac, pairs, n << n),
-    )
+    n, bijective, fixed_points, nl_bound, stats = _report(s)
+    nl, sac, bic_nl, bic_sac = map(_population_stats, stats)
+    return AnalysisReport(n, bijective, fixed_points, nl, nl_bound, sac, bic_nl, bic_sac)
 
 
 def _invariants(tables: list, planes: list[bytes]) -> list[tuple]:

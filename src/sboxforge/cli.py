@@ -6,12 +6,20 @@ exhausted, 4 invariance check failure, 5 verify mismatch, 6 verify width
 mismatch, 64 command-line usage error, 130 interrupted (Ctrl-C). Results go
 to stdout, diagnostics to stderr. SBOXFORGE_THREADS (integer >= 1) caps
 worker parallelism.
+
+A cold call loads sboxforge's modules, which import from the standard
+library only array, collections, contextlib, errno, functools, itertools,
+math, operator, os, stat, sys, time and types, with what those import,
+and the interpreter's own SHA-256. The rest loads where it runs:
+argparse and the help for an argv that _fast declines (usage), random for
+--sample, and the process pool for a sweep that pools. No command imports
+fractions, decimal or re: analyze renders its report from integer ratios,
+and verify and sweeps compare integer moments.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
 from array import array
 from collections import defaultdict, deque
@@ -22,7 +30,7 @@ from math import factorial
 from time import perf_counter
 from types import SimpleNamespace
 
-from .analysis import CRITERIA, _differences, _invariants, analyze
+from .analysis import CRITERIA, _differences, _invariants, _report
 from .core import (
     BitPermutation,
     NonBijectiveError,
@@ -153,7 +161,7 @@ def cmd_clone(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = analyze(load_sbox(args.sbox))
+    report = _report(load_sbox(args.sbox))
     render = render_report_json if args.format == "json" else render_report_text
     with _output(None) as write:
         write(render(report))
@@ -292,6 +300,8 @@ def cmd_enumerate(args) -> int:
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
+        import random  # here: only a sample draws, and loading it costs every CLI call
+
         rng = random.Random(0 if args.rng_seed is None else args.rng_seed)
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))

@@ -10,12 +10,17 @@ MAX_FILE_BYTES, and split into no more than one entry past MAX_ENTRIES;
 either refuses it. A report renders as key: value text or as JSON, both
 from one document of its fields, with decimals rounded half-to-even to six
 places; identical inputs always produce byte-identical output.
+
+A cold CLI call loads from here os, sys, contextlib, errno, stat and the
+interpreter's own SHA-256, and nothing more: re only for a text too long
+to split whole (_long_tokens), and no fractions or decimal module, since a
+report renders from analysis._report's integer form, its ratios of ints
+rounded by _decimal.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 from contextlib import contextmanager
 from errno import EBADF
@@ -95,6 +100,8 @@ def _long_tokens(text: str) -> list[str]:
     """The entries of a text too long for parse_sbox_text to split whole,
     read one past MAX_ENTRIES at most, keeping nothing per line or comment:
     such a text may have hundreds of thousands."""
+    import re  # here: only such a text needs it, and loading it costs every CLI call
+
     matches = (match[0] for match in re.finditer(_ENTRY_OR_COMMENT, text))
     tokens = list(islice((t for t in matches if t[0] != "#"), MAX_ENTRIES + 1))
     if len(tokens) > MAX_ENTRIES:
@@ -226,6 +233,13 @@ def format_decimal(value) -> str:
     numerator, denominator = value.as_integer_ratio()
     if numerator < 0:
         raise ValueError(f"format_decimal takes a non-negative value, got {value!r}")
+    return _decimal(numerator, denominator)
+
+
+def _decimal(numerator: int, denominator: int) -> str:
+    """format_decimal of numerator / denominator, ints >= 0 and >= 1, in
+    lowest terms or not: a common factor scales the remainder and the
+    denominator alike, and moves no rounding."""
     whole, remainder = divmod(numerator * 1_000_000, denominator)
     # Up past half, or at exactly half when that makes `whole` even.
     if 2 * remainder + (whole & 1) > denominator:
@@ -233,27 +247,32 @@ def format_decimal(value) -> str:
     return f"{whole // 1_000_000}.{whole % 1_000_000:06d}"
 
 
-def _document(report: AnalysisReport) -> dict:
-    """The report's fields in output order. Each statistic is a dict of its int
-    values and the format_decimal texts of the others; nl carries no sd."""
-    def stats(s: PropertyStats, fields=("min", "max", "avg", "sd")) -> dict:
-        cells = {f: getattr(s, f) for f in fields}
-        return {f: v if isinstance(v, int) else format_decimal(v) for f, v in cells.items()}
+def _document(report: tuple) -> dict:
+    """The fields of a report in analysis._report's integer form, in output
+    order. Each statistic is a dict of its min and max, ints where their
+    divisor is 1 and decimal texts otherwise, and the decimal texts of its
+    avg and sd; nl carries no sd."""
+    n, bijective, fixed_points, nl_bound, (nl, sac, bic_nl, bic_sac) = report
+
+    def stats(ratios: tuple, fields=("min", "max", "avg", "sd")) -> dict:
+        (low, d), (high, _), avg, sd = ratios
+        values = (low, high) if d == 1 else (_decimal(low, d), _decimal(high, d))
+        return dict(zip(fields, (*values, _decimal(*avg), format_decimal(sd))))
 
     return {
-        "n": report.n,
-        "bijective": report.bijective,
-        "fixed_points": sorted(report.fixed_points.fixed),
-        "reverse_fixed_points": sorted(report.fixed_points.reverse_fixed),
-        "nl": stats(report.nl, ("min", "max", "avg")),
-        "nl_bound": report.nl_bound,
-        "sac": stats(report.sac),
-        "bic_nl": stats(report.bic_nl),
-        "bic_sac": stats(report.bic_sac),
+        "n": n,
+        "bijective": bijective,
+        "fixed_points": sorted(fixed_points.fixed),
+        "reverse_fixed_points": sorted(fixed_points.reverse_fixed),
+        "nl": stats(nl, ("min", "max", "avg")),
+        "nl_bound": nl_bound,
+        "sac": stats(sac),
+        "bic_nl": stats(bic_nl),
+        "bic_sac": stats(bic_sac),
     }
 
 
-def render_report_text(report: AnalysisReport) -> str:
+def render_report_text(report: tuple) -> str:
     """One `key: value` line per field; a statistic as `k=v` pairs, bijective as true/false."""
     lines = []
     for key, value in _document(report).items():
@@ -265,7 +284,7 @@ def render_report_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report_json(report: AnalysisReport) -> str:
+def render_report_json(report: tuple) -> str:
     """The report document in json.dumps(indent=2)'s layout, written out here:
     each decimal text a JSON number, repr(float(text)) as json writes it."""
     fields = []

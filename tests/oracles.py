@@ -371,3 +371,35 @@ def report_json_by_json_module(document):
                 if isinstance(value, dict) else value
                 for key, value in document.items()}
     return json.dumps(document, indent=2) + "\n"
+
+
+def report_document_by_fraction(report):
+    """An AnalysisReport's document, built as formats._document built it when
+    it read the report's fields: each int as it is, each other value through
+    format_decimal_by_fraction; nl carries no sd."""
+    def stats(s, fields=("min", "max", "avg", "sd")):
+        return {f: v if isinstance(v, int) else format_decimal_by_fraction(v)
+                for f, v in zip(fields, s._fields())}
+
+    return {
+        "n": report.n,
+        "bijective": report.bijective,
+        "fixed_points": sorted(report.fixed_points.fixed),
+        "reverse_fixed_points": sorted(report.fixed_points.reverse_fixed),
+        "nl": stats(report.nl, ("min", "max", "avg")),
+        "nl_bound": report.nl_bound,
+        "sac": stats(report.sac),
+        "bic_nl": stats(report.bic_nl),
+        "bic_sac": stats(report.bic_sac),
+    }
+
+
+def report_text_by_lines(document):
+    """A report document as `key: value` lines: a statistic as `k=v` pairs,
+    a bool as true or false, a list as Python writes it."""
+    def text(value):
+        if isinstance(value, dict):
+            return " ".join(f"{k}={v}" for k, v in value.items())
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    return "".join(f"{key}: {text(value)}\n" for key, value in document.items())

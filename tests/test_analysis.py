@@ -864,8 +864,8 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
     assert analysis._moments(moved)[::2] == analysis._moments(counts)[::2]
     assert analysis._moments(moved)[3] == analysis._moments(counts)[3] + 2 * len(counts)
     report = _replace(analyze(SBox.from_table(AES_SBOX)), n=n)
-    a, b = (_replace(report, sac=analysis._population_stats(
-                analysis._moments(c), len(c), 1 << n, sd_divisor=2)) for c in (counts, moved))
+    a, b = (_replace(report, sac=analysis._population_stats(analysis._ratios(
+                analysis._moments(c), len(c), 1 << n, sd_divisor=2))) for c in (counts, moved))
     assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
     bijective, nl, _, bic_nl, bic_sac = _invariants(AES_SBOX)
@@ -895,7 +895,8 @@ def test_each_moment_differs_where_its_stats_field_does(n, shape, kind, seed):
     elif kind == "other":
         b = [rng.randint(0, top) for _ in range(count)]
     moments = [analysis._moments(c) for c in (a, b)]
-    stats = [analysis._population_stats(m, count, d, sd_divisor)._fields() for m in moments]
+    stats = [analysis._population_stats(analysis._ratios(m, count, d, sd_divisor))._fields()
+             for m in moments]
     assert [x != y for x, y in zip(*moments)] == [x != y for x, y in zip(*stats)]
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sboxforge import SBox, analyze, formats
+from sboxforge import SBox, analysis, analyze, cli, formats
 from sboxforge.formats import (
     SBoxFileError,
     format_decimal,
@@ -26,7 +28,9 @@ from oracles import (
     format_decimal_by_fraction,
     parse_sbox_text_by_token,
     random_bijective,
+    report_document_by_fraction,
     report_json_by_json_module,
+    report_text_by_lines,
 )
 from vectors import (
     AES_REPORT_JSON,
@@ -269,6 +273,18 @@ def test_format_decimal_matches_the_fraction_version(value):
     assert format_decimal(value) == format_decimal_by_fraction(value)
 
 
+@settings(max_examples=600, deadline=None)
+@given(_decimal_values(), st.integers(1, 10**9))
+@example(Fraction(1, 128), 3)  # a tie rounded down to even, as 3 / 384
+@example(Fraction(3, 128), 1 << 40)  # a tie rounded up to even
+@example(Fraction(1, 2_000_000), 7)
+@example(0, 5)
+def test_a_ratio_rounds_as_its_lowest_terms(value, k):
+    # The CLI renders a report's ratios as they come, not in lowest terms.
+    numerator, denominator = value.as_integer_ratio()
+    assert formats._decimal(k * numerator, k * denominator) == format_decimal_by_fraction(value)
+
+
 def _table(kind, n, rng):
     """A table of width n: random bijective, random, identity, constant, or
     affine x -> Mx ^ c for a random (maybe singular) bit matrix M."""
@@ -288,18 +304,42 @@ def _table(kind, n, rng):
     return table
 
 
+_KINDS = st.sampled_from(["bijective", "random", "identity", "constant", "affine"])
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]),
-       st.sampled_from(["bijective", "random", "identity", "constant", "affine"]),
+@given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]), _KINDS,
        st.randoms(use_true_random=False))
 def test_render_report_json_is_json_dumps_layout(n, kind, rng):
     # Fixed-point lists run from empty (most tables) to all 2**n entries (identity).
-    report = analyze(SBox(n, tuple(_table(kind, n, rng))))
+    report = analysis._report(SBox(n, tuple(_table(kind, n, rng))))
     assert render_report_json(report) == report_json_by_json_module(formats._document(report))
 
 
+@pytest.fixture(scope="module")
+def sbox_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("analyze") / "sbox.txt")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), _KINDS, st.randoms(use_true_random=False))
+def test_analyze_prints_the_librarys_report(sbox_file, n, kind, rng):
+    # The CLI renders a report's integer form, the library's analyze makes
+    # Fractions of it: both print the same bytes, the latter through the
+    # Fraction rounding that the report's document was first built with.
+    s = SBox(n, tuple(_table(kind, n, rng)))
+    with open(sbox_file, "w") as handle:
+        handle.write(serialize_sbox(s))
+    document = report_document_by_fraction(analyze(s))
+    expected = {"text": report_text_by_lines(document), "json": report_json_by_json_module(document)}
+    for form, text in expected.items():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["analyze", sbox_file, "--format", form]) == cli.EXIT_OK
+        assert out.getvalue() == text
+
+
 def test_render_report_text_golden():
-    assert render_report_text(analyze(SBox.from_table(AES_SBOX))) == AES_REPORT_TEXT
+    assert render_report_text(analysis._report(SBox.from_table(AES_SBOX))) == AES_REPORT_TEXT
 
 
 @pytest.mark.parametrize("table, text, document", [
@@ -308,13 +348,13 @@ def test_render_report_text_golden():
     (NONBIJECTIVE4, NONBIJECTIVE4_REPORT_TEXT, NONBIJECTIVE4_REPORT_JSON),
 ])
 def test_render_report_bytes(table, text, document):
-    report = analyze(SBox.from_table(table))
+    report = analysis._report(SBox.from_table(table))
     assert render_report_text(report) == text
     assert render_report_json(report) == document
 
 
 def test_render_report_json_schema_and_values():
-    document = json.loads(render_report_json(analyze(SBox.from_table(SEED4))))
+    document = json.loads(render_report_json(analysis._report(SBox.from_table(SEED4))))
     assert list(document) == [
         "n", "bijective", "fixed_points", "reverse_fixed_points",
         "nl", "nl_bound", "sac", "bic_nl", "bic_sac",
@@ -331,8 +371,8 @@ def test_render_report_json_schema_and_values():
 
 
 def test_rendering_is_deterministic():
-    report_a = analyze(SBox.from_table(AES_SBOX))
-    report_b = analyze(SBox.from_table(AES_SBOX))
+    report_a = analysis._report(SBox.from_table(AES_SBOX))
+    report_b = analysis._report(SBox.from_table(AES_SBOX))
     assert render_report_text(report_a) == render_report_text(report_b)
     assert render_report_json(report_a) == render_report_json(report_b)
 

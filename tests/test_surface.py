@@ -19,8 +19,8 @@ from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli
                        max_balanced_nonlinearity, nonlinearity, walsh_spectrum)
 from sboxforge.formats import serialize_sbox
 
-from oracles import (direct_walsh, lehmer_rank, measure_by_stages, permute_bits, stabilizer_size,
-                     walsh_by_stages)
+from oracles import (direct_walsh, lehmer_rank, measure_by_stages, permute_bits, random_bijective,
+                     stabilizer_size, walsh_by_stages)
 from vectors import AES_SBOX
 
 # The package exports what the CLI, the README quick start and the
@@ -198,6 +198,57 @@ def test_cli_import_leaves_argparse_out(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "[]\n"
+
+
+# What a cold CLI call must not load: fractions, with the decimal and numbers
+# modules it imports, since no command builds a Fraction; re, which only a
+# text too long to split whole needs; and random, which only a sample needs.
+LAZY = {"fractions", "decimal", "_decimal", "numbers", "re", "random"}
+
+
+def test_cli_calls_leave_fractions_re_and_random_out(child_env, tmp_path):
+    # Each of the benchmark's argvs, then analyze --format text and derive,
+    # run through cli.main in one process, which prints what of LAZY each
+    # left loaded: random from the first --sample on, and nothing else. -S
+    # as below: site-packages hooks can load re and random themselves.
+    rng = random.Random(36)
+    seed8 = SBox(8, tuple(random_bijective(rng, 8)))
+    seed10 = SBox(10, tuple(random_bijective(rng, 10)))
+    files = {"s8.txt": seed8, "s4.txt": SBox(4, tuple(random_bijective(rng, 4))),
+             "aes.txt": SBox.from_table(AES_SBOX), "s10.txt": seed10, "a.txt": seed10,
+             "b.txt": clone_sbox(seed10, *key_to_permutations(b"\x24", 10))}
+    for name, s in files.items():
+        (tmp_path / name).write_text(serialize_sbox(s))
+    argvs = BENCH_ARGVS + [["analyze", "s10.txt", "--format", "text"],
+                           ["derive", "--key", "0123456789", "--n", "10"]]
+    # The probe's own lines start "probe:", apart from what the commands print.
+    probe = ("import sys, sboxforge.cli; "
+             f"print('probe:', sorted({LAZY!r} & set(sys.modules))); "
+             f"[print('probe:', sboxforge.cli.main(a), sorted({LAZY!r} & set(sys.modules))) "
+             f"for a in {argvs!r}]")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env={**child_env, "SBOXFORGE_THREADS": "1"}, cwd=tmp_path, check=True)
+    sampled = [any("--sample" in a for a in argvs[:i + 1]) for i in range(len(argvs))]
+    assert [line for line in result.stdout.splitlines() if line.startswith("probe:")] == \
+        ["probe: []"] + [f"probe: 0 {['random'] if s else []}" for s in sampled]
+
+
+def test_the_library_loads_fractions_and_re_where_it_uses_them(child_env):
+    # A text longer than 2 * MAX_ENTRIES characters is split by a regex,
+    # loading re; analyze still returns Fractions, importing fractions on its
+    # first call, and compare_reports finds a clone's report equal to its seed's.
+    probe = ("import sys, sboxforge, sboxforge.cli; from sboxforge import formats; "
+             "loaded = lambda: sorted({'fractions', 're'} & set(sys.modules)); print(loaded()); "
+             "seed = formats.parse_sbox_text(' '.join(map(str, range(255, -1, -1)))); print(loaded()); "
+             "formats.parse_sbox_text('0 1 2 3'.ljust(2 * formats.MAX_ENTRIES + 1)); print(loaded()); "
+             "report = sboxforge.analyze(seed); "
+             "clone = sboxforge.clone_sbox(seed, *sboxforge.key_to_permutations(b'\\x24', 8)); "
+             "print([type(s.avg).__name__ for s in (report.nl, report.sac)], type(report.sac.min).__name__, "
+             "sboxforge.compare_reports(report, sboxforge.analyze(clone)).equal, loaded())")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=child_env, check=True)
+    assert result.stdout == ("[]\n[]\n['re']\n"
+                             "['Fraction', 'Fraction'] Fraction True ['fractions', 're']\n")
 
 
 def test_cli_import_leaves_dataclasses_and_typing_out(child_env):

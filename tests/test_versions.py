@@ -68,6 +68,9 @@ def lines(tmp_path_factory):
         ["clone", files["aes"], "--key", "00ff", "--remove-fixed-points"],
         ["analyze", files["aes"], "--format", "json"],
         ["analyze", files["seed10"], "--format", "json"],
+        # The smallest and largest divisors of a report's ratios: 2**n and n * 2**n.
+        ["analyze", files["seed2"], "--format", "text"],
+        ["analyze", files["seed16"], "--format", "text"],
         ["verify", files["seed4"], files["clone4"]],
         ["verify", files["aes"], files["seed10"]],
         ["derive", "--key", "0123456789", "--n", "10"],

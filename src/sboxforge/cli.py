@@ -3,14 +3,16 @@
 Exit codes are a fixed function of the failure class: 0 success, 1 input
 parse/validation error, 2 non-bijective seed, 3 fixed-point removal
 exhausted, 4 invariance check failure, 5 verify mismatch, 6 verify width
-mismatch, 64 command-line usage error, 130 interrupted (Ctrl-C). Results go
-to stdout, diagnostics to stderr. SBOXFORGE_THREADS (integer >= 1) caps
-worker parallelism.
+mismatch, 64 command-line usage error, 129 hung up (SIGHUP), 130
+interrupted (Ctrl-C), 143 terminated (SIGTERM). Results go to stdout,
+diagnostics to stderr; formats writes both. SBOXFORGE_THREADS (integer
+>= 1) caps worker parallelism.
 
 A cold call loads sboxforge's modules, which import from the standard
-library only array, collections, contextlib, errno, functools, itertools,
-math, operator, os, stat, sys, time and types, with what those import,
-and the interpreter's own SHA-256. The rest loads where it runs:
+library only __future__, array, collections, contextlib, errno, functools,
+itertools, math, operator, os, stat, sys, time and types, with what those
+import, and the interpreter's own SHA-256 and _signal, which it loaded at
+start. The rest loads where it runs:
 argparse and the help for an argv that _fast declines (usage), random for
 --sample, and the process pool for a sweep that pools. No command imports
 fractions, decimal or re: analyze renders its report from integer ratios,
@@ -19,6 +21,7 @@ and verify and sweeps compare integer moments.
 
 from __future__ import annotations
 
+import _signal  # the interpreter's own, loaded at start: the signal module costs a cold call 0.7 ms
 import os
 import sys
 from array import array
@@ -44,9 +47,14 @@ from .core import (
     clone_sbox_avoiding_fixed_points,
 )
 from .formats import (
-    _fingerprint,
     _note,
     _output,
+    _sigma_pair,
+    _sigma_text,
+    _sweep_csv,
+    _sweep_summary,
+    _verify_text,
+    _width_note,
     load_sbox,
     render_report_json,
     render_report_text,
@@ -62,7 +70,11 @@ EXIT_INVARIANCE = 4
 EXIT_MISMATCH = 5
 EXIT_WIDTH = 6
 EXIT_USAGE = 64
+EXIT_HANGUP = 129  # 128 + SIGHUP
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143  # 128 + SIGTERM
+# The signals that end a command as Ctrl-C does, where the platform has them.
+_ENDINGS = tuple(getattr(_signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(_signal, name))
 
 # Seconds of rows left, at the row time, per worker; fewer than two workers
 # run serially. Measured on 2 cores (Python 3.11.7), whole processes with
@@ -81,6 +93,38 @@ _BATCH_SECONDS = 0.25
 
 class UsageError(Exception):
     """Bad flag combination or malformed invocation."""
+
+
+class Terminated(SystemExit):
+    """SIGTERM or SIGHUP came: raised where the command runs, as
+    KeyboardInterrupt is for Ctrl-C, so that the same paths remove a created
+    -o/--out file and stop a pool. Its code is the command's exit code, and
+    as a SystemExit it ends quietly a forked pool worker that it reaches
+    before the worker's initializer has reset the handler."""
+
+
+def _terminate(signum, frame):
+    raise Terminated(128 + signum)  # EXIT_TERMINATED or EXIT_HANGUP
+
+
+@contextmanager
+def _signals_end_the_command():
+    """Within the block, SIGTERM and SIGHUP raise Terminated. None is set off
+    the main thread, where Python runs no handler, and none where a signal
+    is ignored, as nohup ignores SIGHUP. The previous handlers come back
+    after the block."""
+    previous = {}
+    try:
+        for signum in _ENDINGS:
+            if _signal.getsignal(signum) not in (_signal.SIG_IGN, None):  # None: not set by Python
+                previous[signum] = _signal.signal(signum, _terminate)
+    except ValueError:  # off the main thread
+        pass
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            _signal.signal(signum, handler)
 
 
 def _parse_key(text: str) -> bytes:
@@ -103,10 +147,6 @@ def _parse_permutation(text: str, n: int) -> BitPermutation:
     if len(images) != n:
         raise ValueError(f"permutation {text!r} has {len(images)} entries, expected {n}")
     return BitPermutation(images)
-
-
-def _sigma_text(sigma: BitPermutation, sep: str) -> str:
-    return sep.join(map(str, sigma.images))
 
 
 def _thread_cap() -> int:
@@ -156,7 +196,7 @@ def cmd_clone(args) -> int:
         else:
             result, eff1, eff2 = clone_sbox(seed, sigma1, sigma2), sigma1, sigma2
         write(serialize_sbox(result))
-    _note(f"sigma1={_sigma_text(eff1, ',')}\nsigma2={_sigma_text(eff2, ',')}")
+    _note(_sigma_pair(eff1, eff2))
     return EXIT_OK
 
 
@@ -173,7 +213,7 @@ def cmd_derive(args) -> int:
         raise UsageError("--n must be in [2, 16]")
     sigma1, sigma2 = key_to_permutations(_parse_key(args.key), args.n)
     with _output(None) as write:
-        write(f"sigma1={_sigma_text(sigma1, ',')}\nsigma2={_sigma_text(sigma2, ',')}\n")
+        write(_sigma_pair(sigma1, sigma2) + "\n")
     return EXIT_OK
 
 
@@ -183,7 +223,7 @@ _sweep = None  # (seed table, n, the seed's invariants or None, rank cache) of t
 def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
     """The index-th permutation of range(n) as CSV text, and its lifted table."""
     sigma = lehmer_decode(index, n)
-    return _sigma_text(sigma, " "), _lift(sigma.images)
+    return _sigma_text(sigma), _lift(sigma.images)
 
 
 def _init_sweep(table, n, reference) -> None:
@@ -207,12 +247,16 @@ def _init_worker(*sweep) -> None:
     """_init_sweep in a pool worker, which leaves Ctrl-C to the parent and so
     prints nothing, and which exits as soon as its parent has gone, however
     that ended: otherwise a killed parent's workers live on, holding the
-    caller's stderr."""
-    import signal  # here: the CLI's import and its serial runs do not need it
+    caller's stderr. A forked worker inherits the parent's SIGTERM and
+    SIGHUP handlers, and goes back to the default where they are main's, so
+    that the pool's own terminate ends it; an ignored SIGHUP stays ignored."""
     from multiprocessing import parent_process
     from threading import Thread
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+    for signum in _ENDINGS:
+        if _signal.getsignal(signum) is _terminate:
+            _signal.signal(signum, _signal.SIG_DFL)
     parent = parent_process()
     if parent:  # None where the caller is no child process
         # Nothing is written to the sentinel: a read returns b"" once the parent has gone.
@@ -221,7 +265,7 @@ def _init_worker(*sweep) -> None:
 
 
 def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
-    """The sweep's CSV lines for `pairs`, each ended by "\n", their clones'
+    """The sweep's CSV rows for `pairs` (formats._sweep_csv), their clones'
     64-bit digests, and how many of them passed the invariance check.
 
     Both ranks' texts and lifts come from the sweep's rank cache. One
@@ -233,22 +277,14 @@ def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
     read off the seed. A row passes when its invariants are the seed's.
     """
     table, n, reference, ranks = _sweep
-    heads, lifts = [], []
-    for k1, k2 in pairs:
-        (text1, rows), (text2, out) = ranks(k1), ranks(k2)
-        heads.append(f"{k1},{k2},{text1},{text2}")
-        lifts.append((rows, out))
-    clones = _clone(table, lifts)
+    ranked = [(ranks(k1), ranks(k2)) for k1, k2 in pairs]
+    clones = _clone(table, [(rows, out) for (_, rows), (_, out) in ranked])
     planes = _planes(clones, n)
-    verdicts = ([row == reference for row in _invariants(clones, planes)] if reference
-                else [None] * len(clones))
-    lines, digests = [], []
-    for head, clone, fixed, reverse, verdict in zip(heads, clones, *_fixed_counts(planes), verdicts):
-        prefix, digest = _fingerprint(clone)
-        lines.append(f"{head},{prefix},{digest},{fixed},{reverse}"
-                     f"{'' if verdict is None else ',pass' if verdict else ',fail'}\n")
-        digests.append(int(digest, 16))
-    return "".join(lines), digests, verdicts.count(True)
+    passed = ([row == reference for row in _invariants(clones, planes)] if reference
+              else [False] * len(clones))
+    text, digests = _sweep_csv(reference is not None,
+                               zip(pairs, ranked, clones, *_fixed_counts(planes), passed))
+    return text, digests, passed.count(True)
 
 
 @contextmanager
@@ -306,8 +342,7 @@ def cmd_enumerate(args) -> int:
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
 
-    head = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
-            + (",invariance\n" if args.check_invariance else "\n"))
+    head = _sweep_csv(args.check_invariance, head=True)[0]
     # Each 64-bit digest goes in an array("Q") bucket by its top byte, 8 bytes
     # a row where a set of them all takes about 78; a bucket is made when a
     # digest first needs it, and each is counted apart at the end.
@@ -351,8 +386,8 @@ def cmd_enumerate(args) -> int:
         if head:  # no rows
             write(head)
 
-    checked = f" invariance_pass={passes}" if args.check_invariance else ""
-    _note(f"rows={count} distinct={sum(len(set(bucket)) for bucket in digests.values())}{checked}")
+    distinct = sum(len(set(bucket)) for bucket in digests.values())
+    _note(_sweep_summary(count, distinct, passes if args.check_invariance else None))
     return EXIT_INVARIANCE if args.check_invariance and passes < count else EXIT_OK
 
 
@@ -360,17 +395,12 @@ def cmd_verify(args) -> int:
     seed = load_sbox(args.seed)
     clone = load_sbox(args.clone)
     if seed.n != clone.n:
-        _note(f"width mismatch: {seed.n} vs {clone.n}")
+        _note(_width_note(seed.n, clone.n))
         return EXIT_WIDTH
     tables = [seed.table, clone.table]
     differences = _differences(*_invariants(tables, _planes(tables, seed.n)))
-    differing = {d.partition(".")[0] for d in differences}
-    lines = [f"{name}: {'differs' if name in differing else 'equal'}\n"
-             for name in ("bijective",) + CRITERIA]
-    lines.append(f"result: mismatch\ndifferences: {' '.join(differences)}\n" if differences
-                 else "result: match\n")
     with _output(None) as write:
-        write("".join(lines))
+        write(_verify_text(("bijective",) + CRITERIA, differences))
     return EXIT_MISMATCH if differences else EXIT_OK
 
 
@@ -500,19 +530,23 @@ _FAILURES = ((UsageError, EXIT_USAGE), (NonBijectiveError, EXIT_NON_BIJECTIVE),
 
 
 def main(argv=None) -> int:
-    try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        # argparse strips "--" from an option's strings, so "--opt=--" gives it the value [].
-        for o in COMMANDS[args.command][2] if hasattr(args, "command") else ():
-            if isinstance(getattr(args, o.dest), list):
-                raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
-        return args.func(args)
-    except (UsageError, RemovalExhausted, ValueError) as exc:
-        _note(f"error: {exc}")
-        return next(code for kind, code in _FAILURES if isinstance(exc, kind))
-    except KeyboardInterrupt:  # an -o/--out file the run created is already removed
-        _note("error: interrupted")
-        return EXIT_INTERRUPTED
+    with _signals_end_the_command():
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            # argparse strips "--" from an option's strings, so "--opt=--" gives it the value [].
+            for o in COMMANDS[args.command][2] if hasattr(args, "command") else ():
+                if isinstance(getattr(args, o.dest), list):
+                    raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
+            return args.func(args)
+        except (UsageError, RemovalExhausted, ValueError) as exc:
+            _note(f"error: {exc}")
+            return next(code for kind, code in _FAILURES if isinstance(exc, kind))
+        except KeyboardInterrupt:  # an -o/--out file the run created is already removed
+            _note("error: interrupted")
+            return EXIT_INTERRUPTED
+        except Terminated as ended:  # as for Ctrl-C
+            _note("error: terminated")
+            return ended.code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """File and report formats, and every byte the command-line front end reads
 or writes: s-box files, stdout, -o/--out files and stderr diagnostics. Only
 the line for a Ctrl-C that comes while the CLI loads is __main__'s own,
-since this module has not loaded yet.
+since this module has not loaded yet. Each result text has one rule here,
+and the CLI passes it content: analyze's report (render_report_text and
+render_report_json), a clone's table (serialize_sbox), verify's verdict
+lines, which share the report text's key: value renderer, and its width
+note, a sweep's CSV header and rows and its summary, and the sigma1= and
+sigma2= pair that clone notes and derive prints.
 
 S-box files are flat lists of 2**n integers (ASCII decimal or 0x-prefixed
 hex), separated by whitespace or commas, with '#' comments; a leading UTF-8
@@ -227,19 +232,47 @@ def _fingerprint(table) -> tuple[str, str]:
     return " ".join(cells[:8]), sha256(" ".join(cells).encode()).hexdigest()[:16]
 
 
-def format_decimal(value) -> str:
-    """Exact round-half-even rendering of a non-negative int, float or Fraction
-    to six places; a negative value raises ValueError."""
-    numerator, denominator = value.as_integer_ratio()
-    if numerator < 0:
-        raise ValueError(f"format_decimal takes a non-negative value, got {value!r}")
-    return _decimal(numerator, denominator)
+# A sweep's CSV columns, which a sweep that checks invariance ends with an invariance column.
+_COLUMNS = "sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,fixed_points,reverse_fixed_points"
+
+
+def _sweep_csv(checked: bool, rows=(), head: bool = False) -> tuple[str, list[int]]:
+    """A sweep's CSV lines, each ended by "\n", the header first where
+    `head`, and the 64-bit digests of the rows' clones. A row is
+    ((sigma1 index, sigma2 index), ((sigma1 text, _), (sigma2 text, _)),
+    clone table, fixed points, reverse fixed points, passed), each rank as
+    the sweep's rank cache gives it. Only a `checked` sweep's header and
+    rows have the invariance column, pass or fail by `passed`."""
+    column, cells = (",invariance", (",fail", ",pass")) if checked else ("", ("", ""))
+    lines, digests = [_COLUMNS + column + "\n"] if head else [], []
+    for (k1, k2), ((s1, _), (s2, _)), clone, fixed, reverse, passed in rows:
+        prefix, digest = _fingerprint(clone)
+        lines.append(f"{k1},{k2},{s1},{s2},{prefix},{digest},{fixed},{reverse}{cells[passed]}\n")
+        digests.append(int(digest, 16))
+    return "".join(lines), digests
+
+
+def _sweep_summary(rows: int, distinct: int, passes: int | None) -> str:
+    """A sweep's stderr line; passes is None where the sweep checks no invariance."""
+    checked = "" if passes is None else f" invariance_pass={passes}"
+    return f"rows={rows} distinct={distinct}{checked}"
+
+
+def _sigma_text(sigma, sep: str = " ") -> str:
+    """A permutation's images joined by `sep`: by spaces in a sweep's CSV."""
+    return sep.join(map(str, sigma.images))
+
+
+def _sigma_pair(sigma1, sigma2) -> str:
+    """The sigma1= and sigma2= lines that name a clone's permutations, with
+    no newline after the second: clone's stderr note and derive's output."""
+    return f"sigma1={_sigma_text(sigma1, ',')}\nsigma2={_sigma_text(sigma2, ',')}"
 
 
 def _decimal(numerator: int, denominator: int) -> str:
-    """format_decimal of numerator / denominator, ints >= 0 and >= 1, in
-    lowest terms or not: a common factor scales the remainder and the
-    denominator alike, and moves no rounding."""
+    """numerator / denominator, ints >= 0 and >= 1, exactly, rounded half
+    to even to six places, in lowest terms or not: a common factor scales
+    the remainder and the denominator alike, and moves no rounding."""
     whole, remainder = divmod(numerator * 1_000_000, denominator)
     # Up past half, or at exactly half when that makes `whole` even.
     if 2 * remainder + (whole & 1) > denominator:
@@ -257,7 +290,7 @@ def _document(report: tuple) -> dict:
     def stats(ratios: tuple, fields=("min", "max", "avg", "sd")) -> dict:
         (low, d), (high, _), avg, sd = ratios
         values = (low, high) if d == 1 else (_decimal(low, d), _decimal(high, d))
-        return dict(zip(fields, (*values, _decimal(*avg), format_decimal(sd))))
+        return dict(zip(fields, (*values, _decimal(*avg), _decimal(*sd.as_integer_ratio()))))
 
     return {
         "n": n,
@@ -272,16 +305,21 @@ def _document(report: tuple) -> dict:
     }
 
 
-def render_report_text(report: tuple) -> str:
-    """One `key: value` line per field; a statistic as `k=v` pairs, bijective as true/false."""
+def _key_values(document: dict) -> str:
+    """One `key: value` line per field; a dict as `k=v` pairs, a bool as true/false."""
     lines = []
-    for key, value in _document(report).items():
+    for key, value in document.items():
         if isinstance(value, dict):
             value = " ".join(f"{k}={v}" for k, v in value.items())
         elif isinstance(value, bool):
             value = "true" if value else "false"
         lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
+
+
+def render_report_text(report: tuple) -> str:
+    """The report document as _key_values lines."""
+    return _key_values(_document(report))
 
 
 def render_report_json(report: tuple) -> str:
@@ -299,3 +337,20 @@ def render_report_json(report: tuple) -> str:
             value = "true" if value else "false"
         fields.append(f'  "{key}": {value}')
     return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _verify_text(names, differences: list[str]) -> str:
+    """verify's _key_values lines: each of `names` equal, or differs where a
+    field of it ("nl.min" is nl's) is among `differences`, then the result
+    and, on a mismatch, the differing fields."""
+    differing = {d.partition(".")[0] for d in differences}
+    document = {name: "differs" if name in differing else "equal" for name in names}
+    document["result"] = "mismatch" if differences else "match"
+    if differences:
+        document["differences"] = " ".join(differences)
+    return _key_values(document)
+
+
+def _width_note(n1: int, n2: int) -> str:
+    """verify's stderr line for two s-boxes of different widths."""
+    return f"width mismatch: {n1} vs {n2}"

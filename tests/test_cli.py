@@ -1749,11 +1749,14 @@ def test_pool_workers_ignore_ctrl_c():
 
 @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM, signal.SIGHUP])
 def test_pool_workers_exit_when_their_parent_dies(sig, aes_file, tmp_path, child_env):
-    # A signal to the parent alone kills it before it can stop its workers.
-    # Each worker sees its parent go and exits, so the stdout and stderr
-    # pipes they share with it close within seconds, and a caller that reads
-    # them to the end is not kept waiting. The whole group is killed at the
-    # end, so no process is left either way.
+    # A signal to the parent alone ends it, and the stdout and stderr pipes
+    # its workers share with it close within seconds, so a caller that reads
+    # them to the end is not kept waiting. SIGKILL kills the parent before it
+    # can stop its workers: each sees its parent go and exits. SIGTERM and
+    # SIGHUP end it as Ctrl-C does: it stops its workers, removes the CSV it
+    # created, prints one line and exits 128 + the signal number, and no
+    # process of its group is left. The whole group is killed at the end, so
+    # no process is left either way.
     out = tmp_path / "sweep.csv"
     sweep = subprocess.Popen(
         [sys.executable, "-m", "sboxforge", "enumerate", aes_file, "--sample", "100000",
@@ -1767,15 +1770,93 @@ def test_pool_workers_exit_when_their_parent_dies(sig, aes_file, tmp_path, child
             time.sleep(0.02)
         os.kill(sweep.pid, sig)
         began = time.monotonic()
-        sweep.communicate(timeout=30)  # ends when every holder of the pipes has exited
+        # Ends when every holder of the pipes has exited, and the parent has been waited for.
+        stdout, stderr = sweep.communicate(timeout=30)
         assert time.monotonic() - began < 5
+        if sig != signal.SIGKILL:  # the parent waited for its workers, so none is left
+            with pytest.raises(ProcessLookupError):
+                os.killpg(sweep.pid, 0)
     finally:
         try:
             os.killpg(sweep.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
         sweep.wait()
-    assert sweep.returncode == -sig
+    if sig == signal.SIGKILL:
+        assert sweep.returncode == -sig
+    else:
+        assert (sweep.returncode, stdout, stderr) == (128 + sig, b"", b"error: terminated\n")
+        assert not out.exists()
+
+
+def test_sigterm_before_the_first_write_leaves_the_out_file(seed4_file, tmp_path, capsys,
+                                                             monkeypatch):
+    # A serial sweep that SIGTERM reaches in its first batch has written
+    # nothing, so the --out file it found stays as it was. It prints one line
+    # and exits 143, and main's handler is gone once main returns.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"keep me\n")
+    rows_of, before = cli._enumerate_rows, signal.getsignal(signal.SIGTERM)
+
+    def terminated(pairs):
+        # Checked first: with any other handler the signal could end the test run.
+        assert signal.getsignal(signal.SIGTERM) is cli._terminate
+        signal.raise_signal(signal.SIGTERM)
+        return rows_of(pairs)
+
+    monkeypatch.setattr(cli, "_enumerate_rows", terminated)
+    assert main(["enumerate", seed4_file, "--all", "--out", str(out)]) == cli.EXIT_TERMINATED == 143
+    assert capsys.readouterr() == ("", "error: terminated\n")
+    assert out.read_bytes() == b"keep me\n"
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_an_ignored_sighup_stays_ignored(seed4_file, capsys, monkeypatch):
+    # Under nohup SIGHUP is ignored: a command runs through one to its end,
+    # and neither main nor a pool worker's initializer handles it.
+    previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    serialize = cli.serialize_sbox
+    monkeypatch.setattr(cli, "serialize_sbox",
+                        lambda s: signal.raise_signal(signal.SIGHUP) or serialize(s))
+    try:
+        assert main(["clone", seed4_file, "--key", "00"]) == 0
+        assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
+        cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the Ctrl-C handler
+        assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGHUP, previous)
+    assert capsys.readouterr() == (serialize_sbox(SBox.from_table(SEED4)),
+                                   "sigma1=0,1,2,3\nsigma2=0,1,2,3\n")
+
+
+def test_main_sets_its_handlers_on_the_main_thread_only(monkeypatch, capsys):
+    # main's handlers hold while it runs on the main thread, and the
+    # previous ones come back after it; on another thread it sets none.
+    seen, derive = [], cli.key_to_permutations
+    monkeypatch.setattr(cli, "key_to_permutations", lambda *args: seen.append(
+        [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)]) or derive(*args))
+    before = [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)]
+    argv = ["derive", "--key", "00", "--n", "4"]
+    codes = [main(argv)]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join()
+    assert codes == [0, 0]
+    assert seen == [[cli._terminate, cli._terminate], before]
+    assert [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)] == before
+    assert capsys.readouterr().out == "sigma1=0,1,2,3\nsigma2=0,1,2,3\n" * 2
+
+
+def test_pool_workers_take_sigterm_by_default():
+    # A forked worker inherits main's handler; the pool's terminate must end
+    # it, not raise in it.
+    previous = signal.signal(signal.SIGTERM, cli._terminate)
+    try:
+        cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the Ctrl-C handler
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):

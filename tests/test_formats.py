@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from sboxforge import SBox, analysis, analyze, cli, formats
 from sboxforge.formats import (
     SBoxFileError,
-    format_decimal,
     load_sbox,
     parse_sbox_text,
     render_report_json,
@@ -228,22 +227,15 @@ def test_serialize_round_trip_property(n, rng):
     assert parse_sbox_text(serialize_sbox(s)) == s
 
 
-def test_format_decimal_exact_and_ties():
-    assert format_decimal(Fraction(29, 64)) == "0.453125"
-    assert format_decimal(Fraction(9, 16)) == "0.562500"
-    assert format_decimal(Fraction(1, 2)) == "0.500000"
-    assert format_decimal(Fraction(0)) == "0.000000"
-    assert format_decimal(Fraction(112)) == "112.000000"
+def test_decimal_exact_and_ties():
+    assert formats._decimal(29, 64) == "0.453125"
+    assert formats._decimal(9, 16) == "0.562500"
+    assert formats._decimal(1, 2) == "0.500000"
+    assert formats._decimal(0, 1) == "0.000000"
+    assert formats._decimal(112, 1) == "112.000000"
     # half-to-even on exact decimal ties
-    assert format_decimal(Fraction(1, 128)) == "0.007812"
-    assert format_decimal(Fraction(3, 128)) == "0.023438"
-
-
-@pytest.mark.parametrize("value", [-1, -1.5, Fraction(-1, 3), -1e-9, Fraction(-1, 10**7)])
-def test_format_decimal_rejects_a_negative_value(value):
-    # A value that would round to -0.000000 is refused too.
-    with pytest.raises(ValueError, match="non-negative"):
-        format_decimal(value)
+    assert formats._decimal(1, 128) == "0.007812"
+    assert formats._decimal(3, 128) == "0.023438"
 
 
 @st.composite
@@ -262,25 +254,20 @@ def _decimal_values(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(_decimal_values())
-@example(Fraction(1, 128))  # 0.0078125, a tie rounded down to even
-@example(Fraction(3, 128))  # 0.0234375, a tie rounded up to even
-@example(0.5)
-@example(2.5e-07)
-@example(5e-324)
-@example(True)
-def test_format_decimal_matches_the_fraction_version(value):
-    assert format_decimal(value) == format_decimal_by_fraction(value)
-
-
-@settings(max_examples=600, deadline=None)
 @given(_decimal_values(), st.integers(1, 10**9))
+@example(Fraction(1, 128), 1)  # 0.0078125, a tie rounded down to even
+@example(Fraction(3, 128), 1)  # 0.0234375, a tie rounded up to even
+@example(0.5, 1)
+@example(2.5e-07, 1)
+@example(5e-324, 1)
+@example(True, 1)
 @example(Fraction(1, 128), 3)  # a tie rounded down to even, as 3 / 384
 @example(Fraction(3, 128), 1 << 40)  # a tie rounded up to even
 @example(Fraction(1, 2_000_000), 7)
 @example(0, 5)
 def test_a_ratio_rounds_as_its_lowest_terms(value, k):
-    # The CLI renders a report's ratios as they come, not in lowest terms.
+    # The CLI renders a report's ratios as they come, not in lowest terms,
+    # and its float sd as that float's integer ratio.
     numerator, denominator = value.as_integer_ratio()
     assert formats._decimal(k * numerator, k * denominator) == format_decimal_by_fraction(value)
 

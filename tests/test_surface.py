@@ -187,6 +187,31 @@ BENCH_ARGVS = [
 ]
 
 
+def _literals(name):
+    """The string literals of the package module `name`, f-strings' text
+    parts among them, docstrings left out."""
+    with open(os.path.join(os.path.dirname(sboxforge.__file__), name), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings]
+
+
+def test_each_result_text_is_written_once_in_formats():
+    # The CSV header, the sigma1= template, verify's result key (its
+    # `result: ` line comes from the key: value renderer) and the summary's
+    # invariance_pass= each occur once in src/, in formats.py; cli.py passes
+    # formats content and builds no result text.
+    pins = {"sigma1_index,": str.startswith, "sigma1=": str.startswith,
+            "result": str.__eq__, " invariance_pass=": str.startswith}
+    modules = sorted(n for n in os.listdir(os.path.dirname(sboxforge.__file__)) if n.endswith(".py"))
+    found = {pin: [name for name in modules for text in _literals(name) if test(text, pin)]
+             for pin, test in pins.items()}
+    assert found == {pin: ["formats.py"] for pin in pins}
+
+
 def test_cli_import_leaves_argparse_out(child_env):
     # A cold CLI call should not pay for building argparse parsers or loading gettext,
     # nor should parsing the README's command lines or the benchmark's; nor

@@ -238,9 +238,9 @@ def _measure(functions, n: int) -> list[int]:
                 ints[g] = b ^ (a ^ b) & wins - (wins >> top)
             del ints[half:]
         x = ints[0]
-        for width, low, high in plan.rounds:
+        for width, low, tops in plan.rounds:
             a, b = x & low, x >> width & low
-            wins = (a | high) - b & high
+            wins = (a | tops) - b & tops
             x = b ^ (a ^ b) & wins - (wins >> top)
         out += [(1 << n) - (x >> i & fill) >> 1 for i in range(0, len(batch) * span, span)]
     return out

@@ -76,6 +76,7 @@ class SBoxFileError(ValueError):
 
 def _entry(token: str) -> int:
     # ASCII digits, as _values checks first: int alone also takes "1_0" and "٣".
+    # The CLI reads SBOXFORGE_THREADS and each --sigma1/--sigma2 item here too.
     if token.isascii() and "_" not in token:
         try:
             return int(token, 16) if token[:2].lower() == "0x" else int(token, 10)

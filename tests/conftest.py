@@ -33,10 +33,12 @@ def attempts(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def keep_ctrl_c():
-    """Restore the test process's Ctrl-C handler after each test. A pool
-    worker's initializer ignores Ctrl-C, and a stand-in pool runs it here;
-    children the suite starts later would inherit the ignored signal."""
-    handler = signal.getsignal(signal.SIGINT)
+    """Run each test with Python's own Ctrl-C handler, and restore the test
+    process's handler after it. A suite started in the background of a
+    non-interactive shell inherits an ignored SIGINT, which main would keep
+    and every child a test starts would inherit. A pool worker's
+    initializer ignores Ctrl-C too, and a stand-in pool runs it here."""
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     yield
     signal.signal(signal.SIGINT, handler)
 

@@ -102,6 +102,23 @@ def test_clone_names_a_permutation_list_that_is_not_integers(seed4_file, capsys)
     assert capsys.readouterr() == ("", "error: invalid permutation list '0,1,x,3'\n")
 
 
+@pytest.mark.parametrize("text", ["٠,١,٢,٣", "0,1_0,2,3", "0,1,2,٣"])
+def test_a_permutation_item_python_alone_would_read_exits_1(text, seed4_file, capsys):
+    # Each item is read as an s-box file entry is: int alone reads "٣" as 3
+    # and "1_0" as 10.
+    for argv in (["--sigma1", text, "--sigma2", "0,1,2,3"], ["--sigma1", "0,1,2,3", "--sigma2", text]):
+        assert main(["clone", seed4_file, *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid permutation list {text!r}\n")
+
+
+def test_a_permutation_item_may_be_hex_as_an_entry_may(seed4_file, capsys):
+    assert main(["clone", seed4_file, "--sigma1", "0x1,0X2,0,3", "--sigma2", "3,0x2,0,1"]) == 0
+    hex_run = capsys.readouterr()
+    assert main(["clone", seed4_file, "--sigma1", "1,2,0,3", "--sigma2", "3,2,0,1"]) == 0
+    assert hex_run == capsys.readouterr()
+    assert hex_run.err == "sigma1=1,2,0,3\nsigma2=3,2,0,1\n"
+
+
 def test_clone_reference_output_n8(aes_file, tmp_path, capsys):
     from vectors import AES_CLONE8
 
@@ -937,6 +954,31 @@ def test_enumerate_all_rows_match_oracle_on_two_workers(sweeps, capsys, monkeypa
     assert capsys.readouterr() == expected
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pooled_sweep_matches_the_serial_one_under_each_start_method(method, sweeps, child_env):
+    # Every other pool test forks. A 2-worker pool started by spawn (macOS's
+    # default) or forkserver (Linux's from Python 3.14), forced on as the
+    # pool tests force it, gives the serial run's bytes and exit code.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    argv = ["enumerate", sweeps[0][0], "--all", "--check-invariance"]
+    serial = subprocess.run([sys.executable, "-m", "sboxforge", *argv], capture_output=True,
+                            env={k: v for k, v in child_env.items() if k != "SBOXFORGE_THREADS"})
+    probe = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from sboxforge import cli\n"
+        "cli.POOL_START, cli._cpus, pool, started = 1e-12, lambda: 2, cli._process_pool, []\n"
+        "cli._process_pool = lambda **kwargs: started.append(kwargs['max_workers']) or pool(**kwargs)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.exit(code if started == [2] else 99)\n")  # 99: the sweep did not pool
+    pooled = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                            env={**child_env, "SBOXFORGE_THREADS": "2"}, timeout=120)
+    assert (pooled.returncode, pooled.stdout, pooled.stderr) == \
+        (serial.returncode, serial.stdout, serial.stderr)
+    assert (serial.stdout.decode(), serial.stderr.decode()) == sweeps[0][1]
+
+
 def test_enumerate_sweeps_share_no_rank(sweeps, capsys, monkeypatch):
     # Widths 4, 5, then 4 again in one process: each sweep decodes its own
     # n! ranks once, and its rows match the oracle's.
@@ -1396,12 +1438,19 @@ def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, mo
 
 
 def test_enumerate_invalid_threads(seed4_file, capsys, monkeypatch):
-    for raw in ("zero", "0"):
+    for raw in ("zero", "0", "", "-1", "0x0", "0x"):
         monkeypatch.setenv("SBOXFORGE_THREADS", raw)
         assert main(["enumerate", seed4_file, "--sample", "1"]) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: SBOXFORGE_THREADS must be an integer >= 1, got {raw!r}\n"
+
+
+def test_threads_are_read_as_an_entry_is(monkeypatch):
+    # The rule of an s-box file's entries: decimal or 0x hex, ASCII, no `_`.
+    for raw, cap in (("2", 2), ("0x2", 2), ("0X10", 16), ("007", 7)):
+        monkeypatch.setenv("SBOXFORGE_THREADS", raw)
+        assert cli._thread_cap() == cap
 
 
 # ---------------------------------------------------------------------
@@ -1694,28 +1743,53 @@ def test_python_dash_m_entry(child_env):
     assert result.stdout == "sigma1=0,1,2,3\nsigma2=0,1,2,3\n"
 
 
+def test_output_does_not_depend_on_the_hash_seed(aes_file, identity8_file, seed4_file,
+                                                 child_env):
+    # The same bytes and exit codes under two fixed hash seeds, in fresh
+    # interpreters: no set or dict of str decides an order.
+    lines = [
+        ["analyze", aes_file, "--format", "json"],
+        ["verify", aes_file, identity8_file],  # criteria differ: exit 5
+        ["enumerate", seed4_file, "--all", "--check-invariance"],
+        ["clone", aes_file, "--key", "00ff", "--remove-fixed-points"],
+    ]
+    runs = {}
+    for hash_seed in ("0", "4242"):
+        env = {**child_env, "PYTHONHASHSEED": hash_seed}
+        env.pop("SBOXFORGE_THREADS", None)
+        runs[hash_seed] = [subprocess.run([sys.executable, "-m", "sboxforge", *argv],
+                                          capture_output=True, env=env) for argv in lines]
+    assert [run.returncode for run in runs["0"]] == [0, 5, 0, 0]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs["0"]] == \
+        [(run.returncode, run.stdout, run.stderr) for run in runs["4242"]]
+
+
 # ---------------------------------------------------------------------
 # Ctrl-C
 
 
 def test_interrupt_prints_one_line_and_exits_130(seed4_file, tmp_path, capsys, monkeypatch):
-    def interrupted(s):
-        raise KeyboardInterrupt
+    # A real SIGINT, as Ctrl-C sends, ends the command through Terminated as
+    # SIGTERM does, and main's handler is gone once main returns.
+    serialize, before = cli.serialize_sbox, signal.getsignal(signal.SIGINT)
+
+    def interrupted(sbox):
+        # Checked first: with any other handler the signal could end the test run.
+        assert signal.getsignal(signal.SIGINT) is cli._terminate
+        signal.raise_signal(signal.SIGINT)
+        return serialize(sbox)
+
     monkeypatch.setattr(cli, "serialize_sbox", interrupted)
-    def run(argv):
-        try:
-            return main(argv)
-        except KeyboardInterrupt:  # not raised on, which would end the test session
-            pytest.fail("main let KeyboardInterrupt through")
     out = tmp_path / "clone.txt"
     argv = ["clone", seed4_file, "--key", "17", "-o", str(out)]
-    assert run(argv) == 130
+    assert main(argv) == cli.EXIT_INTERRUPTED == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
     assert not out.exists()  # the run created it, so the run removes it
     out.write_bytes(b"keep me\n")
-    assert run(argv) == 130
+    assert main(argv) == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
     assert out.read_bytes() == b"keep me\n"
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 class _InterruptedImport:
@@ -1812,20 +1886,21 @@ def test_sigterm_before_the_first_write_leaves_the_out_file(seed4_file, tmp_path
     assert signal.getsignal(signal.SIGTERM) is before
 
 
-def test_an_ignored_sighup_stays_ignored(seed4_file, capsys, monkeypatch):
-    # Under nohup SIGHUP is ignored: a command runs through one to its end,
-    # and neither main nor a pool worker's initializer handles it.
-    previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGHUP], ids=["SIGINT", "SIGHUP"])
+def test_an_ignored_ending_signal_stays_ignored(sig, seed4_file, capsys, monkeypatch):
+    # Under nohup SIGHUP is ignored, and a shell may ignore SIGINT in a
+    # background job: a command runs through one to its end, and neither
+    # main nor a pool worker's initializer handles it.
+    previous = signal.signal(sig, signal.SIG_IGN)
     serialize = cli.serialize_sbox
-    monkeypatch.setattr(cli, "serialize_sbox",
-                        lambda s: signal.raise_signal(signal.SIGHUP) or serialize(s))
+    monkeypatch.setattr(cli, "serialize_sbox", lambda s: signal.raise_signal(sig) or serialize(s))
     try:
         assert main(["clone", seed4_file, "--key", "00"]) == 0
-        assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
+        assert signal.getsignal(sig) is signal.SIG_IGN
         cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the Ctrl-C handler
-        assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
+        assert signal.getsignal(sig) is signal.SIG_IGN
     finally:
-        signal.signal(signal.SIGHUP, previous)
+        signal.signal(sig, previous)
     assert capsys.readouterr() == (serialize_sbox(SBox.from_table(SEED4)),
                                    "sigma1=0,1,2,3\nsigma2=0,1,2,3\n")
 
@@ -1833,30 +1908,58 @@ def test_an_ignored_sighup_stays_ignored(seed4_file, capsys, monkeypatch):
 def test_main_sets_its_handlers_on_the_main_thread_only(monkeypatch, capsys):
     # main's handlers hold while it runs on the main thread, and the
     # previous ones come back after it; on another thread it sets none.
+    endings = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+    assert cli._ENDINGS == endings
     seen, derive = [], cli.key_to_permutations
     monkeypatch.setattr(cli, "key_to_permutations", lambda *args: seen.append(
-        [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)]) or derive(*args))
-    before = [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)]
+        [signal.getsignal(sig) for sig in endings]) or derive(*args))
+    before = [signal.getsignal(sig) for sig in endings]
     argv = ["derive", "--key", "00", "--n", "4"]
     codes = [main(argv)]
     thread = threading.Thread(target=lambda: codes.append(main(argv)))
     thread.start()
     thread.join()
     assert codes == [0, 0]
-    assert seen == [[cli._terminate, cli._terminate], before]
-    assert [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)] == before
+    assert seen == [[cli._terminate] * 3, before]
+    assert [signal.getsignal(sig) for sig in endings] == before
     assert capsys.readouterr().out == "sigma1=0,1,2,3\nsigma2=0,1,2,3\n" * 2
 
 
 def test_pool_workers_take_sigterm_by_default():
-    # A forked worker inherits main's handler; the pool's terminate must end
-    # it, not raise in it.
+    # A forked worker inherits main's handlers; the pool's terminate must end
+    # it, not raise in it, and Ctrl-C is left to the parent.
     previous = signal.signal(signal.SIGTERM, cli._terminate)
+    signal.signal(signal.SIGINT, cli._terminate)  # conftest's keep_ctrl_c restores it
     try:
-        cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the Ctrl-C handler
+        cli._init_worker(SEED4, 4, None)
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_ctrl_c_before_a_forked_workers_initializer_ends_it_quietly(child_env):
+    # A child forked while main's handlers are set inherits them. A Ctrl-C
+    # that reaches it before any initializer has run, as one may reach a
+    # just-forked pool worker, raises Terminated(130) there, a SystemExit,
+    # which ends it with that code and prints nothing; a KeyboardInterrupt
+    # would print a traceback and exit 1.
+    probe = (
+        "import multiprocessing, os, signal, time\n"
+        "from sboxforge import cli\n"
+        "ready, started = os.pipe()\n"
+        "with cli._signals_end_the_command():\n"
+        "    child = multiprocessing.get_context('fork').Process(\n"
+        "        target=lambda: os.write(started, b'.') and time.sleep(60))\n"
+        "    child.start()\n"
+        "    os.read(ready, 1)\n"
+        "    os.kill(child.pid, signal.SIGINT)\n"
+        "    child.join(30)\n"
+        "print(child.exitcode)\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=child_env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "130\n", "")
 
 
 def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):

@@ -302,17 +302,19 @@ def _process_pool(**kwargs):
     every CLI call about 20 ms, and only a sweep long enough to pool needs it.
 
     Any exception that leaves it, a Terminated or a failed write, stops its
-    workers at once. Leaving the pool would wait for every batch in flight,
-    up to two per worker.
+    workers at once: the children that appeared since it began, so a caller's
+    own children keep running. Leaving the pool would wait for every batch in
+    flight, up to two per worker.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import active_children
 
+    others = set(active_children())
     with ProcessPoolExecutor(**kwargs) as pool:
         try:
             yield pool
         except BaseException:
-            for worker in active_children():
+            for worker in set(active_children()) - others:
                 worker.terminate()
             raise
 
@@ -334,6 +336,8 @@ def cmd_enumerate(args) -> int:
         raise UsageError("--rng-seed needs --sample")
     if not args.all and args.sample < 0:
         raise UsageError("--sample must be >= 0")
+    if args.rng_seed is not None and args.rng_seed < 0:
+        raise UsageError("--rng-seed must be >= 0")
     cap = min(_thread_cap(), _cpus())
     seed = load_sbox(args.seed)
     _check_clone(seed)

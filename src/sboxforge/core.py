@@ -58,7 +58,7 @@ class _Record:
     __slots__ = ()
 
     def _set(self, *values) -> None:
-        # In __slots__ order. BitPermutation, built per sweep row above n = 6, sets its field directly.
+        # In __slots__ order.
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -116,10 +116,6 @@ class SBox(_Record):
         return cls(n, values)
 
     @classmethod
-    def identity(cls, n: int) -> "SBox":
-        return cls(n, tuple(range(1 << _width(n))))
-
-    @classmethod
     def _trusted(cls, n: int, table) -> "SBox":
         """An SBox of a table that is valid by construction, built without the per-entry check."""
         s = object.__new__(cls)
@@ -129,9 +125,6 @@ class SBox(_Record):
     def is_bijective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
-    def __len__(self) -> int:
-        return len(self.table)
-
 
 class BitPermutation(_Record):
     """Permutation of {0..m-1}, m >= 1; images[j] is where position j lands."""
@@ -140,17 +133,9 @@ class BitPermutation(_Record):
 
     def __init__(self, images: tuple[int, ...]):
         images = tuple(images)
-        object.__setattr__(self, "images", images)
+        self._set(images)
         if not images or any(type(v) is not int for v in images) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images!r} is not a permutation of 0..{len(images) - 1}")
-
-    @classmethod
-    def identity(cls, size: int) -> "BitPermutation":
-        return cls(tuple(range(size)))
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
 
 
 class FixedPointReport(_Record):
@@ -197,8 +182,8 @@ def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
     reading of the identity table's bit matrix after sigma1 rearranges its
     columns. Indices 0 and 2**n - 1 are always fixed. n must be in [2, 16].
     """
-    if sigma1.size != _width(n):
-        raise ValueError(f"permutation size {sigma1.size} != {n}")
+    if len(sigma1.images) != _width(n):
+        raise ValueError(f"permutation size {len(sigma1.images)} != {n}")
     return BitPermutation(_lift(sigma1.images))
 
 
@@ -216,8 +201,8 @@ def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SB
 
 def _check_clone(seed: SBox, *sigmas: BitPermutation) -> None:
     """What every clone of `seed` needs: each sigma has the seed's width, and the seed is bijective."""
-    if any(sigma.size != seed.n for sigma in sigmas):
-        sizes = "/".join([str(sigma.size) for sigma in sigmas])
+    if any(len(sigma.images) != seed.n for sigma in sigmas):
+        sizes = "/".join([str(len(sigma.images)) for sigma in sigmas])
         raise ValueError(f"permutation sizes {sizes} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
@@ -390,7 +375,7 @@ def clone_sbox_avoiding_fixed_points(
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     _check_clone(seed, sigma1, sigma2)
-    top = len(seed) - 1
+    top = len(seed.table) - 1
     for i, v in ((0, seed.table[0]), (top, seed.table[top])):
         if v in (0, top):
             kind = "fixed" if v == i else "reverse fixed"

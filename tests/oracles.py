@@ -189,6 +189,20 @@ def random_bijective(rng, n):
     return table
 
 
+def identity_sbox(n):
+    """The n-bit s-box that maps every index to itself."""
+    from sboxforge import SBox
+
+    return SBox(n, tuple(range(1 << n)))
+
+
+def identity_permutation(m):
+    """The permutation of m positions that moves none."""
+    from sboxforge import BitPermutation
+
+    return BitPermutation(tuple(range(m)))
+
+
 def random_perm(rng, n):
     images = list(range(n))
     rng.shuffle(images)
@@ -327,11 +341,12 @@ def removal_walk_by_lift(seed, sigma1, sigma2, max_attempts=None):
 
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if sigma1.size != seed.n or sigma2.size != seed.n:
-        raise ValueError(f"permutation sizes {sigma1.size}/{sigma2.size} != width {seed.n}")
+    size1, size2 = len(sigma1.images), len(sigma2.images)
+    if size1 != seed.n or size2 != seed.n:
+        raise ValueError(f"permutation sizes {size1}/{size2} != width {seed.n}")
     if not seed.is_bijective():
         raise NonBijectiveError("seed s-box has duplicate entries")
-    top = len(seed) - 1
+    top = len(seed.table) - 1
     for i, v in ((0, seed.table[0]), (top, seed.table[top])):
         if v in (0, top):
             kind = "fixed" if v == i else "reverse fixed"

@@ -35,6 +35,8 @@ from oracles import (
     dense_clone,
     dependence_matrix,
     direct_walsh,
+    identity_permutation,
+    identity_sbox,
     inverse,
     is_bijective_strict,
     measure_by_stages,
@@ -85,16 +87,16 @@ def test_component_function_seed4_low_bit():
 
 
 def test_component_function_identity_and_zero_mask():
-    identity = SBox.identity(4)
+    identity = identity_sbox(4)
     assert component_function(identity, 1).values == tuple(x & 1 for x in range(16))
     assert component_function(identity, 0).values == (0,) * 16
 
 
 def test_component_function_mask_range():
     with pytest.raises(ValueError):
-        component_function(SBox.identity(4), 16)
+        component_function(identity_sbox(4), 16)
     with pytest.raises(ValueError):
-        component_function(SBox.identity(4), -1)
+        component_function(identity_sbox(4), -1)
 
 
 def test_component_weight_half_for_bijective():
@@ -466,7 +468,7 @@ def _flat(matrix):
 
 
 def test_dependence_matrix_identity():
-    matrix = dependence_matrix(SBox.identity(4).table)
+    matrix = dependence_matrix(identity_sbox(4).table)
     for i in range(4):
         for j in range(4):
             assert matrix[i][j] == (1 if i == j else 0)
@@ -526,7 +528,7 @@ def test_sac_stats_reference_values():
     assert float(seed.avg) == pytest.approx(0.5, abs=APPROX)
     assert seed.sd == pytest.approx(0.132583, abs=APPROX)
 
-    identity = analyze(SBox.identity(4)).sac
+    identity = analyze(identity_sbox(4)).sac
     assert float(identity.min) == 0
     assert float(identity.max) == 1
     assert float(identity.avg) == pytest.approx(0.25, abs=APPROX)
@@ -827,7 +829,7 @@ def test_analyze_accepts_candidates():
 
 def test_compare_reports_detects_differences():
     aes = analyze(SBox.from_table(AES_SBOX))
-    identity = analyze(SBox.identity(8))
+    identity = analyze(identity_sbox(8))
     comparison = compare_reports(aes, identity)
     assert not comparison.equal
     top_level = {d.split(".")[0] for d in comparison.differences}
@@ -918,7 +920,7 @@ def test_invariants_take_criteria_once_per_key(monkeypatch):
     keys, criteria = [], analysis._criteria
     monkeypatch.setattr(analysis, "_criteria", lambda key, n: keys.append(key) or criteria(key, n))
     seed = SBox.from_table(SEED4)
-    ident, other = BitPermutation.identity(4), BitPermutation((1, 2, 3, 0))
+    ident, other = identity_permutation(4), BitPermutation((1, 2, 3, 0))
     tables = [clone_sbox(seed, ident, BitPermutation((3, 1, 0, 2))).table, tuple(range(16)),
               clone_sbox(seed, other, ident).table, seed.table, clone_sbox(seed, other, other).table]
     reference = _invariants(SEED4)

@@ -34,6 +34,7 @@ from oracles import (
     decimal_rows,
     dense_clone,
     first_clean_pair,
+    identity_sbox,
     perm_matrix,
     permute_bits,
     random_bijective,
@@ -72,7 +73,7 @@ def aes_file(tmp_path):
 @pytest.fixture
 def identity8_file(tmp_path):
     path = tmp_path / "identity8.txt"
-    path.write_text(serialize_sbox(SBox.identity(8)))
+    path.write_text(serialize_sbox(identity_sbox(8)))
     return str(path)
 
 
@@ -484,6 +485,8 @@ def test_clone_max_attempts_edges(seed4_file, tmp_path, capsys):
     (["enumerate", "--all"], "x", "SBOXFORGE_THREADS must be an integer >= 1, got 'x'"),
     (["enumerate", "--all"], "٢", "SBOXFORGE_THREADS must be an integer >= 1, got '٢'"),
     (["enumerate", "--all"], "2_0", "SBOXFORGE_THREADS must be an integer >= 1, got '2_0'"),
+    (["enumerate", "--sample", "50", "--rng-seed", "-7"], None, "--rng-seed must be >= 0"),
+    (["enumerate", "--all", "--rng-seed", "-1"], None, "--rng-seed needs --sample"),
 ])
 def test_malformed_command_line_exits_64_whatever_the_seed_holds(argv, threads, error, seed4_file,
                                                                  tmp_path, capsys, monkeypatch):
@@ -597,28 +600,35 @@ def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch
     # A write that fails while a real 2-worker pool holds batches of up to
     # a quarter second each (n = 12 rows with --check-invariance) ends the
     # command at once: one line, exit 1, the workers stopped rather than
-    # waited for, and the --out file the run created removed.
+    # waited for, and the --out file the run created removed. A child the
+    # caller started before the sweep is not the sweep's to stop.
     seed = tmp_path / "seed12.txt"
     seed.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(12), 12))))
     out = tmp_path / "sweep.csv"
     real, failed = os.write, []
+    bystander = multiprocessing.Process(target=time.sleep, args=(60,))
 
     def full_once_pooled(fd, data):
-        if not multiprocessing.active_children():  # the timed batches, written before the pool starts
+        if multiprocessing.active_children() == [bystander]:  # the timed batches, before the pool starts
             return real(fd, data)
         failed.append(time.monotonic())
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(os, "write", full_once_pooled)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
-    argv = ["enumerate", str(seed), "--sample", "800", "--check-invariance", "--out", str(out)]
-    assert main(argv) == 1
-    assert time.monotonic() - failed[0] < 1
-    assert capsys.readouterr() == (
-        "", f"error: cannot write {out}: [Errno 28] No space left on device\n")
-    assert len(failed) == 1 and not out.exists()
-    assert not multiprocessing.active_children()
+    bystander.start()
+    try:
+        monkeypatch.setattr(os, "write", full_once_pooled)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+        argv = ["enumerate", str(seed), "--sample", "800", "--check-invariance", "--out", str(out)]
+        assert main(argv) == 1
+        assert time.monotonic() - failed[0] < 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: [Errno 28] No space left on device\n")
+        assert len(failed) == 1 and not out.exists()
+        assert multiprocessing.active_children() == [bystander]
+    finally:
+        bystander.terminate()
+        bystander.join(5)
 
 
 # ---------------------------------------------------------------------
@@ -643,7 +653,7 @@ def test_analyze_json(seed4_file, capsys):
 
 def test_analyze_identity(tmp_path, capsys):
     path = tmp_path / "identity4.txt"
-    path.write_text(serialize_sbox(SBox.identity(4)))
+    path.write_text(serialize_sbox(identity_sbox(4)))
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "bijective: true" in out
@@ -1066,7 +1076,7 @@ def test_enumerate_all_guard(aes_file, tmp_path, capsys):
     assert main(["enumerate", aes_file, "--all"]) == 64
     capsys.readouterr()
     seed7 = tmp_path / "seed7.txt"
-    seed7.write_text(serialize_sbox(SBox.identity(7)))
+    seed7.write_text(serialize_sbox(identity_sbox(7)))
     assert main(["enumerate", str(seed7), "--all"]) == 64
     error = "error: --all is limited to n <= 6 (seed has n = 7); use --sample\n"
     assert capsys.readouterr().err == error

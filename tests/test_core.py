@@ -27,6 +27,8 @@ from oracles import (
     dense_clone,
     first_clean_pair,
     has_fixed_point,
+    identity_permutation,
+    identity_sbox,
     inverse,
     perm_matrix,
     random_bijective,
@@ -134,7 +136,7 @@ def test_derive_row_permutation_reference():
 
 
 def test_derive_row_permutation_identity_and_endpoints():
-    assert derive_row_permutation(BitPermutation.identity(5), 5) == BitPermutation.identity(32)
+    assert derive_row_permutation(identity_permutation(5), 5) == identity_permutation(32)
     rng = random.Random(5)
     for n in (3, 4, 8):
         for _ in range(10):
@@ -158,7 +160,7 @@ def test_row_and_column_permutations_commute_on_identity_matrix():
 def test_lifted_images_examples():
     assert derive_row_permutation(BitPermutation(SIGMA2_4), 4).images[9] == 10
     assert derive_row_permutation(BitPermutation(SIGMA2_8), 8).images[99] == 165
-    assert derive_row_permutation(BitPermutation.identity(4), 4).images == tuple(range(16))
+    assert derive_row_permutation(identity_permutation(4), 4).images == tuple(range(16))
 
 
 def _lift_by_lists(images):
@@ -198,9 +200,9 @@ def test_base_planes_are_the_seeds_relabelled_coordinates():
 
 def test_derive_row_permutation_size_mismatch():
     with pytest.raises(ValueError, match="permutation size 3 != 4"):
-        derive_row_permutation(BitPermutation.identity(3), 4)
+        derive_row_permutation(identity_permutation(3), 4)
     with pytest.raises(ValueError, match="permutation size 5 != 4"):
-        derive_row_permutation(BitPermutation.identity(5), 4)
+        derive_row_permutation(identity_permutation(5), 4)
 
 
 # ---------------------------------------------------------------------
@@ -219,7 +221,7 @@ def test_clone_reference_n8():
 
 def test_clone_identity_is_noop():
     seed = SBox.from_table(AES_SBOX)
-    identity = BitPermutation.identity(8)
+    identity = identity_permutation(8)
     assert clone_sbox(seed, identity, identity) == seed
 
 
@@ -247,23 +249,23 @@ def test_clone_is_built_unchecked_and_equals_a_checked_sbox(monkeypatch):
 def test_clone_sbox_size_mismatch():
     seed, four = SBox.from_table(SEED4), BitPermutation(SIGMA1_4)
     with pytest.raises(ValueError, match="sizes 3/4 != width 4"):
-        clone_sbox(seed, BitPermutation.identity(3), four)
+        clone_sbox(seed, identity_permutation(3), four)
     with pytest.raises(ValueError, match="sizes 4/5 != width 4"):
-        clone_sbox(seed, four, BitPermutation.identity(5))
+        clone_sbox(seed, four, identity_permutation(5))
     # Removal rejects them too, though it builds no clone until it has a clean one.
-    for sigma1, sigma2, sizes in ((BitPermutation.identity(3), four, "3/4"),
-                                  (four, BitPermutation.identity(5), "4/5")):
+    for sigma1, sigma2, sizes in ((identity_permutation(3), four, "3/4"),
+                                  (four, identity_permutation(5), "4/5")):
         with pytest.raises(ValueError, match=f"sizes {sizes} != width 4"):
             clone_sbox_avoiding_fixed_points(seed, sigma1, sigma2)
 
 
 def test_clone_rejects_non_bijective_seed():
     with pytest.raises(NonBijectiveError):
-        clone_sbox(SBox(2, (0, 0, 1, 2)), BitPermutation.identity(2), BitPermutation.identity(2))
+        clone_sbox(SBox(2, (0, 0, 1, 2)), identity_permutation(2), identity_permutation(2))
     # Removal reports the duplicates before the pinned fixed point at 0.
     with pytest.raises(NonBijectiveError):
         clone_sbox_avoiding_fixed_points(
-            SBox(2, (0, 0, 1, 2)), BitPermutation.identity(2), BitPermutation.identity(2))
+            SBox(2, (0, 0, 1, 2)), identity_permutation(2), identity_permutation(2))
 
 
 def test_clone_bijective_for_every_pair_n4():
@@ -335,7 +337,7 @@ def test_distinct_clones_are_pairs_over_stabilizer():
 
 
 def test_find_fixed_points_examples():
-    identity = find_fixed_points(SBox.identity(4))
+    identity = find_fixed_points(identity_sbox(4))
     assert identity.fixed == frozenset(range(16))
     assert identity.reverse_fixed == frozenset()
 
@@ -437,7 +439,7 @@ def test_avoidance_returns_clean_first_attempt_unchanged():
     table = tuple((i + 2) % 16 for i in range(16))
     seed = SBox(4, table)
     assert find_fixed_points(seed).empty
-    identity = BitPermutation.identity(4)
+    identity = identity_permutation(4)
     result, eff1, eff2 = clone_sbox_avoiding_fixed_points(seed, identity, identity)
     assert result == seed
     assert eff1 == identity and eff2 == identity
@@ -452,7 +454,7 @@ def test_avoidance_fails_fast_on_pinned_end_points(index, value):
     other = table.index(value)
     table[index], table[other] = table[other], table[index]
     seed = SBox(8, tuple(table))
-    identity = BitPermutation.identity(8)
+    identity = identity_permutation(8)
     start = time.perf_counter()
     with pytest.raises(RemovalExhausted, match=f"seed\\[{index}\\] = {value}"):
         clone_sbox_avoiding_fixed_points(seed, identity, identity)
@@ -462,7 +464,7 @@ def test_avoidance_fails_fast_on_pinned_end_points(index, value):
 def test_avoidance_checks_sizes_before_end_points():
     # The identity seed pins both end points, but a permutation of the wrong
     # size is the caller's error, reported as clone_sbox reports it.
-    seed, three, four = SBox.identity(4), BitPermutation.identity(3), BitPermutation.identity(4)
+    seed, three, four = identity_sbox(4), identity_permutation(3), identity_permutation(4)
     for sigma1, sigma2 in ((three, four), (four, three)):
         with pytest.raises(ValueError) as plain:
             clone_sbox(seed, sigma1, sigma2)
@@ -510,7 +512,7 @@ def test_removal_walk_covers_every_input_permutation(n, attempts, monkeypatch):
 
 
 def test_removal_caps_below_and_beyond_the_walk(attempts):
-    seed, identity = _unremovable(3), BitPermutation.identity(3)
+    seed, identity = _unremovable(3), identity_permutation(3)
     for cap, count, message in ((5, 5, "^no clean clone within 5 attempts$"),
                                 (6, 6, "all 6 input permutations tried$"),
                                 (10 ** 30, 6, "all 6 input permutations tried$")):
@@ -611,7 +613,7 @@ def test_removal_on_the_widest_planes(n):
     # after some attempts; that clone, taken as a seed, is clean at attempt 0;
     # a near-identity seed runs out of its capped walk. The reference agrees.
     rng = random.Random(n)
-    identity = BitPermutation.identity(n)
+    identity = identity_permutation(n)
     cases = []
     while len(cases) < 3:
         table = random_bijective(rng, n)

@@ -19,8 +19,8 @@ from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli
                        max_balanced_nonlinearity, nonlinearity, walsh_spectrum)
 from sboxforge.formats import serialize_sbox
 
-from oracles import (direct_walsh, lehmer_rank, measure_by_stages, permute_bits, random_bijective,
-                     stabilizer_size, walsh_by_stages)
+from oracles import (direct_walsh, identity_sbox, lehmer_rank, measure_by_stages, permute_bits,
+                     random_bijective, stabilizer_size, walsh_by_stages)
 from vectors import AES_SBOX
 
 # The package exports what the CLI, the README quick start and the
@@ -51,11 +51,30 @@ PUBLIC = {
 }
 
 
+# Each public class's own public members: the names in vars(cls) without a
+# leading "_". A member that only tests call belongs in tests/oracles.py.
+MEMBERS = {
+    "AnalysisReport": {"bic_nl", "bic_sac", "bijective", "fixed_points", "n", "nl", "nl_bound", "sac"},
+    "BitPermutation": {"images"},
+    "BooleanFunctionTable": {"values"},
+    "FixedPointReport": {"empty", "fixed", "reverse_fixed"},
+    "NonBijectiveError": set(),
+    "PropertyStats": {"avg", "max", "min", "sd"},
+    "RemovalExhausted": set(),
+    "ReportComparison": {"differences", "equal"},
+    "SBox": {"from_table", "is_bijective", "n", "table"},
+    "WalshSpectrum": {"coefficients"},
+}
+
+
 def test_public_surface_is_pinned():
     assert set(sboxforge.__all__) == PUBLIC
     assert len(sboxforge.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert getattr(sboxforge, name) is not None
+    members = {name: {member for member in vars(cls) if not member.startswith("_")}
+               for name, cls in vars(sboxforge).items() if name in PUBLIC and isinstance(cls, type)}
+    assert members == MEMBERS
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -142,7 +161,7 @@ def test_readme_key_reach_is_the_keys(tmp_path, capsys):
 
     assert "such as `--key 00`, gives sigma1 = sigma2 = identity" in notes
     path = tmp_path / "seed.txt"
-    for seed in (SBox.identity(4), SBox.from_table(AES_SBOX)):
+    for seed in (identity_sbox(4), SBox.from_table(AES_SBOX)):
         path.write_text(serialize_sbox(seed))
         identity = ",".join(map(str, range(seed.n)))
         # Two keys with K mod (n!)**2 = 0: 00 and (n!)**2 itself.
@@ -152,7 +171,7 @@ def test_readme_key_reach_is_the_keys(tmp_path, capsys):
                                            f"sigma1={identity}\nsigma2={identity}\n")
 
     fixed, total = map(int, figures(r"(\d+) of the (\d+) pairs of the n = 4 identity"))
-    seed = SBox.identity(4)
+    seed = identity_sbox(4)
     pairs = [key_to_permutations(k.to_bytes(2, "big"), 4) for k in range(total)]
     assert total == factorial(4) ** 2 == len(set(pairs))
     assert fixed == stabilizer_size(seed.table) == sum(clone_sbox(seed, *p) == seed for p in pairs)
@@ -223,6 +242,40 @@ def test_cli_import_leaves_argparse_out(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, check=True)
     assert result.stdout == "[]\n"
+
+
+def _module_level_imports(tree):
+    """The top-level names of the absolute imports a module runs at import:
+    its module-level statements, and those inside its module-level try and if blocks."""
+    names, body = set(), list(tree.body)
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.If):
+            body += node.body + node.orelse
+        elif isinstance(node, ast.Try):
+            body += node.body + node.orelse + node.finalbody
+            body += [statement for handler in node.handlers for statement in handler.body]
+    return names
+
+
+def test_cli_docstring_names_the_standard_library_a_cold_call_imports():
+    # cli's docstring lists what sboxforge's modules import from the standard
+    # library at module level, and names the interpreter's SHA-256 and
+    # _signal apart; usage.py, which only an argv that _fast declines loads,
+    # is left out.
+    package = os.path.dirname(sboxforge.__file__)
+    imported = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "usage.py":
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                imported |= _module_level_imports(ast.parse(handle.read()))
+    listed = re.search(r"import from the standard library only (.*?), with what those import",
+                       " ".join(cli.__doc__.split())).group(1)
+    assert imported - {"_signal", "_sha2", "_sha256", "hashlib"} == set(re.split(r", | and ", listed))
 
 
 # What a cold CLI call must not load: fractions, with the decimal and numbers
@@ -440,14 +493,13 @@ def test_cli_keeps_no_unbounded_memo():
 OUTSIDE = [0, 1, 17, 18]
 WIDTH_CALLS = [
     *[(f"SBox n={n}", lambda n=n: SBox(n, ())) for n in OUTSIDE + [30, 20_000]],
-    *[(f"SBox.identity n={n}", lambda n=n: SBox.identity(n)) for n in OUTSIDE],
     *[(f"SBox.from_table n={n}", lambda table=tuple(range(1 << n)): SBox.from_table(table))
       for n in (1, 17)],
     *[(f"lehmer_decode n={n}", lambda n=n: lehmer_decode(0, n)) for n in OUTSIDE],
     *[(f"key_to_permutations n={n}", lambda n=n: key_to_permutations(b"\xff" * 8, n))
       for n in OUTSIDE],
     *[(f"derive_row_permutation n={n}",
-       lambda n=n, sigma=BitPermutation.identity(max(n, 1)): derive_row_permutation(sigma, n))
+       lambda n=n, sigma=BitPermutation(tuple(range(max(n, 1)))): derive_row_permutation(sigma, n))
       for n in OUTSIDE],
     *[(f"BooleanFunctionTable length {size}", lambda values=(0,) * size: BooleanFunctionTable(values))
       for size in (0, 1, 3, 1 << 17)],
@@ -499,7 +551,7 @@ def test_width_bound_is_stated_in_one_message():
     # Every width check reads core's one bound and says which domain it applies.
     for call, low in ((lambda: SBox(17, ()), 2), (lambda: lehmer_decode(0, 1), 2),
                       (lambda: key_to_permutations(b"\x01", 1), 2),
-                      (lambda: derive_row_permutation(BitPermutation.identity(17), 17), 2),
+                      (lambda: derive_row_permutation(BitPermutation(tuple(range(17))), 17), 2),
                       (lambda: BooleanFunctionTable((0,)), 1),
                       (lambda: max_balanced_nonlinearity(2), 3)):
         with pytest.raises(ValueError, match=rf"^bit width must be in \[{low}, 16\], got "):
@@ -540,7 +592,6 @@ def test_width_edges_agree_with_the_oracles(n):
     assert (lehmer_rank(sigma1.images), lehmer_rank(sigma2.images)) == (last // 5, last)
     rows = derive_row_permutation(sigma1, n).images
     assert all(rows[x] == permute_bits(x, sigma1.images) for x in range(0, 1 << n, 1 << n >> 8 or 1))
-    assert SBox.identity(n).table == tuple(range(1 << n))
 
 
 @pytest.mark.parametrize("n", [1, 16])

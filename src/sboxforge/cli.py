@@ -222,36 +222,27 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-_sweep = None  # (seed table, n, the seed's invariants or None, rank cache) of the running sweep
-
-
+@lru_cache(maxsize=872)  # every rank of S_2..S_6: 2 + 6 + 24 + 120 + 720
 def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
-    """The index-th permutation of range(n) as CSV text, and its lifted table."""
+    """The index-th permutation of range(n) as CSV text, and its lifted table.
+
+    One cache per process, shared by its sweeps, holds every rank at
+    n <= 6, the widths --all takes, where each rank recurs 2 * n! times.
+    Above that only --sample runs, and its rows call _rank.__wrapped__,
+    caching none. A sample of k rows draws 2k ranks of n!, so repeats are
+    common when 2k nears n!: about 41% of the draws of --sample 3000 repeat
+    an earlier rank at n = 7, 7% at n = 8 and 0.1% at n = 10. But a cached
+    lift holds its 2**n entries for the whole process: a cache of 1024 lifts
+    took an n = 10 --sample 3000 from 20 to 52 MB.
+    """
     sigma = lehmer_decode(index, n)
     return _sigma_text(sigma), _lift(sigma.images)
 
 
-def _init_sweep(table, n, reference) -> None:
-    """Hold the sweep's seed table, checked once before the sweep, its width,
-    its invariants (or None) and a new rank cache, once per process.
-
-    The cache keeps every rank at n <= 6, the widths --all takes, where each
-    rank recurs 2 * n! times. Above that only --sample runs, and it keeps
-    none. A sample of k rows draws 2k ranks of n!, so repeats are common
-    when 2k nears n!: about 41% of the draws of --sample 3000 repeat an
-    earlier rank at n = 7, 7% at n = 8 and 0.1% at n = 10. But a cached
-    lift holds its 2**n entries for the whole sweep: a cache of 1024 lifts
-    took an n = 10 --sample 3000 from 20 to 52 MB.
-    """
-    global _sweep
-    _sweep = (table, n, reference,
-              lru_cache(maxsize=factorial(n) if n <= 6 else 0)(partial(_rank, n=n)))
-
-
-def _init_worker(*sweep) -> None:
-    """_init_sweep in a pool worker, which leaves Ctrl-C to the parent and so
-    prints nothing, and which exits as soon as its parent has gone, however
-    that ended: otherwise a killed parent's workers live on, holding the
+def _init_worker() -> None:
+    """A pool worker's setup: it leaves Ctrl-C to the parent and so prints
+    nothing, and it exits as soon as its parent has gone, however that
+    ended: otherwise a killed parent's workers live on, holding the
     caller's stderr. A forked worker inherits main's handlers: it ignores
     SIGINT, and SIGTERM and SIGHUP go back to the default where they are
     main's, so that the pool's own terminate ends it; an ignored SIGHUP
@@ -270,23 +261,26 @@ def _init_worker(*sweep) -> None:
     if parent:  # None where the caller is no child process
         # Nothing is written to the sentinel: a read returns b"" once the parent has gone.
         Thread(target=lambda: os.read(parent.sentinel, 1) or os._exit(1), daemon=True).start()
-    _init_sweep(*sweep)
 
 
-def _enumerate_rows(pairs) -> tuple[str, list[int], int]:
-    """The sweep's CSV rows for `pairs` (formats._sweep_csv), their clones'
-    64-bit digests, and how many of them passed the invariance check.
+def _enumerate_rows(sweep, pairs) -> tuple[str, list[int], int]:
+    """The CSV rows for `pairs` (formats._sweep_csv) of the sweep `sweep`,
+    (seed table, n, the seed's invariants or None), their clones' 64-bit
+    digests, and how many of them passed the invariance check. The sweep
+    comes with every batch, serial or a pool task, so sweeps that run at
+    once in one process, one a thread, each keep their own seed.
 
-    Both ranks' texts and lifts come from the sweep's rank cache. One
-    _clone call makes the batch's clones of the seed by those lifts,
-    unchecked, since the seed was checked bijective once before the sweep,
-    and one _planes call, one transpose, gives the whole batch its planes.
-    Every row's fixed-point counts and invariants are read off them for
-    the whole batch at once, and its digest off its own table: nothing is
-    read off the seed. A row passes when its invariants are the seed's.
+    Both ranks' texts and lifts come from _rank. One _clone call makes the
+    batch's clones of the seed by those lifts, unchecked, since the seed
+    was checked bijective once before the sweep, and one _planes call, one
+    transpose, gives the whole batch its planes. Every row's fixed-point
+    counts and invariants are read off them for the whole batch at once,
+    and its digest off its own table: nothing is read off the seed. A row
+    passes when its invariants are the seed's.
     """
-    table, n, reference, ranks = _sweep
-    ranked = [(ranks(k1), ranks(k2)) for k1, k2 in pairs]
+    table, n, reference = sweep
+    rank = _rank if n <= 6 else _rank.__wrapped__
+    ranked = [(rank(k1, n), rank(k2, n)) for k1, k2 in pairs]
     clones = _clone(table, [(rows, out) for (_, rows), (_, out) in ranked])
     planes = _planes(clones, n)
     passed = ([row == reference for row in _invariants(clones, planes)] if reference
@@ -302,28 +296,29 @@ def _process_pool(**kwargs):
     every CLI call about 20 ms, and only a sweep long enough to pool needs it.
 
     Any exception that leaves it, a Terminated or a failed write, stops its
-    workers at once: the children that appeared since it began, so a caller's
-    own children keep running. Leaving the pool would wait for every batch in
-    flight, up to two per worker.
+    workers at once, and only its own: a caller's other children, and the
+    workers of a pool that another thread runs, keep running. Leaving the
+    pool would wait for every batch in flight, up to two per worker.
     """
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import active_children
 
-    others = set(active_children())
     with ProcessPoolExecutor(**kwargs) as pool:
         try:
             yield pool
         except BaseException:
-            for worker in set(active_children()) - others:
+            # _processes, pid -> process, is the executor's private record of
+            # its workers (Python 3.10-3.13; 3.14 adds terminate_workers()).
+            for worker in list(pool._processes.values()):
                 worker.terminate()
             raise
 
 
-def _pooled_rows(pool, batches, depth: int):
-    """The result of each batch in order, one task a batch, at most `depth` tasks in flight."""
+def _pooled_rows(pool, sweep, batches, depth: int):
+    """The rows of each of the sweep's batches in order, one task a batch
+    that carries the sweep, at most `depth` tasks in flight."""
     pending = deque()
     for batch in batches:
-        pending.append(pool.submit(_enumerate_rows, batch))
+        pending.append(pool.submit(_enumerate_rows, sweep, batch))
         if len(pending) == depth:
             yield pending.popleft().result()
     for future in pending:
@@ -363,7 +358,7 @@ def cmd_enumerate(args) -> int:
     with _output(args.out) as write, ExitStack() as stack:
         sweep = (table, n, _invariants([table], _planes([table], n))[0]
                  if args.check_invariance else None)
-        _init_sweep(*sweep)
+        rows_of = partial(_enumerate_rows, sweep)
 
         def results():
             # The first batches, of up to 1, 2, 4 and 8 rows, run here and
@@ -375,7 +370,7 @@ def cmd_enumerate(args) -> int:
             for size in (1, 2, 4, 8):
                 if batch := list(islice(pairs, max(1, min(size, int(_BATCH_SECONDS / least))))):
                     began = perf_counter()
-                    result = _enumerate_rows(batch)
+                    result = rows_of(batch)
                     least, left = min(least, (perf_counter() - began) / len(batch)), left - len(batch)
                     yield result
             workers = min(cap, left, int(left * least / POOL_START)) if left else 0
@@ -383,10 +378,10 @@ def cmd_enumerate(args) -> int:
             if workers > 1:
                 size = min(size, left // (4 * workers))
                 pool = stack.enter_context(_process_pool(
-                    max_workers=workers, initializer=_init_worker, initargs=sweep))
+                    max_workers=workers, initializer=_init_worker))
             batches = iter(lambda: list(islice(pairs, max(1, size))), [])
-            yield from (_pooled_rows(pool, batches, 2 * workers) if workers > 1
-                        else map(_enumerate_rows, batches))
+            yield from (_pooled_rows(pool, sweep, batches, 2 * workers) if workers > 1
+                        else map(rows_of, batches))
 
         # Each result is written as it comes, the header with the first, so
         # an existing --out file stays as it was until rows are ready.

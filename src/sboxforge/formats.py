@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from errno import EBADF
 from functools import lru_cache
 from itertools import islice, repeat
@@ -157,9 +157,12 @@ def load_sbox(path: str) -> SBox:
 
 
 def _note(line: str) -> None:
-    """Print a diagnostic line to stderr; nowhere if the process started with fd 2 closed."""
+    """Print a diagnostic line to stderr; nowhere if the process started with
+    fd 2 closed, or if fd 2 is a pipe whose reader has gone: a diagnostic
+    that cannot be read changes no exit code."""
     if sys.stderr is not None:  # print would fall back to stdout
-        print(line, file=sys.stderr)
+        with suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 @contextmanager

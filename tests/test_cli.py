@@ -8,6 +8,7 @@ import random
 import re
 import runpy
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from functools import partial
 from itertools import permutations, zip_longest
 from math import factorial
 
@@ -313,17 +315,18 @@ def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, mo
     t = 0.25 / 241.5
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
-    cli._init_sweep(SEED4, 4, invariants_of(SEED4))
+    sweep = (SEED4, 4, invariants_of(SEED4))
     header = ("sigma1_index,sigma2_index,sigma1,sigma2,prefix,hash64,"
               "fixed_points,reverse_fixed_points,invariance\n")
     bounds = [0, 1, 3, 7, *range(15, rows, 241), rows]
-    batches = [cli._enumerate_rows(pairs[a:b])[0].encode() for a, b in zip(bounds, bounds[1:])]
+    batches = [cli._enumerate_rows(sweep, pairs[a:b])[0].encode()
+               for a, b in zip(bounds, bounds[1:])]
     batches[0] = header.encode() + batches[0]
     argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
     real, rows_of, events = os.write, cli._enumerate_rows, []
     monkeypatch.setattr(os, "write", lambda fd, data: events.append(bytes(data)) or real(fd, data))
     monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda batch: events.append(len(batch)) or rows_of(batch))
+                        lambda sweep, batch: events.append(len(batch)) or rows_of(sweep, batch))
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
     for out in (None, tmp_path / "sweep.csv"):
         clock = iter([0, 3 * t, 0, 2 * t, 0, 8 * t, 0, 8 * t])
@@ -343,15 +346,14 @@ def test_enumerate_rows_joins_what_each_row_gives():
     # columns, and its pass count their "pass" cells; no pairs give nothing.
     rng = random.Random(3)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(40)]
-    cli._init_sweep(SEED4, 4, invariants_of(SEED4))
-    text, digests, passes = cli._enumerate_rows(pairs)
-    singles = [cli._enumerate_rows([pair]) for pair in pairs]
+    sweep = (SEED4, 4, invariants_of(SEED4))
+    text, digests, passes = cli._enumerate_rows(sweep, pairs)
+    singles = [cli._enumerate_rows(sweep, [pair]) for pair in pairs]
     assert text == "".join(single[0] for single in singles) and text.count("\n") == 40
     assert digests == [int(line.split(",")[5], 16) for line in text.splitlines()]
     assert passes == 40 == sum(single[2] for single in singles)
-    assert cli._enumerate_rows([]) == ("", [], 0)
-    cli._init_sweep(SEED4, 4, None)
-    assert cli._enumerate_rows(pairs[:3])[2] == 0
+    assert cli._enumerate_rows(sweep, []) == ("", [], 0)
+    assert cli._enumerate_rows((SEED4, 4, None), pairs[:3])[2] == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 16])
@@ -369,9 +371,9 @@ def test_enumerate_rows_fields_are_each_clones_own(n):
     invariants = invariants_of(table)
     pairs = [(0 if n == 16 else rng.randrange(fact), rng.randrange(fact))
              for _ in range(2 if n == 16 else 12)]
-    cli._init_sweep(table, n, invariants)
-    text, digests, passes = cli._enumerate_rows(pairs)
-    singles = [cli._enumerate_rows([pair]) for pair in pairs]
+    sweep = (table, n, invariants)
+    text, digests, passes = cli._enumerate_rows(sweep, pairs)
+    singles = [cli._enumerate_rows(sweep, [pair]) for pair in pairs]
     assert text == "".join(single[0] for single in singles)
     assert digests == [d for single in singles for d in single[1]]
     assert passes == sum(single[2] for single in singles) == len(pairs)
@@ -566,24 +568,39 @@ def test_closed_stdout_is_a_failed_write(argv, seed4_file, child_env):
         1, "error: cannot write <stdout>: [Errno 9] Bad file descriptor\n")
 
 
+def _run_with_unread_stderr(argv, env):
+    """`python -m sboxforge argv...` whose fd 2 is a pipe with no reader:
+    every write to it fails with EPIPE."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        return subprocess.run([sys.executable, "-m", "sboxforge", *argv], stdout=subprocess.PIPE,
+                              stderr=writer, text=True, env=env)
+    finally:
+        os.close(writer)
+
+
 @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before the child starts")
 def test_closed_stderr_keeps_diagnostics_off_stdout(seed4_file, tmp_path, child_env):
     # Started without fd 2, the interpreter has no sys.stderr, and print
-    # would write a diagnostic to stdout instead: none goes there.
-    clone = _run_with_closed_fd(2, ["clone", seed4_file, "--key", "01"], child_env)
-    assert (clone.returncode, clone.stdout) == (0, cli.serialize_sbox(
-        clone_sbox(SBox.from_table(SEED4), *cli.key_to_permutations(b"\x01", 4))))
-    sweep = _run_with_closed_fd(2, ["enumerate", seed4_file, "--sample", "2"], child_env)
-    assert (sweep.returncode, sweep.stdout.count("\n")) == (0, 3)
-    assert "rows=" not in sweep.stdout
+    # would write a diagnostic to stdout instead: none goes there. A stderr
+    # pipe whose reader has gone loses the diagnostics too, and neither
+    # changes a command's exit code.
     narrow = tmp_path / "narrow.txt"
     narrow.write_text(serialize_sbox(SBox.from_table([1, 0, 3, 2])))
-    for argv, code in ((["derive", "--key", "zz", "--n", "4"], 1),
-                       (["enumerate", seed4_file, "--all", "--rng-seed", "1"], 64),
-                       (["verify", seed4_file, str(tmp_path / "missing")], 1),
-                       (["verify", seed4_file, str(narrow)], 6)):
-        failed = _run_with_closed_fd(2, argv, child_env)
-        assert (failed.returncode, failed.stdout) == (code, "")
+    for run in (partial(_run_with_closed_fd, 2), _run_with_unread_stderr):
+        clone = run(["clone", seed4_file, "--key", "01"], child_env)
+        assert (clone.returncode, clone.stdout) == (0, cli.serialize_sbox(
+            clone_sbox(SBox.from_table(SEED4), *cli.key_to_permutations(b"\x01", 4))))
+        sweep = run(["enumerate", seed4_file, "--sample", "2"], child_env)
+        assert (sweep.returncode, sweep.stdout.count("\n")) == (0, 3)
+        assert "rows=" not in sweep.stdout
+        for argv, code in ((["derive", "--key", "zz", "--n", "4"], 1),
+                           (["enumerate", seed4_file, "--all", "--rng-seed", "1"], 64),
+                           (["verify", seed4_file, str(tmp_path / "missing")], 1),
+                           (["verify", seed4_file, str(narrow)], 6)):
+            failed = run(argv, child_env)
+            assert (failed.returncode, failed.stdout) == (code, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
@@ -629,6 +646,61 @@ def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch
     finally:
         bystander.terminate()
         bystander.join(5)
+
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_failed_pooled_sweep_stops_no_other_threads_pool(tmp_path, capsys, monkeypatch):
+    # Two threads each run a sweep on a real 2-worker pool. The first one's
+    # output fails once the second's pool has sent back rows, which ends the
+    # first sweep and stops its workers: the second's workers are not its
+    # own, so the second runs on to the oracle's CSV and exit 0.
+    tables = [random_bijective(random.Random(80 + i), 8) for i in range(2)]
+    seeds, outs = [tmp_path / f"seed{i}.txt" for i in range(2)], [tmp_path / f"out{i}.csv" for i in range(2)]
+    for seed, table in zip(seeds, tables):
+        seed.write_text(serialize_sbox(SBox.from_table(table)))
+    first_pooled, second_pooled, first_done = (threading.Event() for _ in range(3))
+    real, writes = os.write, {}
+
+    def write(fd, data):
+        # A sweep's fifth write to its CSV file, a regular file where a
+        # pool's pipes are not, is its first pooled batch's, after 4 timed.
+        thread = threading.current_thread()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            writes[thread] = writes.get(thread, 0) + 1
+            if writes[thread] == 5 and thread is first:
+                first_pooled.set()
+                assert second_pooled.wait(60)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            if writes[thread] == 5:
+                second_pooled.set()
+                assert first_done.wait(60)
+        return real(fd, data)
+
+    def sweep(i, rows):
+        return main(["enumerate", str(seeds[i]), "--sample", str(rows), "--check-invariance",
+                     "--out", str(outs[i])])
+
+    codes = []
+    first = threading.Thread(target=lambda: codes.append(sweep(0, 4000)) or first_done.set())
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    first.start()
+    try:
+        assert first_pooled.wait(60)
+        codes.append(sweep(1, 400))
+    finally:
+        first_done.wait(60)
+        first.join(60)
+    assert not first.is_alive() and codes == [1, 0] and not outs[0].exists()
+    rng = random.Random(0)
+    expected = expected_csv(tables[1], [(rng.randrange(40320), rng.randrange(40320))
+                                        for _ in range(400)], True)
+    assert outs[1].read_text() == expected[0]
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {outs[0]}: [Errno 28] No space left on device\n" + expected[1])
 
 
 # ---------------------------------------------------------------------
@@ -850,43 +922,49 @@ def test_enumerate_decodes_each_rank_once(seed4_file, monkeypatch):
         return lehmer_decode(index, n)
 
     monkeypatch.setattr(cli, "lehmer_decode", counting)
-    # Each sweep has its own rank cache, and decodes each rank it meets once:
-    # --all every rank of S_4 in its 576 rows, a --sample sweep after it
-    # each rank it draws, once more.
+    cli._rank.cache_clear()
+    # The process's rank cache decodes each rank of a width it meets once:
+    # --all every rank of S_4 in its 576 rows, and a --sample sweep after
+    # it, on the same width, none.
     assert main(["enumerate", seed4_file, "--all"]) == 0
     assert sorted(decoded) == list(range(24))
     decoded.clear()
     assert main(["enumerate", seed4_file, "--sample", "50", "--check-invariance"]) == 0
-    assert sorted(decoded) == sorted(set(decoded)) and decoded
-    # Every rank of S_6 fits: after rows that meet all 720, rows that meet
-    # them again decode none.
-    decoded.clear()
-    cli._init_sweep(random_bijective(random.Random(6), 6), 6, None)
-    cli._enumerate_rows([(k, 719 - k) for k in range(720)])
+    assert decoded == []
+    # Every rank of S_6 fits beside them: after rows that meet all 720, rows
+    # that meet them again decode none.
+    sweep = (random_bijective(random.Random(6), 6), 6, None)
+    cli._enumerate_rows(sweep, [(k, 719 - k) for k in range(720)])
     assert sorted(decoded) == list(range(720))
-    cli._enumerate_rows([(719 - k, k) for k in range(720)])
+    cli._enumerate_rows(sweep, [(719 - k, k) for k in range(720)])
     assert len(decoded) == 720
 
 
 @pytest.mark.parametrize("n,size", [(4, 24), (6, 720), (7, 0), (8, 0), (9, 0), (16, 0)])
 def test_enumerate_rank_cache_keeps_ranks_only_where_they_repeat(n, size, tmp_path, capsys,
                                                                  monkeypatch):
-    # Every rank at n <= 6, the widths --all takes; none above, where
-    # --sample's ranks of n! rarely repeat, so each row decodes and lifts
-    # both of its ranks. Either way the CSV is the oracle's.
+    # Every rank at n <= 6, the widths --all takes, n! of them; none above,
+    # where --sample's ranks of n! rarely repeat, so each row decodes and
+    # lifts both of its ranks and the cache stays empty. Either way the CSV
+    # is the oracle's.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    decoded = []
+    monkeypatch.setattr(cli, "lehmer_decode",
+                        lambda index, n: decoded.append(index) or lehmer_decode(index, n))
     table = random_bijective(random.Random(n), n)
     seed = tmp_path / "seed.txt"
     seed.write_text(serialize_sbox(SBox.from_table(table)))
     rows, checked = (3, False) if n == 16 else (40, True)
+    cli._rank.cache_clear()
     assert main(["enumerate", str(seed), "--sample", str(rows)] + ["--check-invariance"] * checked) == 0
     rng = random.Random(0)
     pairs = [(rng.randrange(factorial(n)), rng.randrange(factorial(n))) for _ in range(rows)]
     assert capsys.readouterr() == expected_csv(table, pairs, checked)
-    info = cli._sweep[3].cache_info()
     distinct = len({k for pair in pairs for k in pair})
-    assert (info.maxsize, info.currsize, info.misses) == (
-        (size, distinct, distinct) if size else (0, 0, 2 * rows))
+    assert size == (factorial(n) if n <= 6 else 0)
+    assert len(decoded) == (distinct if size else 2 * rows)
+    info = cli._rank.cache_info()
+    assert (info.currsize, info.misses) == ((distinct, distinct) if size else (0, 0))
 
 
 def expected_csv(table, pairs, invariance):
@@ -989,15 +1067,86 @@ def test_pooled_sweep_matches_the_serial_one_under_each_start_method(method, swe
     assert (serial.stdout.decode(), serial.stderr.decode()) == sweeps[0][1]
 
 
-def test_enumerate_sweeps_share_no_rank(sweeps, capsys, monkeypatch):
-    # Widths 4, 5, then 4 again in one process: each sweep decodes its own
-    # n! ranks once, and its rows match the oracle's.
+def test_enumerate_sweeps_decode_each_rank_once_per_process(sweeps, capsys, monkeypatch):
+    # Widths 4, 5, then 4 again in one process: their rows match the
+    # oracle's, and the process decodes each (width, rank) once, the third
+    # sweep none, since every sweep reads the one rank cache.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    for path, expected in sweeps:
+    decoded = []
+    monkeypatch.setattr(cli, "lehmer_decode",
+                        lambda index, n: decoded.append((n, index)) or lehmer_decode(index, n))
+    cli._rank.cache_clear()
+    for (path, expected), widths in zip(sweeps, ((4,), (4, 5), (4, 5))):
         assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
         assert capsys.readouterr() == expected
-        info = cli._sweep[3].cache_info()
-        assert info.misses == info.currsize == factorial(cli._sweep[1])
+        assert sorted(decoded) == [(n, k) for n in widths for k in range(factorial(n))]
+
+
+def test_sweeps_on_two_threads_keep_their_own_seeds(tmp_path, capsys, monkeypatch):
+    # Two serial sweeps of one width in one process, the second run whole
+    # while the first waits inside its first batch: each file holds the
+    # clones of its own seed, as the oracle makes them.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    tables = [random_bijective(random.Random(40 + i), 4) for i in range(2)]
+    seeds, outs = [tmp_path / f"seed{i}.txt" for i in range(2)], [tmp_path / f"out{i}.csv" for i in range(2)]
+    for seed, table in zip(seeds, tables):
+        seed.write_text(serialize_sbox(SBox.from_table(table)))
+    inside, second_done = threading.Event(), threading.Event()
+    clone = cli._clone
+
+    def held(table, lifts):
+        if not inside.is_set():  # the first sweep's first batch
+            inside.set()
+            assert second_done.wait(60)
+        return clone(table, lifts)
+
+    def sweep(i):
+        return main(["enumerate", str(seeds[i]), "--sample", "40", "--check-invariance",
+                     "--out", str(outs[i])])
+
+    monkeypatch.setattr(cli, "_clone", held)
+    codes = []
+    first = threading.Thread(target=lambda: codes.append(sweep(0)))
+    first.start()
+    try:
+        assert inside.wait(60)
+        codes.append(sweep(1))
+    finally:
+        second_done.set()
+        first.join(60)
+    assert not first.is_alive() and codes == [0, 0]
+    rng = random.Random(0)
+    pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(40)]
+    expected = [expected_csv(table, pairs, True) for table in tables]
+    assert [out.read_text() for out in outs] == [csv for csv, _ in expected]
+    assert capsys.readouterr() == ("", expected[1][1] + expected[0][1])
+
+
+def test_sweeps_on_more_threads_than_cores_match_the_oracle(sweeps, tmp_path, capsys,
+                                                            monkeypatch):
+    # Four serial sweeps at once, of widths 4, 5, 4 and 4, share the one
+    # rank cache while threads switch every 10 us: each file is its own
+    # seed's oracle sweep, and stderr holds each sweep's summary line.
+    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+    jobs = [(path, expected, tmp_path / f"out{i}.csv")
+            for i, (path, expected) in enumerate([*sweeps, sweeps[0]])]
+    codes = []
+    threads = [threading.Thread(target=lambda path=path, out=out: codes.append(main(
+        ["enumerate", path, "--all", "--check-invariance", "--out", str(out)])))
+        for path, _, out in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and codes == [0] * 4
+    assert [out.read_text() for _, _, out in jobs] == [expected[0] for _, expected, _ in jobs]
+    assert sorted(capsys.readouterr().err.splitlines(True)) == sorted(
+        expected[1] for _, expected, _ in jobs)
 
 
 def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
@@ -1086,7 +1235,7 @@ def test_enumerate_all_n5_covers_every_pair(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     seed5 = tmp_path / "seed5.txt"
     seed5.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(5), 5))))
-    monkeypatch.setattr(cli, "_enumerate_rows", lambda pairs: (
+    monkeypatch.setattr(cli, "_enumerate_rows", lambda sweep, pairs: (
         "".join(f"{k1},{k2}\n" for k1, k2 in pairs), [k1 << 56 | k2 for k1, k2 in pairs], 0))
     assert main(["enumerate", str(seed5), "--all"]) == 0
     captured = capsys.readouterr()
@@ -1100,7 +1249,7 @@ def test_enumerate_all_n6_covers_every_pair(tmp_path, capsys, monkeypatch):
     seed6 = tmp_path / "seed6.txt"
     seed6.write_text(serialize_sbox(SBox.from_table(random_bijective(random.Random(6), 6))))
     out = tmp_path / "sweep.csv"
-    monkeypatch.setattr(cli, "_enumerate_rows", lambda pairs: (
+    monkeypatch.setattr(cli, "_enumerate_rows", lambda sweep, pairs: (
         "".join(f"{k1},{k2}\n" for k1, k2 in pairs), [k2 for _, k2 in pairs], 0))
     assert main(["enumerate", str(seed6), "--all", "--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "rows=518400 distinct=720\n")
@@ -1158,10 +1307,10 @@ class SerialPool:
     started = []  # max_workers of every pool built
     in_flight = []  # tasks submitted and not yet read, after each submit
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, initializer):
         self.started.append(max_workers)
         self.pending = 0
-        initializer(*initargs)
+        initializer()
 
     def __enter__(self):
         return self
@@ -1282,7 +1431,7 @@ def test_enumerate_row_time_is_a_batch_time_over_its_rows(seed4_file, capsys, mo
     t = 2 ** -12
     sizes, rows_of = [], cli._enumerate_rows
     monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     for pool_start, started in ((0.072, []), (0.07, [2])):
@@ -1317,9 +1466,9 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     events = []
     rows_of = cli._enumerate_rows
 
-    def logged_rows(pairs):
+    def logged_rows(sweep, pairs):
         events.append(len(pairs))
-        return rows_of(pairs)
+        return rows_of(sweep, pairs)
 
     def logged_clock():
         events.append("clock")
@@ -1378,7 +1527,7 @@ def test_enumerate_rows_of_a_second_each_get_a_worker(rows, cpus, seed4_file, ca
     # one pair.
     sizes, rows_of = [], cli._enumerate_rows
     monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
     monkeypatch.setattr(cli, "perf_counter", timed_clock(lambda size: 1.0, sizes))
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     monkeypatch.setenv("SBOXFORGE_THREADS", str(cpus))
@@ -1399,7 +1548,7 @@ def test_enumerate_slow_first_row_keeps_a_short_sweep_serial(seed4_file, capsys,
     sizes, rows_of = [], cli._enumerate_rows
     clock = iter([0, 1.0, 0, 1e-4, 0, 4e-4, 0, 8e-4])
     monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
@@ -1422,7 +1571,7 @@ def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, cpus, seconds,
     timed = {1.0: [1, 1, 1, 1], 0.5: [1, 1, 1, 1], 0.125: [1, 2, 2, 2]}.get(seconds, [1, 2, 4, 8])
     sizes, rows_of = [], cli._enumerate_rows
     monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda pairs: sizes.append(len(pairs)) or rows_of(pairs))
+                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
     monkeypatch.setattr(cli, "perf_counter", timed_clock(lambda size: seconds, sizes))
     monkeypatch.setattr(cli, "POOL_START", 1e-12)
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
@@ -1827,7 +1976,7 @@ def test_cli_import_leaves_signal_out(child_env):
 
 
 def test_pool_workers_ignore_ctrl_c():
-    cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the handler
+    cli._init_worker()  # conftest's keep_ctrl_c restores the handler
     assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
 
 
@@ -1883,11 +2032,11 @@ def test_sigterm_before_the_first_write_leaves_the_out_file(seed4_file, tmp_path
     out.write_bytes(b"keep me\n")
     rows_of, before = cli._enumerate_rows, signal.getsignal(signal.SIGTERM)
 
-    def terminated(pairs):
+    def terminated(sweep, pairs):
         # Checked first: with any other handler the signal could end the test run.
         assert signal.getsignal(signal.SIGTERM) is cli._terminate
         signal.raise_signal(signal.SIGTERM)
-        return rows_of(pairs)
+        return rows_of(sweep, pairs)
 
     monkeypatch.setattr(cli, "_enumerate_rows", terminated)
     assert main(["enumerate", seed4_file, "--all", "--out", str(out)]) == cli.EXIT_TERMINATED == 143
@@ -1907,7 +2056,7 @@ def test_an_ignored_ending_signal_stays_ignored(sig, seed4_file, capsys, monkeyp
     try:
         assert main(["clone", seed4_file, "--key", "00"]) == 0
         assert signal.getsignal(sig) is signal.SIG_IGN
-        cli._init_worker(SEED4, 4, None)  # conftest's keep_ctrl_c restores the Ctrl-C handler
+        cli._init_worker()  # conftest's keep_ctrl_c restores the Ctrl-C handler
         assert signal.getsignal(sig) is signal.SIG_IGN
     finally:
         signal.signal(sig, previous)
@@ -1941,7 +2090,7 @@ def test_pool_workers_take_sigterm_by_default():
     previous = signal.signal(signal.SIGTERM, cli._terminate)
     signal.signal(signal.SIGINT, cli._terminate)  # conftest's keep_ctrl_c restores it
     try:
-        cli._init_worker(SEED4, 4, None)
+        cli._init_worker()
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:

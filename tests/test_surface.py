@@ -456,6 +456,18 @@ def module_caches(module):
             if callable(getattr(value, "cache_parameters", None))}
 
 
+def test_no_call_rebinds_module_state():
+    # A call keeps its state in its arguments and locals: no function in
+    # src/ rebinds a module-level name, so calls of cli.main on several
+    # threads share no state that one of them sets.
+    directory = os.path.dirname(sboxforge.__file__)
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), name)
+            assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == [], name
+
+
 def test_analysis_keeps_no_unbounded_memo():
     # Module state of analysis is built at import and only read: no
     # module-level dict, list or set it assigns, which calls could fill. Its
@@ -472,14 +484,16 @@ def test_analysis_keeps_no_unbounded_memo():
 
 def test_cli_keeps_no_unbounded_memo():
     # cli's one module-level container is its command table, built at import
-    # and only read. Its one cache is the rank cache each sweep makes: every
-    # rank at n <= 6, the widths --all takes, so at most 720 lifts of 64
-    # entries, and none at all above.
+    # and only read. Its one cache is _rank's, shared by every sweep of the
+    # process: it holds every rank of S_2..S_6, the widths --all takes, so
+    # at most 872 lifts of at most 64 entries, and a row above n = 6 puts
+    # nothing in it.
     assert module_containers(cli) == {"COMMANDS"}
-    assert not module_caches(cli)
+    assert module_caches(cli) == {"_rank": 872} and sum(map(factorial, range(2, 7))) == 872
     for n in range(2, 17):
-        cli._init_sweep(list(range(1 << n)), n, None)
-        assert cli._sweep[3].cache_parameters()["maxsize"] == (factorial(n) if n <= 6 else 0)
+        cli._rank.cache_clear()
+        cli._enumerate_rows((list(range(1 << n)), n, None), [(0, 1)])
+        assert cli._rank.cache_info().currsize == (2 if n <= 6 else 0)
 
 
 # Every public name that takes or derives a bit width, with the widths just

@@ -3,7 +3,8 @@
 Exit codes are a fixed function of the failure class: 0 success, 1 input
 parse/validation error, 2 non-bijective seed, 3 fixed-point removal
 exhausted, 4 invariance check failure, 5 verify mismatch, 6 verify width
-mismatch, 64 command-line usage error, 129 hung up (SIGHUP), 130
+mismatch, 7 a pool worker ended before its rows came back (killed from
+outside), 64 command-line usage error, 129 hung up (SIGHUP), 130
 interrupted (Ctrl-C), 143 terminated (SIGTERM): each of the three signals
 ends a command through Terminated. Results go to stdout, diagnostics to
 stderr; formats writes both. SBOXFORGE_THREADS (integer >= 1) caps worker
@@ -31,7 +32,7 @@ from collections import defaultdict, deque
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache, partial
 from itertools import islice
-from math import factorial
+from math import factorial, inf
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -72,6 +73,7 @@ EXIT_EXHAUSTED = 3
 EXIT_INVARIANCE = 4
 EXIT_MISMATCH = 5
 EXIT_WIDTH = 6
+EXIT_WORKER = 7
 EXIT_USAGE = 64
 EXIT_HANGUP = 129  # 128 + SIGHUP
 EXIT_INTERRUPTED = 130
@@ -98,6 +100,11 @@ _BATCH_SECONDS = 0.25
 
 class UsageError(Exception):
     """Bad flag combination or malformed invocation."""
+
+
+class WorkerLost(Exception):
+    """A pool worker ended, killed from outside (the OOM killer, kill -9),
+    before its rows came back."""
 
 
 class Terminated(SystemExit):
@@ -291,25 +298,30 @@ def _enumerate_rows(sweep, pairs) -> tuple[str, list[int], int]:
 
 
 @contextmanager
-def _process_pool(**kwargs):
-    """A ProcessPoolExecutor, imported here: loading it at import would cost
-    every CLI call about 20 ms, and only a sweep long enough to pool needs it.
+def _process_pool(workers: int):
+    """A ProcessPoolExecutor of `workers` processes, each set up by
+    _init_worker, imported here: loading it at import would cost every CLI
+    call about 20 ms, and only a sweep long enough to pool needs it.
 
     Any exception that leaves it, a Terminated or a failed write, stops its
     workers at once, and only its own: a caller's other children, and the
     workers of a pool that another thread runs, keep running. Leaving the
-    pool would wait for every batch in flight, up to two per worker.
+    pool would wait for every batch in flight, up to two per worker. A
+    worker that ends before its rows come back, killed from outside, breaks
+    the pool, and that leaves it as WorkerLost.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(**kwargs) as pool:
+    with ProcessPoolExecutor(workers, initializer=_init_worker) as pool:
         try:
             yield pool
-        except BaseException:
+        except BaseException as exc:
             # _processes, pid -> process, is the executor's private record of
             # its workers (Python 3.10-3.13; 3.14 adds terminate_workers()).
             for worker in list(pool._processes.values()):
                 worker.terminate()
+            if isinstance(exc, BrokenProcessPool):
+                raise WorkerLost("a worker process ended before its rows came back")
             raise
 
 
@@ -323,6 +335,27 @@ def _pooled_rows(pool, sweep, batches, depth: int):
             yield pending.popleft().result()
     for future in pending:
         yield future.result()
+
+
+def _schedule(count: int, timings, cap: int) -> tuple[int, int]:
+    """The plan for the rest of a sweep of `count` rows, after the timed
+    batches whose (seconds, rows) are `timings`: how many workers take the
+    rows left, at most `cap`, one meaning serial, and how many rows each
+    batch holds.
+
+    The row time is the batches' least time per row. The rows left get one
+    worker per POOL_START seconds of them at that time, within the cap and
+    their number, and fewer than two run serially. A batch holds the rows of
+    _BATCH_SECONDS at that time, at most a quarter of each worker's share
+    when pooled, and one row at least. With no timed batch the row time is
+    unbounded: one serial row.
+    """
+    least = min((seconds / rows for seconds, rows in timings), default=inf)
+    left = count - sum(rows for _, rows in timings)
+    workers = max(1, min(cap, left, int(left * least / POOL_START))) if least < inf else 1
+    # A pooled batch holds at most a quarter of each worker's share of the rows left.
+    share = left // (4 * workers) if workers > 1 else inf
+    return workers, max(1, min(int(_BATCH_SECONDS / least), share))
 
 
 def cmd_enumerate(args) -> int:
@@ -366,22 +399,17 @@ def cmd_enumerate(args) -> int:
             # first rows build the width's tables and, under --all, lift ranks
             # that later rows find cached, a forked process's first row is
             # cold, and a batch's fixed work weighs less on more rows.
-            least, left = float("inf"), count
+            # _schedule makes the plan; this only measures.
+            timings = []
             for size in (1, 2, 4, 8):
-                if batch := list(islice(pairs, max(1, min(size, int(_BATCH_SECONDS / least))))):
-                    began = perf_counter()
-                    result = rows_of(batch)
-                    least, left = min(least, (perf_counter() - began) / len(batch)), left - len(batch)
+                if batch := list(islice(pairs, min(size, _schedule(count, timings, 1)[1]))):
+                    began, result = perf_counter(), rows_of(batch)
+                    timings.append((perf_counter() - began, len(batch)))
                     yield result
-            workers = min(cap, left, int(left * least / POOL_START)) if left else 0
-            size = int(_BATCH_SECONDS / least)
-            if workers > 1:
-                size = min(size, left // (4 * workers))
-                pool = stack.enter_context(_process_pool(
-                    max_workers=workers, initializer=_init_worker))
-            batches = iter(lambda: list(islice(pairs, max(1, size))), [])
-            yield from (_pooled_rows(pool, sweep, batches, 2 * workers) if workers > 1
-                        else map(rows_of, batches))
+            workers, size = _schedule(count, timings, cap)
+            batches = iter(lambda: list(islice(pairs, size)), [])
+            yield from (map(rows_of, batches) if workers < 2 else _pooled_rows(
+                stack.enter_context(_process_pool(workers)), sweep, batches, 2 * workers))
 
         # Each result is written as it comes, the header with the first, so
         # an existing --out file stays as it was until rows are ready.
@@ -534,7 +562,7 @@ def parse_args(argv) -> SimpleNamespace:
 # The exit code of each failure class, the first class an error is an
 # instance of deciding: NonBijectiveError, like an s-box file's errors, is a ValueError.
 _FAILURES = ((UsageError, EXIT_USAGE), (NonBijectiveError, EXIT_NON_BIJECTIVE),
-             (RemovalExhausted, EXIT_EXHAUSTED), (ValueError, EXIT_PARSE))
+             (RemovalExhausted, EXIT_EXHAUSTED), (ValueError, EXIT_PARSE), (WorkerLost, EXIT_WORKER))
 
 
 def main(argv=None) -> int:
@@ -546,7 +574,7 @@ def main(argv=None) -> int:
                 if isinstance(getattr(args, o.dest), list):
                     raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
             return args.func(args)
-        except (UsageError, RemovalExhausted, ValueError) as exc:
+        except (UsageError, RemovalExhausted, ValueError, WorkerLost) as exc:
             _note(f"error: {exc}")
             return next(code for kind, code in _FAILURES if isinstance(exc, kind))
         except Terminated as ended:  # an -o/--out file the run created is already removed

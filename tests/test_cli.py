@@ -24,7 +24,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concurrent.futures import ProcessPoolExecutor
+# Loaded before any test stubs os.write: multiprocessing.connection binds it
+# as it loads, and a pool's own pipes must write through the real one.
+import concurrent.futures.process  # noqa: F401
 
 from sboxforge import (SBox, analysis, analyze, cli, clone_sbox, compare_reports, core,
                        find_fixed_points, formats, lehmer_decode)
@@ -44,6 +46,13 @@ from oracles import (
     stabilizer_size,
 )
 from vectors import AES_SBOX, CLONE4, HELP, SEED4, SIGMA1_4, SIGMA2_4
+
+
+def fixed_plan(workers, size):
+    """A stand-in for cli._schedule whose every plan is `workers` workers,
+    fewer than two meaning serial, and batches of `size` rows: each timed
+    batch holds at most `size` rows, and with two workers any sweep pools."""
+    return lambda count, timings, cap: (workers, size)
 
 
 def invariants_of(table):
@@ -296,9 +305,7 @@ def test_commands_close_every_descriptor_they_open(seed4_file, tmp_path, capsys,
         patched.setattr(os, "write", full)
         assert main(["clone", seed4_file, "--key", "17", "-o", out]) == 1
     assert sorted(os.listdir("/dev/fd")) == before
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
     assert main(["enumerate", seed4_file, "--sample", "40", "--out", out]) == 0
     assert sorted(os.listdir("/dev/fd")) == before
     capsys.readouterr()
@@ -307,12 +314,11 @@ def test_commands_close_every_descriptor_they_open(seed4_file, tmp_path, capsys,
 @pytest.mark.parametrize("rows", [255, 256, 257, 513])
 def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, monkeypatch):
     # A sweep runs its first batches of 1, 2, 4 and 8 rows alone, writing
-    # each before the next one runs, the header with the first. A stubbed
-    # clock makes their rows take 3t, t, 2t and t each, t = 0.25 / 241.5 s,
-    # so the rest go out in batches of int(0.25 / t) = 241 pairs: one write
-    # each, on stdout and to --out, as the bytes of one row after another.
+    # each before it plans the next, the header with the first. With a plan
+    # of serial batches of 241 rows, the rest go out in batches of 241
+    # pairs: one write each, on stdout and to --out, as the bytes of one row
+    # after another.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    t = 0.25 / 241.5
     rng = random.Random(0)
     pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rows)]
     sweep = (SEED4, 4, invariants_of(SEED4))
@@ -323,19 +329,15 @@ def test_enumerate_writes_rows_in_batches(rows, seed4_file, tmp_path, capsys, mo
                for a, b in zip(bounds, bounds[1:])]
     batches[0] = header.encode() + batches[0]
     argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
-    real, rows_of, events = os.write, cli._enumerate_rows, []
+    real, plan, events = os.write, fixed_plan(1, 241), []
     monkeypatch.setattr(os, "write", lambda fd, data: events.append(bytes(data)) or real(fd, data))
-    monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda sweep, batch: events.append(len(batch)) or rows_of(sweep, batch))
-    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(cli, "_schedule", lambda *args: events.append("plan") or plan(*args))
     for out in (None, tmp_path / "sweep.csv"):
-        clock = iter([0, 3 * t, 0, 2 * t, 0, 8 * t, 0, 8 * t])
         events.clear()
         assert main(argv + (["--out", str(out)] if out else [])) == 0
-        assert next(clock, "spent") == "spent"
         if out:
-            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
-            assert events == [e for pair in zip(sizes, batches) for e in pair]
+            timed = [e for batch in batches[:4] for e in ("plan", batch)]
+            assert events == timed + ["plan"] + batches[4:]
             assert out.read_bytes() == b"".join(batches)
         else:
             assert capsys.readouterr().out == b"".join(batches).decode()
@@ -614,8 +616,8 @@ def test_failed_output_write_is_one_line(seed4_file, capsys):
 
 
 def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch):
-    # A write that fails while a real 2-worker pool holds batches of up to
-    # a quarter second each (n = 12 rows with --check-invariance) ends the
+    # A write that fails while a real 2-worker pool holds batches of 16
+    # rows, about 0.2 s each (n = 12 rows with --check-invariance), ends the
     # command at once: one line, exit 1, the workers stopped rather than
     # waited for, and the --out file the run created removed. A child the
     # caller started before the sweep is not the sweep's to stop.
@@ -634,8 +636,7 @@ def test_failed_write_stops_a_pooled_sweep_at_once(tmp_path, capsys, monkeypatch
     bystander.start()
     try:
         monkeypatch.setattr(os, "write", full_once_pooled)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+        monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 16))
         argv = ["enumerate", str(seed), "--sample", "800", "--check-invariance", "--out", str(out)]
         assert main(argv) == 1
         assert time.monotonic() - failed[0] < 1
@@ -684,9 +685,7 @@ def test_failed_pooled_sweep_stops_no_other_threads_pool(tmp_path, capsys, monke
     codes = []
     first = threading.Thread(target=lambda: codes.append(sweep(0, 4000)) or first_done.set())
     monkeypatch.setattr(os, "write", write)
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
     first.start()
     try:
         assert first_pooled.wait(60)
@@ -1016,27 +1015,19 @@ def test_enumerate_all_rows_match_oracle(sweeps, capsys, monkeypatch, serial_poo
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     assert main(argv) == 0
     assert capsys.readouterr() == expected
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
     assert main(argv) == 0
     assert serial_pool.started == [2]
     assert capsys.readouterr() == expected
 
 
 def test_enumerate_all_rows_match_oracle_on_two_workers(sweeps, capsys, monkeypatch):
-    # The n = 5 sweep on a real 2-worker pool. Left to POOL_START it runs
-    # serially, too short to repay the workers; here the estimate never binds.
+    # The n = 5 sweep on a real 2-worker pool. Left to cli._schedule it
+    # runs serially, too short to repay the workers; here the plan pools it.
     path, expected = sweeps[1]
-    started = []
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-
-    def spy_pool(max_workers, **kwargs):
-        started.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
-    monkeypatch.setattr(cli, "_process_pool", spy_pool)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    started, pool = [], cli._process_pool
+    monkeypatch.setattr(cli, "_process_pool", lambda workers: started.append(workers) or pool(workers))
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 256))
     assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
     assert started == [2]
     assert capsys.readouterr() == expected
@@ -1056,8 +1047,8 @@ def test_pooled_sweep_matches_the_serial_one_under_each_start_method(method, swe
         "import multiprocessing, sys\n"
         f"multiprocessing.set_start_method({method!r})\n"
         "from sboxforge import cli\n"
-        "cli.POOL_START, cli._cpus, pool, started = 1e-12, lambda: 2, cli._process_pool, []\n"
-        "cli._process_pool = lambda **kwargs: started.append(kwargs['max_workers']) or pool(**kwargs)\n"
+        "cli._schedule, pool, started = lambda count, timings, cap: (2, 64), cli._process_pool, []\n"
+        "cli._process_pool = lambda workers: started.append(workers) or pool(workers)\n"
         "code = cli.main(sys.argv[1:])\n"
         "sys.exit(code if started == [2] else 99)\n")  # 99: the sweep did not pool
     pooled = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
@@ -1152,13 +1143,13 @@ def test_sweeps_on_more_threads_than_cores_match_the_oracle(sweeps, tmp_path, ca
 def test_enumerate_all_computes_criteria_once_per_sigma1(seed4_file, capsys, monkeypatch):
     # --all takes sigma1 outermost. The seed's criteria miss the one-entry
     # cache, and the four timed batches, 15 rows with the identity sigma1,
-    # hit that entry once each. A stubbed clock puts the other 561 rows in
-    # one batch, which asks once per sigma1, each of whose rows has one
-    # sorted set of coordinates: the identity's hits, every other misses. So
-    # 4! = 24 misses in 1 + 4 + 24 calls, where a call per row would make 577.
+    # hit that entry once each. A plan of 561-row batches puts the other 561
+    # rows in one batch, which asks once per sigma1, each of whose rows has
+    # one sorted set of coordinates: the identity's hits, every other
+    # misses. So 4! = 24 misses in 1 + 4 + 24 calls, where a call per row
+    # would make 577.
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    clock = iter([0, 1e-4] * 4)
-    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(1, 561))
     keys, criteria = [], analysis._criteria
     monkeypatch.setattr(analysis, "_criteria", lambda key, n: keys.append(key) or criteria(key, n))
     criteria.cache_clear()
@@ -1285,14 +1276,9 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
     serial = capsys.readouterr().out
     # A real two-worker pool, however short the sweep, for the 5 rows after
     # the 15 timed.
-    started = []
-
-    def spy_pool(max_workers, **kwargs):
-        started.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
-    monkeypatch.setattr(cli, "_process_pool", spy_pool)
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    started, pool = [], cli._process_pool
+    monkeypatch.setattr(cli, "_process_pool", lambda workers: started.append(workers) or pool(workers))
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     main(["enumerate", seed4_file, "--sample", "20", "--rng-seed", "11",
           "--check-invariance"])
@@ -1302,15 +1288,16 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
 
 
 class SerialPool:
-    """Stands in for cli._process_pool: runs each task when its result is read."""
+    """Stands in for cli._process_pool: sets itself up as a worker does, and
+    runs each task when its result is read."""
 
-    started = []  # max_workers of every pool built
+    started = []  # the worker count of every pool built
     in_flight = []  # tasks submitted and not yet read, after each submit
 
-    def __init__(self, max_workers, initializer):
-        self.started.append(max_workers)
+    def __init__(self, workers):
+        self.started.append(workers)
         self.pending = 0
-        initializer()
+        cli._init_worker()
 
     def __enter__(self):
         return self
@@ -1337,18 +1324,6 @@ def serial_pool(monkeypatch):
     return SerialPool
 
 
-def test_enumerate_workers_bounded_by_cpus_and_rows(seed4_file, capsys, monkeypatch, serial_pool):
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)  # the row-time estimate never binds
-    monkeypatch.setenv("SBOXFORGE_THREADS", "64")
-    # Fifteen of the 18 rows are timed before the pool starts, leaving three.
-    for cpus, expected in ((8, 3), (2, 2), (1, None)):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-        serial_pool.started.clear()
-        assert main(["enumerate", seed4_file, "--sample", "18"]) == 0
-        assert serial_pool.started == ([expected] if expected else [])
-    assert capsys.readouterr().out.count("\n") == 3 * 19
-
-
 def test_enumerate_checks_its_seed_once(seed4_file, capsys, monkeypatch, serial_pool):
     # The seed's entries are checked once, when its file is read. The sweep,
     # and each pool worker that its initializer sets up, keep that checked
@@ -1356,9 +1331,7 @@ def test_enumerate_checks_its_seed_once(seed4_file, capsys, monkeypatch, serial_
     widths, init = [], core.SBox.__init__
     monkeypatch.setattr(core.SBox, "__init__",
                         lambda self, n, table: widths.append(n) or init(self, n, table))
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
     assert main(["enumerate", seed4_file, "--sample", "100", "--check-invariance"]) == 0
     assert serial_pool.started == [2]
     assert widths == [4]
@@ -1368,8 +1341,9 @@ def test_enumerate_checks_its_seed_once(seed4_file, capsys, monkeypatch, serial_
 
 
 def test_enumerate_one_usable_cpu_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
-    # The CPUs counted are those the process may run on, not the machine's.
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
+    # The CPUs counted are those the process may run on, not the machine's:
+    # a plan of as many workers as the cap allows starts none.
+    monkeypatch.setattr(cli, "_schedule", lambda count, timings, cap: (cap, 64))
     monkeypatch.setenv("SBOXFORGE_THREADS", "8")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1384,206 +1358,183 @@ def test_enumerate_one_usable_cpu_starts_no_pool(seed4_file, capsys, monkeypatch
     assert cli._cpus() == 1
 
 
-def test_enumerate_short_sweep_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
-    monkeypatch.setenv("SBOXFORGE_THREADS", "64")
-    monkeypatch.setattr(cli, "_cpus", lambda: 8)
-    assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 0
-    assert serial_pool.started == []
-    assert "rows=3 distinct=3 invariance_pass=3" in capsys.readouterr().err
-
-
 def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, serial_pool):
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     argv = ["enumerate", seed4_file, "--sample", "615", "--rng-seed", "5"]
     assert main(argv) == 0
     serial = capsys.readouterr()
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    # The plan of SCHEDULES' "600 rows of 8T": 600 rows after the 15 timed,
+    # in tasks of 600 // (2 * 4) = 75, so eight tasks, at most four in
+    # flight.
+    monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 75))
     assert main(argv) == 0
     assert capsys.readouterr() == serial
-    # 600 rows after the 15 timed, in tasks of 600 // (2 * 4) = 75: eight
-    # tasks, at most four in flight.
     assert serial_pool.started == [2]
     assert len(serial_pool.in_flight) == 8
     assert max(serial_pool.in_flight) == 4
 
 
-def timed_clock(per_row, sizes):
-    """A stub for cli.perf_counter around each _enumerate_rows call that
-    appends its batch's size to `sizes`: 0 before the call, then
-    per_row(size) * size after it, so each row of a batch takes per_row(size)."""
-    calls = []
-
-    def clock():
-        calls.append(None)
-        return 0.0 if len(calls) % 2 else per_row(sizes[-1]) * sizes[-1]
-    return clock
+def rows_at(seconds, *sizes):
+    """Timed batches of `sizes` rows, each row taking `seconds`."""
+    return [(seconds * size, size) for size in sizes]
 
 
-def test_enumerate_row_time_is_a_batch_time_over_its_rows(seed4_file, capsys, monkeypatch,
-                                                           serial_pool):
-    # Rows of the timed batches of 1, 2 and 4 take 10t each, and the 8-row
-    # batch takes 8t: the row time is t, so the 585 rows left fit one batch
-    # of int(0.25 / t) = 1024, where 10t would give batches of 102. The row
-    # time also decides the pool: 585t is 0.14 s, so a POOL_START of 0.07 s
-    # starts two workers, and one of 0.072 s none.
-    t = 2 ** -12
-    sizes, rows_of = [], cli._enumerate_rows
-    monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
-    for pool_start, started in ((0.072, []), (0.07, [2])):
-        sizes.clear()
-        serial_pool.started.clear()
-        monkeypatch.setattr(cli, "perf_counter",
-                            timed_clock(lambda size: t if size == 8 else 10 * t, sizes))
-        monkeypatch.setattr(cli, "POOL_START", pool_start)
-        assert main(["enumerate", seed4_file, "--sample", "600"]) == 0
-        assert serial_pool.started == started
-        # Two workers cap a task at a quarter of each one's share, 585 // 8.
-        assert sizes == [1, 2, 4, 8] + ([585] if not started else [73] * 8 + [1])
-    assert capsys.readouterr().out.count("\n") == 2 * 601
+def estimated(count, seconds):
+    """The four timed batches, of 1, 2, 4 and 8 rows, of a sweep of `count`
+    rows whose least time per row, the 8-row batch's, puts `seconds` on the
+    rows left; a row of the first three takes twice that."""
+    row = seconds / (count - 15)
+    return rows_at(2 * row, 1, 2, 4) + rows_at(row, 8)
+
+
+T = 2 ** -12  # a fast row's seconds, as at n = 4
+FAST, SECOND = (1, 2, 4, 8), rows_at(1.0, 1, 1, 1, 1)  # rows of a second, as at n = 16
+
+# cli._schedule(count, timings, cap) -> (workers, size), by row id. The rows
+# left get one worker per POOL_START = 0.3 s of them at the least time per
+# row, within the cap and their number, fewer than two meaning serial (1). A
+# batch holds the rows of _BATCH_SECONDS = 0.25 s at that time, at most a
+# quarter of each worker's share when pooled, and one row at least. Before
+# each timed batch a sweep calls it with a cap of one, and the batch holds
+# min(2 ** i, size) rows.
+SCHEDULES = [
+    # No timed batch: the row time is unbounded, so one serial row at any cap.
+    ("empty sweep", 0, [], 1, (1, 1)),
+    ("no timed batch", 576, [], 1, (1, 1)),
+    ("no timed batch, cap 8", 100, [], 8, (1, 1)),
+    # The timed batches grow while 0.25 s holds them: fast rows fill 1, 2, 4
+    # and 8; rows of 0.125 s go two at a time, and a row of a second, as at
+    # n = 16 or a first row cold in a forked child, leaves the next one row.
+    ("timed after a fast row", 600, rows_at(T, 1), 1, (1, 1024)),
+    ("timed after a 0.125 s row", 600, rows_at(0.125, 1), 1, (1, 2)),
+    ("timed after a 1 s row", 576, rows_at(1.0, 1), 1, (1, 1)),
+    # The row time is the least over each batch's rows, not the first
+    # batch's or the mean: rows of 10T in the batches of 1, 2 and 4 and of T
+    # in the batch of 8 give batches of 0.25 / T = 1024, not 10T's 102. The
+    # 585 rows left take 0.14 s: no pool.
+    ("least of the batches", 600, rows_at(10 * T, 1, 2, 4) + rows_at(T, 8), 2, (1, 1024)),
+    # A slow first row keeps a short sweep serial: after a 1 s first row the
+    # n = 4 --all sweep's 562 rows left take 0.07 s at T / 2, one batch.
+    ("slow first row", 576, rows_at(1.0, 1) + rows_at(T / 2, 1, 4, 8), 2, (1, 2048)),
+    # Two workers from 0.6 s of rows left: 614 rows of 4T stay serial, and
+    # 615 get two, each batch a quarter of a worker's 307 rows.
+    ("614 rows of 4T", 629, rows_at(4 * T, *FAST), 2, (1, 256)),
+    ("615 rows of 4T", 630, rows_at(4 * T, *FAST), 2, (2, 76)),
+    ("615 rows of 4T, cap 1", 630, rows_at(4 * T, *FAST), 1, (1, 256)),
+    # One worker per 0.3 s of rows left, within the cap.
+    ("85 rows of 16T", 100, rows_at(16 * T, *FAST), 8, (1, 64)),
+    ("400 rows of 16T", 415, rows_at(16 * T, *FAST), 8, (5, 20)),
+    ("985 rows of 16T, cap 8", 1000, rows_at(16 * T, *FAST), 8, (8, 30)),
+    ("600 rows of 8T", 615, rows_at(8 * T, *FAST), 2, (2, 75)),
+    # Rows of a second: each row left gets a worker, within the cap and the
+    # rows left, and a batch holds one row; a short sweep has none left.
+    ("2 rows of 1 s, cap 2", 6, SECOND, 2, (2, 1)),
+    ("8 rows of 1 s, cap 8", 12, SECOND, 8, (8, 1)),
+    ("3 rows of 1 s, cap 8", 7, SECOND, 8, (3, 1)),
+    ("3 rows of 1 s, cap 2", 7, SECOND, 2, (2, 1)),
+    ("3 rows of 1 s, cap 1", 7, SECOND, 1, (1, 1)),
+    ("1 row of 1 s, cap 8", 5, SECOND, 8, (1, 1)),
+    ("no row left, cap 8", 3, rows_at(T, 1, 2), 8, (1, 1024)),
+    # A sweep finds a closed reader only when it writes, once a batch, so a
+    # batch holds 0.25 s of rows at the row time, at most a quarter of each
+    # worker's share when pooled, and one row at least. 600 rows, serial and
+    # with a cap of 2; the rows left at T take 0.14 s, so they stay serial.
+    ("batches of 1 s rows", 600, SECOND, 1, (1, 1)),
+    ("batches of 1 s rows, cap 2", 600, SECOND, 2, (2, 1)),
+    ("batches of 0.5 s rows", 600, rows_at(0.5, 1, 1, 1, 1), 1, (1, 1)),
+    ("batches of 0.5 s rows, cap 2", 600, rows_at(0.5, 1, 1, 1, 1), 2, (2, 1)),
+    ("batches of 0.125 s rows", 600, rows_at(0.125, 1, 2, 2, 2), 1, (1, 2)),
+    ("batches of 0.125 s rows, cap 2", 600, rows_at(0.125, 1, 2, 2, 2), 2, (2, 2)),
+    ("batches of 8T rows", 600, rows_at(8 * T, *FAST), 1, (1, 128)),
+    ("batches of 8T rows, cap 2", 600, rows_at(8 * T, *FAST), 2, (2, 73)),
+    ("batches of T rows", 600, rows_at(T, *FAST), 1, (1, 1024)),
+    ("batches of T rows, cap 2", 600, rows_at(T, *FAST), 2, (1, 1024)),
+    # Today's decisions at measured estimates of the rows left (2 cores,
+    # Python 3.11.7, whole processes with --check-invariance and
+    # SBOXFORGE_THREADS=2), where the 0.6 s threshold's margin is thin; a
+    # retune moves them on purpose. The n = 5 --all sweep (14 385 rows left)
+    # read 0.28-0.57 s in 41 of 42 runs: serial, and a pool lost 0.04-0.06 s
+    # there.
+    ("n=5 --all at 0.28 s", 14400, estimated(14400, 0.28), 2, (1, 12843)),
+    # It read 0.76 s once, which pools it.
+    ("n=5 --all at 0.76 s", 14400, estimated(14400, 0.76), 2, (2, 1798)),
+    # Sampled n = 10 --sample 500 read 0.64-1.22 s: pooled from 0.64 s, so a
+    # busier machine reading it under 0.6 s keeps it serial.
+    ("n=10 --sample 500 at 0.64 s", 500, estimated(500, 0.64), 2, (2, 60)),
+    # A random n = 5 seed with --sample 14400 read 1.0-2.2 s, several times
+    # its rows' cost in a large batch (a timed batch of 8 shares few
+    # sorted-coordinate keys), so it pools, and took 0.28 s pooled against
+    # 0.22 s serially (medians of 6 alternating runs).
+    ("n=5 --sample 14400 at 1.0 s", 14400, estimated(14400, 1.0), 2, (2, 1798)),
+    ("n=5 --sample 14400 at 2.2 s", 14400, estimated(14400, 2.2), 2, (2, 1634)),
+]
+
+
+@pytest.mark.parametrize("count, timings, cap, plan", [row[1:] for row in SCHEDULES],
+                         ids=[row[0] for row in SCHEDULES])
+def test_schedule(count, timings, cap, plan):
+    assert cli._schedule(count, timings, cap) == plan
 
 
 def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch, serial_pool):
     # After the seed's invariants have built the width's plan and cached its
-    # criteria, the sweep's first batches run here, of 1, 2, 4 and 8 rows,
-    # or fewer for a shorter sweep, and are timed, however many workers the
-    # cap allows. A stubbed clock makes their rows take 4u, 3u, 5u and 4u
-    # each. At u = 2 ** -10 s the batches grow; at u = 1 s, rows as slow as
-    # an n = 16 row with --check-invariance, each holds one row. The L rows
-    # left get L * 3u / POOL_START workers, within the cap and L, fewer than
-    # two meaning serial. They go out in batches, each taking its invariants
-    # in one call, as the seed took its own first, and the output is the
-    # serial output.
-    fast = ((0, [], None), (1, [1], None), (2, [1, 1], None), (3, [1, 2], None),
-            (10, [1, 2, 4, 3], None), (15, [1, 2, 4, 8], None), (17, [1, 2, 4, 8], None),
-            (19, [1, 2, 4, 8], 2), (25, [1, 2, 4, 8], 5), (100, [1, 2, 4, 8], 8))
-    slow = ((0, [], None), (1, [1], None), (3, [1] * 3, None), (5, [1] * 4, None),
-            (6, [1] * 4, None), (8, [1] * 4, 2), (14, [1] * 4, 5), (100, [1] * 4, 8))
-    events = []
-    rows_of = cli._enumerate_rows
+    # criteria, the sweep's first batches run here, of up to 1, 2, 4 and 8
+    # rows. Before each, _schedule gets the sweep's row count, the (seconds,
+    # rows) of the batches timed so far and a cap of one, and the batch
+    # holds as many rows as that plan allows. Then one call with every timed
+    # batch and the cap, min(SBOXFORGE_THREADS, the usable CPUs), plans the
+    # rest, and only then does a pool start: here on two workers, however
+    # few rows are left. Each batch takes its invariants in one call, as the
+    # seed took its own first, and the output is the oracle's at any cap.
+    # Without --check-invariance no row takes invariants.
+    events, schedule, invariants = [], cli._schedule, cli._invariants
 
-    def logged_rows(sweep, pairs):
-        events.append(len(pairs))
-        return rows_of(sweep, pairs)
+    def recorded(count, timings, cap):
+        events.append(("plan", count, list(timings), cap))
+        return 2, schedule(count, timings, cap)[1]
 
-    def logged_clock():
-        events.append("clock")
-        return next(clock)
-
-    invariants = cli._invariants
+    monkeypatch.setattr(cli, "_schedule", recorded)
     monkeypatch.setattr(cli, "_invariants",
                         lambda *args: events.append("invariants") or invariants(*args))
-    monkeypatch.setattr(cli, "_enumerate_rows", logged_rows)
-    monkeypatch.setattr(cli, "perf_counter", logged_clock)
-    monkeypatch.setattr(cli, "_cpus", lambda: 8)
-    for u, cases in ((2 ** -10, fast), (1.0, slow)):
-        full = cases[-1][1]
-        clock_values = [x for r, k in zip((4, 3, 5, 4), full) for x in (0, r * u * k)]
-        monkeypatch.setattr(cli, "POOL_START", 6 * u)
-        for rows, timed, workers in cases:
-            argv = ["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]
-            outputs = []
-            for threads in (None, "8"):
-                if threads:
-                    monkeypatch.setenv("SBOXFORGE_THREADS", threads)
-                else:
-                    monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-                events.clear()
-                serial_pool.started.clear()
-                clock = iter(clock_values)
-                assert main(argv) == 0
-                head = 1 + 4 * len(timed)
-                assert events[:head] == ["invariants"] + [
-                    e for k in timed for e in ("clock", k, "invariants", "clock")]
-                sizes = [e for e in events[head:] if e != "invariants"]
-                assert sum(sizes) == rows - sum(timed)
-                assert events[head:] == [e for k in sizes for e in (k, "invariants")]
-                assert serial_pool.started == ([workers] if threads and workers else [])
-                outputs.append(capsys.readouterr())
-            assert outputs[0] == outputs[1]
-        # Without --check-invariance rows take no invariants, and batches timed
-        # the same way still decide the pool: 2 workers for the 4 rows left,
-        # tasks of one pair.
-        events.clear()
-        serial_pool.started.clear()
-        clock = iter(clock_values)
-        assert main(["enumerate", seed4_file, "--sample", str(sum(full) + 4)]) == 0
-        assert events == [e for k in full for e in ("clock", k, "clock")] + [1] * 4
-        assert serial_pool.started == [2]
-        assert capsys.readouterr().out.count("\n") == sum(full) + 5
+    monkeypatch.setattr(cli, "_process_pool",
+                        lambda workers: events.append(("pool", workers)) or serial_pool(workers))
+    for rows in (0, 1, 3, 10, 17, 100):
+        rng = random.Random(0)
+        expected = expected_csv(SEED4, [(rng.randrange(24), rng.randrange(24))
+                                        for _ in range(rows)], True)
+        for threads, check in ((None, True), ("8", True), (None, False)):
+            if threads:
+                monkeypatch.setenv("SBOXFORGE_THREADS", threads)
+            else:
+                monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
+            events.clear()
+            argv = ["enumerate", seed4_file, "--sample", str(rows)] + ["--check-invariance"] * check
+            assert main(argv) == 0
+            timings = [e for e in events if e[0] == "plan"][-1][2]
+            timed = [r for _, r in timings]
+            assert timed == [min(2 ** i, schedule(rows, timings[:i], 1)[1], rows - sum(timed[:i]))
+                             for i in range(len(timed))]
+            assert sum(timed) == rows or len(timed) == 4
+            assert all(seconds > 0 for seconds, _ in timings)
+            cap = min(int(threads), cli._cpus()) if threads else 1
+            head = ["invariants"] + [e for i in range(4) for e in [("plan", rows, timings[:i], 1)]
+                                     + ["invariants"] * (i < len(timed))]
+            head += [("plan", rows, timings, cap), ("pool", 2)]
+            if check:
+                assert events[:len(head)] == head
+                assert events[len(head):] == ["invariants"] * (rows > sum(timed))
+                assert capsys.readouterr() == expected
+            else:
+                assert events == [e for e in head if e != "invariants"]
+                assert capsys.readouterr().out.count("\n") == rows + 1
 
 
-@pytest.mark.parametrize("rows, cpus", [(6, 2), (12, 8)])
-def test_enumerate_rows_of_a_second_each_get_a_worker(rows, cpus, seed4_file, capsys,
-                                                      monkeypatch, serial_pool):
-    # At the shipped POOL_START, rows of a second each, as n = 16 rows with
-    # --check-invariance take, are timed one at a time, and each of the rows
-    # left after the four timed gets a worker, as many as the CPUs allow:
-    # 2 workers for 2 rows on 2 CPUs, 8 for 8 rows on 8 CPUs. A task holds
-    # one pair.
-    sizes, rows_of = [], cli._enumerate_rows
-    monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
-    monkeypatch.setattr(cli, "perf_counter", timed_clock(lambda size: 1.0, sizes))
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    monkeypatch.setenv("SBOXFORGE_THREADS", str(cpus))
-    assert main(["enumerate", seed4_file, "--sample", str(rows), "--check-invariance"]) == 0
-    assert serial_pool.started == [cpus]
-    assert sizes == [1] * rows
-    assert capsys.readouterr().out.count("\n") == rows + 1
-
-
-def test_enumerate_slow_first_row_keeps_a_short_sweep_serial(seed4_file, capsys, monkeypatch,
-                                                             serial_pool):
-    # The least time per row decides, not the first: a first row can be
-    # cold, as in a forked child. A stubbed clock makes the first row of the
-    # 576-row --all sweep take 1 s, so the next batch holds one row, not
-    # two; that row and the rows of the batches of 4 and 8 take 0.1 ms each.
-    # 562 rows of 0.1 ms are less than two POOL_STARTs, so two allowed
-    # workers stay unstarted, and the rows left fit one 0.25 s batch.
-    sizes, rows_of = [], cli._enumerate_rows
-    clock = iter([0, 1.0, 0, 1e-4, 0, 4e-4, 0, 8e-4])
-    monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
-    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setenv("SBOXFORGE_THREADS", "2")
-    assert main(["enumerate", seed4_file, "--all", "--check-invariance"]) == 0
+def test_enumerate_short_sweep_starts_no_pool(seed4_file, capsys, monkeypatch, serial_pool):
+    # Three rows are all timed, leaving none for a pool at any cap.
+    monkeypatch.setenv("SBOXFORGE_THREADS", "64")
+    assert main(["enumerate", seed4_file, "--sample", "3", "--check-invariance"]) == 0
     assert serial_pool.started == []
-    assert sizes == [1, 1, 4, 8, 562]
-    assert capsys.readouterr().err == "rows=576 distinct=576 invariance_pass=576\n"
-
-
-@pytest.mark.parametrize("threads, cpus", [(None, 1), ("2", 4)])
-@pytest.mark.parametrize("seconds, rows", [(1.0, 1), (0.5, 1), (0.125, 2), (2 ** -9, 128),
-                                           (2 ** -12, 1024)])
-def test_enumerate_batches_hold_a_quarter_second_of_rows(threads, cpus, seconds, rows, seed4_file,
-                                                         capsys, monkeypatch, serial_pool):
-    # A sweep finds a closed reader only when it writes, once a batch, so no
-    # batch holds more rows than take 0.25 s at the least time per row so
-    # far (a stubbed clock gives every row the same), and none fewer than
-    # one, the timed batches of up to 1, 2, 4 and 8 rows too; a pool's tasks
-    # also stay within a quarter of each worker's share of the rows left.
-    timed = {1.0: [1, 1, 1, 1], 0.5: [1, 1, 1, 1], 0.125: [1, 2, 2, 2]}.get(seconds, [1, 2, 4, 8])
-    sizes, rows_of = [], cli._enumerate_rows
-    monkeypatch.setattr(cli, "_enumerate_rows",
-                        lambda sweep, pairs: sizes.append(len(pairs)) or rows_of(sweep, pairs))
-    monkeypatch.setattr(cli, "perf_counter", timed_clock(lambda size: seconds, sizes))
-    monkeypatch.setattr(cli, "POOL_START", 1e-12)
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    if threads:
-        monkeypatch.setenv("SBOXFORGE_THREADS", threads)
-    else:
-        monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
-    assert main(["enumerate", seed4_file, "--sample", "600"]) == 0
-    size = min(rows, (600 - sum(timed)) // 8) if threads else rows
-    assert sizes[:4] == timed and sum(sizes) == 600
-    assert sizes[4:-1] == [size] * (len(sizes) - 5) and sizes[-1] <= size
-    assert serial_pool.started == ([2] if threads else [])
+    assert "rows=3 distinct=3 invariance_pass=3" in capsys.readouterr().err
 
 
 def test_enumerate_unwritable_output_fails_fast(seed4_file, tmp_path, capsys, monkeypatch):
@@ -2119,6 +2070,43 @@ def test_ctrl_c_before_a_forked_workers_initializer_ends_it_quietly(child_env):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "130\n", "")
+
+
+def test_a_worker_killed_from_outside_ends_the_sweep_in_one_line(aes_file, tmp_path, child_env):
+    # A pool worker that the OOM killer or kill -9 ends breaks the pool. The
+    # sweep stops its other workers, removes the CSV it created, prints one
+    # line and exits 7, leaving no process of its group. Here the sweep's
+    # process sends SIGKILL to one of its two workers once two pooled
+    # batches have come back.
+    out = tmp_path / "sweep.csv"
+    probe = (
+        "import os, signal, sys\n"
+        "from sboxforge import cli\n"
+        "cli._schedule, pooled_rows = lambda count, timings, cap: (2, 64), cli._pooled_rows\n"
+        "def killing(pool, *args):\n"
+        "    for i, rows in enumerate(pooled_rows(pool, *args)):\n"
+        "        if i == 1:\n"
+        "            os.kill(next(iter(pool._processes)), signal.SIGKILL)\n"
+        "        yield rows\n"
+        "cli._pooled_rows = killing\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    sweep = subprocess.Popen(
+        [sys.executable, "-c", probe, "enumerate", aes_file, "--sample", "3000",
+         "--check-invariance", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True, env=child_env)
+    try:
+        stdout, stderr = sweep.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(sweep.pid, 0)
+    finally:
+        try:
+            os.killpg(sweep.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        sweep.wait()
+    assert (sweep.returncode, stdout, stderr) == (
+        cli.EXIT_WORKER, b"", b"error: a worker process ended before its rows came back\n")
+    assert cli.EXIT_WORKER == 7 and not out.exists()
 
 
 def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):

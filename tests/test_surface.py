@@ -468,6 +468,66 @@ def test_no_call_rebinds_module_state():
             assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == [], name
 
 
+# What a sweep's plan reads: a test sets none of them on cli, but stubs
+# cli._schedule or calls it with the numbers it needs.
+SCHEDULE_INPUTS = {"perf_counter", "POOL_START", "_cpus"}
+
+
+def schedule_stubs(tree):
+    """The lines of `tree` that set cli.perf_counter, cli.POOL_START or
+    cli._cpus, by setattr or by assignment, in its code or in any string of
+    it that parses as Python, such as a child's script."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) \
+                == "setattr" and len(node.args) > 1:
+            owner, name = node.args[:2]
+            if getattr(owner, "id", getattr(owner, "attr", None)) == "cli" \
+                    and getattr(name, "value", None) in SCHEDULE_INPUTS:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and getattr(node.value, "id", None) == "cli" and node.attr in SCHEDULE_INPUTS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                script = ast.parse(node.value)
+            except (SyntaxError, ValueError):
+                continue
+            lines += [node.lineno] * len(schedule_stubs(script))
+    return lines
+
+
+def test_no_test_stubs_what_the_schedule_reads():
+    # The scheduling rule is one pure function, cli._schedule, so its tests
+    # are a table of numbers, and a test that needs a pool stubs _schedule:
+    # none stubs the clock, POOL_START or the CPU count on cli. Stubbing
+    # cli.os for the affinity mask stays allowed.
+    # Spelled {cli} here, so that the scan of this file finds none.
+    caught = ('monkeypatch.setattr({cli}, "_cpus", lambda: 2)\n'
+              'setattr(sboxforge.{cli}, "perf_counter", clock)\n'
+              '{cli}.POOL_START = 1e-12\n'
+              'probe = "{cli}.POOL_START, {cli}._cpus = 1e-12, lambda: 2"\n'
+              'monkeypatch.setattr({cli}.os, "sched_getaffinity", lambda pid: {0})\n')
+    assert schedule_stubs(ast.parse(caught.replace("{cli}", "cli"))) == [1, 2, 3, 4, 4]
+    directory = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                assert schedule_stubs(ast.parse(handle.read(), name)) == [], name
+
+
+def test_readme_states_the_schedules_numbers():
+    # README "Environment" names where the rule lives and its numbers, read
+    # here against the constants _schedule reads.
+    text = " ".join(readme_section("Environment").split())
+    assert "`cli._schedule`" in text and callable(cli._schedule)
+    per, two, batch = map(float, re.search(
+        r"one worker per ([\d.]+) s of rows left at that time, so two from ([\d.]+) s, fewer "
+        r"than two meaning serial\. A batch holds at most ([\d.]+) s of rows at that time, "
+        r"and at most a quarter of each worker's share when pooled\.", text).groups())
+    assert (per, two, batch) == (cli.POOL_START, 2 * cli.POOL_START, cli._BATCH_SECONDS)
+
+
 def test_analysis_keeps_no_unbounded_memo():
     # Module state of analysis is built at import and only read: no
     # module-level dict, list or set it assigns, which calls could fill. Its

@@ -1,18 +1,12 @@
-"""Key-dependent clone s-box generation and algebraic property analysis."""
+"""Key-dependent clone s-box generation and algebraic property analysis.
 
-from .analysis import (
-    AnalysisReport,
-    BooleanFunctionTable,
-    PropertyStats,
-    ReportComparison,
-    WalshSpectrum,
-    analyze,
-    compare_reports,
-    component_function,
-    max_balanced_nonlinearity,
-    nonlinearity,
-    walsh_spectrum,
-)
+The report and Boolean-function API, with derive_row_permutation and
+find_fixed_points, is library's, which no CLI command runs: it loads on the
+first access to one of its names, through __getattr__, so a CLI call never
+compiles it.
+"""
+
+from .analysis import max_balanced_nonlinearity
 from .core import (
     BitPermutation,
     FixedPointReport,
@@ -21,8 +15,6 @@ from .core import (
     SBox,
     clone_sbox,
     clone_sbox_avoiding_fixed_points,
-    derive_row_permutation,
-    find_fixed_points,
 )
 from .keys import key_to_permutations, lehmer_decode
 
@@ -52,3 +44,16 @@ __all__ = [
     "nonlinearity",
     "walsh_spectrum",
 ]
+
+
+def __getattr__(name):
+    # Only a name not bound above gets here: a public one is library's.
+    if name in __all__:
+        from . import library
+
+        return getattr(library, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

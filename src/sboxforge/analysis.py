@@ -13,13 +13,9 @@ n * 2**n, and their averages over n * n * 2**n and p * n * 2**n, for the
 p = n * (n - 1) / 2 output pairs. Each sd is a float, the square root of
 an exact variance.
 
-The CLI renders a report from its integer form (_report), each ratio
-rounded to six places by formats, and compares integer moments; it builds
-no Fraction. Only the library's analyze makes Fractions of those ratios
-(_population_stats), for AnalysisReport's fields, which compare_reports
-then compares. fractions is imported there, on the first call: loading it,
-with the decimal and numbers modules it imports, would cost every CLI call
-about 2.5 ms.
+The CLI renders a report from its integer form (_report) and compares
+integer moments (_invariants, _differences). The report types, analyze and
+the one-function views are library's, which makes Fractions of the ratios.
 """
 
 from __future__ import annotations
@@ -29,71 +25,12 @@ from functools import lru_cache
 from operator import add, mul, sub, xor
 from types import SimpleNamespace
 
-from .core import FixedPointReport, SBox, _Record, _fixed_points, _planes, _repeat, _split, _width
-
-
-class BooleanFunctionTable(_Record):
-    """Truth table of an n-input Boolean function as 2**n bits, 1 <= n <= 16."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        self._set(tuple(values))
-        count = len(self.values)
-        # (count - 1).bit_length() is the least n with count <= 2**n (1 for an empty table).
-        if count != 1 << _width((count - 1).bit_length(), 1):
-            raise ValueError(f"truth table length {count} is not a power of two")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("truth table entries must be bits")
-
-
-class WalshSpectrum(_Record):
-    """Signed correlations with every linear mask, indexed by mask."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]):
-        self._set(coefficients)
-
-
-class PropertyStats(_Record):
-    """min/max/avg/sd summary of one metric family."""
-
-    __slots__ = ("min", "max", "avg", "sd")
-
-    def __init__(self, min: int | Fraction, max: int | Fraction, avg: Fraction, sd: float):
-        self._set(min, max, avg, sd)
-
-
-class AnalysisReport(_Record):
-    """Full four-criterion measurement of one s-box."""
-
-    __slots__ = ("n", "bijective", "fixed_points", "nl", "nl_bound", "sac", "bic_nl", "bic_sac")
-
-    def __init__(self, n: int, bijective: bool, fixed_points: FixedPointReport, nl: PropertyStats,
-                 nl_bound: int, sac: PropertyStats, bic_nl: PropertyStats, bic_sac: PropertyStats):
-        self._set(n, bijective, fixed_points, nl, nl_bound, sac, bic_nl, bic_sac)
-
-
-class ReportComparison(_Record):
-    __slots__ = ("equal", "differences")
-
-    def __init__(self, equal: bool, differences: tuple[str, ...]):
-        self._set(equal, differences)
+from .core import SBox, _fixed_points, _planes, _repeat, _split, _width
 
 
 CRITERIA = ("nl", "sac", "bic_nl", "bic_sac")
-
-
-def component_function(s: SBox, mask: int) -> BooleanFunctionTable:
-    """Truth table x -> parity(s[x] & mask).
-
-    A single-bit mask extracts one coordinate; mask 0 is permitted and
-    yields the constant-zero function.
-    """
-    if not 0 <= mask < 1 << s.n:
-        raise ValueError(f"mask {mask} out of range for width {s.n}")
-    return BooleanFunctionTable(tuple((v & mask).bit_count() & 1 for v in s.table))
+# Each criterion's fields in a report, in order: library.PropertyStats.__slots__.
+STATS = ("min", "max", "avg", "sd")
 
 
 # A batch's spectra take at most 2**24 bits (one bitset's, if more), so the
@@ -246,31 +183,10 @@ def _measure(functions, n: int) -> list[int]:
     return out
 
 
-def _bitset(f: BooleanFunctionTable) -> int:
-    """The truth table as one int: bit x is f(x)."""
-    return int(bytes(f.values[::-1]).hex()[1::2], 2)  # bytes 0 and 1 in hex are 00 and 01
-
-
 def _derivatives(coordinates: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """The n x n derivative bitsets: entry [j][i] has bit x = f_j(x) ^ f_j(x ^ 2**i)."""
     flips = _plan(n).flips
     return [tuple([((g >> h & low) | (g & low) << h) ^ g for h, low in flips]) for g in coordinates]
-
-
-def walsh_spectrum(f: BooleanFunctionTable) -> WalshSpectrum:
-    """Correlation with every linear mask: lane a of block g of _butterfly's
-    spectrum of f alone holds mask 8g + a, less the lane's bias."""
-    n = len(f.values).bit_length() - 1
-    plan = _plan(n)
-    lane, span = plan.lane, plan.lane * min(8, 1 << n)
-    fill, bias = (1 << lane) - 1, 1 << lane - 1
-    ints = _butterfly([_bitset(f)], n, plan.high & (1 << span) - 1, n - 3)
-    return WalshSpectrum(tuple([(x >> i & fill) - bias for x in ints for i in range(0, span, lane)]))
-
-
-def nonlinearity(f: BooleanFunctionTable) -> int:
-    """Minimum Hamming distance to the affine functions (constants included)."""
-    return _measure([_bitset(f)], len(f.values).bit_length() - 1)[0]
 
 
 def max_balanced_nonlinearity(n: int) -> int:
@@ -296,16 +212,6 @@ def _ratios(moments: tuple[int, int, int, int], count: int, d: int, sd_divisor: 
     # Int true division rounds correctly, so this is the float of the exact variance.
     sd = math.sqrt(spread / (count * d) ** 2) / sd_divisor
     return (low, d), (high, d), (total, count * d), sd
-
-
-def _population_stats(ratios: tuple) -> PropertyStats:
-    """The PropertyStats of a criterion's _ratios; min and max stay ints when d == 1."""
-    from fractions import Fraction  # here alone: see the module docstring
-
-    (low, d), (high, _), avg, sd = ratios
-    if d != 1:
-        low, high = Fraction(low, d), Fraction(high, d)
-    return PropertyStats(low, high, Fraction(*avg), sd)
 
 
 # Every criterion is a population of integer counts read off the functions
@@ -334,32 +240,16 @@ def _criteria(coordinates: tuple[int, ...], n: int) -> tuple[tuple[int, int, int
 
 
 def _report(s: SBox) -> tuple:
-    """The integer form of s's report, which formats renders and analyze
-    turns into an AnalysisReport: (n, bijective, fixed points, nl_bound,
-    each criterion's _ratios in CRITERIA order)."""
+    """The integer form of s's report, which formats renders and
+    library.analyze turns into an AnalysisReport: (n, bijective, fixed
+    points, nl_bound, each criterion's _ratios in CRITERIA order)."""
     n, planes = s.n, _planes([s.table], s.n)
     bijective, *moments = _invariants([s.table], planes)[0]
     pairs = n * (n - 1) >> 1
-    # Each criterion's (count, d, sd divisor): `count` values c / d (see analyze).
+    # Each criterion's (count, d, sd divisor): `count` values c / d (see library.analyze).
     shapes = (n, 1, 1), (n * n, 1 << n, 2), (pairs, 1, 1), (pairs, n << n, 1)
     stats = [_ratios(m, *shape) for m, shape in zip(moments, shapes)]
     return n, bijective, _fixed_points(planes), max_balanced_nonlinearity(n) if n >= 3 else 0, stats
-
-
-def analyze(s: SBox) -> AnalysisReport:
-    """Bundle all four criteria plus fixed-point detection into one report.
-
-    SAC entry (i, j), the probability that flipping input bit i flips
-    output bit j, is its count over 2**n. A BIC-SAC value, the mean over the
-    n single-bit input flips of the probability that f_j ^ f_k flips, is its
-    count over n * 2**n. The customary spread convention for s-box
-    comparison tables measures SAC flip counts against 2**(n+1) rather than
-    2**n samples, so sac.sd is half the population standard deviation of
-    the entries.
-    """
-    n, bijective, fixed_points, nl_bound, stats = _report(s)
-    nl, sac, bic_nl, bic_sac = map(_population_stats, stats)
-    return AnalysisReport(n, bijective, fixed_points, nl, nl_bound, sac, bic_nl, bic_sac)
 
 
 def _invariants(tables: list, planes: list[bytes]) -> list[tuple]:
@@ -388,25 +278,12 @@ def _invariants(tables: list, planes: list[bytes]) -> list[tuple]:
     return [(len(set(table)) == len(table), *criteria[key]) for key, table in zip(keys, tables)]
 
 
-def compare_reports(a: AnalysisReport, b: AnalysisReport) -> ReportComparison:
-    """Field-by-field comparison of the four preserved criteria.
-
-    Every field must match exactly. sd is the float of an exact rational
-    variance, so equal counts give identical floats, and at n <= 16 distinct
-    variances differ by far more than a float's rounding.
-    Fixed-point sets are informational and deliberately excluded: cloning
-    relocates fixed points rather than preserving them.
-    """
-    rows = [(r.bijective, *[getattr(r, name)._fields() for name in CRITERIA]) for r in (a, b)]
-    diffs = (("n",) if a.n != b.n else ()) + _differences(*rows)
-    return ReportComparison(not diffs, diffs)
-
-
 def _differences(a: tuple, b: tuple) -> tuple[str, ...]:
-    """The fields in which two rows differ, named in compare_reports' order. A
-    row is a bijectivity, then per criterion its (min, max, avg, sd) or the
-    _moments that decide them: a report's, or a table's _invariants."""
+    """The fields in which two rows differ, named in library.compare_reports'
+    order. A row is a bijectivity, then per criterion its STATS, (min, max,
+    avg, sd), or the _moments that decide them: a report's, or a table's
+    _invariants."""
     diffs = [] if a[0] == b[0] else ["bijective"]
     for name, x, y in zip(CRITERIA, a[1:], b[1:]):
-        diffs += [f"{name}.{field}" for field, u, v in zip(PropertyStats.__slots__, x, y) if u != v]
+        diffs += [f"{name}.{field}" for field, u, v in zip(STATS, x, y) if u != v]
     return tuple(diffs)

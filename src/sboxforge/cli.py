@@ -17,9 +17,10 @@ itertools, math, operator, os, stat, sys, time and types, with what those
 import, and the interpreter's own SHA-256 and _signal, which it loaded at
 start. The rest loads where it runs:
 argparse and the help for an argv that _fast declines (usage), random for
---sample, and the process pool for a sweep that pools. No command imports
-fractions, decimal or re: analyze renders its report from integer ratios,
-and verify and sweeps compare integer moments.
+--sample, the process pool for a sweep that pools, and the report and
+Boolean-function API for a library caller alone (library). No command
+imports fractions, decimal or re: analyze renders its report from integer
+ratios, and verify and sweeps compare integer moments.
 """
 
 from __future__ import annotations

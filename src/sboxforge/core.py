@@ -175,18 +175,6 @@ def _lift(images) -> list[int] | bytes:
     return table
 
 
-def derive_row_permutation(sigma1: BitPermutation, n: int) -> BitPermutation:
-    """Lift a permutation of n bit positions to the 2**n table indices.
-
-    Index i goes to i with bit j moved to bit sigma1.images[j]: the decimal
-    reading of the identity table's bit matrix after sigma1 rearranges its
-    columns. Indices 0 and 2**n - 1 are always fixed. n must be in [2, 16].
-    """
-    if len(sigma1.images) != _width(n):
-        raise ValueError(f"permutation size {len(sigma1.images)} != {n}")
-    return BitPermutation(_lift(sigma1.images))
-
-
 def clone_sbox(seed: SBox, sigma1: BitPermutation, sigma2: BitPermutation) -> SBox:
     """Clone `seed` by permuting input bits with sigma1 and output bits with sigma2.
 
@@ -319,16 +307,12 @@ def _coordinates(s: SBox) -> tuple[int, ...]:
     return _split(_planes([s.table], s.n))[0]
 
 
-def find_fixed_points(s: SBox) -> FixedPointReport:
-    """Indices i with s[i] = i (fixed) or s[i] = 2**n - 1 - i (reverse fixed)."""
-    return _fixed_points(_planes([s.table], s.n))
-
-
 def _fixed_points(planes: list[bytes]) -> FixedPointReport:
-    """find_fixed_points of the one table whose _planes are `planes`: the set
-    bits of its two _masks. Split at its 1s, a mask's binary text, bit 0
-    first, leaves the runs of 0s between them, so each 1 is at the running
-    sum of the runs and 1s before it: no step runs per entry."""
+    """library.find_fixed_points of the one table whose _planes are
+    `planes`: the set bits of its two _masks. Split at its 1s, a mask's
+    binary text, bit 0 first, leaves the runs of 0s between them, so each 1
+    is at the running sum of the runs and 1s before it: no step runs per
+    entry."""
     return FixedPointReport(*[frozenset(accumulate(map(len, f"{mask:b}"[::-1].split("1")[:-1]),
                                                    lambda at, run: at + run + 1))
                               for mask in _masks(planes)])

@@ -25,6 +25,7 @@ from sboxforge import (
     component_function,
     core,
     lehmer_decode,
+    library,
     max_balanced_nonlinearity,
     nonlinearity,
     walsh_spectrum,
@@ -695,11 +696,11 @@ def test_analyze_bundles_everything():
 def _fresh_reports(tables, env) -> list[str]:
     """repr of each table's report, computed in a new interpreter with nothing cached."""
     code = ("import json, sys\n"
-            "from sboxforge import SBox, analysis\n"
+            "from sboxforge import SBox, analysis, library\n"
             "for table in json.load(sys.stdin):\n"
             "    analysis._plan.cache_clear()\n"
             "    analysis._criteria.cache_clear()\n"
-            "    print(repr(analysis.analyze(SBox.from_table(table))))\n")
+            "    print(repr(library.analyze(SBox.from_table(table))))\n")
     result = subprocess.run([sys.executable, "-c", code], input=json.dumps(tables),
                             capture_output=True, text=True, check=True, env=env)
     return result.stdout.splitlines()
@@ -866,7 +867,7 @@ def test_compare_reports_tells_close_sac_populations_apart_at_n16():
     assert analysis._moments(moved)[::2] == analysis._moments(counts)[::2]
     assert analysis._moments(moved)[3] == analysis._moments(counts)[3] + 2 * len(counts)
     report = _replace(analyze(SBox.from_table(AES_SBOX)), n=n)
-    a, b = (_replace(report, sac=analysis._population_stats(analysis._ratios(
+    a, b = (_replace(report, sac=library._population_stats(analysis._ratios(
                 analysis._moments(c), len(c), 1 << n, sd_divisor=2))) for c in (counts, moved))
     assert 0 < abs(a.sac.sd - b.sac.sd) < 1e-9
     assert compare_reports(a, b) == ReportComparison(False, ("sac.sd",))
@@ -897,7 +898,7 @@ def test_each_moment_differs_where_its_stats_field_does(n, shape, kind, seed):
     elif kind == "other":
         b = [rng.randint(0, top) for _ in range(count)]
     moments = [analysis._moments(c) for c in (a, b)]
-    stats = [analysis._population_stats(analysis._ratios(m, count, d, sd_divisor))._fields()
+    stats = [library._population_stats(analysis._ratios(m, count, d, sd_divisor))._fields()
              for m in moments]
     assert [x != y for x, y in zip(*moments)] == [x != y for x, y in zip(*stats)]
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import concurrent.futures.process  # noqa: F401
 
 from sboxforge import (SBox, analysis, analyze, cli, clone_sbox, compare_reports, core,
-                       find_fixed_points, formats, lehmer_decode)
+                       find_fixed_points, formats, lehmer_decode, library)
 from sboxforge.cli import main
 from sboxforge.formats import serialize_sbox
 
@@ -901,7 +901,7 @@ def test_enumerate_reads_each_batch_off_one_transpose(seed4_file, capsys, monkey
     monkeypatch.setattr(cli, "_fixed_counts", lambda planes: reads.append(planes) or fixed_counts(planes))
     monkeypatch.setattr(cli, "_invariants",
                         lambda tables, planes: reads.append(planes) or invariants(tables, planes))
-    monkeypatch.setattr(core, "find_fixed_points", _must_not_run)
+    monkeypatch.setattr(library, "find_fixed_points", _must_not_run)
     monkeypatch.setattr(core, "_fixed_points", _must_not_run)
     assert main(["enumerate", seed4_file, "--sample", "20", "--check-invariance"]) == 0
     rng = random.Random(0)

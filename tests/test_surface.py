@@ -9,13 +9,14 @@ import sys
 import time
 import tokenize
 import tracemalloc
+import typing
 from math import factorial
 
 import pytest
 
 import sboxforge
 from sboxforge import (BitPermutation, BooleanFunctionTable, SBox, analysis, cli, clone_sbox,
-                       formats, derive_row_permutation, key_to_permutations, lehmer_decode,
+                       formats, derive_row_permutation, key_to_permutations, lehmer_decode, library,
                        max_balanced_nonlinearity, nonlinearity, walsh_spectrum)
 from sboxforge.formats import serialize_sbox
 
@@ -73,8 +74,36 @@ def test_public_surface_is_pinned():
     for name in PUBLIC:
         assert getattr(sboxforge, name) is not None
     members = {name: {member for member in vars(cls) if not member.startswith("_")}
-               for name, cls in vars(sboxforge).items() if name in PUBLIC and isinstance(cls, type)}
+               for name, cls in (vars(sboxforge) | vars(library)).items()
+               if name in PUBLIC and isinstance(cls, type)}
     assert members == MEMBERS
+
+
+def test_public_type_hints_resolve():
+    # Every annotation of a public function, and of a public class's
+    # __init__, names something its module binds: get_type_hints raises
+    # NameError on one that does not.
+    for name in sboxforge.__all__:
+        value = getattr(sboxforge, name)
+        typing.get_type_hints(value.__init__ if isinstance(value, type) else value)
+
+
+def test_library_names_load_on_first_use():
+    # The 12 public names that sboxforge does not bind at import are the
+    # ones library defines, got through the package's __getattr__; dir()
+    # lists them all.
+    lazy = PUBLIC - set(vars(sboxforge))
+    assert lazy == {name for name in PUBLIC if getattr(sboxforge, name).__module__ == library.__name__}
+    assert len(lazy) == 12 and all(getattr(sboxforge, name) is getattr(library, name) for name in lazy)
+    assert set(dir(sboxforge)) >= PUBLIC
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        sboxforge.nothing
+
+
+def test_differences_names_the_fields_of_property_stats():
+    # verify and sweeps name a differing field from analysis.STATS, so that
+    # no command loads library; it must stay PropertyStats' own field list.
+    assert library.PropertyStats.__slots__ == analysis.STATS
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -266,11 +295,11 @@ def test_cli_docstring_names_the_standard_library_a_cold_call_imports():
     # cli's docstring lists what sboxforge's modules import from the standard
     # library at module level, and names the interpreter's SHA-256 and
     # _signal apart; usage.py, which only an argv that _fast declines loads,
-    # is left out.
+    # and library.py, which only a library caller loads, are left out.
     package = os.path.dirname(sboxforge.__file__)
     imported = set()
     for name in sorted(os.listdir(package)):
-        if name.endswith(".py") and name != "usage.py":
+        if name.endswith(".py") and name not in ("usage.py", "library.py"):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
                 imported |= _module_level_imports(ast.parse(handle.read()))
     listed = re.search(r"import from the standard library only (.*?), with what those import",
@@ -280,25 +309,29 @@ def test_cli_docstring_names_the_standard_library_a_cold_call_imports():
 
 # What a cold CLI call must not load: fractions, with the decimal and numbers
 # modules it imports, since no command builds a Fraction; re, which only a
-# text too long to split whole needs; and random, which only a sample needs.
-LAZY = {"fractions", "decimal", "_decimal", "numbers", "re", "random"}
+# text too long to split whole needs; random, which only a sample needs; and
+# sboxforge.library, the report and Boolean-function API that no command runs.
+LAZY = {"fractions", "decimal", "_decimal", "numbers", "re", "random", "sboxforge.library"}
 
 
 def test_cli_calls_leave_fractions_re_and_random_out(child_env, tmp_path):
-    # Each of the benchmark's argvs, then analyze --format text and derive,
-    # run through cli.main in one process, which prints what of LAZY each
-    # left loaded: random from the first --sample on, and nothing else. -S
-    # as below: site-packages hooks can load re and random themselves.
+    # Each of the benchmark's argvs, then analyze --format text, derive and
+    # a verify that names the fields that differ, run through cli.main in one
+    # process, which prints what of LAZY each left loaded: random from the
+    # first --sample on, and nothing else. -S as below: site-packages hooks
+    # can load re and random themselves.
     rng = random.Random(36)
     seed8 = SBox(8, tuple(random_bijective(rng, 8)))
     seed10 = SBox(10, tuple(random_bijective(rng, 10)))
     files = {"s8.txt": seed8, "s4.txt": SBox(4, tuple(random_bijective(rng, 4))),
              "aes.txt": SBox.from_table(AES_SBOX), "s10.txt": seed10, "a.txt": seed10,
-             "b.txt": clone_sbox(seed10, *key_to_permutations(b"\x24", 10))}
+             "b.txt": clone_sbox(seed10, *key_to_permutations(b"\x24", 10)),
+             "u.txt": SBox(10, tuple(random_bijective(rng, 10)))}
     for name, s in files.items():
         (tmp_path / name).write_text(serialize_sbox(s))
     argvs = BENCH_ARGVS + [["analyze", "s10.txt", "--format", "text"],
-                           ["derive", "--key", "0123456789", "--n", "10"]]
+                           ["derive", "--key", "0123456789", "--n", "10"],
+                           ["verify", "a.txt", "u.txt"]]
     # The probe's own lines start "probe:", apart from what the commands print.
     probe = ("import sys, sboxforge.cli; "
              f"print('probe:', sorted({LAZY!r} & set(sys.modules))); "
@@ -308,13 +341,15 @@ def test_cli_calls_leave_fractions_re_and_random_out(child_env, tmp_path):
                             env={**child_env, "SBOXFORGE_THREADS": "1"}, cwd=tmp_path, check=True)
     sampled = [any("--sample" in a for a in argvs[:i + 1]) for i in range(len(argvs))]
     assert [line for line in result.stdout.splitlines() if line.startswith("probe:")] == \
-        ["probe: []"] + [f"probe: 0 {['random'] if s else []}" for s in sampled]
+        ["probe: []"] + [f"probe: {cli.EXIT_MISMATCH if a[2:] == ['u.txt'] else 0} "
+                         f"{['random'] if s else []}" for a, s in zip(argvs, sampled)]
 
 
 def test_the_library_loads_fractions_and_re_where_it_uses_them(child_env):
     # A text longer than 2 * MAX_ENTRIES characters is split by a regex,
-    # loading re; analyze still returns Fractions, importing fractions on its
-    # first call, and compare_reports finds a clone's report equal to its seed's.
+    # loading re; analyze still returns Fractions, its first access loading
+    # library and with it fractions, and compare_reports finds a clone's
+    # report equal to its seed's.
     probe = ("import sys, sboxforge, sboxforge.cli; from sboxforge import formats; "
              "loaded = lambda: sorted({'fractions', 're'} & set(sys.modules)); print(loaded()); "
              "seed = formats.parse_sbox_text(' '.join(map(str, range(255, -1, -1)))); print(loaded()); "

@@ -15,12 +15,13 @@ A cold call loads sboxforge's modules, which import from the standard
 library only __future__, array, collections, contextlib, errno, functools,
 itertools, math, operator, os, stat, sys, time and types, with what those
 import, and the interpreter's own SHA-256 and _signal, which it loaded at
-start. The rest loads where it runs:
-argparse and the help for an argv that _fast declines (usage), random for
---sample, the process pool for a sweep that pools, and the report and
-Boolean-function API for a library caller alone (library). No command
-imports fractions, decimal or re: analyze renders its report from integer
-ratios, and verify and sweeps compare integer moments.
+start. The rest loads where it runs: argparse and the help for an argv
+that _fast declines (usage), random for --sample, multiprocessing with the
+pickle, selectors, socket and subprocess modules it imports for a sweep
+that pools, and the report and Boolean-function API for a library caller
+alone (library). No command imports fractions, decimal or re: analyze
+renders its report from integer ratios, and verify and sweeps compare
+integer moments.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import os
 import sys
 from array import array
 from collections import defaultdict, deque
-from contextlib import ExitStack, contextmanager
+from contextlib import closing, contextmanager
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import factorial, inf
 from time import perf_counter
 from types import SimpleNamespace
@@ -93,10 +94,11 @@ _ENDINGS = tuple(getattr(_signal, name) for name in ("SIGINT", "SIGTERM", "SIGHU
 # and 500 rows read 0.64-1.5 s. So two workers start from 0.6 s.
 POOL_START = 0.3
 # Seconds of rows per batch, at most, at the row time. A batch is one call
-# of _enumerate_rows, one pool task and one write of the CSV. A sweep finds
-# that its output has gone, a reader closing its pipe, only when it writes,
-# and an n = 16 row with --check-invariance takes about 0.3 s (0.31-0.45 s
-# warm on 2 cores, Python 3.11.7; 0.33-0.42 s on 3.12 and 3.13).
+# of _enumerate_rows, serial or in a pool worker, and one write of the CSV.
+# A sweep finds that its output has gone, a reader closing its pipe, only
+# when it writes, and an n = 16 row with --check-invariance takes about
+# 0.3 s (0.31-0.45 s warm on 2 cores, Python 3.11.7; 0.33-0.42 s on 3.12
+# and 3.13).
 _BATCH_SECONDS = 0.25
 
 class UsageError(Exception):
@@ -113,8 +115,7 @@ class Terminated(SystemExit):
     runs, so that one path removes a created -o/--out file, stops a pool and
     prints one line. Its code, 128 + the signal number, is the command's
     exit code. As a SystemExit it ends quietly a forked pool worker that it
-    reaches before the worker's initializer has reset the handlers, where a
-    KeyboardInterrupt would print a traceback."""
+    reaches, where a KeyboardInterrupt would print a traceback."""
 
 
 def _terminate(signum, frame):
@@ -251,17 +252,10 @@ def _init_worker() -> None:
     """A pool worker's setup: it leaves Ctrl-C to the parent and so prints
     nothing, and it exits as soon as its parent has gone, however that
     ended: otherwise a killed parent's workers live on, holding the
-    caller's stderr. A forked worker inherits main's handlers: it ignores
-    SIGINT, and SIGTERM and SIGHUP go back to the default where they are
-    main's, so that the pool's own terminate ends it; an ignored SIGHUP
-    stays ignored. The signals are set first, before any import:
-    concurrent.futures logs "Exception in initializer" with a traceback for
-    any exception raised in an initializer, a Terminated too, whereas a
-    Terminated raised before the initializer ends the worker quietly."""
+    caller's stderr. SIGTERM and SIGHUP keep the handlers a forked worker
+    inherits, main's or an ignore: the pool stops its workers with SIGKILL,
+    and a Terminated that ends a worker ends it quietly."""
     _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    for signum in _ENDINGS:
-        if _signal.getsignal(signum) is _terminate:
-            _signal.signal(signum, _signal.SIG_DFL)
     from multiprocessing import parent_process
     from threading import Thread
 
@@ -274,9 +268,9 @@ def _init_worker() -> None:
 def _enumerate_rows(sweep, pairs) -> tuple[str, list[int], int]:
     """The CSV rows for `pairs` (formats._sweep_csv) of the sweep `sweep`,
     (seed table, n, the seed's invariants or None), their clones' 64-bit
-    digests, and how many of them passed the invariance check. The sweep
-    comes with every batch, serial or a pool task, so sweeps that run at
-    once in one process, one a thread, each keep their own seed.
+    digests, and how many of them passed the invariance check. The sweep is
+    an argument of every serial batch and of each pool worker, so sweeps
+    that run at once in one process, one a thread, each keep their own seed.
 
     Both ranks' texts and lifts come from _rank. One _clone call makes the
     batch's clones of the seed by those lifts, unchecked, since the seed
@@ -298,44 +292,71 @@ def _enumerate_rows(sweep, pairs) -> tuple[str, list[int], int]:
     return text, digests, passed.count(True)
 
 
-@contextmanager
-def _process_pool(workers: int):
-    """A ProcessPoolExecutor of `workers` processes, each set up by
-    _init_worker, imported here: loading it at import would cost every CLI
-    call about 20 ms, and only a sweep long enough to pool needs it.
+def _serve(pipe, sweep) -> None:
+    """A pool worker, set up by _init_worker: the rows of each batch that
+    comes down `pipe`, sent back in order, up to the end marker, an empty
+    batch. It reads its next message before it sends a batch's rows."""
+    _init_worker()
+    batch = pipe.recv()
+    while batch:
+        rows, batch = _enumerate_rows(sweep, batch), pipe.recv()
+        pipe.send(rows)
 
-    Any exception that leaves it, a Terminated or a failed write, stops its
-    workers at once, and only its own: a caller's other children, and the
-    workers of a pool that another thread runs, keep running. Leaving the
-    pool would wait for every batch in flight, up to two per worker. A
-    worker that ends before its rows come back, killed from outside, breaks
-    the pool, and that leaves it as WorkerLost.
+
+def _pooled_rows(workers: int, sweep, batches):
+    """The rows of each of the sweep's batches in order, from `workers`
+    processes of multiprocessing's default start method, each given the
+    sweep once, as its argument, and a pipe of its own. Batch i goes to
+    worker i mod `workers`, which holds at most two: it gets its next batch,
+    or the end marker, once its rows of the one before are read, and it
+    reads that message before it sends those rows. So neither end of a pipe
+    can wait in a send while the other waits in one, however large a batch
+    or its rows. multiprocessing is imported here: loading it at import
+    would cost every CLI call about 10 ms, and only a sweep long enough to
+    pool needs it.
+
+    At the end each worker exits on its end marker. Anything that ends the
+    sweep early, a Terminated, a failed write or a worker lost, SIGKILLs the
+    pool's processes and joins them, and only them: a caller's other
+    children, and the workers of a sweep that another thread runs, keep
+    running. A worker whose pipe closes, or that exits, before its rows
+    come back, killed from outside, is WorkerLost.
     """
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import connection, get_context
 
-    with ProcessPoolExecutor(workers, initializer=_init_worker) as pool:
+    context, pipes, processes = get_context(), [], []
+
+    def rows_of(worker):
+        if pipes[worker] not in connection.wait([pipes[worker], processes[worker].sentinel]):
+            raise EOFError  # the worker exited with nothing left in its pipe
+        return pipes[worker].recv()
+
+    try:
+        for _ in range(workers):
+            pipe, theirs = context.Pipe()
+            process = context.Process(target=_serve, args=(theirs, sweep))
+            process.start()
+            theirs.close()
+            pipes.append(pipe)
+            processes.append(process)
         try:
-            yield pool
-        except BaseException as exc:
-            # _processes, pid -> process, is the executor's private record of
-            # its workers (Python 3.10-3.13; 3.14 adds terminate_workers()).
-            for worker in list(pool._processes.values()):
-                worker.terminate()
-            if isinstance(exc, BrokenProcessPool):
-                raise WorkerLost("a worker process ended before its rows came back")
-            raise
-
-
-def _pooled_rows(pool, sweep, batches, depth: int):
-    """The rows of each of the sweep's batches in order, one task a batch
-    that carries the sweep, at most `depth` tasks in flight."""
-    pending = deque()
-    for batch in batches:
-        pending.append(pool.submit(_enumerate_rows, sweep, batch))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    for future in pending:
-        yield future.result()
+            held = deque()  # the worker of each message in flight, None for an end marker
+            for i, batch in enumerate(chain(batches, repeat([], workers))):
+                if len(held) == 2 * workers:  # message i - 2 * workers: this worker's, a batch
+                    yield rows_of(held.popleft())
+                pipes[i % workers].send(batch)
+                held.append(i % workers if batch else None)
+            yield from (rows_of(worker) for worker in held if worker is not None)
+        except (EOFError, OSError):
+            raise WorkerLost("a worker process ended before its rows came back")
+    except BaseException:
+        for process in processes:
+            process.kill()
+        raise
+    finally:
+        for pipe, process in zip(pipes, processes):
+            process.join()
+            pipe.close()
 
 
 def _schedule(count: int, timings, cap: int) -> tuple[int, int]:
@@ -384,37 +405,37 @@ def cmd_enumerate(args) -> int:
         count = args.sample
         pairs = ((rng.randrange(fact), rng.randrange(fact)) for _ in range(count))
 
+    def results():
+        # The seed's invariants are taken once the output is open. The first
+        # batches, of up to 1, 2, 4 and 8 rows, run here and are timed, and
+        # their least time per row is the row time: the first rows build the
+        # width's tables and, under --all, lift ranks that later rows find
+        # cached, a forked process's first row is cold, and a batch's fixed
+        # work weighs less on more rows. _schedule makes the plan; this only
+        # measures.
+        sweep = (table, n, _invariants([table], _planes([table], n))[0]
+                 if args.check_invariance else None)
+        rows_of, timings = partial(_enumerate_rows, sweep), []
+        for size in (1, 2, 4, 8):
+            if batch := list(islice(pairs, min(size, _schedule(count, timings, 1)[1]))):
+                began, result = perf_counter(), rows_of(batch)
+                timings.append((perf_counter() - began, len(batch)))
+                yield result
+        workers, size = _schedule(count, timings, cap)
+        batches = iter(lambda: list(islice(pairs, size)), [])
+        yield from (map(rows_of, batches) if workers < 2
+                    else _pooled_rows(workers, sweep, batches))
+
     head = _sweep_csv(args.check_invariance, head=True)[0]
     # Each 64-bit digest goes in an array("Q") bucket by its top byte, 8 bytes
     # a row where a set of them all takes about 78; a bucket is made when a
     # digest first needs it, and each is counted apart at the end.
     digests, passes = defaultdict(partial(array, "Q")), 0
-    with _output(args.out) as write, ExitStack() as stack:
-        sweep = (table, n, _invariants([table], _planes([table], n))[0]
-                 if args.check_invariance else None)
-        rows_of = partial(_enumerate_rows, sweep)
-
-        def results():
-            # The first batches, of up to 1, 2, 4 and 8 rows, run here and
-            # are timed, and their least time per row is the row time: the
-            # first rows build the width's tables and, under --all, lift ranks
-            # that later rows find cached, a forked process's first row is
-            # cold, and a batch's fixed work weighs less on more rows.
-            # _schedule makes the plan; this only measures.
-            timings = []
-            for size in (1, 2, 4, 8):
-                if batch := list(islice(pairs, min(size, _schedule(count, timings, 1)[1]))):
-                    began, result = perf_counter(), rows_of(batch)
-                    timings.append((perf_counter() - began, len(batch)))
-                    yield result
-            workers, size = _schedule(count, timings, cap)
-            batches = iter(lambda: list(islice(pairs, size)), [])
-            yield from (map(rows_of, batches) if workers < 2 else _pooled_rows(
-                stack.enter_context(_process_pool(workers)), sweep, batches, 2 * workers))
-
-        # Each result is written as it comes, the header with the first, so
-        # an existing --out file stays as it was until rows are ready.
-        for text, batch_digests, batch_passes in results():
+    # Each result is written as it comes, the header with the first, so an
+    # existing --out file stays as it was until rows are ready. Anything that
+    # ends the loop early closes the results, and so stops a pool at once.
+    with _output(args.out) as write, closing(results()) as rows:
+        for text, batch_digests, batch_passes in rows:
             write(head + text)
             head = ""
             for digest in batch_digests:

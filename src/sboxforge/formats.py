@@ -157,12 +157,13 @@ def load_sbox(path: str) -> SBox:
 
 
 def _note(line: str) -> None:
-    """Print a diagnostic line to stderr; nowhere if the process started with
-    fd 2 closed, or if fd 2 is a pipe whose reader has gone: a diagnostic
-    that cannot be read changes no exit code."""
-    if sys.stderr is not None:  # print would fall back to stdout
+    """Write a diagnostic line to stderr, in one write, so that lines of
+    commands on several threads do not interleave; nowhere if the process
+    started with fd 2 closed, or if fd 2 is a pipe whose reader has gone: a
+    diagnostic that cannot be read changes no exit code."""
+    if sys.stderr is not None:
         with suppress(OSError):
-            print(line, file=sys.stderr)
+            sys.stderr.write(line + "\n")
 
 
 @contextmanager

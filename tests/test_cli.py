@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 # Loaded before any test stubs os.write: multiprocessing.connection binds it
 # as it loads, and a pool's own pipes must write through the real one.
-import concurrent.futures.process  # noqa: F401
+import multiprocessing.connection
 
 from sboxforge import (SBox, analysis, analyze, cli, clone_sbox, compare_reports, core,
                        find_fixed_points, formats, lehmer_decode, library)
@@ -1025,8 +1025,9 @@ def test_enumerate_all_rows_match_oracle_on_two_workers(sweeps, capsys, monkeypa
     # The n = 5 sweep on a real 2-worker pool. Left to cli._schedule it
     # runs serially, too short to repay the workers; here the plan pools it.
     path, expected = sweeps[1]
-    started, pool = [], cli._process_pool
-    monkeypatch.setattr(cli, "_process_pool", lambda workers: started.append(workers) or pool(workers))
+    started, pooled = [], cli._pooled_rows
+    monkeypatch.setattr(cli, "_pooled_rows",
+                        lambda workers, *args: started.append(workers) or pooled(workers, *args))
     monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 256))
     assert main(["enumerate", path, "--all", "--check-invariance"]) == 0
     assert started == [2]
@@ -1047,8 +1048,8 @@ def test_pooled_sweep_matches_the_serial_one_under_each_start_method(method, swe
         "import multiprocessing, sys\n"
         f"multiprocessing.set_start_method({method!r})\n"
         "from sboxforge import cli\n"
-        "cli._schedule, pool, started = lambda count, timings, cap: (2, 64), cli._process_pool, []\n"
-        "cli._process_pool = lambda workers: started.append(workers) or pool(workers)\n"
+        "cli._schedule, pooled, started = lambda count, timings, cap: (2, 64), cli._pooled_rows, []\n"
+        "cli._pooled_rows = lambda workers, *args: started.append(workers) or pooled(workers, *args)\n"
         "code = cli.main(sys.argv[1:])\n"
         "sys.exit(code if started == [2] else 99)\n")  # 99: the sweep did not pool
     pooled = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
@@ -1056,6 +1057,35 @@ def test_pooled_sweep_matches_the_serial_one_under_each_start_method(method, swe
     assert (pooled.returncode, pooled.stdout, pooled.stderr) == \
         (serial.returncode, serial.stdout, serial.stderr)
     assert (serial.stdout.decode(), serial.stderr.decode()) == sweeps[0][1]
+
+
+def test_pooled_batches_larger_than_a_pipe_buffer_give_the_serial_bytes(seed4_file, tmp_path,
+                                                                         child_env):
+    # Batches of 50 000 pairs, about 300 KB pickled, and their rows, several
+    # MB, each fill more than a socket pair's buffer (about 208 KB on Linux).
+    # A worker reads its next batch before it sends a batch's rows, and the
+    # parent sends a batch only once it has read the rows of the one before:
+    # so neither waits in a send on the other. A pool without the worker's
+    # read-ahead hangs here, the parent sending a worker its second batch
+    # while the worker sends its first rows. The 2-worker sweep, under a
+    # timeout, writes the serial run's bytes.
+    argv = ["enumerate", seed4_file, "--sample", "200000", "--check-invariance"]
+    outs = [tmp_path / "serial.csv", tmp_path / "pooled.csv"]
+    serial = subprocess.run([sys.executable, "-m", "sboxforge", *argv, "--out", str(outs[0])],
+                            capture_output=True, env=child_env, timeout=120)
+    probe = (
+        "import sys\n"
+        "from sboxforge import cli\n"
+        "cli._schedule, pooled, started = lambda count, timings, cap: (2, 50000), cli._pooled_rows, []\n"
+        "cli._pooled_rows = lambda workers, *args: started.append(workers) or pooled(workers, *args)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.exit(code if started == [2] else 99)\n")  # 99: the sweep did not pool
+    pooled = subprocess.run([sys.executable, "-c", probe, *argv, "--out", str(outs[1])],
+                            capture_output=True, env=child_env, timeout=120)
+    assert (pooled.returncode, pooled.stdout, pooled.stderr) == \
+        (serial.returncode, serial.stdout, serial.stderr) == \
+        (0, b"", b"rows=200000 distinct=576 invariance_pass=200000\n")
+    assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 def test_enumerate_sweeps_decode_each_rank_once_per_process(sweeps, capsys, monkeypatch):
@@ -1276,8 +1306,9 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
     serial = capsys.readouterr().out
     # A real two-worker pool, however short the sweep, for the 5 rows after
     # the 15 timed.
-    started, pool = [], cli._process_pool
-    monkeypatch.setattr(cli, "_process_pool", lambda workers: started.append(workers) or pool(workers))
+    started, pooled = [], cli._pooled_rows
+    monkeypatch.setattr(cli, "_pooled_rows",
+                        lambda workers, *args: started.append(workers) or pooled(workers, *args))
     monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
     monkeypatch.setenv("SBOXFORGE_THREADS", "2")
     main(["enumerate", seed4_file, "--sample", "20", "--rng-seed", "11",
@@ -1287,41 +1318,20 @@ def test_enumerate_deterministic_across_thread_counts(seed4_file, capsys, monkey
     assert serial == parallel
 
 
-class SerialPool:
-    """Stands in for cli._process_pool: sets itself up as a worker does, and
-    runs each task when its result is read."""
-
-    started = []  # the worker count of every pool built
-    in_flight = []  # tasks submitted and not yet read, after each submit
-
-    def __init__(self, workers):
-        self.started.append(workers)
-        self.pending = 0
-        cli._init_worker()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        pool = self
-        pool.pending += 1
-        pool.in_flight.append(pool.pending)
-
-        class Deferred:
-            def result(self):
-                pool.pending -= 1
-                return fn(*args)
-        return Deferred()
-
-
 @pytest.fixture
 def serial_pool(monkeypatch):
-    SerialPool.started, SerialPool.in_flight = [], []
-    monkeypatch.setattr(cli, "_process_pool", SerialPool)
-    return SerialPool
+    """A stand-in for cli._pooled_rows, set on cli: it sets itself up as a
+    worker does and runs each batch here as its rows are read. Its
+    `started` lists the worker count of every pool that ran."""
+
+    def pooled_rows(workers, sweep, batches):
+        pooled_rows.started.append(workers)
+        cli._init_worker()
+        yield from map(partial(cli._enumerate_rows, sweep), batches)
+
+    pooled_rows.started = []
+    monkeypatch.setattr(cli, "_pooled_rows", pooled_rows)
+    return pooled_rows
 
 
 def test_enumerate_checks_its_seed_once(seed4_file, capsys, monkeypatch, serial_pool):
@@ -1358,20 +1368,44 @@ def test_enumerate_one_usable_cpu_starts_no_pool(seed4_file, capsys, monkeypatch
     assert cli._cpus() == 1
 
 
-def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch, serial_pool):
+def test_enumerate_pool_bounds_tasks_in_flight(seed4_file, capsys, monkeypatch):
     monkeypatch.delenv("SBOXFORGE_THREADS", raising=False)
     argv = ["enumerate", seed4_file, "--sample", "615", "--rng-seed", "5"]
     assert main(argv) == 0
     serial = capsys.readouterr()
     # The plan of SCHEDULES' "600 rows of 8T": 600 rows after the 15 timed,
-    # in tasks of 600 // (2 * 4) = 75, so eight tasks, at most four in
-    # flight.
+    # in batches of 600 // (2 * 4) = 75, so eight batches, on a real
+    # 2-worker pool. Seen at the parent's end of each worker's pipe: batch
+    # i goes to worker i mod 2, and each worker holds at most two, its next
+    # batch going once the rows of the one before are read. Then each
+    # worker gets one end marker, an empty batch, and the last rows come
+    # back, in batch order.
+    parent, events = os.getpid(), []
+    connection = multiprocessing.connection.Connection
+    send, recv = connection.send, connection.recv
+
+    def sending(pipe, batch):
+        if os.getpid() == parent:
+            events.append(("send", pipe, len(batch)))
+        return send(pipe, batch)
+
+    def receiving(pipe):
+        rows = recv(pipe)
+        if os.getpid() == parent:
+            events.append(("recv", pipe, rows[0].count("\n")))
+        return rows
+
+    monkeypatch.setattr(connection, "send", sending)
+    monkeypatch.setattr(connection, "recv", receiving)
     monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 75))
     assert main(argv) == 0
     assert capsys.readouterr() == serial
-    assert serial_pool.started == [2]
-    assert len(serial_pool.in_flight) == 8
-    assert max(serial_pool.in_flight) == 4
+    pipes = list(dict.fromkeys(pipe for _, pipe, _ in events))
+    assert [(kind, pipes.index(pipe), rows) for kind, pipe, rows in events] == (
+        [("send", i % 2, 75) for i in range(4)]
+        + [e for i in range(4) for e in [("recv", i % 2, 75), ("send", i % 2, 75)]]
+        + [e for i in range(2) for e in [("recv", i, 75), ("send", i, 0)]]
+        + [("recv", 0, 75), ("recv", 1, 75)])
 
 
 def rows_at(seconds, *sizes):
@@ -1496,8 +1530,8 @@ def test_enumerate_pool_follows_timed_warm_rows(seed4_file, capsys, monkeypatch,
     monkeypatch.setattr(cli, "_schedule", recorded)
     monkeypatch.setattr(cli, "_invariants",
                         lambda *args: events.append("invariants") or invariants(*args))
-    monkeypatch.setattr(cli, "_process_pool",
-                        lambda workers: events.append(("pool", workers)) or serial_pool(workers))
+    monkeypatch.setattr(cli, "_pooled_rows", lambda workers, *args: events.append(
+        ("pool", workers)) or serial_pool(workers, *args))
     for rows in (0, 1, 3, 10, 17, 100):
         rng = random.Random(0)
         expected = expected_csv(SEED4, [(rng.randrange(24), rng.randrange(24))
@@ -2035,17 +2069,37 @@ def test_main_sets_its_handlers_on_the_main_thread_only(monkeypatch, capsys):
     assert capsys.readouterr().out == "sigma1=0,1,2,3\nsigma2=0,1,2,3\n" * 2
 
 
-def test_pool_workers_take_sigterm_by_default():
-    # A forked worker inherits main's handlers; the pool's terminate must end
-    # it, not raise in it, and Ctrl-C is left to the parent.
+def test_pool_workers_are_stopped_by_sigkill(seed4_file, tmp_path, capsys, monkeypatch):
+    # A worker leaves Ctrl-C to the parent, and keeps the SIGTERM handler it
+    # inherits, main's or an ignore: the pool stops its workers with
+    # SIGKILL, which no handler takes. Here the test process ignores
+    # SIGTERM, as a forked worker then does, and a write that fails on the
+    # first pooled batch ends the sweep: exit 1, one line, SIGKILL sent to
+    # each of the two workers and no other signal, and no worker left.
     previous = signal.signal(signal.SIGTERM, cli._terminate)
     signal.signal(signal.SIGINT, cli._terminate)  # conftest's keep_ctrl_c restores it
     try:
         cli._init_worker()
-        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        assert signal.getsignal(signal.SIGTERM) is cli._terminate
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        out, real, kill, sent = tmp_path / "sweep.csv", os.write, os.kill, []
+
+        def full_once_pooled(fd, data):
+            if not multiprocessing.active_children():  # the timed batches, before the pool starts
+                return real(fd, data)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full_once_pooled)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: sent.append(sig) or kill(pid, sig))
+        monkeypatch.setattr(cli, "_schedule", fixed_plan(2, 64))
+        assert main(["enumerate", seed4_file, "--sample", "400", "--out", str(out)]) == 1
     finally:
         signal.signal(signal.SIGTERM, previous)
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: [Errno 28] No space left on device\n")
+    assert sent == [signal.SIGKILL] * 2 and not multiprocessing.active_children()
+    assert not out.exists()
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
@@ -2072,6 +2126,25 @@ def test_ctrl_c_before_a_forked_workers_initializer_ends_it_quietly(child_env):
     assert (result.returncode, result.stdout, result.stderr) == (0, "130\n", "")
 
 
+def run_in_own_group(argv, env):
+    """The exit code, stdout and stderr of `argv`, run in a process group of
+    its own that must be empty once it has exited: none of its workers
+    outlives it. Whatever is left is killed."""
+    process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               start_new_session=True, env=env)
+    try:
+        stdout, stderr = process.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(process.pid, 0)
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    return process.returncode, stdout, stderr
+
+
 def test_a_worker_killed_from_outside_ends_the_sweep_in_one_line(aes_file, tmp_path, child_env):
     # A pool worker that the OOM killer or kill -9 ends breaks the pool. The
     # sweep stops its other workers, removes the CSV it created, prints one
@@ -2080,33 +2153,53 @@ def test_a_worker_killed_from_outside_ends_the_sweep_in_one_line(aes_file, tmp_p
     # batches have come back.
     out = tmp_path / "sweep.csv"
     probe = (
-        "import os, signal, sys\n"
+        "import multiprocessing, os, signal, sys\n"
         "from sboxforge import cli\n"
         "cli._schedule, pooled_rows = lambda count, timings, cap: (2, 64), cli._pooled_rows\n"
-        "def killing(pool, *args):\n"
-        "    for i, rows in enumerate(pooled_rows(pool, *args)):\n"
+        "def killing(*args):\n"
+        "    for i, rows in enumerate(pooled_rows(*args)):\n"
         "        if i == 1:\n"
-        "            os.kill(next(iter(pool._processes)), signal.SIGKILL)\n"
+        "            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)\n"
         "        yield rows\n"
         "cli._pooled_rows = killing\n"
         "sys.exit(cli.main(sys.argv[1:]))\n")
-    sweep = subprocess.Popen(
+    code, stdout, stderr = run_in_own_group(
         [sys.executable, "-c", probe, "enumerate", aes_file, "--sample", "3000",
-         "--check-invariance", "--out", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True, env=child_env)
-    try:
-        stdout, stderr = sweep.communicate(timeout=60)
-        with pytest.raises(ProcessLookupError):
-            os.killpg(sweep.pid, 0)
-    finally:
-        try:
-            os.killpg(sweep.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        sweep.wait()
-    assert (sweep.returncode, stdout, stderr) == (
+         "--check-invariance", "--out", str(out)], child_env)
+    assert (code, stdout, stderr) == (
         cli.EXIT_WORKER, b"", b"error: a worker process ended before its rows came back\n")
     assert cli.EXIT_WORKER == 7 and not out.exists()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_batch_that_raises_in_a_worker_ends_the_sweep_as_a_lost_worker(aes_file, tmp_path,
+                                                                           child_env):
+    # An exception in a worker's batch ends that worker, which prints
+    # "Process NAME:" and the traceback on stderr, and the sweep takes it as
+    # a worker killed from outside: it stops the other worker, removes the
+    # CSV it created, prints the lost worker's one line and exits 7, leaving
+    # no process of its group. Here the first worker's batches raise, in a
+    # child forked from a process whose _enumerate_rows is stubbed.
+    out = tmp_path / "sweep.csv"
+    probe = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "from sboxforge import cli\n"
+        "cli._schedule, rows_of = lambda count, timings, cap: (2, 64), cli._enumerate_rows\n"
+        "def failing(sweep, pairs):\n"
+        "    if multiprocessing.current_process().name == 'ForkProcess-1':\n"
+        "        raise RuntimeError('a batch failed')\n"
+        "    return rows_of(sweep, pairs)\n"
+        "cli._enumerate_rows = failing\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    code, stdout, stderr = run_in_own_group(
+        [sys.executable, "-c", probe, "enumerate", aes_file, "--sample", "3000",
+         "--check-invariance", "--out", str(out)], child_env)
+    assert (code, stdout) == (cli.EXIT_WORKER, b"")
+    assert stderr.startswith(b"Process ForkProcess-1:\nTraceback (most recent call last):\n")
+    assert stderr.endswith(b"\nRuntimeError: a batch failed\n"
+                           b"error: a worker process ended before its rows came back\n")
+    assert stderr.count(b"Traceback") == 1 and not out.exists()
 
 
 def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):

@@ -503,6 +503,59 @@ def test_no_call_rebinds_module_state():
             assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == [], name
 
 
+def private_reads(trees):
+    """Each `owner.attr` of `trees`, read or by getattr with a literal name,
+    whose attr is private (a leading "_", not a dunder) and is defined by
+    none of `trees`: no function, class, assigned name or assigned
+    attribute of theirs bears that name. As (file, line, source) triples."""
+    defined = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+    reads = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attr = node.attr
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" \
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                attr = node.args[1].value
+            else:
+                continue
+            if isinstance(attr, str) and attr.startswith("_") and not attr.endswith("__") \
+                    and attr not in defined:
+                reads.append((name, node.lineno, ast.unparse(node)))
+    return reads
+
+
+def test_src_reads_no_private_attribute_of_another_library():
+    # A private name of the standard library may change in any release, so
+    # src/ reads none that src/ does not itself define. os._exit, which the
+    # os documentation describes, is the one exception. The worker pool is
+    # the CLI's own processes and pipes: no file imports concurrent.futures.
+    caught = {"a.py": ast.parse("import os\nclass A:\n    _mine = 1\n"
+                                "A._mine, pool._processes, getattr(pool, '_queue'), os._exit\n")}
+    assert private_reads(caught) == [("a.py", 4, "pool._processes"),
+                                     ("a.py", 4, "getattr(pool, '_queue')"), ("a.py", 4, "os._exit")]
+    directory = os.path.dirname(sboxforge.__file__)
+    trees = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read(), name)
+    assert [source for _, _, source in private_reads(trees)] == ["os._exit"]
+    imported = {alias.name if isinstance(node, ast.Import) else node.module
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not {name for name in imported if name and name.startswith("concurrent")}
+
+
 # What a sweep's plan reads: a test sets none of them on cli, but stubs
 # cli._schedule or calls it with the numbers it needs.
 SCHEDULE_INPUTS = {"perf_counter", "POOL_START", "_cpus"}

@@ -100,6 +100,8 @@ POOL_START = 0.3
 # 0.3 s (0.31-0.45 s warm on 2 cores, Python 3.11.7; 0.33-0.42 s on 3.12
 # and 3.13).
 _BATCH_SECONDS = 0.25
+# The widest seed that --all takes, and so the widths whose ranks _rank caches.
+_ALL_MAX_N = 6
 
 class UsageError(Exception):
     """Bad flag combination or malformed invocation."""
@@ -191,7 +193,7 @@ def cmd_clone(args) -> int:
         raise UsageError("exactly one of --key or --sigma1/--sigma2 is required")
     if sigma_mode and (args.sigma1 is None or args.sigma2 is None):
         raise UsageError("--sigma1 and --sigma2 must be given together")
-    if args.max_attempts is not None and not args.avoid_fixed_points:
+    if args.max_attempts is not None and not args.remove_fixed_points:
         raise UsageError("--max-attempts needs --remove-fixed-points")
     if args.max_attempts is not None and args.max_attempts < 1:
         raise UsageError("--max-attempts must be >= 1")
@@ -204,7 +206,7 @@ def cmd_clone(args) -> int:
         sigma2 = _parse_permutation(args.sigma2, seed.n)
 
     with _output(args.output) as write:
-        if args.avoid_fixed_points:
+        if args.remove_fixed_points:
             result, eff1, eff2 = clone_sbox_avoiding_fixed_points(
                 seed, sigma1, sigma2, max_attempts=args.max_attempts)
         else:
@@ -231,12 +233,12 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=872)  # every rank of S_2..S_6: 2 + 6 + 24 + 120 + 720
+@lru_cache(maxsize=sum(map(factorial, range(2, _ALL_MAX_N + 1))))  # every rank of each width --all takes
 def _rank(index: int, n: int) -> tuple[str, list[int] | bytes]:
     """The index-th permutation of range(n) as CSV text, and its lifted table.
 
     One cache per process, shared by its sweeps, holds every rank at
-    n <= 6, the widths --all takes, where each rank recurs 2 * n! times.
+    n <= _ALL_MAX_N, the widths --all takes, where each rank recurs 2 * n! times.
     Above that only --sample runs, and its rows call _rank.__wrapped__,
     caching none. A sample of k rows draws 2k ranks of n!, so repeats are
     common when 2k nears n!: about 41% of the draws of --sample 3000 repeat
@@ -252,9 +254,12 @@ def _init_worker() -> None:
     """A pool worker's setup: it leaves Ctrl-C to the parent and so prints
     nothing, and it exits as soon as its parent has gone, however that
     ended: otherwise a killed parent's workers live on, holding the
-    caller's stderr. SIGTERM and SIGHUP keep the handlers a forked worker
-    inherits, main's or an ignore: the pool stops its workers with SIGKILL,
-    and a Terminated that ends a worker ends it quietly."""
+    caller's stderr. A thread watching the parent's sentinel sees that; the
+    worker's own recv would not, since a forked worker holds its pipe's
+    parent end, and those of the pipes made before it, so its pipe never
+    closes. SIGTERM and SIGHUP keep the handlers a forked worker inherits,
+    main's or an ignore: the pool stops its workers with SIGKILL, and a
+    Terminated that ends a worker ends it quietly."""
     _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
     from multiprocessing import parent_process
     from threading import Thread
@@ -281,7 +286,7 @@ def _enumerate_rows(sweep, pairs) -> tuple[str, list[int], int]:
     passes when its invariants are the seed's.
     """
     table, n, reference = sweep
-    rank = _rank if n <= 6 else _rank.__wrapped__
+    rank = _rank if n <= _ALL_MAX_N else _rank.__wrapped__
     ranked = [(rank(k1, n), rank(k2, n)) for k1, k2 in pairs]
     clones = _clone(table, [(rows, out) for (_, rows), (_, out) in ranked])
     planes = _planes(clones, n)
@@ -394,8 +399,8 @@ def cmd_enumerate(args) -> int:
     table, n = seed.table, seed.n
     fact = factorial(n)
     if args.all:
-        if n > 6:
-            raise UsageError(f"--all is limited to n <= 6 (seed has n = {n}); use --sample")
+        if n > _ALL_MAX_N:
+            raise UsageError(f"--all is limited to n <= {_ALL_MAX_N} (seed has n = {n}); use --sample")
         count = fact * fact
         pairs = ((k1, k2) for k1 in range(fact) for k2 in range(fact))
     else:
@@ -465,48 +470,49 @@ def cmd_verify(args) -> int:
 class Option:
     """One option of a command, as `parse_args` reads it and the help lists it.
 
-    `kind` is int, str, a tuple of choices, or bool for a flag, which
-    defaults to False. Exactly one of a command's `one_of` options must be
-    given.
+    `kind` is int, str, a tuple of choices, or bool for a flag. An option
+    not given is False if it is a flag and None otherwise. Exactly one of a
+    command's `one_of` options must be given.
     """
 
-    __slots__ = ("flags", "dest", "kind", "help", "default", "required", "one_of")
+    __slots__ = ("flags", "kind", "help", "required", "one_of")
 
-    def __init__(self, flags, dest, kind, help, default=None, required=False, one_of=False):
-        self.flags, self.dest, self.kind, self.help = flags, dest, kind, help
-        self.default, self.required, self.one_of = default, required, one_of
+    def __init__(self, flags, kind, help, required=False, one_of=False):
+        self.flags, self.kind, self.help = flags, kind, help
+        self.required, self.one_of = required, one_of
 
+    @property
+    def dest(self) -> str:
+        """Its namespace attribute, as argparse names it: the long flag less "--", "-" as "_"."""
+        return self.flags[-1][2:].replace("-", "_")
 
-HELP = Option(("-h", "--help"), None, bool, "show this help message and exit")
 
 # Per command: its help, its positionals as (dest, help), all required, and
 # its options. `sboxforge NAME` runs cmd_NAME, looked up when parsing, so a
 # wrapper bound to that name is the one called.
 COMMANDS = {
     "clone": ("generate a clone s-box from a seed", (("seed", "seed s-box file"),), (
-        Option(("--key",), "key", str, "hex key; permutations derived from it"),
-        Option(("--sigma1",), "sigma1", str, "input-bit permutation, comma-separated images"),
-        Option(("--sigma2",), "sigma2", str, "output-bit permutation, comma-separated images"),
-        Option(("--remove-fixed-points",), "avoid_fixed_points", bool,
-               "retry until the clone has no fixed or reverse fixed points"),
-        Option(("--max-attempts",), "max_attempts", int,
+        Option(("--key",), str, "hex key; permutations derived from it"),
+        Option(("--sigma1",), str, "input-bit permutation, comma-separated images"),
+        Option(("--sigma2",), str, "output-bit permutation, comma-separated images"),
+        Option(("--remove-fixed-points",), bool, "retry until the clone has no fixed or reverse fixed points"),
+        Option(("--max-attempts",), int,
                "cap on removal attempts (default min(n!, 10!); n! tries every class)"),
-        Option(("-o", "--output"), "output", str, "write the clone here instead of stdout"),
+        Option(("-o", "--output"), str, "write the clone here instead of stdout"),
     )),
     "analyze": ("report the four algebraic criteria", (("sbox", "s-box file"),), (
-        Option(("--format",), "format", ("text", "json"), "report format (default text)", "text"),
+        Option(("--format",), ("text", "json"), "report format (default text)"),
     )),
     "derive": ("show the permutations a key produces", (), (
-        Option(("--key",), "key", str, "hex key", required=True),
-        Option(("--n",), "n", int, "bit width", required=True),
+        Option(("--key",), str, "hex key", required=True),
+        Option(("--n",), int, "bit width", required=True),
     )),
     "enumerate": ("sweep permutation pairs, emit CSV", (("seed", "seed s-box file"),), (
-        Option(("--all",), "all", bool, "every pair (n <= 6 only)", one_of=True),
-        Option(("--sample",), "sample", int, "number of random pairs", one_of=True),
-        Option(("--rng-seed",), "rng_seed", int, "sampling seed (default 0; needs --sample)"),
-        Option(("--check-invariance",), "check_invariance", bool,
-               "compare every clone's report against the seed's"),
-        Option(("--out",), "out", str, "write CSV here instead of stdout"),
+        Option(("--all",), bool, f"every pair (n <= {_ALL_MAX_N} only)", one_of=True),
+        Option(("--sample",), int, "number of random pairs", one_of=True),
+        Option(("--rng-seed",), int, "sampling seed (default 0; needs --sample)"),
+        Option(("--check-invariance",), bool, "compare every clone's report against the seed's"),
+        Option(("--out",), str, "write CSV here instead of stdout"),
     )),
     "verify": ("compare two s-boxes' criteria",
                (("seed", "first s-box file"), ("clone", "second s-box file")), ()),
@@ -557,14 +563,8 @@ def _fast(argv: list) -> SimpleNamespace | None:
         return None
     values = {"command": name, "func": globals()[f"cmd_{name}"]}
     values.update(zip((dest for dest, _ in positionals), words))
-    values.update((o.dest, given.get(o, False if o.kind is bool else o.default)) for o in options)
+    values.update((o.dest, given.get(o, False if o.kind is bool else None)) for o in options)
     return SimpleNamespace(**values)
-
-
-def _show_help(args) -> int:
-    with _output(None) as write:
-        write(args.help)
-    return EXIT_OK
 
 
 def parse_args(argv) -> SimpleNamespace:
@@ -581,8 +581,9 @@ def parse_args(argv) -> SimpleNamespace:
     return args
 
 
-# The exit code of each failure class, the first class an error is an
-# instance of deciding: NonBijectiveError, like an s-box file's errors, is a ValueError.
+# The failure classes that main catches, each with its exit code, the first
+# class an error is an instance of deciding: NonBijectiveError, like an
+# s-box file's errors, is a ValueError.
 _FAILURES = ((UsageError, EXIT_USAGE), (NonBijectiveError, EXIT_NON_BIJECTIVE),
              (RemovalExhausted, EXIT_EXHAUSTED), (ValueError, EXIT_PARSE), (WorkerLost, EXIT_WORKER))
 
@@ -596,7 +597,7 @@ def main(argv=None) -> int:
                 if isinstance(getattr(args, o.dest), list):
                     raise UsageError(f"argument {'/'.join(o.flags)}: expected one argument")
             return args.func(args)
-        except (UsageError, RemovalExhausted, ValueError, WorkerLost) as exc:
+        except tuple(kind for kind, _ in _FAILURES) as exc:
             _note(f"error: {exc}")
             return next(code for kind, code in _FAILURES if isinstance(exc, kind))
         except Terminated as ended:  # an -o/--out file the run created is already removed

@@ -1,6 +1,7 @@
 """The CLI's slow path, built from cli.COMMANDS: argparse's reading of each
-argv that cli._fast declines, and the help of `sboxforge [COMMAND] -h`.
-Only such a call compiles it and loads argparse, about 8 ms of a cold call.
+argv that cli._fast declines, and the help of `sboxforge [COMMAND] -h`,
+rendered and printed here alone. Only such a call compiles it and loads
+argparse, about 8 ms of a cold call.
 """
 
 from __future__ import annotations
@@ -40,17 +41,22 @@ def parse_fallback(argv: list) -> SimpleNamespace:
         for o in options:
             into = group if o.one_of else parser
             if o.kind is bool:
-                into.add_argument(*o.flags, dest=o.dest, action="store_true")
+                into.add_argument(*o.flags, action="store_true")
             else:
-                into.add_argument(*o.flags, dest=o.dest, default=o.default, required=o.required,
-                                  type=int if o.kind is int else None,
+                into.add_argument(*o.flags, required=o.required, type=int if o.kind is int else None,
                                   choices=o.kind if isinstance(o.kind, tuple) else None)
         # Looked up on cli now, so that a wrapper bound to cli.cmd_NAME is the one called.
         parser.set_defaults(func=getattr(cli, f"cmd_{name}"))
     try:
         return SimpleNamespace(**vars(top.parse_args(argv)))
     except _HelpRequested as shown:
-        return SimpleNamespace(func=cli._show_help, help=help_text(shown.args[0]))
+        return SimpleNamespace(func=_show_help, help=help_text(shown.args[0]))
+
+
+def _show_help(args) -> int:
+    with cli._output(None) as write:
+        write(args.help)
+    return cli.EXIT_OK
 
 
 def _metavar(option: cli.Option) -> str:
@@ -63,7 +69,7 @@ def _metavar(option: cli.Option) -> str:
 
 def help_text(name: str | None) -> str:
     """Help for `sboxforge -h`, or for `sboxforge NAME -h`, rendered from COMMANDS."""
-    commands, options = cli.COMMANDS, [("-h, --help", cli.HELP.help)]
+    commands, options = cli.COMMANDS, [("-h, --help", "show this help message and exit")]
     if name is None:
         usage = "sboxforge [-h] {" + ",".join(commands) + "} ..."
         about = "Clone s-box generation and analysis"

@@ -266,7 +266,7 @@ def argparse_parser():
     clone.add_argument("--key", help="hex key; permutations derived from it")
     clone.add_argument("--sigma1", help="input-bit permutation, comma-separated images")
     clone.add_argument("--sigma2", help="output-bit permutation, comma-separated images")
-    clone.add_argument("--remove-fixed-points", action="store_true", dest="avoid_fixed_points",
+    clone.add_argument("--remove-fixed-points", action="store_true",
                        help="retry until the clone has no fixed or reverse fixed points")
     clone.add_argument("--max-attempts", type=int, default=None,
                        help="cap on removal attempts (default n!, which tries every class)")
@@ -275,7 +275,7 @@ def argparse_parser():
 
     analyze_cmd = commands.add_parser("analyze", help="report the four algebraic criteria")
     analyze_cmd.add_argument("sbox", help="s-box file")
-    analyze_cmd.add_argument("--format", choices=("text", "json"), default="text")
+    analyze_cmd.add_argument("--format", choices=("text", "json"))
     analyze_cmd.set_defaults(func=cli.cmd_analyze)
 
     derive = commands.add_parser("derive", help="show the permutations a key produces")

@@ -5,6 +5,7 @@ same values under both, or be rejected by both with the same message,
 whether the CLI reads it directly or hands it to argparse.
 """
 
+import argparse
 import contextlib
 import io
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from sboxforge import cli
+from sboxforge import cli, usage
 from sboxforge.cli import main
 
 from oracles import ArgparseRejected, argparse_parser
@@ -40,11 +41,13 @@ def by_table(argv):
         args = cli.parse_args(argv)
     except cli.UsageError as exc:
         return "rejected", str(exc)
-    if args.func is cli._show_help:
+    if args.func is usage._show_help:
         return "help", 0
     return "accepted", vars(args)
 
 
+# -h/--help as an option: the one a command without options of its own is drawn.
+HELP_OPTION = cli.Option(("-h", "--help"), bool, "show this help message and exit")
 GOOD = {int: ["0", "3", "16", "-1"], str: ["8f31", "f.txt", "1,0,2"]}
 BAD = ["-1.5", "-.5", "1.5", "x", "", "xml", "--", "-", "-x", "a b", " 5", "1_0", "٣", "-٣"]
 UNKNOWN = ["-x", "--bogus", "--bogus=1", "---", "--=1", "-=", "-x=y", "-1x",
@@ -80,7 +83,7 @@ def argvs(draw):
     parts += [draw(option_tokens(option)) for option in options if option.required or option.one_of]
     parts = [part for part in parts if draw(st.integers(0, 9))]
     parts += draw(st.lists(st.one_of(
-        st.sampled_from(options or (cli.HELP,)).flatmap(option_tokens),
+        st.sampled_from(options or (HELP_OPTION,)).flatmap(option_tokens),
         st.sampled_from(BAD + UNKNOWN + list(cli.COMMANDS)).map(lambda token: [token]),
         st.just(["--", "-s.txt"]),
     ), max_size=4))
@@ -172,6 +175,15 @@ def test_rejections_exit_64_with_argparse_wording(argv, message, capsys):
     assert main(argv) == 64
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option", [o for _, _, options in cli.COMMANDS.values() for o in options],
+                         ids=lambda o: o.flags[-1])
+def test_option_names_are_argparses(option):
+    # Both readers set an option's value as the attribute argparse derives
+    # from its flags, and Option.dest reads it off the last flag: a
+    # short-only flag, or a long flag listed before a short one, fails here.
+    assert option.dest == argparse.ArgumentParser().add_argument(*option.flags).dest
 
 
 def test_help_runs_before_later_errors():

@@ -422,18 +422,67 @@ def test_core_imports_without_analysis(child_env):
                              "['sboxforge', 'sboxforge.core', 'sboxforge.formats']\n")
 
 
-@pytest.mark.parametrize("name", sorted(name for name in os.listdir(os.path.dirname(sboxforge.__file__))
-                                         if name.endswith(".py")))
+SRC = os.path.dirname(sboxforge.__file__)
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+
+
+def parser_tokens(name):
+    """tokenize's tokens for src/sboxforge/NAME less COMMENT, NL and
+    ENCODING, counted as Python 3.10 and 3.11 give them on every version:
+    from 3.12 on, tokenize splits an f-string into FSTRING_START, its parts
+    and FSTRING_END, and the span from an outermost FSTRING_START to its
+    FSTRING_END counts here as the one STRING token the older versions give."""
+    start, end = getattr(tokenize, "FSTRING_START", None), getattr(tokenize, "FSTRING_END", None)
+    tokens, depth = [], 0
+    with open(os.path.join(SRC, name), "rb") as handle:
+        for token in tokenize.tokenize(handle.readline):
+            if token.type == start:
+                if not depth:
+                    tokens.append(token._replace(type=tokenize.STRING))
+                depth += 1
+            elif token.type == end:
+                depth -= 1
+            elif not depth and token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING):
+                tokens.append(token)
+    return tokens
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_modules_stay_below_4096_parser_tokens(name):
     # Every CLI call compiles the modules it imports (PYTHONDONTWRITEBYTECODE
     # leaves no bytecode cache to read), and the parser's token array doubles
     # at 4096 tokens: past that, compiling a module peaks about 230 KiB
     # higher, and the import leaves about 270 KiB more resident. Counted as
     # the parser sees them: comments and blank-line NL tokens left out.
-    with open(os.path.join(os.path.dirname(sboxforge.__file__), name), "rb") as handle:
-        tokens = [t for t in tokenize.tokenize(handle.readline)
-                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
-    assert len(tokens) < 4096
+    assert len(parser_tokens(name)) < 4096
+
+
+# src/'s size, as CHANGES.md counts it: (code lines, parser tokens). A
+# change that grows src/ raises these numbers in its own diff.
+SIZE_BUDGET = (1094, 12784)
+
+
+def src_size():
+    """Over src/sboxforge/*.py: the lines that hold a token other than a
+    comment or a docstring, and the parser tokens."""
+    layout = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+    lines = tokens = 0
+    for name in MODULES:
+        with open(os.path.join(SRC, name), "rb") as handle:
+            tree = ast.parse(handle.read(), name)
+        docstrings = {node.body[0].lineno for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        parsed = parser_tokens(name)
+        lines += len({t.start[0] for t in parsed if t.type not in layout
+                      and not (t.type == tokenize.STRING and t.start[0] in docstrings)})
+        tokens += len(parsed)
+    return lines, tokens
+
+
+def test_src_stays_within_its_size_budget():
+    lines, tokens = src_size()
+    assert lines <= SIZE_BUDGET[0] and tokens <= SIZE_BUDGET[1], (lines, tokens)
 
 
 def test_cli_opens_every_file_as_bytes(tmp_path, monkeypatch, capsys):
@@ -633,15 +682,16 @@ def test_analysis_keeps_no_unbounded_memo():
 def test_cli_keeps_no_unbounded_memo():
     # cli's one module-level container is its command table, built at import
     # and only read. Its one cache is _rank's, shared by every sweep of the
-    # process: it holds every rank of S_2..S_6, the widths --all takes, so
-    # at most 872 lifts of at most 64 entries, and a row above n = 6 puts
-    # nothing in it.
+    # process: it holds every rank of each width --all takes, so at most
+    # 872 lifts of at most 64 entries while that bound is n = 6, and a
+    # wider row puts nothing in it.
     assert module_containers(cli) == {"COMMANDS"}
-    assert module_caches(cli) == {"_rank": 872} and sum(map(factorial, range(2, 7))) == 872
+    widest = cli._ALL_MAX_N
+    assert module_caches(cli) == {"_rank": sum(map(factorial, range(2, widest + 1)))}
     for n in range(2, 17):
         cli._rank.cache_clear()
         cli._enumerate_rows((list(range(1 << n)), n, None), [(0, 1)])
-        assert cli._rank.cache_info().currsize == (2 if n <= 6 else 0)
+        assert cli._rank.cache_info().currsize == (2 if n <= widest else 0)
 
 
 # Every public name that takes or derives a bit width, with the widths just

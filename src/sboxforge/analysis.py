@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import add, mul, sub, xor
 from types import SimpleNamespace
 
-from .core import SBox, _fixed_points, _planes, _repeat, _split, _width
+from .core import SBox, _fixed_points, _identity, _planes, _repeat, _split, _width
 
 
 CRITERIA = ("nl", "sac", "bic_nl", "bic_sac")
@@ -82,8 +82,8 @@ def _plan(n: int) -> SimpleNamespace:
         below=ones * ((1 << top) - 1),  # the bits under every such lane's top bit
         high=ones << top,               # every such lane's top bit, 2**(L-1): the lane bias
         rounds=tuple(rounds),           # (width, low lanes, their top bits) per round inside a block
-        # (2**i, low halves) per input bit i; every (j, k) with j < k < n
-        flips=tuple((h, _repeat((1 << h) - 1, h << 1, 1 << n)) for h in (1 << i for i in range(n))),
+        # (2**i, low halves: _identity's I_i inverted) per input bit i; every (j, k) with j < k < n
+        flips=tuple((1 << i, plane ^ (1 << (1 << n)) - 1) for i, plane in enumerate(_identity(n))),
         pairs=tuple((j, k) for j in range(n) for k in range(j + 1, n)),
     )
 

@@ -519,11 +519,11 @@ COMMANDS = {
 }
 
 # Two readers share this table. _fast reads the plain argvs that callers
-# send: a command, then its positionals in order and its options, each at
-# most once, spelled exactly as "--opt value" or "--opt=value". It reads
-# them as argparse does, without loading argparse. Every other argv (an
-# abbreviation, "-oVALUE", "--", a repeat, a value or positional starting
-# with "-", -h, a usage error) goes to argparse itself, through
+# send: a command, then its positionals in order and its options, spelled
+# exactly as "--opt value" or "--opt=value", the last of a repeated one
+# counting. It reads them as argparse does, without loading argparse. Every
+# other argv (an abbreviation, "-oVALUE", "--", a value or positional
+# starting with "-", -h, a usage error) goes to argparse itself, through
 # usage.parse_fallback, which keeps argparse's rules and messages.
 
 
@@ -541,7 +541,7 @@ def _fast(argv: list) -> SimpleNamespace | None:
             continue
         flag, eq, text = arg.partition("=")
         option = flags.get(flag)
-        if option is None or option in given or option.kind is bool and eq:
+        if option is None or option.kind is bool and eq:
             return None
         if option.kind is bool:
             given[option] = True

@@ -70,10 +70,6 @@ _APPEND = os.O_WRONLY | os.O_APPEND | _BINARY
 _ENTRY_OR_COMMENT = r"[^\s,#]+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
 
-class SBoxFileError(ValueError):
-    """Malformed s-box file contents."""
-
-
 def _entry(token: str) -> int:
     # ASCII digits, as _values checks first: int alone also takes "1_0" and "٣".
     # The CLI reads SBOXFORGE_THREADS and each --sigma1/--sigma2 item here too.
@@ -82,7 +78,7 @@ def _entry(token: str) -> int:
             return int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
         except ValueError:
             pass
-    raise SBoxFileError(f"invalid entry {token!r}")
+    raise ValueError(f"invalid entry {token!r}")
 
 
 def _values(tokens: list[str]) -> list[int]:
@@ -111,7 +107,7 @@ def _long_tokens(text: str) -> list[str]:
     matches = (match[0] for match in re.finditer(_ENTRY_OR_COMMENT, text))
     tokens = list(islice((t for t in matches if t[0] != "#"), MAX_ENTRIES + 1))
     if len(tokens) > MAX_ENTRIES:
-        raise SBoxFileError(f"more than {MAX_ENTRIES} entries")
+        raise ValueError(f"more than {MAX_ENTRIES} entries")
     return tokens
 
 
@@ -127,11 +123,8 @@ def parse_sbox_text(text: str) -> SBox:
         tokens = body.replace(",", " ").split()
     values = _values(tokens)
     if not values:
-        raise SBoxFileError("no entries found")
-    try:
-        return SBox.from_table(values)
-    except ValueError as exc:
-        raise SBoxFileError(str(exc)) from exc
+        raise ValueError("no entries found")
+    return SBox.from_table(values)
 
 
 def load_sbox(path: str) -> SBox:
@@ -148,10 +141,10 @@ def load_sbox(path: str) -> SBox:
         finally:
             os.close(fd)
         if size > MAX_FILE_BYTES:
-            raise SBoxFileError(f"cannot read {path}: more than {MAX_FILE_BYTES} bytes")
+            raise ValueError(f"cannot read {path}: more than {MAX_FILE_BYTES} bytes")
         text = b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise SBoxFileError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     # Not encoding="utf-8-sig": loading that codec costs a fresh process about 1.5 ms.
     return parse_sbox_text(text.removeprefix("\ufeff"))
 

@@ -308,7 +308,6 @@ def parse_sbox_text_by_token(text):
     """The s-box file parser as it was before it split the whole text at once:
     the reference it keeps to, line by line and token by token."""
     from sboxforge import SBox
-    from sboxforge.formats import SBoxFileError
 
     values = []
     for line in text.splitlines():
@@ -321,14 +320,11 @@ def parse_sbox_text_by_token(text):
                     raise ValueError(token)
                 value = int(token, 16) if token[:2].lower() == "0x" else int(token, 10)
             except ValueError as exc:
-                raise SBoxFileError(f"invalid entry {token!r}") from exc
+                raise ValueError(f"invalid entry {token!r}") from exc
             values.append(value)
     if not values:
-        raise SBoxFileError("no entries found")
-    try:
-        return SBox.from_table(values)
-    except ValueError as exc:
-        raise SBoxFileError(str(exc)) from exc
+        raise ValueError("no entries found")
+    return SBox.from_table(values)
 
 
 def removal_walk_by_lift(seed, sigma1, sigma2, max_attempts=None):

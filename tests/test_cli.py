@@ -2203,10 +2203,17 @@ def test_a_batch_that_raises_in_a_worker_ends_the_sweep_as_a_lost_worker(aes_fil
     assert stderr.count(b"Traceback") == 1 and not out.exists()
 
 
-def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):
-    # Ctrl-C reaches the whole foreground process group. The workers ignore
-    # it and are stopped by the parent, which prints one line, removes the
-    # CSV it created and exits 130 without waiting for the batches in flight.
+@pytest.mark.parametrize("sig, code, line", [
+    pytest.param(signal.SIGINT, 130, "error: interrupted\n", id="SIGINT"),
+    pytest.param(signal.SIGTERM, 143, "error: terminated\n", id="SIGTERM"),
+    pytest.param(signal.SIGHUP, 129, "error: terminated\n", id="SIGHUP"),
+])
+def test_interrupted_pooled_sweep_stops_at_once(sig, code, line, aes_file, tmp_path, child_env):
+    # Ctrl-C, a closing terminal's SIGHUP and a group SIGTERM reach the
+    # whole process group. The workers ignore SIGINT and end quietly on the
+    # other two; the parent stops them, prints one line, removes the CSV it
+    # created and exits 128 + the signal without waiting for the batches in
+    # flight.
     out = tmp_path / "sweep.csv"
     sweep = subprocess.Popen(
         [sys.executable, "-m", "sboxforge", "enumerate", aes_file, "--sample", "100000",
@@ -2219,11 +2226,11 @@ def test_interrupted_pooled_sweep_stops_at_once(aes_file, tmp_path, child_env):
         # every worker has run its initializer.
         while not (out.exists() and out.stat().st_size > 16384) and time.monotonic() < deadline:
             time.sleep(0.02)
-        os.killpg(sweep.pid, signal.SIGINT)
+        os.killpg(sweep.pid, sig)
         began = time.monotonic()
         stdout, stderr = sweep.communicate(timeout=60)
     finally:
         sweep.kill()
-    assert (sweep.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    assert (sweep.returncode, stdout, stderr) == (code, "", line)
     assert time.monotonic() - began < 5
     assert not out.exists()

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from sboxforge import SBox, analysis, analyze, cli, formats
 from sboxforge.formats import (
-    SBoxFileError,
     load_sbox,
     parse_sbox_text,
     render_report_json,
@@ -70,17 +69,17 @@ def test_parse_hex_and_comments():
 
 
 def test_parse_errors():
-    with pytest.raises(SBoxFileError):
+    with pytest.raises(ValueError, match="^no entries found$"):
         parse_sbox_text("")
-    with pytest.raises(SBoxFileError):
+    with pytest.raises(ValueError, match="^no entries found$"):
         parse_sbox_text("# only comments\n")
-    with pytest.raises(SBoxFileError):
-        parse_sbox_text("0 1 2")  # not a power of two
-    with pytest.raises(SBoxFileError):
+    with pytest.raises(ValueError, match="^entry count 3 is not a power of two$"):
+        parse_sbox_text("0 1 2")
+    with pytest.raises(ValueError, match="^invalid entry 'junk'$"):
         parse_sbox_text("0 1 2 junk")
-    with pytest.raises(SBoxFileError):
-        parse_sbox_text("0 1 2 4")  # out of range for n=2
-    with pytest.raises(SBoxFileError):
+    with pytest.raises(ValueError, match="^entry 4 out of range for width 2$"):
+        parse_sbox_text("0 1 2 4")
+    with pytest.raises(ValueError, match=r"^bit width must be in \[2, 16\], got 1$"):
         parse_sbox_text("0 1")  # below the minimum width
 
 
@@ -91,9 +90,8 @@ def test_parse_takes_ascii_entries_only(token, value):
     for form in ("{}", "0x{:x}"):
         entries = [form.format(v) for v in range(16)]
         entries[value] = token
-        with pytest.raises(SBoxFileError) as info:
+        with pytest.raises(ValueError, match=f"^invalid entry {re.escape(repr(token))}$"):
             parse_sbox_text(" ".join(entries))
-        assert str(info.value) == f"invalid entry {token!r}"
     comment = f"0 1 2 3 # {token} 1_0 ٣ é\n"
     assert parse_sbox_text(comment).table == (0, 1, 2, 3)
     assert parse_sbox_text(comment + " " * (2 * formats.MAX_ENTRIES)).table == (0, 1, 2, 3)
@@ -102,8 +100,8 @@ def test_parse_takes_ascii_entries_only(token, value):
 def _outcome(parse, text):
     try:
         return parse(text)
-    except SBoxFileError as exc:
-        return str(exc)
+    except ValueError as exc:  # its class too: a NonBijectiveError would exit 2, not 1
+        return type(exc), str(exc)
 
 
 _SEPARATORS = st.sampled_from([" ", ",", ", ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", ",,",
@@ -186,17 +184,16 @@ def test_an_unreadable_path_is_named_as_open_names_it(name, tmp_path):
     with pytest.raises(OSError) as opened:
         with open(path, "rb") as handle:
             handle.read()
-    with pytest.raises(SBoxFileError) as loaded:
+    with pytest.raises(ValueError, match=f"^{re.escape(f'cannot read {path}: {opened.value}')}$"):
         load_sbox(path)
-    assert str(loaded.value) == f"cannot read {path}: {opened.value}"
 
 
 def test_one_byte_or_entry_past_a_bound_is_refused(tmp_path):
     table = random_bijective(random.Random(16), 16)
     path = _bounded_file(tmp_path, table, formats.MAX_FILE_BYTES + 1)
-    with pytest.raises(SBoxFileError, match=rf"^cannot read {re.escape(path)}: more than 1048576 bytes$"):
+    with pytest.raises(ValueError, match=rf"^cannot read {re.escape(path)}: more than 1048576 bytes$"):
         load_sbox(path)
-    with pytest.raises(SBoxFileError, match="^more than 65536 entries$"):
+    with pytest.raises(ValueError, match="^more than 65536 entries$"):
         parse_sbox_text("# one too many\n" + "0, " * (formats.MAX_ENTRIES + 1))
     # Exactly MAX_ENTRIES entries, in a text long enough to be read by the regex.
     text = "1 " * formats.MAX_ENTRIES + "  "

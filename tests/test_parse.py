@@ -103,7 +103,8 @@ def test_table_parses_as_argparse_did(argv):
 @pytest.mark.parametrize("outcome", ["accepted", "rejected", "help"])
 def test_grammar_reaches_every_outcome(outcome):
     """The grammar above yields argvs of each outcome, not only errors."""
-    find(argvs(), lambda argv: by_argparse(argv)[0] == outcome, settings=settings(max_examples=500))
+    find(argvs(), lambda argv: by_argparse(argv)[0] == outcome,
+         settings=settings(max_examples=500, deadline=None))
 
 
 @reference_version
